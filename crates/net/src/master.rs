@@ -248,6 +248,55 @@ impl Slot {
     }
 }
 
+/// The workers a step still waits on: alive, on the connection that received
+/// the step's broadcast, and not yet heard from. Kept as a flag per worker
+/// and their count, so an upload costs O(1), not a scan of every slot.
+pub(crate) struct Awaited {
+    /// A worker is eligible for the step only through the connection that
+    /// received the broadcast; one that reconnects mid-step cannot produce
+    /// this step's codeword, so it must not be waited on.
+    eligible: Vec<Option<Token>>,
+    waiting: Vec<bool>,
+    count: usize,
+}
+
+impl Awaited {
+    /// Snapshots eligibility as the broadcast goes out; nobody has answered.
+    pub(crate) fn at_broadcast(slots: &[Slot]) -> Awaited {
+        let mut awaited = Awaited {
+            eligible: slots
+                .iter()
+                .map(|s| if s.alive { s.conn } else { None })
+                .collect(),
+            waiting: vec![false; slots.len()],
+            count: 0,
+        };
+        awaited.rescan(slots, |_| false);
+        awaited
+    }
+
+    /// How many workers the step still waits on.
+    pub(crate) fn count(&self) -> usize {
+        self.count
+    }
+
+    /// Re-derives worker `w`'s flag after an event that touched only `w`.
+    pub(crate) fn update(&mut self, w: usize, slot: &Slot, answered: bool) {
+        let waiting =
+            slot.alive && self.eligible[w].is_some() && self.eligible[w] == slot.conn && !answered;
+        self.count = self.count + usize::from(waiting) - usize::from(self.waiting[w]);
+        self.waiting[w] = waiting;
+    }
+
+    /// Re-derives every flag, after an event that can change liveness or
+    /// connection ownership of any slot.
+    pub(crate) fn rescan(&mut self, slots: &[Slot], answered: impl Fn(usize) -> bool) {
+        for (w, slot) in slots.iter().enumerate() {
+            self.update(w, slot, answered(w));
+        }
+    }
+}
+
 /// A listening IS-GC master. Bind first (so tests can learn the ephemeral
 /// port), then [`Master::run`] a training session.
 pub struct Master {
@@ -980,31 +1029,18 @@ impl MasterLoop {
             WaitPolicy::Deadline(d) => Some(step_start + d),
         };
         let n = self.n();
-        // A worker is eligible for this step only through the connection
-        // that received the Params broadcast; one that reconnects mid-step
-        // cannot produce this step's codeword, so it must not be waited on.
-        let eligible: Vec<Option<Token>> = self
-            .slots
-            .iter()
-            .map(|s| if s.alive { s.conn } else { None })
-            .collect();
+        let mut awaited = Awaited::at_broadcast(&self.slots);
         let mut codewords: Vec<Option<Vector>> = vec![None; n];
-        let mut arrivals: Vec<usize> = Vec::new();
+        // Sized once: the list is kept in the step's report for the whole
+        // run, and growing it by doubling would retain up to 2n slots.
+        let mut arrivals: Vec<usize> = Vec::with_capacity(n);
         let mut declined: Vec<bool> = vec![false; n];
         let mut stale = 0usize;
 
         loop {
             // Heartbeat silence arrives as HeartbeatTimeout events off the
             // reactor's timer wheel (dispatched below); no wall-clock sweep.
-            let alive_pending = (0..n)
-                .filter(|&w| {
-                    self.slots[w].alive
-                        && eligible[w].is_some()
-                        && eligible[w] == self.slots[w].conn
-                        && !declined[w]
-                        && codewords[w].is_none()
-                })
-                .count();
+            let alive_pending = awaited.count();
             let done = match self.config.wait {
                 WaitPolicy::FirstW(w) => arrivals.len() >= w || alive_pending == 0,
                 WaitPolicy::Deadline(_) => {
@@ -1031,7 +1067,9 @@ impl MasterLoop {
             let Some(event) = self.reactor.next_event(POLL)? else {
                 continue;
             };
-            match self.dispatch(event) {
+            // A codeword or decline touches its sender's slot only; every
+            // other event may have changed liveness anywhere.
+            let touched = match self.dispatch(event) {
                 Dispatched::Codeword(worker, tagged_step, values) => {
                     // `mc-mutation` deliberately breaks the stale guard —
                     // the codeword from the *previous* round is accepted as
@@ -1053,13 +1091,20 @@ impl MasterLoop {
                         // step.
                         stale += 1;
                     }
+                    Some(worker)
                 }
                 Dispatched::Decline(worker, tagged_step) => {
                     if tagged_step == step && codewords[worker].is_none() {
                         declined[worker] = true;
                     }
+                    Some(worker)
                 }
-                Dispatched::Nothing => {}
+                Dispatched::Nothing => None,
+            };
+            let answered = |w: usize| declined[w] || codewords[w].is_some();
+            match touched {
+                Some(w) => awaited.update(w, &self.slots[w], answered(w)),
+                None => awaited.rescan(&self.slots, answered),
             }
         }
     }
@@ -1121,6 +1166,45 @@ mod tests {
         let dataset = Dataset::synthetic_regression(16, 2, 0.1, 1);
         let err = master.run(&model, &dataset, &config).unwrap_err();
         assert!(matches!(err, NetError::Protocol(_)), "{err}");
+    }
+
+    #[test]
+    fn awaited_counts_only_workers_that_can_still_answer_this_step() {
+        let slot = |conn, alive| Slot {
+            conn,
+            alive,
+            registered: true,
+        };
+        // Worker 2 is dead at the broadcast, worker 3 never connected.
+        let mut slots = vec![
+            slot(Some(10), true),
+            slot(Some(11), true),
+            slot(Some(12), false),
+            slot(None, false),
+        ];
+        let mut awaited = Awaited::at_broadcast(&slots);
+        assert_eq!(awaited.count(), 2);
+
+        // An answer takes its sender off the list, once.
+        awaited.update(0, &slots[0], true);
+        awaited.update(0, &slots[0], true);
+        assert_eq!(awaited.count(), 1);
+
+        // Silence past the heartbeat deadline stops the wait; a late frame
+        // on the same connection resumes it.
+        slots[1].alive = false;
+        awaited.rescan(&slots, |w| w == 0);
+        assert_eq!(awaited.count(), 0);
+        slots[1].alive = true;
+        awaited.update(1, &slots[1], false);
+        assert_eq!(awaited.count(), 1);
+
+        // A reconnect mid-step is a different connection: it never saw the
+        // broadcast. Nor did worker 2, revived after it went out.
+        slots[1].conn = Some(20);
+        slots[2].alive = true;
+        awaited.rescan(&slots, |w| w == 0);
+        assert_eq!(awaited.count(), 0);
     }
 
     #[test]

@@ -15,15 +15,19 @@
 //!   adopts or rejects them;
 //! - **read interest + reassembly**: each connection keeps a
 //!   [`FrameAssembler`] so a frame split across arbitrarily many readiness
-//!   events decodes byte-identically; `Codeword` payloads are decoded *in
-//!   place* from that buffer straight into an [`isgc_linalg::Vector`] —
+//!   events decodes byte-identically; a read costs the bytes that arrived
+//!   (the assembler's tail is zero-filled when it grows, not per call, and
+//!   an idle connection holds 4 KiB of it); `Codeword` payloads are decoded
+//!   *in place* from that buffer straight into an [`isgc_linalg::Vector`] —
 //!   no intermediate `Vec<u8>`/`Vec<f64>` copies on the upload hot path;
 //! - **write interest + pooled broadcast**: outbound frames are
 //!   reference-counted `Arc<[u8]>` slices shared across per-connection
 //!   write queues, with partial writes resumed on the next `POLLOUT`;
 //! - **timers**: a bucketed tick-based [`TimerWheel`] drives per-connection
 //!   heartbeat deadlines and handshake timeouts, so liveness is a logical
-//!   clock decision instead of a race between wall-clock thread sleeps;
+//!   clock decision instead of a race between wall-clock thread sleeps; a
+//!   read only moves the connection's deadline, and its single wheel entry
+//!   is re-filed when it comes due early;
 //! - **a drained event queue**: readiness is translated into [`NetEvent`]s
 //!   consumed one at a time by the unchanged single-threaded master state
 //!   machine ([`crate::master::MasterLoop`](crate::master) and the tree
@@ -142,9 +146,8 @@ struct Conn {
     /// Idle timeout re-armed on every inbound byte; `None` disables
     /// silence detection (e.g. a sub-master's root link).
     idle: Option<Duration>,
-    /// The currently armed deadline tick; wheel entries that do not match
-    /// are stale and ignored (lazy cancellation).
-    deadline: u64,
+    /// The handshake or idle deadline and its one wheel entry.
+    deadline: Deadline,
     /// A pending connection that already emitted its introduction stops
     /// parsing until adopted.
     introduced: bool,
@@ -160,11 +163,11 @@ enum Parsed {
 
 /// A bucketed logical-time wheel: `schedule` files `(token, deadline)`
 /// entries under `deadline % slots`, `advance_to` sweeps the ticks since
-/// the last advance and yields every entry now due. Cancellation is lazy —
-/// the reactor compares each fired entry against the connection's current
-/// deadline — so re-arming is O(1). Pure tick arithmetic, no clocks: unit
-/// tests drive it deterministically (see below), production maps wall time
-/// to ticks once per poll.
+/// the last advance and yields every entry now due. Entries are never
+/// removed early; a connection's [`Deadline`] decides what a fired entry
+/// means, and keeps the wheel to one live entry per connection. Pure tick
+/// arithmetic, no clocks: unit tests drive it deterministically (see
+/// below), production maps wall time to ticks once per poll.
 pub(crate) struct TimerWheel {
     slots: Vec<Vec<(Token, u64)>>,
     now: u64,
@@ -181,6 +184,12 @@ impl TimerWheel {
     /// The last tick `advance_to` reached.
     pub(crate) fn now(&self) -> u64 {
         self.now
+    }
+
+    /// Entries filed and not yet due.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.slots.iter().map(Vec::len).sum()
     }
 
     /// Files an entry due at `deadline` (clamped to the future: entries at
@@ -226,6 +235,50 @@ impl TimerWheel {
         }
         self.now = tick;
         due
+    }
+}
+
+/// One connection's deadline, re-armed lazily: activity only moves `at`,
+/// and the wheel holds a single entry per connection (at `filed`) that is
+/// re-filed at `at` if it comes due early. Re-arming on every read would
+/// instead leave one dead entry per frame in the wheel until its tick —
+/// at 300 workers and 370 steps/s, 220 k of them inside a 2 s timeout.
+#[derive(Debug, Default)]
+struct Deadline {
+    /// The tick the connection times out at.
+    at: u64,
+    /// The tick of the live wheel entry, if one is filed.
+    filed: Option<u64>,
+}
+
+impl Deadline {
+    /// Moves the deadline to `at`, filing a wheel entry only when none is
+    /// live or the live one would fire too late (adopting a connection
+    /// whose handshake deadline lies beyond its first idle deadline).
+    fn arm(&mut self, wheel: &mut TimerWheel, token: Token, at: u64) {
+        self.at = at;
+        if self.filed.is_none_or(|filed| at < filed) {
+            wheel.schedule(token, at);
+            self.filed = Some(at);
+        }
+    }
+
+    /// Whether the entry `fired` (as `advance_to(now)` returned it) means
+    /// the deadline has passed. It does not when an earlier entry replaced
+    /// it, or when activity moved the deadline past `now` — then the entry
+    /// is re-filed there. After `true` nothing is filed until the next
+    /// [`Deadline::arm`].
+    fn expired(&mut self, wheel: &mut TimerWheel, token: Token, fired: u64, now: u64) -> bool {
+        if self.filed != Some(fired) {
+            return false;
+        }
+        if self.at > now {
+            wheel.schedule(token, self.at);
+            self.filed = Some(self.at);
+            return false;
+        }
+        self.filed = None;
+        true
     }
 }
 
@@ -561,11 +614,10 @@ impl Reactor {
                         continue;
                     }
                     let token = self.insert(stream, Phase::Pending, None);
-                    let deadline = self.wheel.now() + ticks(HANDSHAKE_TIMEOUT);
+                    let at = self.wheel.now() + ticks(HANDSHAKE_TIMEOUT);
                     if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.deadline = deadline;
+                        conn.deadline.arm(&mut self.wheel, token, at);
                     }
-                    self.wheel.schedule(token, deadline);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -636,7 +688,8 @@ impl Reactor {
     /// Advances the wheel to the current logical tick and translates due
     /// entries: pending connections past their handshake deadline are
     /// dropped, silent adopted ones get a [`NetEvent::HeartbeatTimeout`]
-    /// and a re-armed deadline.
+    /// and a re-armed deadline; an entry that activity overtook is re-filed
+    /// at the connection's current deadline.
     fn fire_timers(&mut self) {
         let now = self.tick_now();
         let due = self.wheel.advance_to(now);
@@ -646,8 +699,8 @@ impl Reactor {
             let Some(conn) = self.conns.get_mut(&token) else {
                 continue;
             };
-            if conn.deadline != deadline {
-                continue; // superseded by activity since scheduling
+            if !conn.deadline.expired(&mut self.wheel, token, deadline, now) {
+                continue;
             }
             fired += 1;
             match conn.phase {
@@ -655,9 +708,7 @@ impl Reactor {
                 Phase::Pending => handshake_expired.push(token),
                 Phase::Adopted => {
                     if let Some(idle) = conn.idle {
-                        let next = now + ticks(idle);
-                        conn.deadline = next;
-                        self.wheel.schedule(token, next);
+                        conn.deadline.arm(&mut self.wheel, token, now + ticks(idle));
                         self.events.push_back(NetEvent::HeartbeatTimeout { token });
                     }
                 }
@@ -671,8 +722,8 @@ impl Reactor {
         }
     }
 
-    /// Re-arms `token`'s idle deadline off the logical clock (called on
-    /// every inbound byte).
+    /// Moves `token`'s idle deadline off the logical clock (called after
+    /// every readiness event that delivered bytes).
     fn arm_idle(&mut self, token: Token) {
         let now = self.wheel.now();
         let Some(conn) = self.conns.get_mut(&token) else {
@@ -681,9 +732,7 @@ impl Reactor {
         let Some(idle) = conn.idle else {
             return;
         };
-        let deadline = now + ticks(idle);
-        conn.deadline = deadline;
-        self.wheel.schedule(token, deadline);
+        conn.deadline.arm(&mut self.wheel, token, now + ticks(idle));
     }
 
     /// The current logical tick (wall clock quantized once per poll).
@@ -702,7 +751,7 @@ impl Reactor {
                 assembler: FrameAssembler::new(),
                 out: VecDeque::new(),
                 idle,
-                deadline: 0,
+                deadline: Deadline::default(),
                 introduced: false,
             },
         );
@@ -898,6 +947,123 @@ mod tests {
         wheel.schedule(1, 6); // re-armed
         assert_eq!(wheel.advance_to(3), vec![(1, 3)]); // stale, caller skips
         assert_eq!(wheel.advance_to(6), vec![(1, 6)]);
+    }
+
+    #[test]
+    fn rearming_keeps_one_wheel_entry_and_times_out_on_the_same_tick() {
+        // A peer that sends 10,000 frames over ticks 0..100 and then goes
+        // silent, 400-tick idle timeout: one entry in the wheel throughout,
+        // and the timeout lands on last read + 400, where an entry filed by
+        // that last read would have fired.
+        let (token, idle) = (7, 400);
+        let mut wheel = TimerWheel::new(WHEEL_SLOTS);
+        let mut deadline = Deadline::default();
+        for read in 0..10_000u64 {
+            let now = read / 100;
+            assert!(wheel.advance_to(now).is_empty());
+            deadline.arm(&mut wheel, token, now + idle);
+            assert_eq!(wheel.len(), 1, "after read {read}");
+        }
+        let expected = 99 + idle;
+        let mut timed_out_at = Vec::new();
+        for now in 100..=expected + 5 {
+            for (t, fired) in wheel.advance_to(now) {
+                if deadline.expired(&mut wheel, t, fired, now) {
+                    timed_out_at.push(now);
+                } else {
+                    assert_eq!(wheel.len(), 1, "the early entry is re-filed");
+                }
+            }
+        }
+        assert_eq!(timed_out_at, vec![expected]);
+        assert_eq!(wheel.len(), 0);
+    }
+
+    #[test]
+    fn adoption_moves_the_deadline_either_side_of_the_handshake_entry() {
+        // Idle deadline before the handshake entry: a second entry is filed
+        // so the timeout is not late, and the handshake entry goes stale.
+        let mut wheel = TimerWheel::new(WHEEL_SLOTS);
+        let mut deadline = Deadline::default();
+        deadline.arm(&mut wheel, 1, 1000);
+        deadline.arm(&mut wheel, 1, 410);
+        assert_eq!(wheel.len(), 2);
+        assert_eq!(wheel.advance_to(410), vec![(1, 410)]);
+        assert!(deadline.expired(&mut wheel, 1, 410, 410));
+        deadline.arm(&mut wheel, 1, 810);
+        assert_eq!(wheel.advance_to(1000), vec![(1, 810), (1, 1000)]);
+        assert!(deadline.expired(&mut wheel, 1, 810, 1000));
+        assert!(!deadline.expired(&mut wheel, 1, 1000, 1000));
+        assert_eq!(wheel.len(), 0, "a stale entry is not re-filed");
+
+        // Idle deadline after it: the handshake entry is reused.
+        let mut wheel = TimerWheel::new(WHEEL_SLOTS);
+        let mut deadline = Deadline::default();
+        deadline.arm(&mut wheel, 2, 1000);
+        deadline.arm(&mut wheel, 2, 2010);
+        assert_eq!(wheel.len(), 1);
+        assert_eq!(wheel.advance_to(1000), vec![(2, 1000)]);
+        assert!(!deadline.expired(&mut wheel, 2, 1000, 1000));
+        assert_eq!(wheel.advance_to(2010), vec![(2, 2010)]);
+        assert!(deadline.expired(&mut wheel, 2, 2010, 2010));
+    }
+
+    /// Pumps `reactor` until an event arrives (or two seconds pass).
+    fn wait_event(reactor: &mut Reactor) -> NetEvent {
+        let give_up = Instant::now() + Duration::from_secs(2);
+        loop {
+            if let Some(event) = reactor.next_event(TICK).expect("poll") {
+                return event;
+            }
+            assert!(Instant::now() < give_up, "no event within 2 s");
+        }
+    }
+
+    #[test]
+    fn codeword_then_close_delivers_codeword_before_gone() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let mut reactor = Reactor::new(Some(listener), 3, None).expect("reactor");
+
+        // The peer introduces itself, uploads one codeword and is gone
+        // before the reactor has read a byte of either frame.
+        let codeword = Message::Codeword {
+            worker: 0,
+            step: 5,
+            values: vec![1.5, -2.0, 0.25],
+        };
+        let mut peer = TcpStream::connect(addr).expect("connect");
+        peer.write_all(&Message::Hello { preferred: None }.encode_for_job(3))
+            .expect("hello");
+        peer.write_all(&codeword.encode_for_job(3))
+            .expect("codeword");
+        drop(peer);
+
+        let NetEvent::Hello { token, .. } = wait_event(&mut reactor) else {
+            panic!("expected Hello first");
+        };
+        let first: Arc<[u8]> = Message::Shutdown.encode_for_job(3).into();
+        // The peer's close may already have been read, in which case the
+        // connection is gone by the time `adopt` returns; either way the
+        // codeword is queued ahead of the departure.
+        let _ = reactor.adopt(token, first, Some(Duration::from_secs(2)));
+        match wait_event(&mut reactor) {
+            NetEvent::Codeword {
+                token: t,
+                step,
+                values,
+                bytes,
+            } => {
+                assert_eq!((t, step), (token, 5));
+                assert_eq!(values.as_slice(), &[1.5, -2.0, 0.25]);
+                assert_eq!(bytes, codeword.encode_for_job(3).len());
+            }
+            other => panic!("expected Codeword, got {other:?}"),
+        }
+        assert!(matches!(
+            wait_event(&mut reactor),
+            NetEvent::Gone { token: t } if t == token
+        ));
     }
 
     #[test]

@@ -41,7 +41,7 @@ use isgc_engine::{
 };
 use isgc_linalg::Vector;
 
-use crate::master::{backend, NetConfig, Slot};
+use crate::master::{backend, Awaited, NetConfig, Slot};
 use crate::reactor::{NetEvent, Reactor, Token};
 use crate::retry::RetryPolicy;
 use crate::seam::Transport;
@@ -917,25 +917,10 @@ impl ShardLoop {
         self.reactor.broadcast(&frame, &targets);
 
         // Collect until every alive worker that saw the broadcast answered.
-        let eligible: Vec<Option<Token>> = self
-            .slots
-            .iter()
-            .map(|s| if s.alive { s.conn } else { None })
-            .collect();
+        let mut awaited = Awaited::at_broadcast(&self.slots);
         let shard_len = self.slots.len();
         let mut codewords: Vec<Option<Vector>> = vec![None; shard_len];
-        loop {
-            let pending = (0..shard_len)
-                .filter(|&i| {
-                    self.slots[i].alive
-                        && eligible[i].is_some()
-                        && eligible[i] == self.slots[i].conn
-                        && codewords[i].is_none()
-                })
-                .count();
-            if pending == 0 {
-                break;
-            }
+        while awaited.count() > 0 {
             let event = match self.worker_backlog.pop_front() {
                 Some(event) => event,
                 None => match self.reactor.next_event(POLL) {
@@ -950,10 +935,17 @@ impl ShardLoop {
                 self.root_backlog.push_back(event);
                 continue;
             }
-            if let Some((slot_idx, tagged_step, values)) = self.dispatch(event) {
-                if tagged_step == step && codewords[slot_idx].is_none() {
-                    codewords[slot_idx] = Some(values);
+            // A codeword touches its sender's slot only; every other event
+            // may have changed liveness anywhere.
+            match self.dispatch(event) {
+                Some((slot_idx, tagged_step, values)) => {
+                    if tagged_step == step && codewords[slot_idx].is_none() {
+                        codewords[slot_idx] = Some(values);
+                    }
+                    let answered = codewords[slot_idx].is_some();
+                    awaited.update(slot_idx, &self.slots[slot_idx], answered);
                 }
+                None => awaited.rescan(&self.slots, |i| codewords[i].is_some()),
             }
         }
 

@@ -584,14 +584,20 @@ impl Frame<'_> {
 
 /// Reassembles wire frames from arbitrarily split byte chunks — the state a
 /// nonblocking connection keeps between readiness events. Bytes go in via
-/// [`FrameAssembler::push`] (or [`FrameAssembler::fill_from`], which reads
-/// straight into the buffer tail so the transport never copies through an
+/// [`FrameAssembler::push`] (or [`FrameAssembler::fill_from`], which hands
+/// the transport the buffer's free tail so nothing is copied through an
 /// intermediate allocation), complete frames come out of
 /// [`FrameAssembler::next_frame`] as in-place payload slices.
 ///
-/// Consumed bytes are reclaimed lazily: the buffer compacts on the next
-/// fill, so back-to-back `next_frame` calls on one readiness burst touch
-/// each byte exactly once.
+/// A read costs O(bytes that arrived). The buffer is a fully initialised
+/// `Vec` whose live bytes are `start..end`; the tail beyond `end` was
+/// zero-filled once, when the buffer grew, and is simply offered again on
+/// the next read. It starts at 4 KiB on first use (what an idle connection
+/// pins), doubles up to 64 KiB when a read leaves no tail, and jumps
+/// straight to a frame's exact size when a buffered header announces one
+/// that does not fit. Consumed bytes are reclaimed lazily: both cursors
+/// reset when the buffer drains, and a partial frame left behind the
+/// consumed ones is moved to the front — once — by the next fill.
 ///
 /// Every assembler clamps the length prefix *before* any allocation
 /// happens: the protocol-wide [`MAX_PAYLOAD`] always applies, and
@@ -600,8 +606,11 @@ impl Frame<'_> {
 /// instead of a buffer sized by its header.
 #[derive(Debug)]
 pub struct FrameAssembler {
+    /// Initialised storage; `buf.len()` is what reads may fill up to.
     buf: Vec<u8>,
+    /// The live (buffered, unconsumed) bytes are `buf[start..end]`.
     start: usize,
+    end: usize,
     /// Largest payload this connection accepts (≤ [`MAX_PAYLOAD`]).
     max_frame: u32,
 }
@@ -611,14 +620,19 @@ impl Default for FrameAssembler {
         FrameAssembler {
             buf: Vec::new(),
             start: 0,
+            end: 0,
             max_frame: MAX_PAYLOAD,
         }
     }
 }
 
-/// How many bytes [`FrameAssembler::fill_from`] grows the buffer by per
-/// read call.
-const FILL_CHUNK: usize = 64 * 1024;
+/// Buffer size on first use: a dozen gradient-coding uploads of a small
+/// model, and what every idle connection costs.
+const INITIAL_TAIL: usize = 4 * 1024;
+
+/// Where doubling on full reads stops; only a frame larger than this grows
+/// the buffer further (to exactly its size).
+const READ_MAX: usize = 64 * 1024;
 
 impl FrameAssembler {
     /// An empty assembler accepting payloads up to [`MAX_PAYLOAD`].
@@ -638,13 +652,20 @@ impl FrameAssembler {
 
     /// Bytes buffered but not yet consumed by [`FrameAssembler::next_frame`].
     pub fn pending(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
+    }
+
+    /// Bytes of memory the reassembly buffer holds (tests pin its growth).
+    #[doc(hidden)]
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
     }
 
     /// Appends raw bytes (a test vector, or a chunk already read elsewhere).
     pub fn push(&mut self, bytes: &[u8]) {
-        self.compact();
-        self.buf.extend_from_slice(bytes);
+        self.make_room(bytes.len());
+        self.buf[self.end..self.end + bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
     }
 
     /// Reads once from `r` into the buffer tail, returning how many bytes
@@ -655,40 +676,51 @@ impl FrameAssembler {
     ///
     /// Propagates the underlying `read` error.
     pub fn fill_from(&mut self, r: &mut impl io::Read) -> io::Result<usize> {
-        self.compact();
-        let old = self.buf.len();
-        self.buf.resize(old + FILL_CHUNK, 0);
-        match r.read(&mut self.buf[old..]) {
-            Ok(k) => {
-                self.buf.truncate(old + k);
-                Ok(k)
-            }
-            Err(e) => {
-                self.buf.truncate(old);
-                Err(e)
-            }
-        }
+        self.make_room(1);
+        let k = r.read(&mut self.buf[self.end..])?;
+        self.end += k;
+        Ok(k)
     }
 
-    /// Drops already-consumed bytes from the front of the buffer.
-    fn compact(&mut self) {
+    /// Leaves at least `need` free bytes after `end`: moves a partial frame
+    /// to the front, then grows the buffer if it must (or if the last read
+    /// filled it, which says more bytes are waiting). Growth is the only
+    /// place new bytes are zero-filled.
+    fn make_room(&mut self, need: usize) {
+        let was_full = self.end == self.buf.len();
         if self.start > 0 {
-            self.buf.drain(..self.start);
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
             self.start = 0;
         }
+        let len = self.buf.len();
+        let floor = self.end + need;
+        // A malformed or over-clamp header reserves nothing; `next_frame`
+        // reports it.
+        let frame = match self.header() {
+            Ok(Some((_, payload))) => HEADER_LEN + payload,
+            _ => 0,
+        };
+        let target = if frame > len && frame >= floor {
+            frame
+        } else if floor > len {
+            floor.max(2 * len).max(INITIAL_TAIL)
+        } else if was_full {
+            (2 * len).min(READ_MAX)
+        } else {
+            len
+        };
+        if target > len {
+            self.buf.reserve_exact(target - len);
+            self.buf.resize(target, 0);
+        }
     }
 
-    /// Yields the next complete frame, or `Ok(None)` when the buffered
-    /// bytes end mid-frame (more readiness events will complete it).
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::BadMagic`], [`WireError::UnsupportedVersion`],
-    /// [`WireError::Oversized`], or [`WireError::FrameTooLarge`] when the
-    /// buffered header is malformed or over this connection's clamp —
-    /// connection-fatal, since frame boundaries are lost.
-    pub fn next_frame(&mut self) -> Result<Option<Frame<'_>>, WireError> {
-        let bytes = &self.buf[self.start..];
+    /// Parses the header at the front of the live bytes into `(job, payload
+    /// length)`, applying both size clamps; `Ok(None)` until all
+    /// [`HEADER_LEN`] bytes are buffered.
+    fn header(&self) -> Result<Option<(u64, usize)>, WireError> {
+        let bytes = &self.buf[self.start..self.end];
         if bytes.len() < HEADER_LEN {
             return Ok(None);
         }
@@ -710,12 +742,32 @@ impl FrameAssembler {
                 max: self.max_frame,
             });
         }
-        let len = len as usize;
-        if bytes.len() < HEADER_LEN + len {
+        Ok(Some((job, len as usize)))
+    }
+
+    /// Yields the next complete frame, or `Ok(None)` when the buffered
+    /// bytes end mid-frame (more readiness events will complete it).
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::BadMagic`], [`WireError::UnsupportedVersion`],
+    /// [`WireError::Oversized`], or [`WireError::FrameTooLarge`] when the
+    /// buffered header is malformed or over this connection's clamp —
+    /// connection-fatal, since frame boundaries are lost.
+    pub fn next_frame(&mut self) -> Result<Option<Frame<'_>>, WireError> {
+        let Some((job, len)) = self.header()? else {
+            return Ok(None);
+        };
+        if self.pending() < HEADER_LEN + len {
             return Ok(None);
         }
         let payload_start = self.start + HEADER_LEN;
         self.start = payload_start + len;
+        if self.start == self.end {
+            // Drained: the next read gets the whole buffer, nothing to move.
+            self.start = 0;
+            self.end = 0;
+        }
         Ok(Some(Frame {
             job,
             payload: &self.buf[payload_start..payload_start + len],
@@ -1205,6 +1257,77 @@ mod tests {
         // The clamp can never exceed the protocol-wide bound.
         let asm = FrameAssembler::with_max_frame(u32::MAX);
         assert_eq!(asm.max_frame, MAX_PAYLOAD);
+    }
+
+    /// A reader that scribbles over the whole tail it is offered, reports
+    /// `claim` bytes read, and records what each offered tail held.
+    struct Scribbler {
+        claim: usize,
+        offered: Vec<Vec<u8>>,
+    }
+
+    impl io::Read for Scribbler {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            self.offered.push(out.to_vec());
+            out.fill(0xAB);
+            Ok(self.claim.min(out.len()))
+        }
+    }
+
+    #[test]
+    fn fill_offers_the_old_tail_again_instead_of_a_zeroed_one() {
+        // `Read` lets an implementation write past what it reports; if the
+        // assembler re-initialised its tail per call the second offer would
+        // be zeros. It is the first offer's leftovers: nothing was touched
+        // but the byte that "arrived".
+        let mut source = Scribbler {
+            claim: 1,
+            offered: Vec::new(),
+        };
+        let mut asm = FrameAssembler::new();
+        assert_eq!(asm.capacity(), 0, "nothing is allocated before first use");
+        assert_eq!(asm.fill_from(&mut source).expect("read"), 1);
+        assert_eq!(asm.fill_from(&mut source).expect("read"), 1);
+        assert_eq!(asm.pending(), 2);
+        assert_eq!(source.offered[0], vec![0; INITIAL_TAIL]);
+        assert_eq!(source.offered[1], vec![0xAB; INITIAL_TAIL - 1]);
+    }
+
+    #[test]
+    fn full_reads_double_the_buffer_up_to_the_read_cap() {
+        // A backlog of small frames: every read fills the offered tail, the
+        // caller drains the complete frames, a partial one stays behind.
+        let frame = Message::Heartbeat { worker: 1 }.encode();
+        let backlog: Vec<u8> = frame.iter().copied().cycle().take(1 << 20).collect();
+        let mut source: &[u8] = &backlog;
+        let mut asm = FrameAssembler::new();
+        let mut kib = Vec::new();
+        for _ in 0..7 {
+            asm.fill_from(&mut source).expect("in-memory read");
+            while asm.next_frame().expect("valid").is_some() {}
+            kib.push(asm.capacity() / 1024);
+        }
+        assert_eq!(kib, vec![4, 8, 16, 32, 64, 64, 64]);
+    }
+
+    #[test]
+    fn a_partial_frame_moves_to_the_front_once_and_cursors_reset_on_drain() {
+        let a = Message::Heartbeat { worker: 1 }.encode();
+        let b = Message::Decline { worker: 2, step: 3 }.encode();
+        let mut asm = FrameAssembler::new();
+        asm.push(&a);
+        asm.push(&b[..5]);
+        assert!(asm.next_frame().expect("valid").is_some());
+        assert_eq!((asm.start, asm.end), (a.len(), a.len() + 5));
+        asm.push(&b[5..]);
+        assert_eq!((asm.start, asm.end), (0, b.len()));
+        let got = asm.next_frame().expect("valid").expect("complete");
+        assert_eq!(
+            got.message().expect("decodes"),
+            Message::Decline { worker: 2, step: 3 }
+        );
+        assert_eq!((asm.start, asm.end), (0, 0));
+        assert_eq!(asm.capacity(), INITIAL_TAIL);
     }
 
     #[test]

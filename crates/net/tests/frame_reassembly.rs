@@ -76,16 +76,39 @@ fn message_strategy() -> impl Strategy<Value = Message> {
         })
 }
 
-/// An `io::Read` that serves a fixed byte string at most `cap` bytes per
-/// call — a socket whose readiness events each deliver a tiny chunk.
-struct Trickle<'a> {
-    bytes: &'a [u8],
-    cap: usize,
+/// One move of a scripted socket.
+#[derive(Clone, Copy)]
+enum Step {
+    /// Deliver at most this many bytes.
+    Bytes(usize),
+    /// Deliver exactly as many bytes as the assembler offered.
+    FillTail,
+    /// Fail with this kind, delivering nothing.
+    Fail(std::io::ErrorKind),
 }
 
-impl std::io::Read for Trickle<'_> {
+/// An `io::Read` that serves `bytes` the way `script` says, cycling through
+/// it, then reports EOF; remembers the largest tail it was ever offered.
+struct Scripted<'a> {
+    bytes: &'a [u8],
+    script: &'a [Step],
+    turn: usize,
+    largest_offer: usize,
+}
+
+impl std::io::Read for Scripted<'_> {
     fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-        let k = self.cap.min(self.bytes.len()).min(out.len());
+        assert!(!out.is_empty(), "the assembler must always offer a tail");
+        self.largest_offer = self.largest_offer.max(out.len());
+        let step = self.script[self.turn % self.script.len()];
+        self.turn += 1;
+        let k = match step {
+            Step::Bytes(k) => k,
+            Step::FillTail => out.len(),
+            Step::Fail(kind) => return Err(kind.into()),
+        }
+        .min(out.len())
+        .min(self.bytes.len());
         out[..k].copy_from_slice(&self.bytes[..k]);
         self.bytes = &self.bytes[k..];
         Ok(k)
@@ -164,7 +187,12 @@ proptest! {
         cap in 1usize..32,
     ) {
         let bytes = message.encode_for_job(job);
-        let mut source = Trickle { bytes: &bytes, cap };
+        let mut source = Scripted {
+            bytes: &bytes,
+            script: &[Step::Bytes(cap)],
+            turn: 0,
+            largest_offer: 0,
+        };
         let mut assembler = FrameAssembler::new();
         let mut decoded = Vec::new();
         loop {
@@ -212,4 +240,170 @@ proptest! {
             prop_assert_eq!(view.value(i).to_bits(), v.to_bits());
         }
     }
+}
+
+/// Every complete frame as `(job, payload bytes)` — compared as bytes, so
+/// NaN payloads count.
+fn drain_raw(assembler: &mut FrameAssembler, into: &mut Vec<(u64, Vec<u8>)>) {
+    while let Some(frame) = assembler.next_frame().expect("well-formed stream") {
+        into.push((frame.job, frame.payload.to_vec()));
+    }
+}
+
+/// Feeds `stream` through `fill_from` as the reactor's read loop does —
+/// parse after every delivery, retry `Interrupted`, come back after
+/// `WouldBlock`, stop at EOF.
+fn read_like_the_reactor(stream: &[u8], script: &[Step]) -> (Vec<(u64, Vec<u8>)>, FrameAssembler) {
+    let mut source = Scripted {
+        bytes: stream,
+        script,
+        turn: 0,
+        largest_offer: 0,
+    };
+    let mut assembler = FrameAssembler::new();
+    let mut frames = Vec::new();
+    loop {
+        match assembler.fill_from(&mut source) {
+            Ok(0) => break,
+            Ok(_) => drain_raw(&mut assembler, &mut frames),
+            Err(e) => assert!(
+                matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
+                ),
+                "{e}"
+            ),
+        }
+    }
+    (frames, assembler)
+}
+
+#[test]
+fn scripted_reads_yield_the_frames_push_yields() {
+    use std::io::ErrorKind::{Interrupted, WouldBlock};
+    let scripts: [&[Step]; 4] = [
+        &[Step::Bytes(1)],
+        &[Step::FillTail],
+        &[
+            Step::Bytes(1),
+            Step::Fail(WouldBlock),
+            Step::FillTail,
+            Step::Fail(Interrupted),
+            Step::Bytes(7),
+            Step::Bytes(1),
+            Step::FillTail,
+        ],
+        &[
+            Step::Fail(Interrupted),
+            Step::Bytes(300),
+            Step::Fail(WouldBlock),
+        ],
+    ];
+    for seed in [0x15C0_C0DE, 1, 2023] {
+        let corpus = isgc_net::wire::corpus_messages(seed);
+        let stream: Vec<u8> = corpus
+            .iter()
+            .enumerate()
+            .flat_map(|(i, m)| m.encode_for_job(i as u64 % 3))
+            .collect();
+        let mut pushed = FrameAssembler::new();
+        pushed.push(&stream);
+        let mut expected = Vec::new();
+        drain_raw(&mut pushed, &mut expected);
+        assert_eq!(expected.len(), corpus.len());
+
+        for script in scripts {
+            let (frames, assembler) = read_like_the_reactor(&stream, script);
+            assert_eq!(frames, expected, "seed {seed:#x}");
+            assert_eq!(assembler.pending(), 0);
+        }
+    }
+}
+
+#[test]
+fn small_frames_never_grow_the_buffer() {
+    // The fan-in shape: one 318-byte frame per readiness event, 10,000
+    // times over. The connection's buffer stays where it started.
+    let frame = Message::Params {
+        step: 9,
+        values: vec![0.5; 36],
+    }
+    .encode();
+    assert_eq!(frame.len(), 318);
+    let stream = frame.repeat(10_000);
+    let (frames, assembler) = read_like_the_reactor(&stream, &[Step::Bytes(318)]);
+    assert_eq!(frames.len(), 10_000);
+    assert!(
+        assembler.capacity() <= 8 * 1024,
+        "capacity {}",
+        assembler.capacity()
+    );
+
+    let mut pushed = FrameAssembler::new();
+    for _ in 0..10_000 {
+        pushed.push(&frame);
+        assert!(pushed.next_frame().expect("valid").is_some());
+    }
+    assert!(
+        pushed.capacity() <= 8 * 1024,
+        "capacity {}",
+        pushed.capacity()
+    );
+}
+
+#[test]
+fn a_large_frame_reserves_its_size_once() {
+    // wide-d65k's upload: 524 KB arriving in 64 KiB pieces. The header in
+    // the first piece sizes the buffer exactly; nothing doubles to 1 MiB.
+    let message = Message::Codeword {
+        worker: 3,
+        step: 1,
+        values: (0..65_552).map(f64::from).collect(),
+    };
+    let frame = message.encode();
+    assert!(frame.len() > 512 * 1024);
+    let (frames, assembler) = read_like_the_reactor(&frame, &[Step::Bytes(64 * 1024)]);
+    assert_eq!(frames.len(), 1);
+    assert_eq!(frames[0].1, frame[isgc_net::wire::HEADER_LEN..]);
+    assert!(
+        assembler.capacity() <= frame.len() + 64 * 1024,
+        "capacity {} for a {} byte frame",
+        assembler.capacity(),
+        frame.len()
+    );
+
+    let mut pushed = FrameAssembler::new();
+    for piece in frame.chunks(64 * 1024) {
+        pushed.push(piece);
+    }
+    assert!(pushed.next_frame().expect("valid").is_some());
+    assert!(pushed.capacity() <= frame.len() + 64 * 1024);
+}
+
+#[test]
+fn an_over_clamp_header_is_refused_before_any_reservation() {
+    let frame = Message::Codeword {
+        worker: 0,
+        step: 0,
+        values: vec![1.0; 65_552],
+    }
+    .encode();
+    let mut source = Scripted {
+        bytes: &frame,
+        script: &[Step::Bytes(64 * 1024)],
+        turn: 0,
+        largest_offer: 0,
+    };
+    let mut assembler = FrameAssembler::with_max_frame(64 * 1024);
+    // The header is buffered by the first read; the reads after it must not
+    // size the buffer by what it claims.
+    for _ in 0..3 {
+        assembler.fill_from(&mut source).expect("in-memory read");
+    }
+    assert!(source.largest_offer <= 64 * 1024);
+    assert!(assembler.capacity() <= 64 * 1024);
+    assert!(matches!(
+        assembler.next_frame(),
+        Err(isgc_net::wire::WireError::FrameTooLarge { max, .. }) if max == 64 * 1024
+    ));
 }

@@ -48,6 +48,9 @@ if [ -z "$threads" ] || [ "$threads" -gt 2 ]; then
   exit 1
 fi
 
+echo "== end-to-end benchmark smoke (4 workloads, 1 s windows, correctness gate)"
+benchmark/run.sh --smoke | tail -1
+
 echo "== protocol model-check smoke (flat3, depth-limited, exhaustive)"
 # Enumerates every delivery order and ≤2-fault schedule of an FR(3, 1)
 # cluster through the real collector loop; any invariant violation fails the
@@ -71,4 +74,4 @@ echo "== kernels bench smoke + regression guard (30% ns/elem budget)"
 ISGC_BENCH_SMOKE=1 cargo run --release --quiet -p isgc-bench --bin kernels -- target/BENCH_kernels_smoke.json > /dev/null
 scripts/bench_guard.sh target/BENCH_kernels_smoke.json
 
-echo "ok: fmt, clippy, docs, tests, engine parity, snapshots, chaos, blackout, multi-tenant, reactor scale, model check, and perf guards all clean"
+echo "ok: fmt, clippy, docs, tests, engine parity, snapshots, chaos, blackout, multi-tenant, reactor scale, benchmark smoke, model check, and perf guards all clean"

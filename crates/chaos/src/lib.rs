@@ -41,7 +41,7 @@ pub mod tree;
 pub mod worker;
 
 pub use harness::{run_chaos, ChaosConfig, ChaosOutcome};
-pub use plan::{Fault, FaultKind, FaultPlan, PLAN_NAMES};
+pub use plan::{Action, Fault, FaultKind, FaultPlan, Mangle, PLAN_NAMES};
 pub use rng::ChaosRng;
 pub use trace::{failure_fingerprint, Trace};
 pub use tree::{run_tree_chaos, TreeChaosConfig, TreeChaosOutcome};

@@ -63,6 +63,46 @@ impl FaultKind {
         )
     }
 
+    /// What a worker does instead of answering the `Params` broadcast of
+    /// `step` honestly — the one table both fault interpreters read: the
+    /// chaos client performs it as bytes on its socket
+    /// ([`crate::worker::perform`]), the model checker as events on its
+    /// virtual network.
+    pub fn script(self, step: u64) -> Vec<Action> {
+        // A flapped worker sits out the faulted step and the next one.
+        let rejoin = Action::Rejoin {
+            decline_until: step + 2,
+        };
+        match self {
+            FaultKind::Drop => vec![rejoin],
+            FaultKind::Corrupt => vec![
+                Action::Mangled {
+                    step,
+                    how: Mangle::FlippedMagic,
+                },
+                rejoin,
+            ],
+            FaultKind::Truncate => vec![
+                Action::Mangled {
+                    step,
+                    how: Mangle::Halved,
+                },
+                rejoin,
+            ],
+            FaultKind::Delay(ms) => vec![Action::Sleep(ms), Action::Honest { step }],
+            FaultKind::Duplicate => vec![Action::Honest { step }, Action::Honest { step }],
+            // A straggler finishing the previous round: computed from the
+            // *current* params but tagged (and batched) for step − 1, then a
+            // decline for the step actually underway.
+            FaultKind::Stale => match step.checked_sub(1) {
+                Some(previous) => vec![Action::Honest { step: previous }, Action::Decline { step }],
+                None => vec![Action::Decline { step }],
+            },
+            FaultKind::Decline => vec![Action::Decline { step }],
+            FaultKind::Die => vec![Action::Exit],
+        }
+    }
+
     /// Stable lowercase name, used as the `kind` label on fault counters.
     pub fn label(self) -> &'static str {
         match self {
@@ -76,6 +116,47 @@ impl FaultKind {
             FaultKind::Die => "die",
         }
     }
+}
+
+/// One abstract move of a misbehaving worker (see [`FaultKind::script`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Action {
+    /// Stall for this many milliseconds.
+    Sleep(u64),
+    /// Send the honest codeword tagged and batched for `step`.
+    Honest {
+        /// The step the codeword claims.
+        step: u64,
+    },
+    /// Send `Decline` for `step`.
+    Decline {
+        /// The step declined.
+        step: u64,
+    },
+    /// Send the honest codeword frame for `step`, damaged.
+    Mangled {
+        /// The step the undamaged frame would claim.
+        step: u64,
+        /// The damage.
+        how: Mangle,
+    },
+    /// Close the connection and handshake again, sitting out every step
+    /// below `decline_until`.
+    Rejoin {
+        /// First step the rejoined worker answers honestly again.
+        decline_until: u64,
+    },
+    /// Close the connection and never return.
+    Exit,
+}
+
+/// How a [`Action::Mangled`] frame is damaged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mangle {
+    /// First magic byte flipped.
+    FlippedMagic,
+    /// Only the first half of the frame is sent.
+    Halved,
 }
 
 /// One scripted fault: `worker` misbehaves per `kind` at `step`.

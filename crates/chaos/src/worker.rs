@@ -1,28 +1,34 @@
-//! A scriptable protocol client: a worker that computes honest gradients
-//! except where a [`FaultPlan`] tells it to misbehave.
+//! A scriptable protocol client: the shipped worker, except where a
+//! [`FaultPlan`] tells it to misbehave.
 //!
-//! The client is deliberately hand-rolled rather than a wrapper around
-//! `isgc_net::run_worker`: faults like "send a corrupted frame" or "close
-//! the socket mid-step" need raw access to the stream, and determinism
-//! needs precise control of *which steps* a flapping worker misses. The
-//! rule that provides it: after any connection-killing fault at step `s`,
-//! the worker reconnects immediately but declines every step below `s + 2`.
-//! Whether the master's next broadcast catches the fresh connection or not,
-//! the worker's codeword is absent from steps `s` and `s + 1` and present
-//! from `s + 2` — independent of thread timing.
+//! Honest behavior is `isgc_net`'s [`WorkerCore`] — the same protocol
+//! reaction `run_worker` and the swarm run. A fault replaces the reply to
+//! one `Params` broadcast with [`crate::FaultKind::script`]'s short list of
+//! [`Action`]s, which this client performs as bytes on its socket and the
+//! model checker (`isgc-mc`) performs as events on its virtual network, so
+//! a schedule the checker shrinks replays here frame for frame.
+//!
+//! Determinism needs precise control of *which steps* a flapping worker
+//! misses. The rule that provides it: after any connection-killing fault at
+//! step `s`, the worker reconnects immediately but sits out every step below
+//! `s + 2`. Whether the master's next broadcast catches the fresh connection
+//! or not, the worker's codeword is absent from steps `s` and `s + 1` and
+//! present from `s + 2` — independent of thread timing.
 
-use std::io::Write as _;
-use std::net::{SocketAddr, TcpStream};
+use std::io::Write;
+use std::net::SocketAddr;
 use std::thread;
 use std::time::Duration;
 
+use isgc_engine::WorkerStep;
 use isgc_linalg::Vector;
-use isgc_ml::dataset::{Dataset, Partitioned};
+use isgc_ml::dataset::Dataset;
 use isgc_ml::model::Model;
 use isgc_net::wire::{read_message, write_message, Message};
-use isgc_net::RetryPolicy;
+use isgc_net::worker::connect;
+use isgc_net::{Request, RetryPolicy, WorkerCore, WorkerOptions};
 
-use crate::plan::{FaultKind, FaultPlan};
+use crate::plan::{Action, FaultPlan, Mangle};
 use crate::ChaosError;
 
 /// What one chaos worker did over its lifetime.
@@ -30,8 +36,8 @@ use crate::ChaosError;
 pub struct ChaosWorkerSummary {
     /// The slot this worker served.
     pub worker: usize,
-    /// Codewords actually sent for the step underway (faulted steps and
-    /// stale sends excluded).
+    /// Steps answered with their own honest codeword (sat-out steps, stale
+    /// sends and mangled frames excluded; a duplicate counts once).
     pub codewords_sent: usize,
     /// Faults applied, in step order.
     pub faults_applied: usize,
@@ -47,8 +53,7 @@ pub struct ChaosWorkerSummary {
 ///
 /// `build` receives `(n, batch_size)` from the master's assignment and
 /// returns the model and full dataset (identical on every peer, by shared
-/// seed); the worker partitions the dataset exactly like the production
-/// client so its honest codewords are bit-identical to real ones.
+/// seed).
 ///
 /// # Errors
 ///
@@ -64,11 +69,15 @@ where
     M: Model,
     F: FnOnce(usize, usize) -> (M, Dataset),
 {
-    let (mut stream, mut assign) = connect(addr, preferred, retry)?;
-    let (model, dataset) = build(assign.n, assign.batch_size);
-    let partitioned = dataset.partition(assign.n);
-    // Per-partition gradient scratch reused by every codeword computation.
-    let mut scratch = model.zero_params();
+    let options = WorkerOptions {
+        retry: retry.clone(),
+        ..WorkerOptions::default()
+    };
+    let slot = Some(preferred as u64);
+    let (mut stream, assignment) = connect(addr, slot, &options)?;
+    let (model, dataset) = build(assignment.n, assignment.batch_size);
+    let mut work = assignment.work(&model, &dataset);
+    let mut core = WorkerCore::new(assignment);
 
     let mut summary = ChaosWorkerSummary {
         worker: preferred,
@@ -77,269 +86,197 @@ where
         reconnects: 0,
         died: false,
     };
-    // Steps strictly below this are declined (set after scripted flaps).
-    let mut decline_until: u64 = 0;
 
     loop {
-        let message = match read_message(&mut stream) {
-            Ok(m) => m,
-            Err(_) => {
-                // Unscripted loss: the master crashed or shut down hard.
-                // Reconnect and serve whatever step it resumes at — the
-                // resumed master re-awaits full registration, so there is
-                // no mid-step rejoin race to decline around.
-                match connect(addr, preferred, retry) {
+        // An unscripted read failure means the master crashed or shut down
+        // hard: reconnect and serve whatever step it resumes at — the
+        // resumed master re-awaits full registration, so there is no
+        // mid-step rejoin race to sit out.
+        let flow = match read_message(&mut stream).map(|message| core.handle(message)) {
+            Err(_) => Flow::Rejoin,
+            Ok(Request::Shutdown) => return Ok(summary),
+            Ok(Request::Idle) => Flow::Continue,
+            Ok(Request::Params { step, values }) => {
+                let params = Vector::from(values);
+                // A sat-out step is declined whatever the plan says.
+                let fault = if core.sits_out(step) {
+                    None
+                } else {
+                    plan.fault_for(preferred, step)
+                };
+                match fault {
+                    None => {
+                        let reply = core.answer(&mut work, &model, &dataset, step, &params);
+                        summary.codewords_sent +=
+                            usize::from(matches!(reply, Message::Codeword { .. }));
+                        let _ = write_message(&mut stream, &reply);
+                        Flow::Continue
+                    }
+                    Some(kind) => {
+                        summary.faults_applied += 1;
+                        let script = kind.script(step);
+                        summary.codewords_sent +=
+                            usize::from(script.contains(&Action::Honest { step }));
+                        perform(
+                            &script,
+                            &mut core,
+                            &mut work,
+                            &model,
+                            &dataset,
+                            &params,
+                            &mut stream,
+                        )
+                    }
+                }
+            }
+        };
+        match flow {
+            Flow::Continue => {}
+            Flow::Exit => {
+                summary.died = true;
+                return Ok(summary);
+            }
+            Flow::Rejoin => {
+                // Close first: the master must see the old connection end
+                // before the slot's next `Hello`.
+                drop(stream);
+                match connect(addr, slot, &options) {
                     Ok((fresh, reassign)) => {
                         summary.reconnects += 1;
                         stream = fresh;
-                        assign = reassign;
-                        continue;
+                        core.reassign(reassign);
                     }
                     Err(_) => return Ok(summary),
                 }
             }
-        };
-        match message {
-            Message::Shutdown => return Ok(summary),
-            Message::Assign { partitions, .. } => {
-                // Mid-session reassignment (placement repair).
-                assign.partitions = partitions.into_iter().map(|j| j as usize).collect();
-            }
-            Message::Params { step, values } => {
-                let params = Vector::from_slice(&values);
-                if step < decline_until {
-                    let _ = write_message(&mut stream, &decline(preferred, step));
-                    continue;
-                }
-                let fault = plan.fault_for(preferred, step);
-                if fault.is_some() {
-                    summary.faults_applied += 1;
-                }
-                match fault {
-                    None => {
-                        let m = codeword(
-                            &params,
-                            preferred,
-                            step,
-                            &assign,
-                            &model,
-                            &dataset,
-                            &partitioned,
-                            &mut scratch,
-                        );
-                        let _ = write_message(&mut stream, &m);
-                        summary.codewords_sent += 1;
-                    }
-                    Some(FaultKind::Delay(ms)) => {
-                        thread::sleep(Duration::from_millis(ms));
-                        let m = codeword(
-                            &params,
-                            preferred,
-                            step,
-                            &assign,
-                            &model,
-                            &dataset,
-                            &partitioned,
-                            &mut scratch,
-                        );
-                        let _ = write_message(&mut stream, &m);
-                        summary.codewords_sent += 1;
-                    }
-                    Some(FaultKind::Duplicate) => {
-                        let frame = codeword(
-                            &params,
-                            preferred,
-                            step,
-                            &assign,
-                            &model,
-                            &dataset,
-                            &partitioned,
-                            &mut scratch,
-                        )
-                        .encode();
-                        let _ = stream.write_all(&frame);
-                        let _ = stream.write_all(&frame);
-                        summary.codewords_sent += 1;
-                    }
-                    Some(FaultKind::Stale) => {
-                        // A straggler finishing the previous round: a
-                        // codeword tagged step − 1, then a decline for the
-                        // step actually underway.
-                        if step > 0 {
-                            let m = codeword(
-                                &params,
-                                preferred,
-                                step - 1,
-                                &assign,
-                                &model,
-                                &dataset,
-                                &partitioned,
-                                &mut scratch,
-                            );
-                            let _ = write_message(&mut stream, &m);
-                        }
-                        let _ = write_message(&mut stream, &decline(preferred, step));
-                    }
-                    Some(FaultKind::Decline) => {
-                        let _ = write_message(&mut stream, &decline(preferred, step));
-                    }
-                    Some(FaultKind::Die) => {
-                        summary.died = true;
-                        return Ok(summary);
-                    }
-                    Some(kind @ (FaultKind::Drop | FaultKind::Corrupt | FaultKind::Truncate)) => {
-                        match kind {
-                            FaultKind::Corrupt => {
-                                // A codeword frame with its magic clobbered:
-                                // the master must reject the frame and drop
-                                // the connection, never misparse it.
-                                let mut frame = codeword(
-                                    &params,
-                                    preferred,
-                                    step,
-                                    &assign,
-                                    &model,
-                                    &dataset,
-                                    &partitioned,
-                                    &mut scratch,
-                                )
-                                .encode();
-                                frame[0] ^= 0xFF;
-                                let _ = stream.write_all(&frame);
-                            }
-                            FaultKind::Truncate => {
-                                let frame = codeword(
-                                    &params,
-                                    preferred,
-                                    step,
-                                    &assign,
-                                    &model,
-                                    &dataset,
-                                    &partitioned,
-                                    &mut scratch,
-                                )
-                                .encode();
-                                let _ = stream.write_all(&frame[..frame.len() / 2]);
-                            }
-                            _ => {}
-                        }
-                        drop(stream);
-                        decline_until = step + 2;
-                        match connect(addr, preferred, retry) {
-                            Ok((fresh, reassign)) => {
-                                summary.reconnects += 1;
-                                stream = fresh;
-                                assign = reassign;
-                            }
-                            Err(_) => return Ok(summary),
-                        }
-                    }
-                }
-            }
-            _ => {}
         }
     }
 }
 
-/// The master's view of this worker's assignment, tracked client-side.
-struct ClientAssignment {
-    n: usize,
-    batch_size: usize,
-    seed: u64,
-    partitions: Vec<usize>,
+/// What the connection does after a script ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flow {
+    /// Keep serving on the same connection.
+    Continue,
+    /// Close the connection and handshake again.
+    Rejoin,
+    /// Close the connection for good.
+    Exit,
 }
 
-/// Dials and handshakes under the retry policy.
-fn connect(
-    addr: SocketAddr,
-    preferred: usize,
-    retry: &RetryPolicy,
-) -> Result<(TcpStream, ClientAssignment), ChaosError> {
-    retry.run(preferred as u64, || -> Result<_, ChaosError> {
-        let mut stream = TcpStream::connect(addr).map_err(isgc_net::NetError::Io)?;
-        let _ = stream.set_nodelay(true);
-        write_message(
-            &mut stream,
-            &Message::Hello {
-                preferred: Some(preferred as u64),
-            },
-        )
-        .map_err(isgc_net::NetError::Wire)?;
-        match read_message(&mut stream).map_err(isgc_net::NetError::Wire)? {
-            Message::Assign {
-                n,
-                batch_size,
-                seed,
-                partitions,
-                ..
-            } => Ok((
-                stream,
-                ClientAssignment {
-                    n: n as usize,
-                    batch_size: batch_size as usize,
-                    seed,
-                    partitions: partitions.into_iter().map(|j| j as usize).collect(),
-                },
-            )),
-            other => {
-                Err(isgc_net::NetError::Protocol(format!("expected Assign, got {other:?}")).into())
-            }
-        }
-    })
-}
-
-/// A `Decline` frame for `(worker, step)`.
-fn decline(worker: usize, step: u64) -> Message {
-    Message::Decline {
-        worker: worker as u64,
-        step,
-    }
-}
-
-/// This worker's honest codeword message for `step` — the identical
-/// deterministic mini-batch and gradient-sum pipeline the production worker
-/// runs, so honest chaos codewords are bit-identical to real ones.
-#[allow(clippy::too_many_arguments)]
-fn codeword<M: Model>(
-    params: &Vector,
-    worker: usize,
-    step: u64,
-    assign: &ClientAssignment,
+/// Performs a fault script as bytes: every frame-producing [`Action`] is
+/// written to `out` in order (write errors are the master's hang-up and are
+/// ignored, as a real peer would find out on its next read), `Sleep`
+/// sleeps, and the first connection-ending action stops the script and is
+/// returned — a `Rejoin` also arms `core`'s sit-out window.
+pub fn perform<M: Model>(
+    script: &[Action],
+    core: &mut WorkerCore,
+    work: &mut WorkerStep,
     model: &M,
     dataset: &Dataset,
-    partitioned: &Partitioned,
-    scratch: &mut Vector,
-) -> Message {
-    let mut codeword = model.zero_params();
-    for &p in &assign.partitions {
-        let batch = partitioned.minibatch(p, assign.batch_size, step, assign.seed);
-        scratch.fill_zero();
-        model.gradient_sum_into(params, dataset, &batch, scratch);
-        codeword.axpy(1.0, scratch);
+    params: &Vector,
+    out: &mut impl Write,
+) -> Flow {
+    for &action in script {
+        let frame = match action {
+            Action::Sleep(ms) => {
+                thread::sleep(Duration::from_millis(ms));
+                continue;
+            }
+            Action::Honest { step } => core.honest(work, model, dataset, step, params).encode(),
+            Action::Decline { step } => core.decline(step).encode(),
+            Action::Mangled { step, how } => {
+                let mut frame = core.honest(work, model, dataset, step, params).encode();
+                match how {
+                    // The magic clobbered: the master must reject the frame
+                    // and drop the connection, never misparse it.
+                    Mangle::FlippedMagic => frame[0] ^= 0xFF,
+                    Mangle::Halved => frame.truncate(frame.len() / 2),
+                }
+                frame
+            }
+            Action::Rejoin { decline_until } => {
+                core.sit_out_until(decline_until);
+                return Flow::Rejoin;
+            }
+            Action::Exit => return Flow::Exit,
+        };
+        let _ = out.write_all(&frame);
     }
-    Message::Codeword {
-        worker: worker as u64,
-        step,
-        values: codeword.into_vec(),
-    }
+    Flow::Continue
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::FaultKind;
+    use isgc_ml::model::LinearRegression;
+    use isgc_net::Assignment;
 
     #[test]
-    fn connect_gives_up_against_nothing() {
-        let port = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap().port()
+    fn scripts_perform_as_the_frames_each_fault_documents() {
+        let dataset = Dataset::synthetic_regression(64, 3, 0.1, 2);
+        let model = LinearRegression::new(3);
+        let assignment = Assignment {
+            worker: 2,
+            n: 4,
+            c: 2,
+            batch_size: 8,
+            seed: 9,
+            partitions: vec![2, 3],
         };
-        let addr: SocketAddr = format!("127.0.0.1:{port}").parse().unwrap();
-        let retry = RetryPolicy {
-            base: Duration::from_millis(1),
-            max_attempts: 2,
-            ..RetryPolicy::default()
+        let mut work = assignment.work(&model, &dataset);
+        let mut core = WorkerCore::new(assignment);
+        let params = Vector::from_slice(&[0.5, -0.25, 0.125, 1.0]);
+
+        let now = core
+            .honest(&mut work, &model, &dataset, 3, &params)
+            .encode();
+        let before = core
+            .honest(&mut work, &model, &dataset, 2, &params)
+            .encode();
+        let decline = core.decline(3).encode();
+        let mut frames = |kind: FaultKind, core: &mut WorkerCore| {
+            let mut out = Vec::new();
+            let script = kind.script(3);
+            let flow = perform(
+                &script, core, &mut work, &model, &dataset, &params, &mut out,
+            );
+            (out, flow)
         };
-        assert!(connect(addr, 0, &retry).is_err());
+
+        assert_eq!(
+            frames(FaultKind::Delay(1), &mut core),
+            (now.clone(), Flow::Continue)
+        );
+        assert_eq!(
+            frames(FaultKind::Duplicate, &mut core),
+            ([now.clone(), now.clone()].concat(), Flow::Continue)
+        );
+        assert_eq!(
+            frames(FaultKind::Stale, &mut core),
+            ([before, decline.clone()].concat(), Flow::Continue)
+        );
+        assert_eq!(
+            frames(FaultKind::Decline, &mut core),
+            (decline, Flow::Continue)
+        );
+        assert_eq!(frames(FaultKind::Die, &mut core), (Vec::new(), Flow::Exit));
+        assert_eq!(core.decline_until(), 0);
+
+        // Connection killers write their mangled frame (if any), then
+        // rejoin sitting out this step and the next.
+        let mut corrupt = now.clone();
+        corrupt[0] ^= 0xFF;
+        for (kind, written) in [
+            (FaultKind::Corrupt, corrupt),
+            (FaultKind::Truncate, now[..now.len() / 2].to_vec()),
+            (FaultKind::Drop, Vec::new()),
+        ] {
+            core.sit_out_until(0);
+            assert_eq!(frames(kind, &mut core), (written, Flow::Rejoin));
+            assert_eq!(core.decline_until(), 5);
+        }
     }
 }

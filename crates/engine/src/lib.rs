@@ -2,9 +2,9 @@
 //!
 //! The paper's pipeline — place partitions, wait for an arbitrary arrival set
 //! `W'`, decode a maximum independent set `I`, sum `ĝ = Σ_{i∈I} g_i`, step
-//! SGD (§IV–§V) — is the same whether codewords travel over OS threads and
-//! channels (`isgc-runtime`), a discrete-event simulator (`isgc-simnet`), or
-//! TCP (`isgc-net`). This crate implements that pipeline **once**, as a
+//! SGD (§IV–§V) — is the same whether codewords come from a discrete-event
+//! simulator (`isgc-simnet`), in-process tenant jobs (`isgc-sched`), or TCP
+//! (`isgc-net`). This crate implements that pipeline **once**, as a
 //! [`StepEngine`] state machine, and leaves only transport to the backends:
 //!
 //! ```text
@@ -18,9 +18,13 @@
 //!    collect W', report                  callbacks: bench plots,
 //!    liveness, apply repairs)            chaos harness, crash tests)
 //!     │           │           │
-//!  runtime      simnet       net
-//!  (threads)  (sim clock)   (TCP)
+//!   simnet      sched        net
+//! (sim clock) (in-process)  (TCP)
 //! ```
+//!
+//! The worker half of a step — sum the gradients of the assigned partitions
+//! over a deterministic mini-batch — is likewise implemented once, as
+//! [`WorkerStep`].
 //!
 //! The engine owns every piece of step semantics the backends used to
 //! duplicate:
@@ -47,10 +51,12 @@ pub mod merge;
 pub mod metrics;
 mod repair;
 mod report;
+pub mod worker;
 
 pub use merge::{pairwise_sum, shard_ranges, ShardedDecode};
 pub use metrics::MetricsObserver;
 pub use report::{RepairEvent, StepOutcome, StepReport, TrainReport};
+pub use worker::WorkerStep;
 
 use isgc_core::classic::ClassicGc;
 use isgc_core::decode::{decoder_for, ApproxDecoder, ArrivalOrderDecoder, Decoder};
@@ -1104,8 +1110,7 @@ mod tests {
         model: &'a M,
         dataset: &'a Dataset,
         assignments: Vec<Vec<usize>>,
-        batch_size: usize,
-        seed: u64,
+        work: WorkerStep,
         /// `down[step]` = workers that neither respond nor count as alive
         /// from that step on (empty slice = everyone healthy).
         down_from: Vec<(u64, Vec<usize>)>,
@@ -1149,7 +1154,6 @@ mod tests {
         fn collect(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError> {
             self.step_now = ctx.step;
             let n = self.n();
-            let partitions = self.dataset.partition(n);
             let down = self.down_now();
             let mut arrivals = Vec::new();
             let mut codewords: Vec<Option<Vector>> = vec![None; n];
@@ -1157,15 +1161,13 @@ mod tests {
                 if down.contains(&w) {
                     continue;
                 }
-                let mut cw = self.model.zero_params();
-                for &j in &self.assignments[w] {
-                    let batch = partitions.minibatch(j, self.batch_size, ctx.step, self.seed);
-                    cw.axpy(
-                        1.0,
-                        &self.model.gradient_sum(ctx.params, self.dataset, &batch),
-                    );
-                }
-                *slot = Some(cw);
+                *slot = Some(self.work.codeword(
+                    self.model,
+                    self.dataset,
+                    &self.assignments[w],
+                    ctx.step,
+                    ctx.params,
+                ));
                 arrivals.push(w);
             }
             Ok(Collected {
@@ -1204,8 +1206,7 @@ mod tests {
             assignments: (0..4)
                 .map(|w| placement.partitions_of(w).to_vec())
                 .collect(),
-            batch_size: 8,
-            seed: 5,
+            work: WorkerStep::new(&model, &dataset, 4, 8, 5),
             down_from,
             back_from,
             step_now: 0,

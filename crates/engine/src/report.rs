@@ -55,7 +55,7 @@ impl StepOutcome {
 }
 
 /// What the engine observed during one training step, identical in shape
-/// across the threaded runtime, the simulator, and the TCP master.
+/// across the simulator, the in-process scheduler jobs, and the TCP master.
 ///
 /// Equality ignores [`StepReport::decode_ms`]: it is host timing, not step
 /// semantics, so deterministic reruns still compare equal.

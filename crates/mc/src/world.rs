@@ -8,10 +8,12 @@
 //! single decision vector. Tokens are creation indices — connection `k` is
 //! always token `k`, which keeps runs replayable.
 //!
-//! Modeled workers are *honest by construction*: their codewords follow
-//! exactly the chaos worker's recipe (per-partition deterministic
-//! mini-batch, summed gradients), so any recovery discrepancy the checker
-//! finds is the collector's fault, never the model's.
+//! A modeled worker is the shipped one: an `isgc_net` [`WorkerCore`] answers
+//! every `Params`, and a fault is [`FaultKind::script`] — the table the
+//! chaos client performs as bytes — performed here as queued events. The
+//! checker therefore verifies the peer it later replays against, and any
+//! recovery discrepancy it finds is the collector's fault, never the
+//! model's.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -19,12 +21,13 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use isgc_chaos::{Fault, FaultKind};
+use isgc_chaos::{Action, Fault, FaultKind};
+use isgc_engine::WorkerStep;
 use isgc_linalg::Vector;
-use isgc_ml::{Dataset, LinearRegression, Model, Partitioned};
+use isgc_ml::{Dataset, LinearRegression};
 use isgc_net::seam::{ModelShard, NetEvent, Token, Transport};
 use isgc_net::wire::Message;
-use isgc_net::NetError;
+use isgc_net::{Assignment, NetError, WorkerCore};
 
 use crate::sched::{fnv_bytes, fnv_start, fnv_u64, Ctx, Poison, PRUNE, STUCK};
 
@@ -45,14 +48,33 @@ pub(crate) enum Role {
 pub(crate) struct Sim {
     /// Global worker id (or shard index under [`Role::TreeRoot`]).
     pub worker: usize,
-    /// Partitions from the adopted `Assign` (chaos workers learn them the
-    /// same way).
-    pub partitions: Vec<usize>,
-    /// Mirrors the chaos worker's rejoin rule: decline every step below
-    /// this after a mid-run reconnect.
-    pub decline_until: u64,
+    /// The worker's protocol state, from its first adopted `Assign` on; it
+    /// moves to the fresh connection when the worker flaps. Sub-master
+    /// links have none.
+    pub core: Option<WorkerCore>,
     /// Whether the collector adopted the connection.
     pub registered: bool,
+}
+
+impl Sim {
+    fn unregistered(worker: usize) -> Sim {
+        Sim {
+            worker,
+            core: None,
+            registered: false,
+        }
+    }
+
+    /// The adopted `Assign`, fed to the core as any client would: the first
+    /// creates it, a later one (rejoin, placement repair) re-assigns it.
+    fn assign(&mut self, message: Message) {
+        match &mut self.core {
+            Some(core) => {
+                core.handle(message);
+            }
+            None => self.core = Assignment::from_message(message).ok().map(WorkerCore::new),
+        }
+    }
 }
 
 /// One virtual connection: FIFO queue toward the collector plus the rolling
@@ -76,10 +98,7 @@ pub(crate) struct World {
     collecting: Option<u64>,
     model: LinearRegression,
     dataset: Dataset,
-    partitioned: Partitioned,
-    batch_size: usize,
-    seed: u64,
-    scratch: Vector,
+    work: WorkerStep,
 }
 
 impl World {
@@ -93,9 +112,8 @@ impl World {
         samples: usize,
     ) -> Rc<RefCell<World>> {
         let dataset = Dataset::synthetic_regression(samples, features, 0.05, seed);
-        let partitioned = dataset.partition(n);
         let model = LinearRegression::new(features);
-        let scratch = model.zero_params();
+        let work = WorkerStep::new(&model, &dataset, n, batch_size, seed);
         Rc::new(RefCell::new(World {
             ctx,
             role,
@@ -103,10 +121,7 @@ impl World {
             collecting: None,
             model,
             dataset,
-            partitioned,
-            batch_size,
-            seed,
-            scratch,
+            work,
         }))
     }
 
@@ -123,12 +138,7 @@ impl World {
 
     /// Creates a modeled worker and queues its registration `Hello`.
     pub(crate) fn spawn_worker(&mut self, worker: usize) {
-        let token = self.push_conn(Some(Sim {
-            worker,
-            partitions: Vec::new(),
-            decline_until: 0,
-            registered: false,
-        }));
+        let token = self.push_conn(Some(Sim::unregistered(worker)));
         self.enqueue(
             token,
             NetEvent::Hello {
@@ -140,12 +150,7 @@ impl World {
 
     /// Creates a modeled sub-master link and queues its `SubHello`.
     pub(crate) fn spawn_submaster(&mut self, shard: usize) {
-        let token = self.push_conn(Some(Sim {
-            worker: shard,
-            partitions: Vec::new(),
-            decline_until: 0,
-            registered: false,
-        }));
+        let token = self.push_conn(Some(Sim::unregistered(shard)));
         self.enqueue(
             token,
             NetEvent::SubHello {
@@ -163,158 +168,123 @@ impl World {
         }
     }
 
-    fn enqueue_decline(&mut self, token: Token, worker: usize, step: u64) {
-        self.enqueue(
-            token,
-            NetEvent::Msg {
-                token,
-                message: Message::Decline {
-                    worker: worker as u64,
-                    step,
-                },
-                bytes: 27,
-            },
-        );
-    }
-
-    fn enqueue_codeword(&mut self, token: Token, step: u64, values: Vector) {
-        let bytes = 8 * values.len() + 27;
-        self.enqueue(
-            token,
-            NetEvent::Codeword {
-                token,
-                step,
-                values,
-                bytes,
-            },
-        );
-    }
-
+    /// Queues `message` as the event the reactor would deliver for its
+    /// frame: codewords take the zero-copy path, everything else is a `Msg`.
     pub(crate) fn enqueue_msg(&mut self, token: Token, message: Message) {
         let bytes = message.encode().len();
-        self.enqueue(
-            token,
-            NetEvent::Msg {
+        let event = match message {
+            Message::Codeword { step, values, .. } => NetEvent::Codeword {
+                token,
+                step,
+                values: Vector::from(values),
+                bytes,
+            },
+            message => NetEvent::Msg {
                 token,
                 message,
                 bytes,
             },
-        );
+        };
+        self.enqueue(token, event);
     }
 
-    /// The honest codeword for `partitions` at `step` — byte-for-byte the
-    /// chaos worker's recipe.
-    fn codeword(&mut self, partitions: &[usize], step: u64, params: &[f64]) -> Vector {
-        let params = Vector::from_slice(params);
-        let mut codeword = self.model.zero_params();
-        for &p in partitions {
-            let batch = self
-                .partitioned
-                .minibatch(p, self.batch_size, step, self.seed);
-            self.scratch.fill_zero();
-            self.model
-                .gradient_sum_into(&params, &self.dataset, &batch, &mut self.scratch);
-            codeword.axpy(1.0, &self.scratch);
-        }
-        codeword
-    }
-
-    /// A modeled worker reacts to one `Params` broadcast: compute honestly,
-    /// or take one scripted/explored fault.
+    /// A modeled worker reacts to one `Params` broadcast: answer as the
+    /// shipped worker does, or take one scripted/explored fault.
     fn worker_params(&mut self, token: Token, step: u64, values: &[f64]) {
         let idx = token as usize;
-        let Some(sim) = self.conns.get(idx).and_then(|c| c.sim.clone()) else {
+        let Some((worker, core)) = self.conns.get(idx).and_then(|c| {
+            let sim = c.sim.as_ref()?;
+            Some((sim.worker, sim.core.clone()?))
+        }) else {
             return;
         };
-        let worker = sim.worker;
-        if step < sim.decline_until {
-            // Chaos rejoin rule: a flapped worker declines any step it
-            // reconnected mid-flight.
-            self.enqueue_decline(token, worker, step);
-            return;
-        }
-        let ctx_rc = Rc::clone(&self.ctx);
-        let mut ctx = ctx_rc.borrow_mut();
-        let action = if ctx.forced.is_some() {
-            ctx.forced_fault(worker, step).map(|f| f.kind)
+        let params = Vector::from_slice(values);
+        // A sat-out step is declined whatever the schedule says.
+        let fault = if core.sits_out(step) {
+            None
         } else {
-            let mut kinds: Vec<FaultKind> = Vec::new();
-            if ctx.faults.len() < ctx.max_faults {
-                match self.role {
-                    Role::Flat => {
-                        kinds.push(FaultKind::Decline);
-                        if step >= 1 {
-                            kinds.push(FaultKind::Stale);
-                        }
-                        if step + 1 < ctx.steps {
-                            // A duplicate at the final step is unobservable:
-                            // the second copy would never be delivered.
-                            kinds.push(FaultKind::Duplicate);
-                        }
-                        kinds.push(FaultKind::Drop);
+            match self.choose_fault(worker, step) {
+                Some(fault) => fault,
+                None => return,
+            }
+        };
+        let Some(kind) = fault else {
+            let reply = core.answer(&mut self.work, &self.model, &self.dataset, step, &params);
+            self.enqueue_msg(token, reply);
+            return;
+        };
+        for action in kind.script(step) {
+            match action {
+                Action::Honest { step } => {
+                    let frame =
+                        core.honest(&mut self.work, &self.model, &self.dataset, step, &params);
+                    self.enqueue_msg(token, frame);
+                }
+                Action::Decline { step } => self.enqueue_msg(token, core.decline(step)),
+                Action::Rejoin { decline_until } => {
+                    self.enqueue(token, NetEvent::Gone { token });
+                    let mut peer = self.conns[idx].sim.take().expect("checked above");
+                    peer.registered = false;
+                    if let Some(core) = peer.core.as_mut() {
+                        core.sit_out_until(decline_until);
                     }
-                    Role::ShardWorkers => kinds.push(FaultKind::Die),
-                    Role::TreeRoot(_) => {}
+                    let fresh = self.push_conn(Some(peer));
+                    self.enqueue(
+                        fresh,
+                        NetEvent::Hello {
+                            token: fresh,
+                            preferred: Some(worker as u64),
+                        },
+                    );
+                    return;
+                }
+                Action::Exit => {
+                    self.enqueue(token, NetEvent::Gone { token });
+                    self.conns[idx].sim = None;
+                    return;
+                }
+                Action::Sleep(_) | Action::Mangled { .. } => {
+                    debug_assert!(false, "fault kind {kind:?} is not modeled by the checker");
                 }
             }
-            let state = self.state_hash(&ctx);
-            let Some(choice) = ctx.choose(1 + kinds.len(), state) else {
-                return;
-            };
-            if choice == 0 {
-                None
-            } else {
-                let kind = kinds[choice - 1];
-                ctx.faults.push(Fault { worker, step, kind });
-                Some(kind)
-            }
-        };
-        drop(ctx);
-        match action {
-            None => {
-                let cw = self.codeword(&sim.partitions, step, values);
-                self.enqueue_codeword(token, step, cw);
-            }
-            Some(FaultKind::Decline) => self.enqueue_decline(token, worker, step),
-            Some(FaultKind::Stale) => {
-                // Chaos stale recipe: a codeword computed from the *current*
-                // params but tagged (and batched) for the previous step,
-                // then a decline for the step actually in flight.
-                let cw = self.codeword(&sim.partitions, step - 1, values);
-                self.enqueue_codeword(token, step - 1, cw);
-                self.enqueue_decline(token, worker, step);
-            }
-            Some(FaultKind::Duplicate) => {
-                let cw = self.codeword(&sim.partitions, step, values);
-                self.enqueue_codeword(token, step, cw.clone());
-                self.enqueue_codeword(token, step, cw);
-            }
-            Some(FaultKind::Drop) => {
-                self.enqueue(token, NetEvent::Gone { token });
-                self.conns[idx].sim = None;
-                let rejoin = Sim {
-                    worker,
-                    partitions: Vec::new(),
-                    decline_until: step + 2,
-                    registered: false,
-                };
-                let fresh = self.push_conn(Some(rejoin));
-                self.enqueue(
-                    fresh,
-                    NetEvent::Hello {
-                        token: fresh,
-                        preferred: Some(worker as u64),
-                    },
-                );
-            }
-            Some(FaultKind::Die) => {
-                self.enqueue(token, NetEvent::Gone { token });
-                self.conns[idx].sim = None;
-            }
-            Some(other) => {
-                debug_assert!(false, "fault kind {other:?} is not modeled by the checker");
+        }
+    }
+
+    /// The fault `worker` takes at `step`: the scripted one in directed
+    /// mode, a schedule choice point in free exploration. The outer `None`
+    /// means the run is poisoned and the worker must not react at all.
+    fn choose_fault(&mut self, worker: usize, step: u64) -> Option<Option<FaultKind>> {
+        let ctx_rc = Rc::clone(&self.ctx);
+        let mut ctx = ctx_rc.borrow_mut();
+        if ctx.forced.is_some() {
+            return Some(ctx.forced_fault(worker, step).map(|f| f.kind));
+        }
+        let mut kinds: Vec<FaultKind> = Vec::new();
+        if ctx.faults.len() < ctx.max_faults {
+            match self.role {
+                Role::Flat => {
+                    kinds.push(FaultKind::Decline);
+                    if step >= 1 {
+                        kinds.push(FaultKind::Stale);
+                    }
+                    if step + 1 < ctx.steps {
+                        // A duplicate at the final step is unobservable:
+                        // the second copy would never be delivered.
+                        kinds.push(FaultKind::Duplicate);
+                    }
+                    kinds.push(FaultKind::Drop);
+                }
+                Role::ShardWorkers => kinds.push(FaultKind::Die),
+                Role::TreeRoot(_) => {}
             }
         }
+        let state = self.state_hash(&ctx);
+        let choice = ctx.choose(1 + kinds.len(), state)?;
+        Some(choice.checked_sub(1).map(|i| {
+            let kind = kinds[i];
+            ctx.faults.push(Fault { worker, step, kind });
+            kind
+        }))
     }
 
     /// Pops the next event toward the collector. Single non-empty queue (or
@@ -374,12 +344,10 @@ impl World {
             return true;
         };
         match message {
-            Message::Assign {
-                worker, partitions, ..
-            } => {
+            Message::Assign { worker, .. } => {
                 if let Some(sim) = conn.sim.as_mut() {
                     debug_assert_eq!(sim.worker as u64, worker, "adopted into a foreign slot");
-                    sim.partitions = partitions.iter().map(|&p| p as usize).collect();
+                    sim.assign(message);
                     sim.registered = true;
                 }
             }
@@ -405,13 +373,13 @@ impl World {
     fn send(&mut self, token: Token, frame: &[u8]) {
         // Mid-run repair re-assignment is the only unicast the modeled
         // peers care about.
-        if let Ok((_, Message::Assign { partitions, .. }, _)) = Message::decode_tagged(frame) {
+        if let Ok((_, message @ Message::Assign { .. }, _)) = Message::decode_tagged(frame) {
             if let Some(sim) = self
                 .conns
                 .get_mut(token as usize)
                 .and_then(|c| c.sim.as_mut())
             {
-                sim.partitions = partitions.iter().map(|&p| p as usize).collect();
+                sim.assign(message);
             }
         }
     }
@@ -441,7 +409,7 @@ impl World {
                 None => h = fnv_u64(h, u64::MAX),
                 Some(sim) => {
                     h = fnv_u64(h, sim.worker as u64);
-                    h = fnv_u64(h, sim.decline_until);
+                    h = fnv_u64(h, sim.core.as_ref().map_or(0, WorkerCore::decline_until));
                     h = fnv_u64(h, u64::from(sim.registered));
                 }
             }
@@ -578,5 +546,121 @@ impl Transport for VirtualTransport {
 
     fn hard_close_all(&mut self) {
         self.world.borrow_mut().hard_close_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::explore::{BATCH, FEATURES, SAMPLES};
+    use isgc_chaos::worker::{perform, Flow};
+
+    const WORKER: usize = 2;
+    const STEP: u64 = 1;
+    const SEED: u64 = 7;
+
+    /// For every fault the checker models, the events the modeled worker
+    /// queues are the frames the chaos client writes — the property that
+    /// lets a shrunk counterexample replay fingerprint-exactly on a real
+    /// cluster.
+    #[test]
+    fn modeled_faults_queue_what_the_chaos_client_writes() {
+        let assign = Message::Assign {
+            worker: WORKER as u64,
+            n: 4,
+            c: 2,
+            batch_size: BATCH as u64,
+            seed: SEED,
+            partitions: vec![2, 3],
+        };
+        let params: Vec<f64> = (0..=FEATURES).map(|i| 0.25 * i as f64 - 0.5).collect();
+
+        for kind in [
+            FaultKind::Decline,
+            FaultKind::Stale,
+            FaultKind::Duplicate,
+            FaultKind::Drop,
+            FaultKind::Die,
+        ] {
+            // The model's side: one registered worker takes the fault.
+            let ctx = Rc::new(RefCell::new(Ctx::new(8, 0, 2, false)));
+            ctx.borrow_mut().forced = Some(vec![Fault {
+                worker: WORKER,
+                step: STEP,
+                kind,
+            }]);
+            let world = World::new(ctx, Role::Flat, 4, BATCH, SEED, FEATURES, SAMPLES);
+            let mut world = world.borrow_mut();
+            world.spawn_worker(WORKER);
+            assert!(world.adopt(0, &assign.encode()));
+            world.conns[0].queue.clear(); // the registration Hello
+            world.worker_params(0, STEP, &params);
+            // Frames back out of the queued events, as the reactor reads
+            // them in; a closed socket is `Gone`, a handshake `Hello`.
+            let mut modeled = Vec::new();
+            let mut control = Vec::new();
+            for (event, _) in world.conns.iter().flat_map(|c| &c.queue) {
+                let (frame, bytes) = match event {
+                    NetEvent::Codeword {
+                        step,
+                        values,
+                        bytes,
+                        ..
+                    } => {
+                        let message = Message::Codeword {
+                            worker: WORKER as u64,
+                            step: *step,
+                            values: values.as_slice().to_vec(),
+                        };
+                        (message.encode(), bytes)
+                    }
+                    NetEvent::Msg { message, bytes, .. } => (message.encode(), bytes),
+                    other => {
+                        control.push(format!("{other:?}"));
+                        continue;
+                    }
+                };
+                assert_eq!(*bytes, frame.len(), "{kind:?}");
+                modeled.extend(frame);
+            }
+
+            // The chaos client's side: same assignment, same recipe.
+            let model = LinearRegression::new(FEATURES);
+            let dataset = Dataset::synthetic_regression(SAMPLES, FEATURES, 0.05, SEED);
+            let mut core = WorkerCore::new(Assignment::from_message(assign.clone()).unwrap());
+            let mut work = core.assignment().work(&model, &dataset);
+            let mut written = Vec::new();
+            let flow = perform(
+                &kind.script(STEP),
+                &mut core,
+                &mut work,
+                &model,
+                &dataset,
+                &Vector::from_slice(&params),
+                &mut written,
+            );
+
+            assert_eq!(modeled, written, "{kind:?}");
+            let gone = format!("{:?}", NetEvent::Gone { token: 0 });
+            let hello = format!(
+                "{:?}",
+                NetEvent::Hello {
+                    token: 1,
+                    preferred: Some(WORKER as u64),
+                }
+            );
+            let expected = match flow {
+                Flow::Continue => vec![],
+                Flow::Exit => vec![gone],
+                Flow::Rejoin => vec![gone, hello],
+            };
+            assert_eq!(control, expected, "{kind:?}");
+            let rejoined = world.conns.last().and_then(|c| c.sim.as_ref());
+            assert_eq!(
+                rejoined.map(|s| s.core.as_ref().map(WorkerCore::decline_until)),
+                (flow != Flow::Exit).then_some(Some(core.decline_until())),
+                "{kind:?}"
+            );
+        }
     }
 }

@@ -1,14 +1,13 @@
 //! # isgc-net — a real TCP master/worker IS-GC runtime
 //!
-//! Where `isgc-simnet` *simulates* arrival times and `isgc-runtime` runs
-//! threads inside one process, this crate puts the protocol on genuine
-//! sockets: a [`master`] that listens on TCP, registers `n` workers, assigns
-//! each its `c` partitions from any [`isgc_core::Placement`], broadcasts
-//! parameters, and per step collects codewords under a [`WaitPolicy`] before
-//! decoding with the paper's IS-GC decoders; and a [`worker`] client that
-//! computes per-partition gradients via `isgc-ml`, straggles according to an
-//! injected [`DelayFn`], and reconnects with backoff when its connection
-//! drops.
+//! Where `isgc-simnet` *simulates* arrival times, this crate puts the
+//! protocol on genuine sockets: a [`master`] that listens on TCP, registers
+//! `n` workers, assigns each its `c` partitions from any
+//! [`isgc_core::Placement`], broadcasts parameters, and per step collects
+//! codewords under a [`WaitPolicy`] before decoding with the paper's IS-GC
+//! decoders; and a [`worker`] client that answers each broadcast through the
+//! shared [`WorkerCore`], straggles according to an injected [`DelayFn`],
+//! and reconnects with backoff when its connection drops.
 //!
 //! The paper's central claim — the master may ignore an **arbitrary** subset
 //! of stragglers each step and still recover a predictable fraction of the
@@ -45,7 +44,9 @@ pub use report::{NetReport, NetTrainReport, RepairEvent};
 pub use retry::RetryPolicy;
 pub use submaster::{Submaster, SubmasterOptions, SubmasterSummary};
 pub use swarm::{run_swarm, SwarmOptions, SwarmSummary};
-pub use worker::{run_worker, Assignment, ShutdownCause, WorkerOptions, WorkerSummary};
+pub use worker::{
+    run_worker, Assignment, Request, ShutdownCause, WorkerCore, WorkerOptions, WorkerSummary,
+};
 
 use std::fmt;
 use std::sync::Arc;
@@ -53,8 +54,7 @@ use std::time::Duration;
 
 /// A function giving worker `w`'s injected straggler delay at step `t`.
 ///
-/// Runs on worker threads, hence `Send + Sync`. The same shape as
-/// `isgc_runtime::DelayFn`, redefined here so the crates stay independent.
+/// Runs on worker threads, hence `Send + Sync`.
 pub type DelayFn = Arc<dyn Fn(usize, u64) -> Duration + Send + Sync>;
 
 /// A delay function that never straggles.

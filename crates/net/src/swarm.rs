@@ -5,11 +5,11 @@
 //! with 1000 workers would need 1000 processes × 3 threads. The swarm
 //! multiplexes every member over the same listener-less `Reactor` the
 //! master uses: serial `Hello`/`Assign` handshakes up front, then a single
-//! event loop that answers each member's `Params` with a computed codeword
-//! and proves liveness with batched heartbeats. Protocol behavior per
-//! member is identical to a standalone worker (same frames, same
-//! deterministic mini-batches), minus reconnection — a lost member stays
-//! lost, which is fine for the scale runs this exists for.
+//! event loop that answers each member's `Params` and proves liveness with
+//! batched heartbeats. Every member is a [`WorkerCore`] — the same protocol
+//! reaction a standalone worker runs — over one shared `WorkerStep`, minus
+//! reconnection: a lost member stays lost, which is fine for the scale runs
+//! this exists for.
 
 use std::collections::HashMap;
 use std::net::ToSocketAddrs;
@@ -17,13 +17,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use isgc_linalg::Vector;
-use isgc_ml::dataset::{Dataset, Partitioned};
+use isgc_ml::dataset::Dataset;
 use isgc_ml::model::Model;
 
 use crate::reactor::{NetEvent, Reactor, Token};
 use crate::retry::RetryPolicy;
 use crate::wire::Message;
-use crate::worker::{Assignment, WorkerOptions};
+use crate::worker::{Assignment, Request, WorkerCore, WorkerOptions};
 use crate::{DelayFn, NetError};
 
 /// Event-loop granularity of the swarm (mirrors the master's).
@@ -80,13 +80,6 @@ pub struct SwarmSummary {
     pub lost: usize,
 }
 
-/// One swarm member's protocol state.
-struct Member {
-    assignment: Assignment,
-    done: bool,
-    clean: bool,
-}
-
 /// Runs `options.workers` worker connections to `addr` on one thread until
 /// every member saw `Shutdown` (or lost its connection).
 ///
@@ -120,7 +113,9 @@ where
     let worker_options = options.worker_options();
 
     let mut reactor = Reactor::new(None, options.job, None)?;
-    let mut members: HashMap<Token, Member> = HashMap::new();
+    // Members still in the run; one leaves on `Shutdown` or a lost
+    // connection, and the loop ends when none is left.
+    let mut members: HashMap<Token, WorkerCore> = HashMap::new();
     let mut first_assignment: Option<Assignment> = None;
     for _ in 0..options.workers {
         // Serial blocking handshakes: at most one in flight, so the
@@ -130,18 +125,12 @@ where
         // master's job; the swarm just answers what arrives.
         let token = reactor.register_adopted(stream, None)?;
         first_assignment.get_or_insert_with(|| assignment.clone());
-        members.insert(
-            token,
-            Member {
-                assignment,
-                done: false,
-                clean: false,
-            },
-        );
+        members.insert(token, WorkerCore::new(assignment));
     }
     let first = first_assignment.expect("workers >= 1");
     let (model, dataset) = build(&first);
-    let partitioned = dataset.partition(first.n);
+    // The codeword recipe and its gradient scratch, shared by every member.
+    let mut work = first.work(&model, &dataset);
 
     let mut summary = SwarmSummary {
         workers: members.len(),
@@ -152,22 +141,18 @@ where
     // The broadcast parameters are identical across members; decode them
     // once per step instead of once per member.
     let mut cached_params: Option<(u64, Vector)> = None;
-    // Per-partition gradient scratch shared by every member's computation.
-    let mut scratch = model.zero_params();
     let mut last_heartbeat = Instant::now();
 
-    while members.values().any(|m| !m.done) {
+    while !members.is_empty() {
         if last_heartbeat.elapsed() >= options.heartbeat_interval {
             last_heartbeat = Instant::now();
             for (&token, member) in &members {
-                if !member.done {
-                    let frame: Arc<[u8]> = Message::Heartbeat {
-                        worker: member.assignment.worker as u64,
-                    }
-                    .encode_for_job(options.job)
-                    .into();
-                    reactor.send(token, frame);
+                let frame: Arc<[u8]> = Message::Heartbeat {
+                    worker: member.worker() as u64,
                 }
+                .encode_for_job(options.job)
+                .into();
+                reactor.send(token, frame);
             }
         }
         let Some(event) = reactor.next_event(POLL)? else {
@@ -175,52 +160,25 @@ where
         };
         match event {
             NetEvent::Gone { token } => {
-                if let Some(member) = members.get_mut(&token) {
-                    if !member.done {
-                        member.done = true;
-                        summary.lost += 1;
-                    }
-                }
+                summary.lost += usize::from(members.remove(&token).is_some());
             }
             NetEvent::Msg { token, message, .. } => {
                 let Some(member) = members.get_mut(&token) else {
                     continue;
                 };
-                if member.done {
-                    continue;
-                }
-                match message {
-                    Message::Shutdown => {
-                        member.done = true;
-                        member.clean = true;
+                match member.handle(message) {
+                    Request::Shutdown => {
+                        members.remove(&token);
                         summary.clean_shutdowns += 1;
                         reactor.reject(token);
                     }
-                    Message::Assign { partitions, .. } => {
-                        // Placement repair re-homed partitions onto this
-                        // member mid-run.
-                        member.assignment.partitions =
-                            partitions.into_iter().map(|j| j as usize).collect();
-                    }
-                    Message::Params { step, values } => {
-                        let params = match &cached_params {
-                            Some((s, p)) if *s == step => p.clone(),
-                            _ => {
-                                let p = Vector::from_slice(&values);
-                                cached_params = Some((step, p.clone()));
-                                p
-                            }
-                        };
-                        let reply = compute_codeword(
-                            &member.assignment,
-                            &model,
-                            &dataset,
-                            &partitioned,
-                            step,
-                            &params,
-                            &mut scratch,
-                        );
-                        let pause = (options.delay)(member.assignment.worker, step);
+                    Request::Params { step, values } => {
+                        if !matches!(&cached_params, Some((s, _)) if *s == step) {
+                            cached_params = Some((step, Vector::from(values)));
+                        }
+                        let (_, params) = cached_params.as_ref().expect("cached above");
+                        let reply = member.answer(&mut work, &model, &dataset, step, params);
+                        let pause = (options.delay)(member.worker(), step);
                         if !pause.is_zero() {
                             std::thread::sleep(pause);
                         }
@@ -228,7 +186,7 @@ where
                         reactor.send(token, frame);
                         summary.steps_served += 1;
                     }
-                    _ => {}
+                    Request::Idle => {}
                 }
             }
             // The master never sends codewords, and members carry no idle
@@ -239,31 +197,4 @@ where
     }
     reactor.flush_all(Duration::from_secs(1));
     Ok(summary)
-}
-
-/// One member's step computation — the same deterministic mini-batch walk
-/// a standalone worker runs. `scratch` is the caller's reusable
-/// per-partition gradient buffer (contents are overwritten).
-#[allow(clippy::too_many_arguments)]
-fn compute_codeword<M: Model>(
-    assignment: &Assignment,
-    model: &M,
-    dataset: &Dataset,
-    partitioned: &Partitioned,
-    step: u64,
-    params: &Vector,
-    scratch: &mut Vector,
-) -> Message {
-    let mut codeword = model.zero_params();
-    for &p in &assignment.partitions {
-        let batch = partitioned.minibatch(p, assignment.batch_size, step, assignment.seed);
-        scratch.fill_zero();
-        model.gradient_sum_into(params, dataset, &batch, scratch);
-        codeword.axpy(1.0, scratch);
-    }
-    Message::Codeword {
-        worker: assignment.worker as u64,
-        step,
-        values: codeword.into_vec(),
-    }
 }

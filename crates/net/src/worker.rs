@@ -1,20 +1,25 @@
-//! The IS-GC worker client: connects to a master, computes per-partition
-//! gradient sums, straggles per an injected delay, and reconnects under a
-//! shared [`RetryPolicy`] when the connection drops.
+//! The IS-GC worker: [`WorkerCore`], the one implementation of a worker's
+//! reaction to the protocol (`Assign`, `Params`, `Shutdown`, the rejoin
+//! sit-out) that every client drives — this module's thread-per-connection
+//! [`run_worker`], each [`crate::swarm`] member, the chaos client and the
+//! model checker's peer — plus `run_worker` itself, which connects to a
+//! master, straggles per an injected delay, and reconnects under a shared
+//! [`RetryPolicy`] when the connection drops.
 
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver};
+use isgc_engine::WorkerStep;
 use isgc_linalg::Vector;
-use isgc_ml::dataset::{Dataset, Partitioned};
+use isgc_ml::dataset::Dataset;
 use isgc_ml::model::Model;
 
 use crate::retry::RetryPolicy;
-use crate::wire::{read_message_tagged, write_message_for_job, Message, WireError};
+use crate::wire::{read_message_tagged, write_message_for_job, Message};
 use crate::{DelayFn, NetError};
 
 /// Tunables of the worker loop.
@@ -73,6 +78,169 @@ pub struct Assignment {
     /// The partitions this worker computes each step; updated in place
     /// when the master re-issues `Assign` after placement repair.
     pub partitions: Vec<usize>,
+}
+
+impl Assignment {
+    /// Reads an `Assign` frame — the single place the wire's `u64` ids
+    /// become indices. Any other message is handed back.
+    ///
+    /// # Errors
+    ///
+    /// The message itself when it is not an `Assign`.
+    pub fn from_message(message: Message) -> Result<Assignment, Message> {
+        match message {
+            Message::Assign {
+                worker,
+                n,
+                c,
+                batch_size,
+                seed,
+                partitions,
+            } => Ok(Assignment {
+                worker: worker as usize,
+                n: n as usize,
+                c: c as usize,
+                batch_size: batch_size as usize,
+                seed,
+                partitions: partitions.into_iter().map(|j| j as usize).collect(),
+            }),
+            other => Err(other),
+        }
+    }
+
+    /// The codeword recipe every peer of this assignment's cluster shares.
+    pub fn work<M: Model>(&self, model: &M, dataset: &Dataset) -> WorkerStep {
+        WorkerStep::new(model, dataset, self.n, self.batch_size, self.seed)
+    }
+}
+
+/// What one inbound message asks of a worker, after [`WorkerCore::handle`]
+/// applied whatever it could on its own.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Request {
+    /// Nothing to answer: an `Assign` (already applied) or a frame the
+    /// master never sends a worker mid-session.
+    Idle,
+    /// Fresh parameters: reply with [`WorkerCore::answer`].
+    Params {
+        /// The step the parameters belong to (tags the reply).
+        step: u64,
+        /// The flat parameter vector.
+        values: Vec<f64>,
+    },
+    /// The run completed.
+    Shutdown,
+}
+
+/// One worker's protocol state, transport-free: its assignment and the
+/// rejoin sit-out. Clients own the socket, the liveness signal and the
+/// straggler delay; what a worker *says* comes from here.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WorkerCore {
+    assignment: Assignment,
+    decline_until: u64,
+}
+
+impl WorkerCore {
+    /// A worker serving `assignment`, sitting out nothing.
+    pub fn new(assignment: Assignment) -> WorkerCore {
+        WorkerCore {
+            assignment,
+            decline_until: 0,
+        }
+    }
+
+    /// The current assignment (partition list as last re-issued).
+    pub fn assignment(&self) -> &Assignment {
+        &self.assignment
+    }
+
+    /// This worker's slot id.
+    pub fn worker(&self) -> usize {
+        self.assignment.worker
+    }
+
+    /// Adopts a re-issued assignment — mid-session after placement repair,
+    /// or the handshake reply of a reconnect, which reflects any repair run
+    /// while the worker was away. Only the partition list changes: slot,
+    /// cluster shape and batch recipe are fixed for the run.
+    pub fn reassign(&mut self, fresh: Assignment) {
+        self.assignment.partitions = fresh.partitions;
+    }
+
+    /// Steps strictly below this are declined.
+    pub fn decline_until(&self) -> u64 {
+        self.decline_until
+    }
+
+    /// Sits out every step below `step`: the rejoin rule of a worker that
+    /// reconnects mid-run, which pins the steps it misses independent of
+    /// whether the next broadcast catches the fresh connection.
+    pub fn sit_out_until(&mut self, step: u64) {
+        self.decline_until = step;
+    }
+
+    /// Whether `step` falls inside the sit-out window.
+    pub fn sits_out(&self, step: u64) -> bool {
+        step < self.decline_until
+    }
+
+    /// Consumes one decoded message from the master.
+    pub fn handle(&mut self, message: Message) -> Request {
+        match message {
+            Message::Shutdown => Request::Shutdown,
+            Message::Params { step, values } => Request::Params { step, values },
+            other => {
+                if let Ok(fresh) = Assignment::from_message(other) {
+                    self.reassign(fresh);
+                }
+                Request::Idle
+            }
+        }
+    }
+
+    /// The reply to `Params` for `step`: a `Decline` inside the sit-out
+    /// window, the honest codeword otherwise.
+    pub fn answer<M: Model>(
+        &self,
+        work: &mut WorkerStep,
+        model: &M,
+        dataset: &Dataset,
+        step: u64,
+        params: &Vector,
+    ) -> Message {
+        if self.sits_out(step) {
+            self.decline(step)
+        } else {
+            self.honest(work, model, dataset, step, params)
+        }
+    }
+
+    /// The `Codeword` frame for `step` (tag and mini-batch) at `params`,
+    /// over the current partition list.
+    pub fn honest<M: Model>(
+        &self,
+        work: &mut WorkerStep,
+        model: &M,
+        dataset: &Dataset,
+        step: u64,
+        params: &Vector,
+    ) -> Message {
+        let codeword = work.codeword(model, dataset, &self.assignment.partitions, step, params);
+        Message::Codeword {
+            worker: self.assignment.worker as u64,
+            step,
+            values: codeword.into_vec(),
+        }
+    }
+
+    /// The `Decline` frame for `step`.
+    pub fn decline(&self, step: u64) -> Message {
+        Message::Decline {
+            worker: self.assignment.worker as u64,
+            step,
+        }
+    }
 }
 
 /// Why a worker's main loop ended.
@@ -138,12 +306,13 @@ where
         .next()
         .ok_or_else(|| NetError::InvalidConfig("address resolved to nothing".into()))?;
 
-    let (stream, mut assignment) = connect(addr, None, options)?;
+    let (stream, assignment) = connect(addr, None, options)?;
     let (model, dataset) = build(&assignment);
-    let partitioned = dataset.partition(assignment.n);
+    let mut work = assignment.work(&model, &dataset);
+    let mut core = WorkerCore::new(assignment);
 
     let mut summary = WorkerSummary {
-        worker: assignment.worker,
+        worker: core.worker(),
         steps_served: 0,
         reconnects: 0,
         cause: ShutdownCause::MasterShutdown,
@@ -152,10 +321,10 @@ where
     loop {
         let end = session(
             stream,
-            &mut assignment,
+            &mut core,
+            &mut work,
             &model,
             &dataset,
-            &partitioned,
             options,
             &mut summary.steps_served,
         );
@@ -164,13 +333,10 @@ where
                 summary.cause = ShutdownCause::MasterShutdown;
                 return Ok(summary);
             }
-            SessionEnd::Lost => match connect(addr, Some(assignment.worker as u64), options) {
+            SessionEnd::Lost => match connect(addr, Some(core.worker() as u64), options) {
                 Ok((fresh, reassign)) => {
                     summary.reconnects += 1;
-                    // The master's Assign reflects any placement repair run
-                    // while we were away; adopt it rather than computing a
-                    // stale partition set.
-                    assignment.partitions = reassign.partitions;
+                    core.reassign(reassign);
                     stream = fresh;
                 }
                 Err(_) => {
@@ -183,10 +349,16 @@ where
 }
 
 /// Dials the master under the shared [`RetryPolicy`] and completes the
-/// `Hello`/`Assign` handshake. Also the swarm client's per-member
-/// handshake (see [`crate::swarm`]), which then hands the stream to its
-/// reactor instead of spawning threads.
-pub(crate) fn connect(
+/// `Hello`/`Assign` handshake. Also the swarm's per-member handshake (see
+/// [`crate::swarm`]), which then hands the stream to its reactor instead of
+/// spawning threads, and the chaos client's.
+///
+/// # Errors
+///
+/// The last attempt's failure: [`NetError::Io`] dialing, [`NetError::Wire`]
+/// on the handshake frames, [`NetError::Protocol`] when the master answers
+/// for another job or with anything but `Assign`.
+pub fn connect(
     addr: std::net::SocketAddr,
     preferred: Option<u64>,
     options: &WorkerOptions,
@@ -216,33 +388,14 @@ pub(crate) fn connect(
                     options.job
                 )));
             }
-            Ok((
-                _,
-                Message::Assign {
-                    worker,
-                    n,
-                    c,
-                    batch_size,
-                    seed,
-                    partitions,
-                },
-                _,
-            )) => {
-                let assignment = Assignment {
-                    worker: worker as usize,
-                    n: n as usize,
-                    c: c as usize,
-                    batch_size: batch_size as usize,
-                    seed,
-                    partitions: partitions.into_iter().map(|j| j as usize).collect(),
-                };
-                return Ok((stream, assignment));
-            }
-            Ok((_, other, _)) => {
-                last_err = Some(NetError::Protocol(format!(
-                    "expected Assign after Hello, got {other:?}"
-                )));
-            }
+            Ok((_, message, _)) => match Assignment::from_message(message) {
+                Ok(assignment) => return Ok((stream, assignment)),
+                Err(other) => {
+                    last_err = Some(NetError::Protocol(format!(
+                        "expected Assign after Hello, got {other:?}"
+                    )));
+                }
+            },
             Err(e) => last_err = Some(NetError::Wire(e)),
         }
     }
@@ -257,10 +410,10 @@ pub(crate) fn connect(
 /// time on parameters the master already gave up waiting for.
 fn session<M: Model>(
     stream: TcpStream,
-    assignment: &mut Assignment,
+    core: &mut WorkerCore,
+    work: &mut WorkerStep,
     model: &M,
     dataset: &Dataset,
-    partitioned: &Partitioned,
     options: &WorkerOptions,
     steps_served: &mut usize,
 ) -> SessionEnd {
@@ -269,12 +422,12 @@ fn session<M: Model>(
         Err(_) => return SessionEnd::Lost,
     }));
 
-    let (inbound_tx, inbound_rx) = unbounded::<Message>();
+    let (inbound_tx, inbound_rx) = channel::<Message>();
     let reader = {
         let mut read_half = stream;
         let job = options.job;
         thread::Builder::new()
-            .name(format!("isgc-net-worker-{}-reader", assignment.worker))
+            .name(format!("isgc-net-worker-{}-reader", core.worker()))
             .spawn(move || loop {
                 match read_message_tagged(&mut read_half) {
                     Ok((frame_job, _, _)) if frame_job != job => continue,
@@ -295,7 +448,7 @@ fn session<M: Model>(
     let hb_stop = Arc::new(AtomicBool::new(false));
     let heartbeat = spawn_heartbeat(
         Arc::clone(&writer),
-        assignment.worker as u64,
+        core.worker() as u64,
         options.heartbeat_interval,
         options.retry.clone(),
         Arc::clone(&hb_stop),
@@ -305,10 +458,10 @@ fn session<M: Model>(
     let end = serve_messages(
         &inbound_rx,
         &writer,
-        assignment,
+        core,
+        work,
         model,
         dataset,
-        partitioned,
         options,
         steps_served,
     );
@@ -323,16 +476,13 @@ fn session<M: Model>(
 fn serve_messages<M: Model>(
     inbound_rx: &Receiver<Message>,
     writer: &Arc<Mutex<TcpStream>>,
-    assignment: &mut Assignment,
+    core: &mut WorkerCore,
+    work: &mut WorkerStep,
     model: &M,
     dataset: &Dataset,
-    partitioned: &Partitioned,
     options: &WorkerOptions,
     steps_served: &mut usize,
 ) -> SessionEnd {
-    // Per-partition gradient scratch, reused across partitions and steps so
-    // the hot loop never allocates a gradient vector.
-    let mut scratch = model.zero_params();
     loop {
         let Ok(first) = inbound_rx.recv() else {
             return SessionEnd::Lost;
@@ -348,43 +498,26 @@ fn serve_messages<M: Model>(
         }
         let mut latest_params: Option<(u64, Vec<f64>)> = None;
         for message in backlog {
-            match message {
-                Message::Shutdown => return SessionEnd::Shutdown,
-                Message::Assign { partitions, .. } => {
-                    assignment.partitions = partitions.into_iter().map(|j| j as usize).collect();
-                }
-                Message::Params { step, values } => latest_params = Some((step, values)),
-                // The master never sends anything else mid-session.
-                _ => {}
+            match core.handle(message) {
+                Request::Shutdown => return SessionEnd::Shutdown,
+                Request::Params { step, values } => latest_params = Some((step, values)),
+                Request::Idle => {}
             }
         }
         let Some((step, values)) = latest_params else {
             continue;
         };
-        let params = Vector::from_slice(&values);
-        let mut codeword = model.zero_params();
-        for &p in &assignment.partitions {
-            let batch = partitioned.minibatch(p, assignment.batch_size, step, assignment.seed);
-            scratch.fill_zero();
-            model.gradient_sum_into(&params, dataset, &batch, &mut scratch);
-            codeword.axpy(1.0, &scratch);
-        }
-        let pause = (options.delay)(assignment.worker, step);
+        let reply = core.answer(work, model, dataset, step, &Vector::from(values));
+        let pause = (options.delay)(core.worker(), step);
         if !pause.is_zero() {
             thread::sleep(pause);
         }
-        let reply = Message::Codeword {
-            worker: assignment.worker as u64,
-            step,
-            values: codeword.into_vec(),
-        };
         let sent = {
             let mut guard = writer.lock().expect("writer mutex poisoned");
             write_message_for_job(&mut *guard, options.job, &reply)
         };
         match sent {
             Ok(_) => *steps_served += 1,
-            Err(WireError::Io(_)) | Err(WireError::Closed) => return SessionEnd::Lost,
             Err(_) => return SessionEnd::Lost,
         }
     }
@@ -469,8 +602,25 @@ mod tests {
     }
 
     #[test]
-    fn assignment_roundtrips_through_wire_types() {
-        let a = Assignment {
+    fn assign_frame_reaches_the_core_intact_and_reassign_keeps_the_rest() {
+        let assign = |partitions: Vec<u64>, seed: u64| Message::Assign {
+            worker: 3,
+            n: 8,
+            c: 2,
+            batch_size: 4,
+            seed,
+            partitions,
+        };
+        let over_the_wire = |message: &Message| {
+            let frame = message.encode_for_job(5);
+            let (job, decoded, used) = Message::decode_tagged(&frame).expect("decodes");
+            assert_eq!((job, used), (5, frame.len()));
+            decoded
+        };
+        let first = Assignment::from_message(over_the_wire(&assign(vec![3, 4], 99)))
+            .expect("an Assign frame");
+        let mut core = WorkerCore::new(first);
+        let expected = Assignment {
             worker: 3,
             n: 8,
             c: 2,
@@ -478,7 +628,55 @@ mod tests {
             seed: 99,
             partitions: vec![3, 4],
         };
-        assert_eq!(a.partitions.len(), a.c);
-        assert!(a.worker < a.n);
+        assert_eq!(core.assignment(), &expected);
+
+        // Placement repair re-issues Assign mid-session: the partition list
+        // is adopted, every other field of the frame is ignored.
+        let mut repaired = assign(vec![3, 4, 7], 1234);
+        if let Message::Assign { worker, n, .. } = &mut repaired {
+            (*worker, *n) = (0, 16);
+        }
+        assert_eq!(core.handle(over_the_wire(&repaired)), Request::Idle);
+        assert_eq!(
+            core.assignment(),
+            &Assignment {
+                partitions: vec![3, 4, 7],
+                ..expected
+            }
+        );
+        assert_eq!(
+            Assignment::from_message(Message::Shutdown),
+            Err(Message::Shutdown)
+        );
+    }
+
+    #[test]
+    fn core_answers_params_unless_it_sits_the_step_out() {
+        let model = isgc_ml::model::LinearRegression::new(3);
+        let dataset = Dataset::synthetic_regression(64, 3, 0.1, 2);
+        let assignment = Assignment {
+            worker: 1,
+            n: 4,
+            c: 2,
+            batch_size: 8,
+            seed: 9,
+            partitions: vec![1, 2],
+        };
+        let mut work = assignment.work(&model, &dataset);
+        let mut core = WorkerCore::new(assignment);
+        let params = model.zero_params();
+
+        let values = params.as_slice().to_vec();
+        let request = core.handle(Message::Params { step: 5, values });
+        assert!(matches!(request, Request::Params { step: 5, .. }));
+        core.sit_out_until(7);
+        for (step, declined) in [(5, true), (6, true), (7, false)] {
+            let reply = core.answer(&mut work, &model, &dataset, step, &params);
+            assert_eq!(reply == core.decline(step), declined, "step {step}");
+            let honest = core.honest(&mut work, &model, &dataset, step, &params);
+            assert_eq!(reply == honest, !declined, "step {step}");
+        }
+        assert_eq!(core.handle(Message::Shutdown), Request::Shutdown);
+        assert_eq!(core.handle(Message::Heartbeat { worker: 1 }), Request::Idle);
     }
 }

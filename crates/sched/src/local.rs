@@ -5,10 +5,10 @@ use isgc_core::decode::{decoder_for, Decoder};
 use isgc_core::WorkerSet;
 use isgc_engine::{
     pairwise_sum, shard_ranges, step_rng, Collected, Collector, EngineError, MetricsObserver,
-    Session, SessionStatus, ShardedDecode, StepContext, StepEngine, TrainReport,
+    Session, SessionStatus, ShardedDecode, StepContext, StepEngine, TrainReport, WorkerStep,
 };
 use isgc_linalg::Vector;
-use isgc_ml::{Dataset, Model, Partitioned};
+use isgc_ml::Dataset;
 use isgc_obs::Registry;
 
 use crate::spec::{JobSpec, ModelKind, Topology};
@@ -30,42 +30,15 @@ pub fn arrivals_for(n: usize, stragglers: usize, seed: u64, step: u64) -> Vec<us
     WorkerSet::random_subset(n, n - stragglers, &mut rng).to_vec()
 }
 
-/// `scratch` is the caller's reusable per-partition gradient buffer
-/// (overwritten); the returned codeword is a fresh vector, bitwise equal to
-/// the old allocate-per-partition computation.
-#[allow(clippy::too_many_arguments)]
-fn codeword_for<M: Model>(
-    model: &M,
-    dataset: &Dataset,
-    partitions: &Partitioned,
-    assigned: &[usize],
-    ctx: &StepContext<'_>,
-    batch_size: usize,
-    seed: u64,
-    scratch: &mut Vector,
-) -> Vector {
-    let mut cw = model.zero_params();
-    for &p in assigned {
-        let batch = partitions.minibatch(p, batch_size, ctx.step, seed);
-        scratch.fill_zero();
-        model.gradient_sum_into(ctx.params, dataset, &batch, scratch);
-        cw.axpy(1.0, scratch);
-    }
-    cw
-}
-
 /// Flat in-process collection: every scheduled arrival computes its
 /// codeword synchronously; the engine decodes and aggregates as usual.
 pub struct LocalCollector {
     model: ModelKind,
     dataset: Dataset,
-    /// The deterministic partitioning, computed once at build time instead
-    /// of re-deriving it every step.
-    partitions: Partitioned,
-    /// Reusable per-partition gradient buffer.
-    scratch: Vector,
+    /// The shared worker recipe (partitioning and gradient scratch), built
+    /// once instead of re-derived every step.
+    work: WorkerStep,
     assignments: Vec<Vec<usize>>,
-    batch_size: usize,
     seed: u64,
     stragglers: usize,
 }
@@ -80,15 +53,12 @@ impl Collector for LocalCollector {
         let arrivals = arrivals_for(n, self.stragglers, self.seed, ctx.step);
         let mut codewords: Vec<Option<Vector>> = vec![None; n];
         for &w in &arrivals {
-            codewords[w] = Some(codeword_for(
+            codewords[w] = Some(self.work.codeword(
                 &self.model,
                 &self.dataset,
-                &self.partitions,
                 &self.assignments[w],
-                ctx,
-                self.batch_size,
-                self.seed,
-                &mut self.scratch,
+                ctx.step,
+                ctx.params,
             ));
         }
         Ok(Collected {
@@ -112,12 +82,9 @@ impl Collector for LocalCollector {
 pub struct TreeCollector {
     model: ModelKind,
     dataset: Dataset,
-    /// The deterministic partitioning, computed once at build time.
-    partitions: Partitioned,
-    /// Reusable per-partition gradient buffer.
-    scratch: Vector,
+    /// The shared worker recipe (partitioning and gradient scratch).
+    work: WorkerStep,
     assignments: Vec<Vec<usize>>,
-    batch_size: usize,
     seed: u64,
     stragglers: usize,
     decoder: Box<dyn Decoder>,
@@ -149,15 +116,12 @@ impl Collector for TreeCollector {
             );
             let mut slots: Vec<Option<Vector>> = vec![None; hi - lo];
             for &w in result.selected() {
-                slots[w - lo] = Some(codeword_for(
+                slots[w - lo] = Some(self.work.codeword(
                     &self.model,
                     &self.dataset,
-                    &self.partitions,
                     &self.assignments[w],
-                    ctx,
-                    self.batch_size,
-                    self.seed,
-                    &mut self.scratch,
+                    ctx.step,
+                    ctx.params,
                 ));
             }
             partials.push(pairwise_sum(&slots));
@@ -215,26 +179,21 @@ impl LocalJob {
         let assignments: Vec<Vec<usize>> = (0..n)
             .map(|w| spec.placement.partitions_of(w).to_vec())
             .collect();
-        let partitions = dataset.partition(n);
-        let scratch = model.zero_params();
+        let work = WorkerStep::new(&model, &dataset, n, spec.batch_size, spec.seed);
         let backend = match spec.topology {
             Topology::Flat => Backend::Flat(LocalCollector {
                 model: model.clone(),
                 dataset: dataset.clone(),
-                partitions,
-                scratch,
+                work,
                 assignments,
-                batch_size: spec.batch_size,
                 seed: spec.seed,
                 stragglers: spec.stragglers,
             }),
             Topology::Tree { submasters } => Backend::Tree(TreeCollector {
                 model: model.clone(),
                 dataset: dataset.clone(),
-                partitions,
-                scratch,
+                work,
                 assignments,
-                batch_size: spec.batch_size,
                 seed: spec.seed,
                 stragglers: spec.stragglers,
                 decoder: decoder_for(&spec.placement)

@@ -7,6 +7,33 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
+echo "== one worker step, one fewer backend (structural guard)"
+# The IS-GC worker step — draw the partition's mini-batch, sum its gradients
+# — is written once, in crates/engine/src/worker.rs. Anywhere else in
+# non-test library source (a file's text before its first #[cfg(test)]) the
+# two calls it is made of may appear only in: the ml crate that defines them,
+# the simulator's per-partition gradient cache (a different algorithm), the
+# bench binaries that time them, and sched's `Model` impl for `ModelKind`,
+# which only forwards the trait method.
+copies=$(git ls-files 'crates/*/src/*.rs' 'src/*.rs' |
+  grep -v -e '^crates/engine/src/worker\.rs$' -e '^crates/ml/' \
+    -e '^crates/simnet/src/trainer\.rs$' -e '^crates/bench/' \
+    -e '^crates/sched/src/spec\.rs$' |
+  while read -r f; do
+    awk -v f="$f" '/#\[cfg\(test\)\]/ { exit }
+      /gradient_sum_into\(|\.minibatch\(/ { print f ":" FNR ": " $0 }' "$f"
+  done)
+if [ -n "$copies" ]; then
+  echo "FAIL: a second copy of the worker step (use isgc_engine::WorkerStep):" >&2
+  echo "$copies" >&2
+  exit 1
+fi
+metadata=$(cargo metadata --offline --format-version 1)
+if grep -q -e crossbeam -e isgc-runtime <<<"$metadata"; then
+  echo "FAIL: the workspace depends on crossbeam or isgc-runtime again" >&2
+  exit 1
+fi
+
 echo "== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -57,6 +84,17 @@ echo "== protocol model-check smoke (flat3, depth-limited, exhaustive)"
 # command (and would write a replayable counterexample trace).
 mc_out=$(cargo run --release --quiet -- mc --shape flat3 --depth 32 --trace-out target/mc_trace.json)
 echo "$mc_out" | sed -n '2p;6p'
+# The checker drives the shipped WorkerCore, so a change to what a peer
+# emits moves the explored state space before it shows up anywhere else:
+# runs and states must equal the pinned counts exactly.
+for key in runs states; do
+  got=$(echo "$mc_out" | sed -n "s/^$key: *\\([0-9]*\\) .*/\\1/p")
+  want=$(sed -n "s/^ *\"mc_flat3_$key\": *\\([0-9]*\\),*$/\\1/p" BENCH_mc.json)
+  if [ -z "$got" ] || [ "$got" != "$want" ]; then
+    echo "FAIL: mc flat3 explored ${got:-no} $key, BENCH_mc.json pins $want" >&2
+    exit 1
+  fi
+done
 mc_rate=$(echo "$mc_out" | sed -n 's/^mc_flat3_states_per_sec: //p')
 printf '{\n  "mc_flat3_states_per_sec": %s\n}\n' "$mc_rate" > target/BENCH_mc_smoke.json
 scripts/bench_guard.sh target/BENCH_mc_smoke.json BENCH_mc.json

@@ -6,8 +6,8 @@
 //! - [`linalg`] — the dense linear-algebra substrate;
 //! - [`ml`] — models, synthetic datasets, SGD;
 //! - [`simnet`] — discrete-event cluster simulation;
-//! - [`runtime`] — real threaded master/worker execution;
-//! - [`engine`] — the transport-agnostic training step engine;
+//! - [`engine`] — the transport-agnostic training step engine and the shared
+//!   worker step;
 //! - [`net`] — the TCP master/worker runtime (flat and 2-level tree);
 //! - [`sched`] — the multi-tenant job scheduler;
 //! - [`chaos`] — deterministic fault injection for the TCP runtime;
@@ -75,6 +75,5 @@ pub use isgc_linalg as linalg;
 pub use isgc_ml as ml;
 pub use isgc_net as net;
 pub use isgc_obs as obs;
-pub use isgc_runtime as runtime;
 pub use isgc_sched as sched;
 pub use isgc_simnet as simnet;

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use isgc_core::Placement;
+use isgc_core::{HrParams, Placement};
 use isgc_ml::dataset::Dataset;
 use isgc_ml::model::LinearRegression;
 use isgc_net::{run_worker, Master, NetConfig, NetTrainReport, WaitPolicy, WorkerOptions};
@@ -175,5 +175,12 @@ fn fr_cluster_matches_simulator_exactly() {
 #[test]
 fn cr_cluster_matches_simulator_exactly() {
     let placement = Placement::cyclic(N, C).expect("valid CR placement");
+    assert_backends_agree(&placement);
+}
+
+#[test]
+fn hr_cluster_matches_simulator_exactly() {
+    // g = 3 groups of n₀ = 2, one within-group row and one global row.
+    let placement = Placement::hybrid(HrParams::new(N, 3, 1, 1)).expect("valid HR placement");
     assert_backends_agree(&placement);
 }

@@ -2,18 +2,20 @@
 //! cluster on 127.0.0.1 with injected straggler delays, checked against the
 //! exact decoder as a recovery oracle, plus a mid-run worker kill.
 
-use std::net::TcpStream;
-use std::sync::Arc;
+use std::net::SocketAddr;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
+use isgc_chaos::{run_chaos_worker, Fault, FaultKind, FaultPlan};
 use isgc_core::decode::{Decoder, ExactDecoder};
 use isgc_core::{Placement, WorkerSet};
-use isgc_linalg::Vector;
 use isgc_ml::dataset::Dataset;
-use isgc_ml::model::{LinearRegression, Model};
-use isgc_net::wire::{read_message, write_message, Message};
-use isgc_net::{run_worker, Master, NetConfig, NetTrainReport, WaitPolicy, WorkerOptions};
+use isgc_ml::model::{LinearRegression, Model, SoftmaxRegression};
+use isgc_net::{
+    run_worker, DelayFn, Master, NetConfig, NetTrainReport, RetryPolicy, WaitPolicy, WorkerOptions,
+    WorkerSummary,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -26,6 +28,28 @@ const DATA_SEED: u64 = 4242;
 /// The dataset every peer rebuilds identically from the shared seed.
 fn shared_dataset() -> Dataset {
     Dataset::synthetic_regression(SAMPLES, FEATURES, 0.05, DATA_SEED)
+}
+
+fn regression() -> (LinearRegression, Dataset) {
+    (LinearRegression::new(FEATURES), shared_dataset())
+}
+
+/// `count` standalone workers on threads, each rebuilding the model and
+/// dataset with `build` and straggling per `delay`.
+fn spawn_workers<M: Model + 'static>(
+    addr: SocketAddr,
+    count: usize,
+    delay: DelayFn,
+    build: fn() -> (M, Dataset),
+) -> Vec<thread::JoinHandle<WorkerSummary>> {
+    (0..count)
+        .map(|_| {
+            let options = WorkerOptions::with_delay(Arc::clone(&delay));
+            thread::spawn(move || {
+                run_worker(addr, &options, |_assignment| build()).expect("worker run")
+            })
+        })
+        .collect()
 }
 
 fn cluster_config(placement: Placement, wait: WaitPolicy, steps: usize) -> NetConfig {
@@ -71,23 +95,9 @@ fn eight_workers_with_stragglers_match_decoder_oracle() {
 
     // Two persistent stragglers: always slower than the rest, so FirstW(6)
     // routinely ignores them — the paper's arbitrary-ignorance regime.
-    let workers: Vec<_> = (0..N)
-        .map(|_| {
-            let options = WorkerOptions::with_delay(Arc::new(|w, _step| {
-                if w >= 6 {
-                    Duration::from_millis(80)
-                } else {
-                    Duration::ZERO
-                }
-            }));
-            thread::spawn(move || {
-                run_worker(addr, &options, |_assignment| {
-                    (LinearRegression::new(FEATURES), shared_dataset())
-                })
-                .expect("worker run")
-            })
-        })
-        .collect();
+    let slow_pair: DelayFn =
+        Arc::new(|w, _step| Duration::from_millis(if w >= 6 { 80 } else { 0 }));
+    let workers = spawn_workers(addr, N, slow_pair, regression);
 
     let report = master_handle.join().expect("master thread");
     for w in workers {
@@ -117,55 +127,6 @@ fn eight_workers_with_stragglers_match_decoder_oracle() {
     );
 }
 
-/// A hand-rolled worker that behaves correctly for `steps_before_exit` steps
-/// and then drops its connection without a word — a mid-run crash.
-fn defecting_worker(addr: std::net::SocketAddr, steps_before_exit: u64) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write_message(&mut stream, &Message::Hello { preferred: None }).expect("hello");
-    let Ok(Message::Assign {
-        worker,
-        n,
-        batch_size,
-        seed,
-        partitions,
-        ..
-    }) = read_message(&mut stream)
-    else {
-        panic!("expected Assign");
-    };
-    let model = LinearRegression::new(FEATURES);
-    let dataset = shared_dataset();
-    let partitioned = dataset.partition(n as usize);
-    let mut served = 0u64;
-    loop {
-        match read_message(&mut stream) {
-            Ok(Message::Params { step, values }) => {
-                let params = Vector::from_slice(&values);
-                let mut codeword = model.zero_params();
-                for &p in &partitions {
-                    let batch = partitioned.minibatch(p as usize, batch_size as usize, step, seed);
-                    codeword.axpy(1.0, &model.gradient_sum(&params, &dataset, &batch));
-                }
-                write_message(
-                    &mut stream,
-                    &Message::Codeword {
-                        worker,
-                        step,
-                        values: codeword.into_vec(),
-                    },
-                )
-                .expect("send codeword");
-                served += 1;
-                if served >= steps_before_exit {
-                    return; // crash: drop the socket mid-run
-                }
-            }
-            Ok(Message::Shutdown) | Err(_) => return,
-            Ok(_) => {}
-        }
-    }
-}
-
 #[test]
 fn killed_worker_degrades_recovery_instead_of_hanging() {
     let placement = Placement::fractional(N, C).expect("valid FR placement");
@@ -180,21 +141,29 @@ fn killed_worker_degrades_recovery_instead_of_hanging() {
     let master_handle =
         thread::spawn(move || master.run(&model, &dataset, &config).expect("master run"));
 
-    let defector = thread::spawn(move || defecting_worker(addr, 2));
-    let workers: Vec<_> = (0..N - 1)
-        .map(|_| {
-            let options = WorkerOptions::default();
-            thread::spawn(move || {
-                run_worker(addr, &options, |_assignment| {
-                    (LinearRegression::new(FEATURES), shared_dataset())
-                })
-                .expect("worker run")
-            })
+    // Worker 0 serves two steps, then drops its connection without a word
+    // at the third broadcast — a mid-run crash.
+    let (claimed_tx, claimed_rx) = mpsc::channel();
+    let defector = thread::spawn(move || {
+        let mut plan = FaultPlan::quiet("defector");
+        plan.faults.push(Fault {
+            worker: 0,
+            step: 2,
+            kind: FaultKind::Die,
+        });
+        run_chaos_worker(addr, 0, &plan, &RetryPolicy::default(), |_n, _batch| {
+            claimed_tx.send(()).expect("test thread waits");
+            (LinearRegression::new(FEATURES), shared_dataset())
         })
-        .collect();
+        .expect("defector run")
+    });
+    // The defector's builder runs after its handshake, so slot 0 is taken
+    // before anyone else asks for a free one.
+    claimed_rx.recv().expect("defector registered");
+    let workers = spawn_workers(addr, N - 1, isgc_net::no_delay(), regression);
 
     let report = master_handle.join().expect("master thread");
-    defector.join().expect("defector thread");
+    assert!(defector.join().expect("defector thread").died);
     for w in workers {
         w.join().expect("worker thread");
     }
@@ -248,23 +217,9 @@ fn deadline_policy_closes_steps_without_stragglers() {
 
     // One worker far slower than the deadline: its codewords arrive a step
     // late and must be discarded as stale, never merged.
-    let workers: Vec<_> = (0..N)
-        .map(|_| {
-            let options = WorkerOptions::with_delay(Arc::new(|w, _step| {
-                if w == 7 {
-                    Duration::from_millis(400)
-                } else {
-                    Duration::ZERO
-                }
-            }));
-            thread::spawn(move || {
-                run_worker(addr, &options, |_assignment| {
-                    (LinearRegression::new(FEATURES), shared_dataset())
-                })
-                .expect("worker run")
-            })
-        })
-        .collect();
+    let one_late: DelayFn =
+        Arc::new(|w, _step| Duration::from_millis(if w == 7 { 400 } else { 0 }));
+    let workers = spawn_workers(addr, N, one_late, regression);
 
     let report = master_handle.join().expect("master thread");
     for w in workers {
@@ -284,4 +239,52 @@ fn deadline_policy_closes_steps_without_stragglers() {
             assert!(w < N && seen.insert(w), "bad arrivals {:?}", step.arrivals);
         }
     }
+}
+
+#[test]
+fn jittery_stragglers_never_push_recovery_below_the_theorem_10_floor() {
+    // CR(6, 2) waiting for 3: Theorem 10 guarantees ⌈3/2⌉ = 2 non-conflicting
+    // workers, i.e. at least 4 of 6 partitions, whichever three arrive first.
+    let placement = Placement::cyclic(6, 2).expect("valid CR placement");
+    let mut config = NetConfig::new(placement.clone(), WaitPolicy::FirstW(3));
+    config.batch_size = 16;
+    config.learning_rate = 0.1;
+    config.loss_threshold = 0.0;
+    config.max_steps = 30;
+    config.seed = 4;
+    config.register_timeout = Duration::from_secs(10);
+    fn classification() -> (SoftmaxRegression, Dataset) {
+        let dataset = Dataset::gaussian_classification(192, 5, 3, 4.0, 3);
+        (SoftmaxRegression::new(5, 3), dataset)
+    }
+
+    let master = Master::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = master.local_addr().expect("local addr");
+    let master_handle = thread::spawn(move || {
+        let (model, dataset) = classification();
+        master.run(&model, &dataset, &config).expect("master run")
+    });
+
+    // Small delays that rotate over workers and steps: who makes the cut
+    // varies from step to step and with thread scheduling.
+    let jitter: DelayFn = Arc::new(|w, step| Duration::from_micros(((w as u64 + step) % 5) * 300));
+    let workers = spawn_workers(addr, 6, jitter, classification);
+
+    let report = master_handle.join().expect("master thread");
+    for w in workers {
+        w.join().expect("worker thread");
+    }
+
+    assert_eq!(report.step_count(), 30);
+    assert_matches_exact_oracle(&report, &placement);
+    for step in &report.steps {
+        assert!(
+            step.recovered >= 4,
+            "step {} recovered {} of 6 from {:?}",
+            step.step,
+            step.recovered,
+            step.arrivals
+        );
+    }
+    assert!(report.final_loss() < report.loss_curve()[0]);
 }

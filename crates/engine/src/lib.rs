@@ -53,7 +53,7 @@ mod repair;
 mod report;
 pub mod worker;
 
-pub use merge::{pairwise_sum, shard_ranges, ShardedDecode};
+pub use merge::{decode_shard, pairwise_sum, shard_ranges, ShardDecode, ShardedDecode};
 pub use metrics::MetricsObserver;
 pub use report::{RepairEvent, StepOutcome, StepReport, TrainReport};
 pub use worker::WorkerStep;

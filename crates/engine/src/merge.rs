@@ -17,8 +17,14 @@
 //! - A root that [`pairwise_sum`]s the per-shard partials therefore computes
 //!   exactly the remaining top levels of the flat tree: flat and tree runs
 //!   produce bit-identical sums, not merely close ones.
+//! - [`decode_shard`] is what a sub-master does with its shard's arrivals —
+//!   the one shard-local decode the in-process and the TCP tree share.
 
+use isgc_core::decode::Decoder;
+use isgc_core::WorkerSet;
 use isgc_linalg::{kernels, Vector};
+
+use crate::step_rng;
 
 /// Balanced pairwise sum over optional slot contributions.
 ///
@@ -103,6 +109,46 @@ pub fn shard_ranges(n: usize, shards: usize) -> Vec<(usize, usize)> {
         ranges = next;
     }
     ranges
+}
+
+/// One shard's slice of a step, as its sub-master reports it upstream.
+#[derive(Debug)]
+pub struct ShardDecode {
+    /// The shard-local independent set (global worker ids, ascending).
+    pub selected: Vec<usize>,
+    /// Partitions the selection recovers.
+    pub recovered: usize,
+    /// [`pairwise_sum`] of the selected codewords over the shard's range,
+    /// or `None` when the shard recovered nothing.
+    pub partial: Option<Vector>,
+}
+
+/// The shard-local decode of a 2-level tree: decodes shard `[lo, hi)`'s
+/// `arrivals` (global ids) as availability over the full `n`-worker
+/// universe, with the same `(seed, step)`-derived RNG a flat master uses —
+/// the FR decoder's per-group hash then picks exactly the flat
+/// representatives — and sums the selected workers' codewords, each
+/// obtained from `codeword` (called once per selected worker, ascending),
+/// with the canonical reduction over the shard's [`shard_ranges`] slice.
+pub fn decode_shard(
+    decoder: &dyn Decoder,
+    n: usize,
+    (lo, hi): (usize, usize),
+    arrivals: &[usize],
+    (seed, step): (u64, u64),
+    mut codeword: impl FnMut(usize) -> Vector,
+) -> ShardDecode {
+    let available = WorkerSet::from_indices(n, arrivals.iter().copied());
+    let result = decoder.decode(&available, &mut step_rng(seed, step));
+    let mut slots: Vec<Option<Vector>> = vec![None; hi - lo];
+    for &w in result.selected() {
+        slots[w - lo] = Some(codeword(w));
+    }
+    ShardDecode {
+        selected: result.selected().to_vec(),
+        recovered: result.recovered_count(),
+        partial: pairwise_sum(&slots),
+    }
 }
 
 /// A pre-decoded step collected through sub-masters: the root receives the
@@ -268,6 +314,60 @@ mod tests {
                 flat.as_slice(),
                 "shards={shards} diverged from flat"
             );
+        }
+    }
+
+    #[test]
+    fn shard_decodes_union_to_the_flat_decode_bitwise() {
+        use isgc_core::decode::decoder_for;
+        use isgc_core::Placement;
+
+        let (n, seed) = (8, 2023);
+        let placement = Placement::fractional(n, 2).unwrap();
+        let decoder = decoder_for(&placement).unwrap();
+        let codeword = |w: usize| Vector::from_fn(5, |i| 0.1 * (w * 5 + i) as f64 + 0.7);
+        let arrival_sets: [&[usize]; 5] = [
+            &[0, 1, 2, 3, 4, 5, 6, 7],
+            &[1, 2, 5, 6],
+            &[0, 1, 7],
+            &[3],
+            &[],
+        ];
+        for (step, arrivals) in arrival_sets.into_iter().enumerate() {
+            let step = step as u64;
+            let flat = decoder.decode(
+                &WorkerSet::from_indices(n, arrivals.iter().copied()),
+                &mut step_rng(seed, step),
+            );
+            let mut flat_slots: Vec<Option<Vector>> = vec![None; n];
+            for &w in flat.selected() {
+                flat_slots[w] = Some(codeword(w));
+            }
+            let flat_sum = pairwise_sum(&flat_slots);
+
+            for shards in [2usize, 4] {
+                let mut selected = Vec::new();
+                let mut recovered = 0;
+                let mut partials = Vec::new();
+                for (lo, hi) in shard_ranges(n, shards) {
+                    let own: Vec<usize> = arrivals
+                        .iter()
+                        .copied()
+                        .filter(|w| (lo..hi).contains(w))
+                        .collect();
+                    let shard =
+                        decode_shard(decoder.as_ref(), n, (lo, hi), &own, (seed, step), codeword);
+                    selected.extend(shard.selected);
+                    recovered += shard.recovered;
+                    partials.push(shard.partial);
+                }
+                assert_eq!(selected, flat.selected(), "step {step}, {shards} shards");
+                assert_eq!(recovered, flat.recovered_count());
+                let bits = |v: Option<Vector>| {
+                    v.map(|v| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+                };
+                assert_eq!(bits(pairwise_sum(&partials)), bits(flat_sum.clone()));
+            }
         }
     }
 }

@@ -14,7 +14,8 @@ use isgc_engine::{
     DegradePolicy, EngineConfig, EngineError, RecordingObserver, StepEngine, StepReport,
 };
 use isgc_ml::{Dataset, LinearRegression};
-use isgc_net::seam::{ModelMaster, ModelRoot, ModelShard, ShardSpec};
+use isgc_net::master::MasterLoop;
+use isgc_net::submaster::{ShardGeometry, ShardLoop, TreeRootLoop};
 use isgc_net::{NetConfig, SubmasterOptions, WaitPolicy};
 
 use crate::sched::{Ctx, Poison};
@@ -434,7 +435,7 @@ fn run_flat_once(cfg: &McConfig, ctx: &Rc<RefCell<Ctx>>, n: usize, c: usize) -> 
     let dataset = Dataset::synthetic_regression(SAMPLES, FEATURES, 0.05, cfg.seed);
     let mut observer = RecordingObserver::default();
     let result = (|| {
-        let mut master = ModelMaster::new(net, Box::new(VirtualTransport::new(world)));
+        let mut master = MasterLoop::new(net, Box::new(VirtualTransport::new(world)));
         master
             .await_registration()
             .map_err(|e| EngineError::Backend(Box::new(e)))?;
@@ -460,7 +461,7 @@ fn run_tree_once(cfg: &McConfig, ctx: &Rc<RefCell<Ctx>>) -> RunResult {
     let model = LinearRegression::new(FEATURES);
     let dataset = Dataset::synthetic_regression(SAMPLES, FEATURES, 0.05, cfg.seed);
     let mut observer = RecordingObserver::default();
-    let mut shards: Vec<Rc<RefCell<ModelShard>>> = Vec::new();
+    let mut shards: Vec<Rc<RefCell<ShardLoop>>> = Vec::new();
     let result = (|| {
         for k in 0..submasters {
             let world = World::new(
@@ -478,7 +479,7 @@ fn run_tree_once(cfg: &McConfig, ctx: &Rc<RefCell<Ctx>>) -> RunResult {
                     w.spawn_worker(worker);
                 }
             }
-            let spec = ShardSpec {
+            let geometry = ShardGeometry {
                 shard: k,
                 lo: k * per,
                 hi: (k + 1) * per,
@@ -487,8 +488,8 @@ fn run_tree_once(cfg: &McConfig, ctx: &Rc<RefCell<Ctx>>) -> RunResult {
                 batch_size: BATCH,
                 seed: cfg.seed,
             };
-            let shard = ModelShard::new(
-                spec,
+            let shard = ShardLoop::new(
+                geometry,
                 SubmasterOptions::default(),
                 Box::new(VirtualTransport::new(world)),
             )
@@ -515,8 +516,9 @@ fn run_tree_once(cfg: &McConfig, ctx: &Rc<RefCell<Ctx>>) -> RunResult {
                 w.spawn_submaster(k);
             }
         }
-        let mut root = ModelRoot::new(net, Box::new(VirtualTransport::new(root_world)), submasters)
-            .map_err(|e| EngineError::Backend(Box::new(e)))?;
+        let mut root =
+            TreeRootLoop::new(net, Box::new(VirtualTransport::new(root_world)), submasters)
+                .map_err(|e| EngineError::Backend(Box::new(e)))?;
         root.await_registration()
             .map_err(|e| EngineError::Backend(Box::new(e)))?;
         let mut engine = StepEngine::new(engine_cfg)?;

@@ -25,7 +25,8 @@ use isgc_chaos::{Action, Fault, FaultKind};
 use isgc_engine::WorkerStep;
 use isgc_linalg::Vector;
 use isgc_ml::{Dataset, LinearRegression};
-use isgc_net::seam::{ModelShard, NetEvent, Token, Transport};
+use isgc_net::seam::{NetEvent, Token, Transport};
+use isgc_net::submaster::ShardLoop;
 use isgc_net::wire::Message;
 use isgc_net::{Assignment, NetError, WorkerCore};
 
@@ -36,10 +37,11 @@ pub(crate) enum Role {
     /// The flat master: peers are modeled workers with the full fault menu.
     Flat,
     /// The tree root: peers are sub-masters, each backed by a real
-    /// [`ModelShard`] state machine served synchronously at broadcast.
-    TreeRoot(Vec<Rc<RefCell<ModelShard>>>),
+    /// [`ShardLoop`] state machine served synchronously at broadcast.
+    TreeRoot(Vec<Rc<RefCell<ShardLoop>>>),
     /// A shard's worker pool: modeled workers with the tree-mode fault menu
-    /// (compute or die — the shard loop has no decline path).
+    /// (compute or die — a `ShardUpload` has no field to report declines or
+    /// stale frames upstream, so those are only checked by directed plans).
     ShardWorkers,
 }
 
@@ -525,8 +527,11 @@ impl Transport for VirtualTransport {
                 for (token, shard) in list {
                     // The shard loop runs synchronously — its own transport
                     // records choice points into the same schedule.
-                    let upload = shard.borrow_mut().serve_step(step, &values);
-                    self.world.borrow_mut().enqueue_msg(token, upload);
+                    // A poisoned run fails here and uploads nothing; the
+                    // root's next poll then fails the same way.
+                    if let Ok(upload) = shard.borrow_mut().serve_step(step, &values) {
+                        self.world.borrow_mut().enqueue_msg(token, upload);
+                    }
                 }
             }
             None => {

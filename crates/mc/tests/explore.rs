@@ -77,6 +77,42 @@ fn directed_drop_and_die_plans_pass() {
     );
 }
 
+/// A shard is the flat master's worker tier over its range, so a shard
+/// worker that declines (outright, or as the step it sits out after a
+/// drop) ends the shard's wait exactly as it would a flat master's. The
+/// free tree exploration only offers shard workers `Die`, so these plans
+/// are the ones that hold the shard loop to that.
+#[test]
+fn shard_worker_declines_end_the_shards_wait() {
+    let cfg = McConfig::tree2x2();
+    for (step, kind) in [
+        (0, FaultKind::Decline),
+        (1, FaultKind::Decline),
+        (0, FaultKind::Drop),
+    ] {
+        let plan = [Fault {
+            worker: 0,
+            step,
+            kind,
+        }];
+        assert_eq!(explore_plan(&cfg, &plan), None, "{kind:?}@{step}");
+    }
+
+    // A stale codeword is discarded by step tag and its sender declines the
+    // step — no deadlock. What remains is stale *accounting*: `ShardUpload`
+    // carries no stale count for the root to report.
+    let stale = [Fault {
+        worker: 0,
+        step: 1,
+        kind: FaultKind::Stale,
+    }];
+    let messages = explore_plan(&cfg, &stale).map_or(Vec::new(), |v| v.messages);
+    assert!(
+        messages.iter().all(|m| !m.starts_with("deadlock:")),
+        "{messages:?}"
+    );
+}
+
 #[test]
 fn minimize_returns_passing_plans_unchanged() {
     let plan = vec![

@@ -35,6 +35,7 @@ pub mod retry;
 pub mod seam;
 pub mod submaster;
 pub mod swarm;
+pub(crate) mod tier;
 pub mod wire;
 pub mod worker;
 

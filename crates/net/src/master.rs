@@ -13,32 +13,35 @@
 //!
 //! Step semantics — decode, repair, bounds, normalization, the SGD update —
 //! live in [`isgc_engine::StepEngine`]; this module is the TCP
-//! [`Collector`]: registration, liveness, broadcast, collection, and
-//! checkpoint persistence. All I/O rides the nonblocking
-//! `crate::reactor`: the master process runs the accept path, every
-//! connection, and the step state machine on **one** thread, regardless of
-//! `n` — connection lifecycle events arrive as `NetEvent`s where the old
-//! transport parked two threads per worker.
+//! [`Collector`]. Registration, liveness, broadcast and collection are the
+//! shared worker tier's (`crate::tier`); what is written here is the flat
+//! master's alone: the assignment table and its `Assign` frames, placement
+//! repair, checkpoint persistence, rejoin grace. All I/O rides the
+//! nonblocking `crate::reactor`: the master process runs the accept path,
+//! every connection, and the step state machine on **one** thread,
+//! regardless of `n`.
 
-use std::collections::HashMap;
 use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use isgc_core::Placement;
 use isgc_engine::{
     Collected, Collector, DegradePolicy, EngineConfig, EngineError, FnObserver, LadderState,
-    RepairEvent, StepContext, StepEngine, StepReport,
+    MetricsObserver, NoopObserver, Observer, RepairEvent, SessionStatus, StepContext, StepEngine,
+    StepReport,
 };
 use isgc_linalg::Vector;
 use isgc_ml::dataset::Dataset;
 use isgc_ml::model::Model;
 
 use crate::checkpoint::{CheckpointConfig, MasterCheckpoint};
-use crate::reactor::{NetEvent, Reactor, Token};
+use crate::reactor::{NetEvent, Reactor};
 use crate::report::{NetReport, NetTrainReport};
 use crate::retry::RetryPolicy;
 use crate::seam::Transport;
+use crate::submaster::TreeRootLoop;
+use crate::tier::{worker_reply, Frame, Host, Peers, Reply, Tier};
 use crate::wire::{encode_params_frame, Message};
 use crate::{NetError, WaitPolicy};
 
@@ -214,89 +217,6 @@ pub(crate) fn engine_to_net(e: EngineError) -> NetError {
     }
 }
 
-/// What one inbound event amounted to, once slot state is updated.
-enum Dispatched {
-    /// Nothing the collection loop cares about.
-    Nothing,
-    /// A codeword: `(worker, step, values)` — already decoded in place by
-    /// the reactor, no intermediate copy.
-    Codeword(usize, u64, Vector),
-    /// A fast-fail straggler signal: `(worker, step)`.
-    Decline(usize, u64),
-}
-
-/// One worker slot as the master sees it.
-pub(crate) struct Slot {
-    /// The reactor connection currently owning this slot, if any. Tokens
-    /// are never reused, so an event from a replaced connection can always
-    /// be told apart from the current one.
-    pub(crate) conn: Option<Token>,
-    /// Whether the current connection is believed usable.
-    pub(crate) alive: bool,
-    /// Whether this slot was ever assigned to a connection.
-    pub(crate) registered: bool,
-}
-
-impl Slot {
-    /// An unregistered, unconnected slot.
-    pub(crate) fn empty() -> Slot {
-        Slot {
-            conn: None,
-            alive: false,
-            registered: false,
-        }
-    }
-}
-
-/// The workers a step still waits on: alive, on the connection that received
-/// the step's broadcast, and not yet heard from. Kept as a flag per worker
-/// and their count, so an upload costs O(1), not a scan of every slot.
-pub(crate) struct Awaited {
-    /// A worker is eligible for the step only through the connection that
-    /// received the broadcast; one that reconnects mid-step cannot produce
-    /// this step's codeword, so it must not be waited on.
-    eligible: Vec<Option<Token>>,
-    waiting: Vec<bool>,
-    count: usize,
-}
-
-impl Awaited {
-    /// Snapshots eligibility as the broadcast goes out; nobody has answered.
-    pub(crate) fn at_broadcast(slots: &[Slot]) -> Awaited {
-        let mut awaited = Awaited {
-            eligible: slots
-                .iter()
-                .map(|s| if s.alive { s.conn } else { None })
-                .collect(),
-            waiting: vec![false; slots.len()],
-            count: 0,
-        };
-        awaited.rescan(slots, |_| false);
-        awaited
-    }
-
-    /// How many workers the step still waits on.
-    pub(crate) fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Re-derives worker `w`'s flag after an event that touched only `w`.
-    pub(crate) fn update(&mut self, w: usize, slot: &Slot, answered: bool) {
-        let waiting =
-            slot.alive && self.eligible[w].is_some() && self.eligible[w] == slot.conn && !answered;
-        self.count = self.count + usize::from(waiting) - usize::from(self.waiting[w]);
-        self.waiting[w] = waiting;
-    }
-
-    /// Re-derives every flag, after an event that can change liveness or
-    /// connection ownership of any slot.
-    pub(crate) fn rescan(&mut self, slots: &[Slot], answered: impl Fn(usize) -> bool) {
-        for (w, slot) in slots.iter().enumerate() {
-            self.update(w, slot, answered(w));
-        }
-    }
-}
-
 /// A listening IS-GC master. Bind first (so tests can learn the ephemeral
 /// port), then [`Master::run`] a training session.
 pub struct Master {
@@ -398,54 +318,30 @@ impl Master {
     ) -> Result<NetTrainReport, NetError> {
         config.validate()?;
         let reactor = Reactor::new(Some(self.listener), config.job, config.metrics.clone())?;
-        let mut loop_state = MasterLoop::new(config.clone(), Box::new(reactor));
-
-        let outcome = (|| -> Result<NetTrainReport, NetError> {
-            let mut engine = StepEngine::new(config.engine_config()).map_err(engine_to_net)?;
-            // Parameter initialization is a pure function of the seed, so a
-            // resumed master overwrites it from the checkpoint and a fresh
-            // one matches any backend given the same seed.
-            let mut params = engine.initial_params(model);
-            let (start_step, ladder) = loop_state.try_resume(&mut params)?;
-            engine
-                .resume_from(start_step, loop_state.assignments.clone())
-                .map_err(engine_to_net)?;
-            engine.resume_ladder(ladder);
-            loop_state.await_registration()?;
-            let mut step_observer = FnObserver(|report: &StepReport| observer(report));
-            match config.metrics.clone() {
-                Some(registry) => {
-                    // Wrap the caller's observer so the engine's logical
-                    // series lands in the registry; the inner observer keeps
-                    // its StepControl authority.
-                    let n = config.placement.n();
-                    let mut metered =
-                        isgc_engine::MetricsObserver::wrapping(registry, n, &mut step_observer);
-                    if let Some(name) = &config.job_name {
-                        metered = metered.scoped_to_job(name.clone());
-                    }
-                    engine
-                        .run(model, dataset, Some(params), &mut loop_state, &mut metered)
-                        .map_err(engine_to_net)
-                }
-                None => engine
-                    .run(
-                        model,
-                        dataset,
-                        Some(params),
-                        &mut loop_state,
-                        &mut step_observer,
-                    )
-                    .map_err(engine_to_net),
+        let (mut collector, mut engine, mut session) =
+            build_session_state(model, dataset, config, reactor, None)?;
+        let mut observer = metered(config, FnObserver(|report: &StepReport| observer(report)));
+        let outcome = loop {
+            let status = engine.step(
+                &mut session,
+                model,
+                dataset,
+                collector.as_collector(),
+                &mut *observer,
+            );
+            match status {
+                Ok(SessionStatus::Running) => {}
+                Ok(SessionStatus::Done) => break Ok(engine.finish(session)),
+                Err(e) => break Err(engine_to_net(e)),
             }
-        })();
+        };
 
         // Tell workers we're done. A scripted crash skips the shutdown
         // broadcast — a killed process sends nothing — and hard-closes
         // every socket instead. Either way the listener dies with the
         // reactor; there is no accept thread to unblock.
         let crashed = matches!(&outcome, Ok(report) if report.interrupted);
-        loop_state.close_peers(crashed);
+        collector.close_peers(crashed);
         outcome
     }
 
@@ -496,7 +392,6 @@ impl Master {
         submasters: Option<usize>,
     ) -> Result<MasterSession<M>, NetError> {
         config.validate()?;
-        let n = config.placement.n();
         let local_addr = self.listener.local_addr()?;
         let reactor = Reactor::new(Some(self.listener), config.job, config.metrics.clone())?;
 
@@ -504,27 +399,35 @@ impl Master {
         // closes the listener and every accepted socket.
         let (collector, engine, session) =
             build_session_state(&model, &dataset, config, reactor, submasters)?;
-        let metrics = config.metrics.clone().map(|registry| {
-            let mut observer = isgc_engine::MetricsObserver::new(registry, n);
-            if let Some(name) = &config.job_name {
-                observer = observer.scoped_to_job(name.clone());
-            }
-            observer
-        });
         Ok(MasterSession {
             model,
             dataset,
             engine,
             session,
             collector,
-            metrics,
+            observer: metered(config, NoopObserver),
             local_addr,
         })
     }
 }
 
-/// Builds the collector, engine, and open session for
-/// [`Master::into_session_inner`].
+/// The observer a session reports to: with [`NetConfig::metrics`] set, the
+/// engine's logical series land in the registry (under the job's label
+/// scope, when it has a name) ahead of `inner`, which keeps its
+/// [`StepControl`] authority.
+fn metered<'a>(config: &NetConfig, inner: impl Observer + 'a) -> Box<dyn Observer + 'a> {
+    let Some(registry) = config.metrics.clone() else {
+        return Box::new(inner);
+    };
+    let mut observer = MetricsObserver::wrapping(registry, config.placement.n(), inner);
+    if let Some(name) = &config.job_name {
+        observer = observer.scoped_to_job(name.clone());
+    }
+    Box::new(observer)
+}
+
+/// Builds the collector, engine, and open session of a run: registration
+/// and (flat-mode) checkpoint resume happen here.
 fn build_session_state<M: Model>(
     model: &M,
     dataset: &Dataset,
@@ -536,10 +439,13 @@ fn build_session_state<M: Model>(
         None => {
             let mut loop_state = MasterLoop::new(config.clone(), Box::new(reactor));
             let mut engine = StepEngine::new(config.engine_config()).map_err(engine_to_net)?;
+            // Parameter initialization is a pure function of the seed, so a
+            // resumed master overwrites it from the checkpoint and a fresh
+            // one matches any backend given the same seed.
             let mut params = engine.initial_params(model);
-            let (start_step, ladder) = loop_state.try_resume(&mut params)?;
+            let (start_step, ladder) = loop_state.host.try_resume(&mut params)?;
             engine
-                .resume_from(start_step, loop_state.assignments.clone())
+                .resume_from(start_step, loop_state.host.assignments.clone())
                 .map_err(engine_to_net)?;
             engine.resume_ladder(ladder);
             loop_state.await_registration()?;
@@ -547,8 +453,7 @@ fn build_session_state<M: Model>(
             Ok((SessionCollector::Flat(loop_state), engine, session))
         }
         Some(submasters) => {
-            let mut root =
-                crate::submaster::TreeRootLoop::new(config.clone(), Box::new(reactor), submasters)?;
+            let mut root = TreeRootLoop::new(config.clone(), Box::new(reactor), submasters)?;
             let engine = StepEngine::new(config.engine_config()).map_err(engine_to_net)?;
             let params = engine.initial_params(model);
             root.await_registration()?;
@@ -563,7 +468,23 @@ enum SessionCollector {
     /// Every worker reports straight to this master.
     Flat(MasterLoop),
     /// Sub-masters report shard partials; see [`crate::submaster`].
-    Tree(crate::submaster::TreeRootLoop),
+    Tree(TreeRootLoop),
+}
+
+impl SessionCollector {
+    fn as_collector(&mut self) -> &mut dyn Collector {
+        match self {
+            SessionCollector::Flat(loop_state) => loop_state,
+            SessionCollector::Tree(root) => root,
+        }
+    }
+
+    fn close_peers(&mut self, crashed: bool) {
+        match self {
+            SessionCollector::Flat(loop_state) => loop_state.close_peers(crashed),
+            SessionCollector::Tree(root) => root.close_peers(crashed),
+        }
+    }
 }
 
 /// A registered, resumed, step-at-a-time networked training session — the
@@ -577,7 +498,7 @@ pub struct MasterSession<M: Model> {
     engine: StepEngine,
     session: isgc_engine::Session,
     collector: SessionCollector,
-    metrics: Option<isgc_engine::MetricsObserver>,
+    observer: Box<dyn Observer>,
     local_addr: std::net::SocketAddr,
 }
 
@@ -595,27 +516,15 @@ impl<M: Model> MasterSession<M> {
     /// further calls return [`isgc_engine::SessionStatus::Done`] without
     /// touching the network.
     pub fn step(&mut self) -> Result<isgc_engine::SessionStatus, NetError> {
-        let collector: &mut dyn Collector = match &mut self.collector {
-            SessionCollector::Flat(loop_state) => loop_state,
-            SessionCollector::Tree(root) => root,
-        };
-        let result = match &mut self.metrics {
-            Some(observer) => self.engine.step(
+        self.engine
+            .step(
                 &mut self.session,
                 &self.model,
                 &self.dataset,
-                collector,
-                observer,
-            ),
-            None => self.engine.step(
-                &mut self.session,
-                &self.model,
-                &self.dataset,
-                collector,
-                &mut isgc_engine::NoopObserver,
-            ),
-        };
-        result.map_err(engine_to_net)
+                self.collector.as_collector(),
+                &mut *self.observer,
+            )
+            .map_err(engine_to_net)
     }
 
     /// Closes the session: broadcasts `Shutdown` to the peers (unless the
@@ -624,26 +533,23 @@ impl<M: Model> MasterSession<M> {
     /// report. The listener closes when the reactor drops with the session.
     pub fn finish(mut self) -> NetTrainReport {
         let report = self.engine.finish(self.session);
-        let crashed = report.interrupted;
-        match &mut self.collector {
-            SessionCollector::Flat(loop_state) => loop_state.close_peers(crashed),
-            SessionCollector::Tree(root) => root.close_peers(crashed),
-        }
+        self.collector.close_peers(report.interrupted);
         report
     }
 }
 
-/// The master's single-threaded state machine over connection events — the
-/// engine's TCP [`Collector`]. Owns its [`Transport`] (the [`Reactor`] in
-/// production, a virtual network under the model checker) and polls it
+/// The flat master's single-threaded state machine over connection events
+/// — the engine's TCP [`Collector`]: one worker `Tier` over `[0, n)` plus
+/// what is the flat master's alone. Owns its [`Transport`] (the `Reactor`
+/// in production, a virtual network under the model checker) and polls it
 /// inline: there is no I/O thread anywhere in the master process.
-pub(crate) struct MasterLoop {
-    slots: Vec<Slot>,
-    /// Which slot each adopted connection feeds. A token missing here (or
-    /// disagreeing with `Slot::conn`) belongs to a replaced connection and
-    /// its events are ignored.
-    owner: HashMap<Token, usize>,
-    reactor: Box<dyn Transport>,
+pub struct MasterLoop {
+    tier: Tier,
+    host: FlatHost,
+}
+
+/// What the flat master supplies to its worker tier, and keeps beside it.
+struct FlatHost {
     config: NetConfig,
     /// Current per-worker partition lists, mirroring the engine's table;
     /// starts as the placement's and diverges when the engine runs placement
@@ -653,44 +559,99 @@ pub(crate) struct MasterLoop {
     assignments: Vec<Vec<usize>>,
 }
 
+impl Host for FlatHost {
+    type Answer = Vector;
+
+    /// Counts every inbound frame, when a metrics registry is attached.
+    fn next_event(
+        &mut self,
+        transport: &mut dyn Transport,
+        timeout: Duration,
+    ) -> Result<Option<NetEvent>, NetError> {
+        let event = transport.next_event(timeout)?;
+        if let (
+            Some(registry),
+            Some(NetEvent::Codeword { bytes, .. } | NetEvent::Msg { bytes, .. }),
+        ) = (&self.config.metrics, &event)
+        {
+            use isgc_obs::Class::Timing;
+            registry.inc(crate::metrics::FRAMES_RECEIVED_TOTAL, &[], Timing);
+            registry.inc_by(
+                crate::metrics::BYTES_RECEIVED_TOTAL,
+                &[],
+                Timing,
+                *bytes as u64,
+            );
+        }
+        Ok(event)
+    }
+
+    /// The `Assign` frame for worker `id`, from its *current* assignment
+    /// (which placement repair may have changed).
+    fn welcome(&self, id: usize) -> Arc<[u8]> {
+        Message::Assign {
+            worker: id as u64,
+            n: self.config.placement.n() as u64,
+            c: self.config.placement.c() as u64,
+            batch_size: self.config.batch_size as u64,
+            seed: self.config.seed,
+            partitions: self.assignments[id].iter().map(|&j| j as u64).collect(),
+        }
+        .encode_for_job(self.config.job)
+        .into()
+    }
+
+    fn read(&mut self, id: usize, frame: Frame) -> Reply<Vector> {
+        worker_reply(id, frame)
+    }
+
+    /// Workers already declared dead by placement repair are never waited
+    /// for.
+    fn awaits_rejoin(&self, id: usize) -> bool {
+        !self.assignments[id].is_empty()
+    }
+}
+
 impl Collector for MasterLoop {
     fn n(&self) -> usize {
-        self.slots.len()
+        self.tier.len()
     }
 
     fn alive(&self) -> Vec<bool> {
-        self.slots.iter().map(|s| s.alive).collect()
+        self.tier.alive().collect()
     }
 
     /// The engine re-homed a dead worker's partitions: mirror the table and
     /// re-issue `Assign` frames to every survivor whose list grew, over the
     /// existing connections.
     fn on_repair(&mut self, events: &[RepairEvent], assignments: &[Vec<usize>]) {
-        self.assignments = assignments.to_vec();
+        self.host.assignments = assignments.to_vec();
         let touched: std::collections::BTreeSet<usize> = events.iter().map(|e| e.to).collect();
         for id in touched {
-            let frame: Arc<[u8]> = self
-                .assign_message(id)
-                .encode_for_job(self.config.job)
-                .into();
-            match self.slots[id].conn {
-                Some(token) => self.reactor.send(token, frame),
-                None => self.slots[id].alive = false,
-            }
+            self.tier.send_to(id, self.host.welcome(id));
         }
     }
 
     fn collect(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError> {
-        let pre_stale = self.await_rejoins();
+        let MasterLoop { tier, host } = self;
+        let pre_stale = tier.await_rejoins(host, host.config.rejoin_grace);
         // One encode, shared bytes to every peer — the fast path skips the
         // `Vec<f64>` clone a `Message::Params` round-trip would cost.
         let frame: Arc<[u8]> =
-            encode_params_frame(self.config.job, ctx.step, ctx.params.as_slice()).into();
-        self.broadcast_frame(&frame);
-        let collected = self.collect_step(ctx.step).map_err(backend)?;
+            encode_params_frame(host.config.job, ctx.step, ctx.params.as_slice()).into();
+        tier.broadcast_alive(&frame);
+        let collected = tier
+            .collect(host, ctx.step, host.config.wait)
+            .map_err(backend)?;
+        // A step that closes with zero arrivals but alive workers (FirstW
+        // with everyone freshly dead-marked or declining) is reported
+        // upstream as Degraded by the engine.
+        if collected.arrivals.is_empty() && !tier.alive().any(|alive| alive) {
+            return Err(backend(NetError::AllWorkersLost));
+        }
         Ok(Collected {
             arrivals: collected.arrivals,
-            codewords: collected.codewords,
+            codewords: collected.answers,
             declined: collected.declined,
             stale: collected.stale + pre_stale,
             waited_ms: collected.waited.as_secs_f64() * 1e3,
@@ -705,268 +666,56 @@ impl Collector for MasterLoop {
         params: &Vector,
         ladder: LadderState,
     ) -> Result<(), EngineError> {
-        self.maybe_checkpoint(completed, params, ladder)
+        self.host
+            .maybe_checkpoint(completed, params, ladder)
             .map_err(backend)
     }
 }
 
 impl MasterLoop {
-    pub(crate) fn new(config: NetConfig, reactor: Box<dyn Transport>) -> MasterLoop {
+    /// Builds the (not yet registered) flat master loop over `transport`.
+    pub fn new(config: NetConfig, transport: Box<dyn Transport>) -> MasterLoop {
         let n = config.placement.n();
         MasterLoop {
-            slots: (0..n).map(|_| Slot::empty()).collect(),
-            owner: HashMap::new(),
-            reactor,
-            assignments: (0..n)
-                .map(|w| config.placement.partitions_of(w).to_vec())
-                .collect(),
-            config,
+            tier: Tier::new(
+                Peers::Workers,
+                0,
+                n,
+                Some(config.heartbeat_timeout),
+                transport,
+            ),
+            host: FlatHost {
+                assignments: (0..n)
+                    .map(|w| config.placement.partitions_of(w).to_vec())
+                    .collect(),
+                config,
+            },
         }
     }
 
-    fn n(&self) -> usize {
-        self.slots.len()
+    /// Blocks until all `n` workers registered (or the configured
+    /// registration deadline passes).
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Protocol`] on registration timeout.
+    pub fn await_registration(&mut self) -> Result<(), NetError> {
+        let timeout = self.host.config.register_timeout;
+        self.tier
+            .await_registered(&mut self.host, timeout, "registration")
     }
 
     /// Notifies workers the run is over — a `Shutdown` broadcast (flushed
     /// through the reactor) normally, or (emulating a killed process, whose
     /// fds all close) a hard shutdown of every socket when the run ended in
     /// a scripted crash.
-    pub(crate) fn close_peers(&mut self, crashed: bool) {
-        if !crashed {
-            let frame: Arc<[u8]> = Message::Shutdown.encode_for_job(self.config.job).into();
-            self.broadcast_frame(&frame);
-            self.reactor.flush_all(Duration::from_secs(1));
-        } else {
-            self.reactor.hard_close_all();
-        }
+    pub fn close_peers(&mut self, crashed: bool) {
+        self.tier
+            .close(crashed, self.host.config.job, Duration::from_secs(1));
     }
+}
 
-    /// Counts one inbound frame, when a metrics registry is attached.
-    fn count_received(&self, bytes: usize) {
-        if let Some(registry) = &self.config.metrics {
-            use isgc_obs::Class::Timing;
-            registry.inc(crate::metrics::FRAMES_RECEIVED_TOTAL, &[], Timing);
-            registry.inc_by(
-                crate::metrics::BYTES_RECEIVED_TOTAL,
-                &[],
-                Timing,
-                bytes as u64,
-            );
-        }
-    }
-
-    /// The slot an adopted connection currently owns, or `None` when the
-    /// event came from a replaced (or never-registered) connection.
-    fn slot_of(&self, token: Token) -> Option<usize> {
-        let id = *self.owner.get(&token)?;
-        (self.slots[id].conn == Some(token)).then_some(id)
-    }
-
-    /// Handles one event; codewords and declines are returned to the
-    /// caller, everything else mutates slot state here.
-    fn dispatch(&mut self, event: NetEvent) -> Dispatched {
-        match event {
-            NetEvent::Hello { token, preferred } => {
-                self.register(token, preferred);
-                Dispatched::Nothing
-            }
-            // A sub-master dialing a flat master: not part of this topology;
-            // drop the connection.
-            NetEvent::SubHello { token, .. } => {
-                self.reactor.reject(token);
-                Dispatched::Nothing
-            }
-            NetEvent::Gone { token } => {
-                if let Some(id) = self.slot_of(token) {
-                    self.slots[id].alive = false;
-                    self.slots[id].conn = None;
-                }
-                self.owner.remove(&token);
-                Dispatched::Nothing
-            }
-            NetEvent::HeartbeatTimeout { token } => {
-                // The reactor's timer wheel says this connection has been
-                // silent past the heartbeat deadline: presumed dead. The
-                // socket stays open — a late message revives the slot.
-                if let Some(id) = self.slot_of(token) {
-                    self.slots[id].alive = false;
-                }
-                Dispatched::Nothing
-            }
-            NetEvent::Codeword {
-                token,
-                step,
-                values,
-                bytes,
-            } => {
-                self.count_received(bytes);
-                let Some(id) = self.slot_of(token) else {
-                    return Dispatched::Nothing; // from a replaced connection
-                };
-                self.slots[id].alive = true;
-                Dispatched::Codeword(id, step, values)
-            }
-            NetEvent::Msg {
-                token,
-                message,
-                bytes,
-            } => {
-                self.count_received(bytes);
-                let Some(id) = self.slot_of(token) else {
-                    return Dispatched::Nothing; // from a replaced connection
-                };
-                self.slots[id].alive = true;
-                match message {
-                    Message::Decline { step, .. } => Dispatched::Decline(id, step),
-                    Message::Heartbeat { .. } => Dispatched::Nothing,
-                    // Workers never send anything else (codewords arrive as
-                    // NetEvent::Codeword); ignore rather than letting one
-                    // confused peer kill the run.
-                    _ => Dispatched::Nothing,
-                }
-            }
-        }
-    }
-
-    /// Assigns a slot to a pending connection, adopting it into the
-    /// reactor (which sends `Assign` and arms the heartbeat deadline).
-    fn register(&mut self, token: Token, preferred: Option<u64>) {
-        let n = self.n();
-        let id = match preferred {
-            Some(p) if (p as usize) < n => p as usize,
-            Some(_) => {
-                // Claims a slot outside the cluster: reject.
-                self.reactor.reject(token);
-                return;
-            }
-            None => match self.slots.iter().position(|s| !s.registered) {
-                Some(free) => free,
-                None => {
-                    // Cluster is full; a worker that lost its id and
-                    // reconnected fresh would land here. Adopt the first
-                    // dead slot if any, else drop the connection.
-                    match self.slots.iter().position(|s| !s.alive) {
-                        Some(dead) => dead,
-                        None => {
-                            self.reactor.reject(token);
-                            return;
-                        }
-                    }
-                }
-            },
-        };
-        let assign: Arc<[u8]> = self
-            .assign_message(id)
-            .encode_for_job(self.config.job)
-            .into();
-        if !self
-            .reactor
-            .adopt(token, assign, Some(self.config.heartbeat_timeout))
-        {
-            return; // connection died under the Assign write
-        }
-        // The replaced connection (if any) is closed; its token can never
-        // be adopted again, so late events from it fall through slot_of.
-        if let Some(old) = self.slots[id].conn.take() {
-            self.owner.remove(&old);
-            self.reactor.reject(old);
-        }
-        let slot = &mut self.slots[id];
-        slot.conn = Some(token);
-        slot.registered = true;
-        slot.alive = true;
-        self.owner.insert(token, id);
-    }
-
-    /// Builds the `Assign` frame for worker `id` from its *current*
-    /// assignment (which placement repair may have changed).
-    fn assign_message(&self, id: usize) -> Message {
-        Message::Assign {
-            worker: id as u64,
-            n: self.n() as u64,
-            c: self.config.placement.c() as u64,
-            batch_size: self.config.batch_size as u64,
-            seed: self.config.seed,
-            partitions: self.assignments[id].iter().map(|&j| j as u64).collect(),
-        }
-    }
-
-    fn alive_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.alive).count()
-    }
-
-    /// Sends one pre-encoded frame to every alive worker. The bytes are
-    /// shared (`Arc` clones, not copies) across every peer's write queue;
-    /// a peer that fails mid-write surfaces as a queued `Gone` event and is
-    /// demoted when it is dispatched.
-    fn broadcast_frame(&mut self, frame: &Arc<[u8]>) {
-        let targets: Vec<Token> = self
-            .slots
-            .iter()
-            .filter(|s| s.alive)
-            .filter_map(|s| s.conn)
-            .collect();
-        self.reactor.broadcast(frame, &targets);
-    }
-
-    /// Blocks until all `n` workers registered (or the deadline passes).
-    pub(crate) fn await_registration(&mut self) -> Result<(), NetError> {
-        let deadline = Instant::now() + self.config.register_timeout;
-        loop {
-            let registered = self.slots.iter().filter(|s| s.registered).count();
-            if registered == self.n() {
-                return Ok(());
-            }
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                return Err(NetError::Protocol(format!(
-                    "registration timed out with {registered} of {} workers",
-                    self.n()
-                )));
-            };
-            if let Some(event) = self.reactor.next_event(remaining.min(POLL))? {
-                let _ = self.dispatch(event);
-            }
-        }
-    }
-
-    /// Waits up to `rejoin_grace` for every previously-registered but
-    /// disconnected worker (not yet declared dead by repair) to re-register,
-    /// so a flapping worker's step membership is decided by what it *sends*
-    /// (codeword or decline), never by whether its reconnect handshake beat
-    /// the broadcast. Returns the number of codewords swallowed while
-    /// waiting — necessarily stale, since this step has not been broadcast
-    /// yet — so the caller can fold them into the step's stale count.
-    fn await_rejoins(&mut self) -> usize {
-        let grace = self.config.rejoin_grace;
-        let mut stale = 0usize;
-        if grace.is_zero() {
-            return stale;
-        }
-        let waiting = |slots: &[Slot], assignments: &[Vec<usize>]| {
-            slots
-                .iter()
-                .zip(assignments)
-                .any(|(s, a)| s.registered && !s.alive && !a.is_empty())
-        };
-        let deadline = Instant::now() + grace;
-        while waiting(&self.slots, &self.assignments) {
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                break;
-            };
-            match self.reactor.next_event(remaining.min(POLL)) {
-                Ok(Some(event)) => {
-                    if let Dispatched::Codeword(..) = self.dispatch(event) {
-                        stale += 1;
-                    }
-                }
-                Ok(None) => {}
-                Err(_) => break,
-            }
-        }
-        stale
-    }
-
+impl FlatHost {
     /// Restores checkpointed state if a checkpoint exists; returns the step
     /// to resume at and the degradation-ladder counter entering it, and
     /// overwrites the parameters to resume with. The restored assignment
@@ -1020,107 +769,6 @@ impl MasterLoop {
         };
         ck.save(&ck_config.path)
     }
-
-    /// Collects one step's codewords under the configured wait policy.
-    fn collect_step(&mut self, step: u64) -> Result<CollectedStep, NetError> {
-        let step_start = Instant::now();
-        let cutoff = match self.config.wait {
-            WaitPolicy::FirstW(_) => None,
-            WaitPolicy::Deadline(d) => Some(step_start + d),
-        };
-        let n = self.n();
-        let mut awaited = Awaited::at_broadcast(&self.slots);
-        let mut codewords: Vec<Option<Vector>> = vec![None; n];
-        // Sized once: the list is kept in the step's report for the whole
-        // run, and growing it by doubling would retain up to 2n slots.
-        let mut arrivals: Vec<usize> = Vec::with_capacity(n);
-        let mut declined: Vec<bool> = vec![false; n];
-        let mut stale = 0usize;
-
-        loop {
-            // Heartbeat silence arrives as HeartbeatTimeout events off the
-            // reactor's timer wheel (dispatched below); no wall-clock sweep.
-            let alive_pending = awaited.count();
-            let done = match self.config.wait {
-                WaitPolicy::FirstW(w) => arrivals.len() >= w || alive_pending == 0,
-                WaitPolicy::Deadline(_) => {
-                    let expired = cutoff.is_some_and(|c| Instant::now() >= c);
-                    (expired && !arrivals.is_empty()) || alive_pending == 0
-                }
-            };
-            if done {
-                if arrivals.is_empty() && self.alive_count() == 0 {
-                    return Err(NetError::AllWorkersLost);
-                }
-                // A step that closes with zero arrivals but alive workers
-                // (FirstW with everyone freshly dead-marked or declining)
-                // is reported upstream as Degraded by the engine.
-                return Ok(CollectedStep {
-                    arrivals,
-                    codewords,
-                    waited: step_start.elapsed(),
-                    stale,
-                    declined: (0..n).filter(|&w| declined[w]).collect(),
-                });
-            }
-
-            let Some(event) = self.reactor.next_event(POLL)? else {
-                continue;
-            };
-            // A codeword or decline touches its sender's slot only; every
-            // other event may have changed liveness anywhere.
-            let touched = match self.dispatch(event) {
-                Dispatched::Codeword(worker, tagged_step, values) => {
-                    // `mc-mutation` deliberately breaks the stale guard —
-                    // the codeword from the *previous* round is accepted as
-                    // this step's — so the model checker's seeded-bug path
-                    // (and its chaos replay) has a real violation to find.
-                    // Never enabled in production builds.
-                    #[cfg(feature = "mc-mutation")]
-                    let fresh = (tagged_step == step || tagged_step + 1 == step)
-                        && codewords[worker].is_none();
-                    #[cfg(not(feature = "mc-mutation"))]
-                    let fresh = tagged_step == step && codewords[worker].is_none();
-                    if fresh {
-                        codewords[worker] = Some(values);
-                        arrivals.push(worker);
-                        declined[worker] = false;
-                    } else {
-                        // Stale: a straggler finishing an earlier round (or
-                        // a duplicate); count it, never mix it into this
-                        // step.
-                        stale += 1;
-                    }
-                    Some(worker)
-                }
-                Dispatched::Decline(worker, tagged_step) => {
-                    if tagged_step == step && codewords[worker].is_none() {
-                        declined[worker] = true;
-                    }
-                    Some(worker)
-                }
-                Dispatched::Nothing => None,
-            };
-            let answered = |w: usize| declined[w] || codewords[w].is_some();
-            match touched {
-                Some(w) => awaited.update(w, &self.slots[w], answered(w)),
-                None => awaited.rescan(&self.slots, answered),
-            }
-        }
-    }
-}
-
-/// Poll granularity of the master loop: how often liveness and deadlines are
-/// re-checked while waiting for codewords.
-const POLL: Duration = Duration::from_millis(20);
-
-/// What one step's collection phase produced.
-struct CollectedStep {
-    arrivals: Vec<usize>,
-    codewords: Vec<Option<Vector>>,
-    waited: Duration,
-    stale: usize,
-    declined: Vec<usize>,
 }
 
 #[cfg(test)]
@@ -1166,45 +814,6 @@ mod tests {
         let dataset = Dataset::synthetic_regression(16, 2, 0.1, 1);
         let err = master.run(&model, &dataset, &config).unwrap_err();
         assert!(matches!(err, NetError::Protocol(_)), "{err}");
-    }
-
-    #[test]
-    fn awaited_counts_only_workers_that_can_still_answer_this_step() {
-        let slot = |conn, alive| Slot {
-            conn,
-            alive,
-            registered: true,
-        };
-        // Worker 2 is dead at the broadcast, worker 3 never connected.
-        let mut slots = vec![
-            slot(Some(10), true),
-            slot(Some(11), true),
-            slot(Some(12), false),
-            slot(None, false),
-        ];
-        let mut awaited = Awaited::at_broadcast(&slots);
-        assert_eq!(awaited.count(), 2);
-
-        // An answer takes its sender off the list, once.
-        awaited.update(0, &slots[0], true);
-        awaited.update(0, &slots[0], true);
-        assert_eq!(awaited.count(), 1);
-
-        // Silence past the heartbeat deadline stops the wait; a late frame
-        // on the same connection resumes it.
-        slots[1].alive = false;
-        awaited.rescan(&slots, |w| w == 0);
-        assert_eq!(awaited.count(), 0);
-        slots[1].alive = true;
-        awaited.update(1, &slots[1], false);
-        assert_eq!(awaited.count(), 1);
-
-        // A reconnect mid-step is a different connection: it never saw the
-        // broadcast. Nor did worker 2, revived after it went out.
-        slots[1].conn = Some(20);
-        slots[2].alive = true;
-        awaited.rescan(&slots, |w| w == 0);
-        assert_eq!(awaited.count(), 0);
     }
 
     #[test]

@@ -47,6 +47,7 @@ use std::time::{Duration, Instant};
 use isgc_linalg::Vector;
 use isgc_obs::Registry;
 
+use crate::seam::Transport;
 use crate::wire::{CodewordView, FrameAssembler, Message};
 use crate::NetError;
 
@@ -123,6 +124,20 @@ pub enum NetEvent {
         /// The departed connection.
         token: Token,
     },
+}
+
+impl NetEvent {
+    /// The connection the event came from.
+    pub fn token(&self) -> Token {
+        match self {
+            NetEvent::Hello { token, .. }
+            | NetEvent::SubHello { token, .. }
+            | NetEvent::Msg { token, .. }
+            | NetEvent::Codeword { token, .. }
+            | NetEvent::HeartbeatTimeout { token }
+            | NetEvent::Gone { token } => *token,
+        }
+    }
 }
 
 /// Connection lifecycle phase.
@@ -417,11 +432,12 @@ impl Reactor {
             metrics,
         })
     }
+}
 
-    /// Pops the next event, pumping the poll loop for up to `timeout` when
-    /// the queue is empty. `Ok(None)` means the timeout passed quietly —
-    /// the drop-in replacement for the old channel's `recv_timeout`.
-    pub(crate) fn next_event(&mut self, timeout: Duration) -> Result<Option<NetEvent>, NetError> {
+/// The production [`Transport`]: real nonblocking sockets.
+impl Transport for Reactor {
+    /// Pumps the poll loop for up to `timeout` when the queue is empty.
+    fn next_event(&mut self, timeout: Duration) -> Result<Option<NetEvent>, NetError> {
         if let Some(event) = self.events.pop_front() {
             return Ok(Some(event));
         }
@@ -429,11 +445,9 @@ impl Reactor {
         Ok(self.events.pop_front())
     }
 
-    /// Promotes a pending connection to an adopted peer: sends `first` (the
-    /// registration reply), arms the idle deadline, and parses any frames
-    /// the peer optimistically sent after its introduction. Returns false
-    /// when the connection died in the process.
-    pub(crate) fn adopt(&mut self, token: Token, first: Arc<[u8]>, idle: Option<Duration>) -> bool {
+    /// Also parses any frames the peer optimistically sent after its
+    /// introduction.
+    fn adopt(&mut self, token: Token, first: Arc<[u8]>, idle: Option<Duration>) -> bool {
         {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return false;
@@ -451,13 +465,12 @@ impl Reactor {
         self.conns.contains_key(&token)
     }
 
-    /// Registers an already-handshaked outbound stream (a sub-master's root
-    /// link, a swarm member) as an adopted connection.
+    /// A sub-master's root link, or a swarm member.
     ///
     /// # Errors
     ///
     /// Propagates the switch to nonblocking mode.
-    pub(crate) fn register_adopted(
+    fn register_adopted(
         &mut self,
         stream: TcpStream,
         idle: Option<Duration>,
@@ -469,16 +482,13 @@ impl Reactor {
         Ok(token)
     }
 
-    /// Drops a pending connection the state machine refused.
-    pub(crate) fn reject(&mut self, token: Token) {
+    fn reject(&mut self, token: Token) {
         self.remove(token);
     }
 
-    /// Queues one frame on a connection and flushes as much as the socket
-    /// accepts right now; the remainder rides on write readiness. Failures
-    /// surface as a [`NetEvent::Gone`] rather than a return value, exactly
-    /// like a failure discovered mid-broadcast.
-    pub(crate) fn send(&mut self, token: Token, frame: Arc<[u8]>) {
+    /// Flushes as much as the socket accepts right now; the remainder rides
+    /// on write readiness.
+    fn send(&mut self, token: Token, frame: Arc<[u8]>) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
@@ -488,19 +498,16 @@ impl Reactor {
         }
     }
 
-    /// Sends one shared frame to every listed connection — the pooled
-    /// broadcast path: a single encode, `Arc` clones instead of buffer
-    /// copies, per-peer resume offsets.
-    pub(crate) fn broadcast(&mut self, frame: &Arc<[u8]>, targets: impl Iterator<Item = Token>) {
-        for token in targets {
+    /// The pooled broadcast path: a single encode, `Arc` clones instead of
+    /// buffer copies, per-peer resume offsets.
+    fn broadcast(&mut self, frame: &Arc<[u8]>, targets: &[Token]) {
+        for &token in targets {
             self.send(token, Arc::clone(frame));
         }
     }
 
-    /// Pumps the loop until every write queue drained or `limit` passed —
-    /// the graceful-teardown flush behind a `Shutdown` broadcast (and the
-    /// sub-master's synchronous upload guarantee).
-    pub(crate) fn flush_all(&mut self, limit: Duration) {
+    /// The graceful-teardown flush behind a `Shutdown` broadcast.
+    fn flush_all(&mut self, limit: Duration) {
         let deadline = Instant::now() + limit;
         while self.conns.values().any(|c| !c.out.is_empty()) {
             let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
@@ -512,11 +519,9 @@ impl Reactor {
         }
     }
 
-    /// Pumps the loop until `token`'s write queue drained (true) or the
-    /// connection died / `limit` passed (false) — the sub-master's
-    /// synchronous upload-delivery guarantee. Events gathered while
-    /// flushing stay queued for the next [`Reactor::next_event`].
-    pub(crate) fn flush_conn(&mut self, token: Token, limit: Duration) -> bool {
+    /// The sub-master's synchronous upload-delivery guarantee. Events
+    /// gathered while flushing stay queued for the next `next_event`.
+    fn flush_conn(&mut self, token: Token, limit: Duration) -> bool {
         let deadline = Instant::now() + limit;
         loop {
             match self.conns.get(&token) {
@@ -533,9 +538,9 @@ impl Reactor {
         }
     }
 
-    /// Emulates a killed process: hard-closes every socket (pending and
-    /// adopted), drops unsent frames, and closes the listener.
-    pub(crate) fn hard_close_all(&mut self) {
+    /// Hard-closes every socket (pending and adopted), drops unsent frames,
+    /// and closes the listener.
+    fn hard_close_all(&mut self) {
         for conn in self.conns.values() {
             let _ = conn.stream.shutdown(std::net::Shutdown::Both);
         }
@@ -543,7 +548,9 @@ impl Reactor {
         self.listener = None;
         self.gauge_conns();
     }
+}
 
+impl Reactor {
     /// One poll cycle: wait for readiness (or `timeout`), fire due timers,
     /// then drain every ready descriptor into the event queue.
     fn pump(&mut self, timeout: Duration) -> Result<(), NetError> {

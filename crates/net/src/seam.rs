@@ -1,33 +1,24 @@
 //! The transport seam: the abstract network surface the collector state
-//! machines actually require, plus model-checker entry points that drive
-//! the *real* loops over a virtual network.
+//! machines actually require.
 //!
-//! The flat master loop, the tree root loop, and the sub-master shard loop
+//! The flat master loop ([`MasterLoop`](crate::master::MasterLoop)), the
+//! tree root loop ([`TreeRootLoop`](crate::submaster::TreeRootLoop)), and
+//! the sub-master shard loop ([`ShardLoop`](crate::submaster::ShardLoop))
 //! never touch sockets directly — they consume [`NetEvent`]s and emit
 //! encoded frames through the [`Transport`] trait. In production the
 //! implementation is the nonblocking reactor; under `isgc-mc` it is a
 //! deterministic virtual network that enumerates message interleavings.
 //! Because both sides run the *same* state-machine code, a property the
 //! model checker proves over the virtual transport is a property of the
-//! production collector, not of a parallel re-implementation.
-//!
-//! The [`ModelMaster`] / [`ModelRoot`] / [`ModelShard`] wrappers exist so
-//! the (deliberately private) loop internals stay private: the model
-//! checker gets exactly registration, step collection, and teardown —
-//! nothing else.
+//! production collector, not of a parallel re-implementation. The loops
+//! are public for exactly that: construction over any transport,
+//! registration, step collection, and teardown — nothing else.
 
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use isgc_engine::{Collected, Collector, EngineError, LadderState, RepairEvent, StepContext};
-use isgc_linalg::Vector;
-
-use crate::master::{MasterLoop, NetConfig};
-use crate::reactor::Reactor;
 pub use crate::reactor::{NetEvent, Token};
-use crate::submaster::{ShardGeometry, ShardLoop, SubmasterOptions, TreeRootLoop};
-use crate::wire::Message;
 use crate::NetError;
 
 /// The network surface a collector state machine consumes: an event queue
@@ -86,239 +77,4 @@ pub trait Transport {
 
     /// Emulates a killed process: hard-closes every connection.
     fn hard_close_all(&mut self);
-}
-
-impl Transport for Reactor {
-    fn next_event(&mut self, timeout: Duration) -> Result<Option<NetEvent>, NetError> {
-        Reactor::next_event(self, timeout)
-    }
-
-    fn adopt(&mut self, token: Token, first: Arc<[u8]>, idle: Option<Duration>) -> bool {
-        Reactor::adopt(self, token, first, idle)
-    }
-
-    fn register_adopted(
-        &mut self,
-        stream: TcpStream,
-        idle: Option<Duration>,
-    ) -> Result<Token, NetError> {
-        Reactor::register_adopted(self, stream, idle)
-    }
-
-    fn reject(&mut self, token: Token) {
-        Reactor::reject(self, token);
-    }
-
-    fn send(&mut self, token: Token, frame: Arc<[u8]>) {
-        Reactor::send(self, token, frame);
-    }
-
-    fn broadcast(&mut self, frame: &Arc<[u8]>, targets: &[Token]) {
-        Reactor::broadcast(self, frame, targets.iter().copied());
-    }
-
-    fn flush_all(&mut self, limit: Duration) {
-        Reactor::flush_all(self, limit);
-    }
-
-    fn flush_conn(&mut self, token: Token, limit: Duration) -> bool {
-        Reactor::flush_conn(self, token, limit)
-    }
-
-    fn hard_close_all(&mut self) {
-        Reactor::hard_close_all(self);
-    }
-}
-
-/// The *real* flat-master collector state machine, exposed for the model
-/// checker: registration, the engine-facing [`Collector`] surface, and
-/// teardown, over an injected [`Transport`].
-pub struct ModelMaster {
-    inner: MasterLoop,
-}
-
-impl ModelMaster {
-    /// Builds the flat master loop over `transport`.
-    pub fn new(config: NetConfig, transport: Box<dyn Transport>) -> ModelMaster {
-        ModelMaster {
-            inner: MasterLoop::new(config, transport),
-        }
-    }
-
-    /// Blocks until all `n` workers registered (or the configured
-    /// registration deadline passes).
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Protocol`] on registration timeout.
-    pub fn await_registration(&mut self) -> Result<(), NetError> {
-        self.inner.await_registration()
-    }
-
-    /// Tears the session down (`Shutdown` broadcast, or a hard close when
-    /// `crashed`).
-    pub fn close_peers(&mut self, crashed: bool) {
-        self.inner.close_peers(crashed);
-    }
-}
-
-impl Collector for ModelMaster {
-    fn n(&self) -> usize {
-        Collector::n(&self.inner)
-    }
-
-    fn alive(&self) -> Vec<bool> {
-        self.inner.alive()
-    }
-
-    fn on_repair(&mut self, events: &[RepairEvent], assignments: &[Vec<usize>]) {
-        self.inner.on_repair(events, assignments);
-    }
-
-    fn collect(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError> {
-        self.inner.collect(ctx)
-    }
-
-    fn after_step(
-        &mut self,
-        completed: u64,
-        params: &Vector,
-        ladder: LadderState,
-    ) -> Result<(), EngineError> {
-        self.inner.after_step(completed, params, ladder)
-    }
-}
-
-/// The *real* tree-root collector state machine over an injected
-/// [`Transport`] — one slot per sub-master, shard uploads merged with the
-/// canonical pairwise reduction.
-pub struct ModelRoot {
-    inner: TreeRootLoop,
-}
-
-impl ModelRoot {
-    /// Builds the tree root loop over `transport`, validating the tree
-    /// geometry.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::InvalidConfig`] for bad tree geometry (non-power-of-two
-    /// shard count, non-FR placement, shard boundary cutting an FR group).
-    pub fn new(
-        config: NetConfig,
-        transport: Box<dyn Transport>,
-        submasters: usize,
-    ) -> Result<ModelRoot, NetError> {
-        Ok(ModelRoot {
-            inner: TreeRootLoop::new(config, transport, submasters)?,
-        })
-    }
-
-    /// Blocks until every shard's sub-master registered.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Protocol`] on registration timeout.
-    pub fn await_registration(&mut self) -> Result<(), NetError> {
-        self.inner.await_registration()
-    }
-
-    /// Tears the tree down (relayed `Shutdown`, or a hard close).
-    pub fn close_peers(&mut self, crashed: bool) {
-        self.inner.close_peers(crashed);
-    }
-}
-
-impl Collector for ModelRoot {
-    fn n(&self) -> usize {
-        Collector::n(&self.inner)
-    }
-
-    fn alive(&self) -> Vec<bool> {
-        self.inner.alive()
-    }
-
-    fn collect(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError> {
-        self.inner.collect(ctx)
-    }
-}
-
-/// Geometry of one modeled sub-master shard (what a real sub-master learns
-/// from its `ShardAssign`).
-#[derive(Debug, Clone, Copy)]
-pub struct ShardSpec {
-    /// Shard index in the tree.
-    pub shard: usize,
-    /// First global worker id owned by the shard (inclusive).
-    pub lo: usize,
-    /// One past the last global worker id owned by the shard.
-    pub hi: usize,
-    /// Cluster size.
-    pub n: usize,
-    /// Copies per worker (FR group size).
-    pub c: usize,
-    /// Mini-batch size per partition per step.
-    pub batch_size: usize,
-    /// The run's shared seed.
-    pub seed: u64,
-}
-
-/// The *real* sub-master shard state machine over an injected
-/// [`Transport`]: worker registration, per-step relay + shard-local decode,
-/// teardown. The root link is virtual — [`ModelShard::serve_step`] returns
-/// the `ShardUpload` instead of writing it upstream.
-pub struct ModelShard {
-    inner: ShardLoop,
-}
-
-impl ModelShard {
-    /// Builds the shard loop over `transport` for `spec`'s slice of the
-    /// cluster.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::InvalidConfig`] when the geometry does not form a valid
-    /// FR placement.
-    pub fn new(
-        spec: ShardSpec,
-        options: SubmasterOptions,
-        transport: Box<dyn Transport>,
-    ) -> Result<ModelShard, NetError> {
-        Ok(ModelShard {
-            inner: ShardLoop::modeled(
-                ShardGeometry {
-                    shard: spec.shard,
-                    lo: spec.lo,
-                    hi: spec.hi,
-                    n: spec.n,
-                    c: spec.c,
-                    batch_size: spec.batch_size,
-                    seed: spec.seed,
-                },
-                options,
-                transport,
-            )?,
-        })
-    }
-
-    /// Blocks until every shard worker registered.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Protocol`] on registration timeout.
-    pub fn await_worker_registration(&mut self) -> Result<(), NetError> {
-        self.inner.await_worker_registration()
-    }
-
-    /// One shard step: relay `Params` to the shard's workers, collect their
-    /// codewords, run the shard-local decode, and return the
-    /// [`Message::ShardUpload`] a real sub-master would write to the root.
-    pub fn serve_step(&mut self, step: u64, values: &[f64]) -> Message {
-        self.inner.serve_step(step, values)
-    }
-
-    /// Tears the shard down (relayed `Shutdown`, or a hard close).
-    pub fn close_workers(&mut self, crashed: bool) {
-        self.inner.close_workers(crashed);
-    }
 }

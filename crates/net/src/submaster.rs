@@ -18,8 +18,13 @@
 //! *and* its upstream root link are all descriptors in one poll set, so a
 //! sub-master process spends zero threads on I/O. Root messages that land
 //! while a shard step is collecting (and worker events that land between
-//! steps) are buffered and replayed in order, preserving the exact
-//! interleaving the old blocking transport produced.
+//! steps) are set aside and replayed in order.
+//!
+//! Both loops are instances of the shared `crate::tier`: the root seats
+//! sub-masters and collects their uploads; a sub-master's worker side *is*
+//! the flat master's worker tier over `[lo, hi)`, waiting for the whole
+//! shard — so a shard worker's departure, silence, `Decline` or stale
+//! codeword means exactly what it means at a flat master.
 //!
 //! Determinism: the FR decoder's per-group representative choice is a pure
 //! hash of `(step_rng(seed, step), group)`, so a shard decoding only its own
@@ -27,55 +32,43 @@
 //! fixed merge order makes the aggregate bitwise identical to flat
 //! aggregation (see `isgc-engine::merge`).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use isgc_core::decode::{decoder_for, Decoder};
-use isgc_core::{Placement, Scheme, WorkerSet};
+use isgc_core::{Placement, Scheme};
 use isgc_engine::{
-    pairwise_sum, shard_ranges, step_rng, Collected, Collector, EngineError, ShardedDecode,
-    StepContext,
+    decode_shard, shard_ranges, Collected, Collector, EngineError, ShardedDecode, StepContext,
 };
 use isgc_linalg::Vector;
 
-use crate::master::{backend, Awaited, NetConfig, Slot};
+use crate::master::{backend, NetConfig};
 use crate::reactor::{NetEvent, Reactor, Token};
 use crate::retry::RetryPolicy;
 use crate::seam::Transport;
+use crate::tier::{worker_reply, Frame, Host, Peers, Reply, Tier, POLL};
 use crate::wire::{encode_params_frame, read_message_tagged, write_message_for_job, Message};
 use crate::{NetError, WaitPolicy};
-
-/// Poll granularity while waiting on shard uploads or worker codewords.
-const POLL: Duration = Duration::from_millis(20);
 
 /// How long an upload or shutdown flush may pump before giving up on the
 /// peer (loopback drains in microseconds; this only bounds a wedged link).
 const FLUSH_LIMIT: Duration = Duration::from_secs(5);
 
-/// The connection an event came from.
-fn event_token(event: &NetEvent) -> Token {
-    match event {
-        NetEvent::Hello { token, .. }
-        | NetEvent::SubHello { token, .. }
-        | NetEvent::Msg { token, .. }
-        | NetEvent::Codeword { token, .. }
-        | NetEvent::HeartbeatTimeout { token }
-        | NetEvent::Gone { token } => *token,
-    }
+/// The root's collector in tree mode: a `Tier` with one slot per
+/// sub-master, each delivering a shard's `(arrivals, selection, partial
+/// sum)` per step.
+pub struct TreeRootLoop {
+    tier: Tier,
+    host: RootHost,
 }
 
-/// The root's collector in tree mode: one slot per sub-master, each
-/// delivering a shard's `(arrivals, selection, partial sum)` per step.
-pub(crate) struct TreeRootLoop {
-    slots: Vec<Slot>,
-    shards: Vec<(usize, usize)>,
-    /// Which slot each adopted sub-master connection feeds.
-    owner: HashMap<Token, usize>,
-    reactor: Box<dyn Transport>,
+/// What the tree root supplies to its sub-master tier.
+struct RootHost {
     config: NetConfig,
+    shards: Vec<(usize, usize)>,
 }
 
 /// One shard's upload for the step being collected.
@@ -86,12 +79,62 @@ struct ShardReport {
     partial: Option<Vector>,
 }
 
+impl Host for RootHost {
+    type Answer = ShardReport;
+
+    /// The `ShardAssign` frame for `shard`'s sub-master.
+    fn welcome(&self, shard: usize) -> Arc<[u8]> {
+        let (lo, hi) = self.shards[shard];
+        Message::ShardAssign {
+            shard: shard as u64,
+            lo: lo as u64,
+            hi: hi as u64,
+            n: self.config.placement.n() as u64,
+            c: self.config.placement.c() as u64,
+            batch_size: self.config.batch_size as u64,
+            seed: self.config.seed,
+        }
+        .encode_for_job(self.config.job)
+        .into()
+    }
+
+    /// Like codewords, the slot is authoritative over the claimed shard
+    /// id.
+    fn read(&mut self, shard: usize, frame: Frame) -> Reply<ShardReport> {
+        match frame {
+            Frame::Msg(Message::ShardUpload {
+                step,
+                arrivals,
+                selected,
+                recovered,
+                partial,
+                ..
+            }) => Reply::Answer(
+                shard,
+                step,
+                ShardReport {
+                    arrivals: arrivals.iter().map(|&w| w as usize).collect(),
+                    selected: selected.iter().map(|&w| w as usize).collect(),
+                    recovered: recovered as usize,
+                    partial: (!partial.is_empty()).then(|| Vector::from_slice(&partial)),
+                },
+            ),
+            _ => Reply::Nothing,
+        }
+    }
+}
+
 impl TreeRootLoop {
     /// Validates the tree geometry and builds the (not yet registered)
-    /// root loop around its reactor.
-    pub(crate) fn new(
+    /// root loop over `transport`.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::InvalidConfig`] for bad tree geometry (non-power-of-two
+    /// shard count, non-FR placement, shard boundary cutting an FR group).
+    pub fn new(
         config: NetConfig,
-        reactor: Box<dyn Transport>,
+        transport: Box<dyn Transport>,
         submasters: usize,
     ) -> Result<TreeRootLoop, NetError> {
         let n = config.placement.n();
@@ -122,153 +165,36 @@ impl TreeRootLoop {
             }
         }
         Ok(TreeRootLoop {
-            slots: (0..submasters).map(|_| Slot::empty()).collect(),
-            shards,
-            owner: HashMap::new(),
-            reactor,
-            config,
+            // No idle deadline: a sub-master is only expected to speak once
+            // per step, however long its shard takes.
+            tier: Tier::new(Peers::Submasters, 0, submasters, None, transport),
+            host: RootHost { config, shards },
         })
     }
 
     /// Blocks until every shard's sub-master registered (or the
     /// registration deadline passes).
-    pub(crate) fn await_registration(&mut self) -> Result<(), NetError> {
-        let deadline = Instant::now() + self.config.register_timeout;
-        loop {
-            if self.slots.iter().all(|s| s.registered) {
-                return Ok(());
-            }
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                let registered = self.slots.iter().filter(|s| s.registered).count();
-                return Err(NetError::Protocol(format!(
-                    "tree registration timed out with {registered} of {} sub-masters",
-                    self.slots.len()
-                )));
-            };
-            if let Some(event) = self.reactor.next_event(remaining.min(POLL))? {
-                self.dispatch_control(event);
-            }
-        }
-    }
-
-    /// The slot an adopted sub-master connection currently owns, or `None`
-    /// for events from a replaced connection.
-    fn slot_of(&self, token: Token) -> Option<usize> {
-        let id = *self.owner.get(&token)?;
-        (self.slots[id].conn == Some(token)).then_some(id)
-    }
-
-    /// Handles registration/liveness events (everything but uploads).
-    fn dispatch_control(&mut self, event: NetEvent) {
-        match event {
-            NetEvent::SubHello { token, shard } => self.register_shard(token, shard),
-            // A worker dialing the root directly: wrong tier, drop it.
-            NetEvent::Hello { token, .. } => self.reactor.reject(token),
-            NetEvent::Gone { token } => {
-                if let Some(shard) = self.slot_of(token) {
-                    self.slots[shard].alive = false;
-                    self.slots[shard].conn = None;
-                }
-                self.owner.remove(&token);
-            }
-            NetEvent::Msg { token, .. } | NetEvent::Codeword { token, .. } => {
-                if let Some(shard) = self.slot_of(token) {
-                    self.slots[shard].alive = true;
-                }
-            }
-            // Sub-master links carry no idle deadline (shards answer at
-            // step cadence, not heartbeat cadence), so this never fires.
-            NetEvent::HeartbeatTimeout { .. } => {}
-        }
-    }
-
-    /// Registers (or re-registers, after a crash) a shard's sub-master.
-    fn register_shard(&mut self, token: Token, shard: u64) {
-        let Some(&(lo, hi)) = self.shards.get(shard as usize) else {
-            // Claims a shard outside the tree: reject.
-            self.reactor.reject(token);
-            return;
-        };
-        let assign: Arc<[u8]> = Message::ShardAssign {
-            shard,
-            lo: lo as u64,
-            hi: hi as u64,
-            n: self.config.placement.n() as u64,
-            c: self.config.placement.c() as u64,
-            batch_size: self.config.batch_size as u64,
-            seed: self.config.seed,
-        }
-        .encode_for_job(self.config.job)
-        .into();
-        // No idle deadline: a sub-master is only expected to speak once per
-        // step, however long its shard takes.
-        if !self.reactor.adopt(token, assign, None) {
-            return; // connection died under the ShardAssign write
-        }
-        if let Some(old) = self.slots[shard as usize].conn.take() {
-            self.owner.remove(&old);
-            self.reactor.reject(old);
-        }
-        let slot = &mut self.slots[shard as usize];
-        slot.conn = Some(token);
-        slot.registered = true;
-        slot.alive = true;
-        self.owner.insert(token, shard as usize);
-    }
-
-    /// Sends one pre-encoded frame to every alive sub-master (serialize
-    /// once, `Arc`-shared bytes written `S` times). A shard whose link
-    /// fails surfaces as a queued `Gone` event and is demoted when it is
-    /// dispatched.
-    fn broadcast_frame(&mut self, frame: &Arc<[u8]>) {
-        let targets: Vec<Token> = self
-            .slots
-            .iter()
-            .filter(|s| s.alive)
-            .filter_map(|s| s.conn)
-            .collect();
-        self.reactor.broadcast(frame, &targets);
-    }
-
-    /// Waits up to [`NetConfig::rejoin_grace`] at step start for every
-    /// previously-registered but currently disconnected sub-master to
-    /// re-register, so a restarted shard's step membership depends only on
-    /// the step its crash was scripted at, never on how fast its restart
-    /// races the next broadcast.
-    fn await_rejoins(&mut self) {
-        let grace = self.config.rejoin_grace;
-        if grace.is_zero() {
-            return;
-        }
-        let deadline = Instant::now() + grace;
-        while self.slots.iter().any(|s| s.registered && !s.alive) {
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                break;
-            };
-            match self.reactor.next_event(remaining.min(POLL)) {
-                Ok(Some(event)) => self.dispatch_control(event),
-                Ok(None) => {}
-                Err(_) => break,
-            }
-        }
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Protocol`] on registration timeout.
+    pub fn await_registration(&mut self) -> Result<(), NetError> {
+        let timeout = self.host.config.register_timeout;
+        self.tier
+            .await_registered(&mut self.host, timeout, "tree registration")
     }
 
     /// Notifies sub-masters the run is over (they relay to their workers),
     /// or emulates a killed root by hard-closing every socket.
-    pub(crate) fn close_peers(&mut self, crashed: bool) {
-        if !crashed {
-            let frame: Arc<[u8]> = Message::Shutdown.encode_for_job(self.config.job).into();
-            self.broadcast_frame(&frame);
-            self.reactor.flush_all(Duration::from_secs(1));
-        } else {
-            self.reactor.hard_close_all();
-        }
+    pub fn close_peers(&mut self, crashed: bool) {
+        self.tier
+            .close(crashed, self.host.config.job, Duration::from_secs(1));
     }
 }
 
 impl Collector for TreeRootLoop {
     fn n(&self) -> usize {
-        self.config.placement.n()
+        self.host.config.placement.n()
     }
 
     /// Liveness at worker granularity: a shard's workers are alive iff the
@@ -277,8 +203,8 @@ impl Collector for TreeRootLoop {
     /// this coarse view only affects wait targets, never correctness.)
     fn alive(&self) -> Vec<bool> {
         let mut alive = vec![false; self.n()];
-        for (slot, &(lo, hi)) in self.slots.iter().zip(&self.shards) {
-            if slot.alive {
+        for (shard_alive, &(lo, hi)) in self.tier.alive().zip(&self.host.shards) {
+            if shard_alive {
                 alive[lo..hi].fill(true);
             }
         }
@@ -286,120 +212,47 @@ impl Collector for TreeRootLoop {
     }
 
     fn collect(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError> {
-        self.await_rejoins();
-        let step_start = Instant::now();
+        let TreeRootLoop { tier, host } = self;
+        // A restarted shard's step membership must depend only on the step
+        // its crash was scripted at, never on how fast its restart races
+        // the next broadcast.
+        tier.await_rejoins(host, host.config.rejoin_grace);
         let frame: Arc<[u8]> =
-            encode_params_frame(self.config.job, ctx.step, ctx.params.as_slice()).into();
-        self.broadcast_frame(&frame);
+            encode_params_frame(host.config.job, ctx.step, ctx.params.as_slice()).into();
+        tier.broadcast_alive(&frame);
         // A deadline wait policy caps how long present shards are held up by
         // an absent one. Under FirstW the root waits for every shard that
         // received the broadcast — a crashed shard's EOF unblocks the step
         // immediately.
-        let cutoff = match self.config.wait {
-            WaitPolicy::FirstW(_) => None,
-            WaitPolicy::Deadline(d) => Some(step_start + d),
+        let wait = match host.config.wait {
+            WaitPolicy::FirstW(_) => WaitPolicy::FirstW(tier.len()),
+            deadline @ WaitPolicy::Deadline(_) => deadline,
         };
-        let submasters = self.slots.len();
-        // A shard is eligible for this step only through the connection that
-        // received the Params broadcast; one that re-registers mid-step (a
-        // restarted sub-master, with a new connection) never saw this step
-        // and must not be waited on — its first step is the next one.
-        let eligible: Vec<Option<Token>> = self
-            .slots
-            .iter()
-            .map(|s| if s.alive { s.conn } else { None })
-            .collect();
-        let mut reports: Vec<Option<ShardReport>> = (0..submasters).map(|_| None).collect();
-        let mut stale = 0usize;
-        loop {
-            let pending = (0..submasters)
-                .filter(|&s| {
-                    self.slots[s].alive
-                        && eligible[s].is_some()
-                        && eligible[s] == self.slots[s].conn
-                        && reports[s].is_none()
-                })
-                .count();
-            let expired = cutoff.is_some_and(|c| Instant::now() >= c);
-            let uploaded = reports.iter().filter(|r| r.is_some()).count();
-            if pending == 0 || (expired && uploaded > 0) {
-                if uploaded == 0 && self.slots.iter().all(|s| !s.alive) {
-                    return Err(backend(NetError::AllWorkersLost));
-                }
-                if pending == 0 || expired {
-                    break;
-                }
-            }
-            let event = match self.reactor.next_event(POLL) {
-                Ok(Some(event)) => event,
-                Ok(None) => continue,
-                Err(e) => return Err(backend(e)),
-            };
-            match event {
-                NetEvent::Msg {
-                    token,
-                    message,
-                    bytes: _,
-                } => {
-                    let Some(shard) = self.slot_of(token) else {
-                        continue; // from a replaced connection
-                    };
-                    self.slots[shard].alive = true;
-                    if let Message::ShardUpload {
-                        shard: claimed,
-                        step,
-                        arrivals,
-                        selected,
-                        recovered,
-                        partial,
-                    } = message
-                    {
-                        // Like codewords, the slot is authoritative over
-                        // the claimed id, and stale steps are counted,
-                        // never mixed in.
-                        let _ = claimed;
-                        if step == ctx.step && reports[shard].is_none() {
-                            reports[shard] = Some(ShardReport {
-                                arrivals: arrivals.iter().map(|&w| w as usize).collect(),
-                                selected: selected.iter().map(|&w| w as usize).collect(),
-                                recovered: recovered as usize,
-                                partial: (!partial.is_empty())
-                                    .then(|| Vector::from_slice(&partial)),
-                            });
-                        } else {
-                            stale += 1;
-                        }
-                    }
-                }
-                other => self.dispatch_control(other),
-            }
+        let collected = tier.collect(host, ctx.step, wait).map_err(backend)?;
+        if collected.arrivals.is_empty() && !tier.alive().any(|alive| alive) {
+            return Err(backend(NetError::AllWorkersLost));
         }
 
-        let n = self.n();
         let mut arrivals = Vec::new();
         let mut selected = Vec::new();
         let mut recovered = 0usize;
-        let mut partials: Vec<Option<Vector>> = Vec::with_capacity(submasters);
-        for report in &mut reports {
-            match report.take() {
-                Some(report) => {
-                    arrivals.extend_from_slice(&report.arrivals);
-                    selected.extend_from_slice(&report.selected);
-                    recovered += report.recovered;
-                    partials.push(report.partial);
-                }
-                None => partials.push(None),
-            }
+        let mut partials: Vec<Option<Vector>> = Vec::with_capacity(tier.len());
+        for report in collected.answers {
+            partials.push(report.and_then(|report| {
+                arrivals.extend_from_slice(&report.arrivals);
+                selected.extend_from_slice(&report.selected);
+                recovered += report.recovered;
+                report.partial
+            }));
         }
         arrivals.sort_unstable();
-        let waited = step_start.elapsed();
         Ok(Collected {
             arrivals,
-            codewords: vec![None; n],
+            codewords: vec![None; host.config.placement.n()],
             declined: Vec::new(),
-            stale,
-            waited_ms: waited.as_secs_f64() * 1e3,
-            duration: waited.as_secs_f64(),
+            stale: collected.stale,
+            waited_ms: collected.waited.as_secs_f64() * 1e3,
+            duration: collected.waited.as_secs_f64(),
             sharded: Some(ShardedDecode {
                 selected,
                 recovered,
@@ -518,31 +371,13 @@ impl Submaster {
             .ok_or_else(|| NetError::InvalidConfig("root address resolved to nothing".into()))?;
         let mut root_stream = dial_root(root_addr, shard, options)?;
         let geometry = read_shard_assign(&mut root_stream, shard, options.job)?;
-        let placement = Placement::fractional(geometry.n, geometry.c)
-            .map_err(|e| NetError::InvalidConfig(e.to_string()))?;
-        let decoder =
-            decoder_for(&placement).map_err(|e| NetError::InvalidConfig(e.to_string()))?;
 
         // One reactor carries both tiers: the worker-facing listener and
         // the upstream root link share the poll set, so the whole
         // sub-master is a single thread.
-        let mut reactor = Reactor::new(Some(self.listener), options.job, None)?;
-        let root_token = reactor.register_adopted(root_stream, None)?;
-
-        let mut shard_loop = ShardLoop {
-            geometry,
-            placement,
-            decoder,
-            slots: (0..geometry.hi - geometry.lo)
-                .map(|_| Slot::empty())
-                .collect(),
-            owner: HashMap::new(),
-            reactor: Box::new(reactor),
-            root: root_token,
-            root_backlog: VecDeque::new(),
-            worker_backlog: VecDeque::new(),
-            options: options.clone(),
-        };
+        let reactor = Reactor::new(Some(self.listener), options.job, None)?;
+        let mut shard_loop = ShardLoop::new(geometry, options.clone(), Box::new(reactor))?;
+        shard_loop.adopt_root(root_stream)?;
 
         let mut summary = SubmasterSummary {
             shard,
@@ -560,16 +395,23 @@ impl Submaster {
     }
 }
 
-/// The geometry the root assigned this sub-master.
+/// The geometry the root assigns a sub-master (its `ShardAssign`).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ShardGeometry {
-    pub(crate) shard: usize,
-    pub(crate) lo: usize,
-    pub(crate) hi: usize,
-    pub(crate) n: usize,
-    pub(crate) c: usize,
-    pub(crate) batch_size: usize,
-    pub(crate) seed: u64,
+pub struct ShardGeometry {
+    /// Shard index in the tree.
+    pub shard: usize,
+    /// First global worker id owned by the shard (inclusive).
+    pub lo: usize,
+    /// One past the last global worker id owned by the shard.
+    pub hi: usize,
+    /// Cluster size.
+    pub n: usize,
+    /// Copies per worker (FR group size).
+    pub c: usize,
+    /// Mini-batch size per partition per step.
+    pub batch_size: usize,
+    /// The run's shared seed.
+    pub seed: u64,
 }
 
 /// Dials the root and sends `SubHello` under the retry policy.
@@ -647,36 +489,94 @@ fn read_shard_assign(
     }
 }
 
-/// The sub-master's worker-facing state machine: slot `i` holds global
-/// worker `lo + i`.
-pub(crate) struct ShardLoop {
+/// The sub-master's state machine: the flat master's worker `Tier` over
+/// `[lo, hi)` — slot `i` holds global worker `lo + i` — plus what is the
+/// sub-master's alone: the root link, shard-local decode, and the upload.
+pub struct ShardLoop {
+    tier: Tier,
+    host: ShardHost,
+    decoder: Box<dyn Decoder>,
+}
+
+/// What a sub-master supplies to its worker tier, and keeps beside it.
+struct ShardHost {
     geometry: ShardGeometry,
     placement: Placement,
-    decoder: Box<dyn Decoder>,
-    slots: Vec<Slot>,
-    /// Which slot each adopted worker connection feeds.
-    owner: HashMap<Token, usize>,
-    reactor: Box<dyn Transport>,
+    options: SubmasterOptions,
     /// The upstream root link's token (replaced on reconnect).
     root: Token,
     /// Root events that landed while a shard step was collecting; replayed
     /// by the serve loop in order — the reactor interleaves both tiers on
-    /// one event stream, the old transport kept them on separate sockets.
+    /// one event stream.
     root_backlog: VecDeque<NetEvent>,
     /// Worker events that landed between steps; replayed by the next
-    /// step's collection loop, exactly when the old per-connection reader
-    /// threads' channel would have delivered them.
+    /// step's collection, after its broadcast.
     worker_backlog: VecDeque<NetEvent>,
-    options: SubmasterOptions,
+}
+
+impl Host for ShardHost {
+    type Answer = Vector;
+
+    /// Worker events set aside between steps come first; the root's (the
+    /// next `Params` or `Shutdown` racing this step's tail) are kept for
+    /// the serve loop, which handles them once this step uploads.
+    fn next_event(
+        &mut self,
+        transport: &mut dyn Transport,
+        timeout: Duration,
+    ) -> Result<Option<NetEvent>, NetError> {
+        let event = match self.worker_backlog.pop_front() {
+            Some(event) => Some(event),
+            None => transport.next_event(timeout)?,
+        };
+        match event {
+            Some(event) if event.token() == self.root => {
+                self.root_backlog.push_back(event);
+                Ok(None)
+            }
+            event => Ok(event),
+        }
+    }
+
+    /// The `Assign` frame for the shard's `slot`. Global ids are the
+    /// contract: the worker is told (and partitions are looked up by)
+    /// `lo + slot`.
+    fn welcome(&self, slot: usize) -> Arc<[u8]> {
+        let global = self.geometry.lo + slot;
+        Message::Assign {
+            worker: global as u64,
+            n: self.geometry.n as u64,
+            c: self.geometry.c as u64,
+            batch_size: self.geometry.batch_size as u64,
+            seed: self.geometry.seed,
+            partitions: self
+                .placement
+                .partitions_of(global)
+                .iter()
+                .map(|&j| j as u64)
+                .collect(),
+        }
+        .encode_for_job(self.options.job)
+        .into()
+    }
+
+    fn read(&mut self, slot: usize, frame: Frame) -> Reply<Vector> {
+        worker_reply(slot, frame)
+    }
 }
 
 impl ShardLoop {
-    /// Builds a shard loop with a *virtual* root for the model checker:
-    /// the given transport carries only the shard's workers, and the root
-    /// link is the never-issued sentinel token `u64::MAX` — the caller
-    /// drives [`ShardLoop::serve_step`] directly instead of
-    /// [`ShardLoop::serve`], so the upload is returned, not written.
-    pub(crate) fn modeled(
+    /// Builds the (not yet registered) shard loop over `transport`, which
+    /// carries the shard's workers. Until a root link is adopted the root
+    /// is *virtual* — the never-issued token `u64::MAX`: the model checker
+    /// adopts none and drives [`ShardLoop::serve_step`] directly instead of
+    /// the root-facing serve loop, so the upload is returned, not written.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::InvalidConfig`] when the geometry does not form a valid
+    /// FR placement.
+    pub fn new(
         geometry: ShardGeometry,
         options: SubmasterOptions,
         transport: Box<dyn Transport>,
@@ -692,18 +592,22 @@ impl ShardLoop {
         let decoder =
             decoder_for(&placement).map_err(|e| NetError::InvalidConfig(e.to_string()))?;
         Ok(ShardLoop {
-            geometry,
-            placement,
+            tier: Tier::new(
+                Peers::Workers,
+                geometry.lo,
+                geometry.hi - geometry.lo,
+                Some(options.heartbeat_timeout),
+                transport,
+            ),
+            host: ShardHost {
+                geometry,
+                placement,
+                options,
+                root: u64::MAX,
+                root_backlog: VecDeque::new(),
+                worker_backlog: VecDeque::new(),
+            },
             decoder,
-            slots: (0..geometry.hi - geometry.lo)
-                .map(|_| Slot::empty())
-                .collect(),
-            owner: HashMap::new(),
-            reactor: transport,
-            root: u64::MAX,
-            root_backlog: VecDeque::new(),
-            worker_backlog: VecDeque::new(),
-            options,
         })
     }
 
@@ -715,17 +619,17 @@ impl ShardLoop {
     ) -> Result<(), NetError> {
         self.await_worker_registration()?;
         loop {
-            let event = match self.root_backlog.pop_front() {
+            let event = match self.host.root_backlog.pop_front() {
                 Some(event) => event,
-                None => match self.reactor.next_event(POLL)? {
+                None => match self.tier.transport().next_event(POLL)? {
                     Some(event) => event,
                     None => continue,
                 },
             };
-            if event_token(&event) != self.root {
-                // A worker (or stale-root) event between steps: buffer it
-                // for the next step's collection loop.
-                self.worker_backlog.push_back(event);
+            if event.token() != self.host.root {
+                // A worker (or stale-root) event between steps: set it
+                // aside for the next step's collection.
+                self.host.worker_backlog.push_back(event);
                 continue;
             }
             match event {
@@ -740,14 +644,15 @@ impl ShardLoop {
                         return Ok(());
                     }
                     Message::Params { step, values } => {
-                        if self.options.crash_at_step == Some(step) {
+                        if self.host.options.crash_at_step == Some(step) {
                             summary.crashed = true;
                             return Ok(());
                         }
-                        let upload = self.serve_step(step, &values);
-                        let frame: Arc<[u8]> = upload.encode_for_job(self.options.job).into();
-                        self.reactor.send(self.root, frame);
-                        if self.reactor.flush_conn(self.root, FLUSH_LIMIT) {
+                        let upload = self.serve_step(step, &values)?;
+                        let frame: Arc<[u8]> = upload.encode_for_job(self.host.options.job).into();
+                        let root = self.host.root;
+                        self.tier.transport().send(root, frame);
+                        if self.tier.transport().flush_conn(root, FLUSH_LIMIT) {
                             summary.steps_served += 1;
                         }
                     }
@@ -760,233 +665,81 @@ impl ShardLoop {
         }
     }
 
-    /// Re-dials the root after a lost connection, re-claiming the shard,
-    /// and swaps the fresh link into the reactor.
-    fn reconnect_root(&mut self, addr: std::net::SocketAddr) -> Result<(), NetError> {
-        let mut stream = dial_root(addr, self.geometry.shard, &self.options)?;
-        let _ = read_shard_assign(&mut stream, self.geometry.shard, self.options.job)?;
-        self.root = self.reactor.register_adopted(stream, None)?;
+    /// Makes the handshaked `stream` the root link, in the same reactor
+    /// that carries the workers.
+    fn adopt_root(&mut self, stream: TcpStream) -> Result<(), NetError> {
+        self.host.root = self.tier.transport().register_adopted(stream, None)?;
         Ok(())
     }
 
+    /// Re-dials the root after a lost connection, re-claiming the shard,
+    /// and swaps the fresh link into the reactor.
+    fn reconnect_root(&mut self, addr: std::net::SocketAddr) -> Result<(), NetError> {
+        let (shard, options) = (self.host.geometry.shard, &self.host.options);
+        let mut stream = dial_root(addr, shard, options)?;
+        let _ = read_shard_assign(&mut stream, shard, options.job)?;
+        self.adopt_root(stream)
+    }
+
     /// Blocks until every shard worker registered.
-    pub(crate) fn await_worker_registration(&mut self) -> Result<(), NetError> {
-        let deadline = Instant::now() + self.options.register_timeout;
-        loop {
-            if self.slots.iter().all(|s| s.registered) {
-                return Ok(());
-            }
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                let registered = self.slots.iter().filter(|s| s.registered).count();
-                return Err(NetError::Protocol(format!(
-                    "shard {} registration timed out with {registered} of {} workers",
-                    self.geometry.shard,
-                    self.slots.len()
-                )));
-            };
-            if let Some(event) = self.reactor.next_event(remaining.min(POLL))? {
-                if event_token(&event) == self.root {
-                    self.root_backlog.push_back(event);
-                } else {
-                    let _ = self.dispatch(event);
-                }
-            }
-        }
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Protocol`] on registration timeout.
+    pub fn await_worker_registration(&mut self) -> Result<(), NetError> {
+        let timeout = self.host.options.register_timeout;
+        let what = format!("shard {} registration", self.host.geometry.shard);
+        self.tier.await_registered(&mut self.host, timeout, &what)
     }
 
-    /// The slot an adopted worker connection currently owns.
-    fn slot_of(&self, token: Token) -> Option<usize> {
-        let id = *self.owner.get(&token)?;
-        (self.slots[id].conn == Some(token)).then_some(id)
-    }
+    /// One step: relay `Params`, collect from every shard worker that saw
+    /// the relay until each has answered, declined, or been lost, decode
+    /// the shard's slice of the conflict graph, and build the
+    /// [`Message::ShardUpload`] a sub-master writes to the root.
+    ///
+    /// # Errors
+    ///
+    /// Transport failure.
+    pub fn serve_step(&mut self, step: u64, values: &[f64]) -> Result<Message, NetError> {
+        let ShardLoop {
+            tier,
+            host,
+            decoder,
+        } = self;
+        let frame: Arc<[u8]> = encode_params_frame(host.options.job, step, values).into();
+        tier.broadcast_alive(&frame);
+        let mut collected = tier.collect(host, step, WaitPolicy::FirstW(tier.len()))?;
 
-    /// Handles one worker-tier event; returns `Some((slot, step, values))`
-    /// for a codeword (already decoded in place by the reactor).
-    fn dispatch(&mut self, event: NetEvent) -> Option<(usize, u64, Vector)> {
-        match event {
-            NetEvent::Hello { token, preferred } => {
-                self.register_worker(token, preferred);
-                None
-            }
-            // A sub-master dialing a sub-master: wrong tier, drop it.
-            NetEvent::SubHello { token, .. } => {
-                self.reactor.reject(token);
-                None
-            }
-            NetEvent::Gone { token } => {
-                if let Some(idx) = self.slot_of(token) {
-                    self.slots[idx].alive = false;
-                    self.slots[idx].conn = None;
-                }
-                self.owner.remove(&token);
-                None
-            }
-            NetEvent::HeartbeatTimeout { token } => {
-                // Heartbeat silence off the reactor's timer wheel
-                // (collection-time liveness); a late message revives.
-                if let Some(idx) = self.slot_of(token) {
-                    self.slots[idx].alive = false;
-                }
-                None
-            }
-            NetEvent::Codeword {
-                token,
-                step,
-                values,
-                ..
-            } => {
-                let idx = self.slot_of(token)?;
-                self.slots[idx].alive = true;
-                Some((idx, step, values))
-            }
-            NetEvent::Msg { token, .. } => {
-                if let Some(idx) = self.slot_of(token) {
-                    self.slots[idx].alive = true;
-                }
-                None
-            }
-        }
-    }
-
-    /// Registers a shard worker. Global ids are the contract: a worker
-    /// claiming id `g` must satisfy `lo <= g < hi`; an id-less worker gets
-    /// the first free slot's global id.
-    fn register_worker(&mut self, token: Token, preferred: Option<u64>) {
-        let (lo, hi) = (self.geometry.lo, self.geometry.hi);
-        let slot_idx = match preferred {
-            Some(g) if (g as usize) >= lo && (g as usize) < hi => g as usize - lo,
-            Some(_) => {
-                // Outside this shard: reject.
-                self.reactor.reject(token);
-                return;
-            }
-            None => match self.slots.iter().position(|s| !s.registered) {
-                Some(free) => free,
-                None => match self.slots.iter().position(|s| !s.alive) {
-                    Some(dead) => dead,
-                    None => {
-                        self.reactor.reject(token);
-                        return;
-                    }
-                },
+        let ShardGeometry { lo, hi, .. } = host.geometry;
+        let arrivals: Vec<usize> = (lo..hi)
+            .filter(|&w| collected.answers[w - lo].is_some())
+            .collect();
+        let seed_step = (host.geometry.seed, step);
+        let decoded = decode_shard(
+            decoder.as_ref(),
+            host.geometry.n,
+            (lo, hi),
+            &arrivals,
+            seed_step,
+            |w| {
+                collected.answers[w - lo]
+                    .take()
+                    .expect("the decoder selects among arrivals")
             },
-        };
-        let global = lo + slot_idx;
-        let assign: Arc<[u8]> = Message::Assign {
-            worker: global as u64,
-            n: self.geometry.n as u64,
-            c: self.geometry.c as u64,
-            batch_size: self.geometry.batch_size as u64,
-            seed: self.geometry.seed,
-            partitions: self
-                .placement
-                .partitions_of(global)
-                .iter()
-                .map(|&j| j as u64)
-                .collect(),
-        }
-        .encode_for_job(self.options.job)
-        .into();
-        if !self
-            .reactor
-            .adopt(token, assign, Some(self.options.heartbeat_timeout))
-        {
-            return;
-        }
-        if let Some(old) = self.slots[slot_idx].conn.take() {
-            self.owner.remove(&old);
-            self.reactor.reject(old);
-        }
-        let slot = &mut self.slots[slot_idx];
-        slot.conn = Some(token);
-        slot.registered = true;
-        slot.alive = true;
-        self.owner.insert(token, slot_idx);
-    }
-
-    /// One step: relay `Params`, collect the shard's codewords, decode the
-    /// shard's slice of the conflict graph, and build the upload.
-    pub(crate) fn serve_step(&mut self, step: u64, values: &[f64]) -> Message {
-        let frame: Arc<[u8]> = encode_params_frame(self.options.job, step, values).into();
-        let targets: Vec<Token> = self
-            .slots
-            .iter()
-            .filter(|s| s.alive)
-            .filter_map(|s| s.conn)
-            .collect();
-        self.reactor.broadcast(&frame, &targets);
-
-        // Collect until every alive worker that saw the broadcast answered.
-        let mut awaited = Awaited::at_broadcast(&self.slots);
-        let shard_len = self.slots.len();
-        let mut codewords: Vec<Option<Vector>> = vec![None; shard_len];
-        while awaited.count() > 0 {
-            let event = match self.worker_backlog.pop_front() {
-                Some(event) => event,
-                None => match self.reactor.next_event(POLL) {
-                    Ok(Some(event)) => event,
-                    Ok(None) => continue,
-                    Err(_) => break,
-                },
-            };
-            if event_token(&event) == self.root {
-                // The next Params (or Shutdown) racing this step's tail:
-                // the serve loop handles it once this step uploads.
-                self.root_backlog.push_back(event);
-                continue;
-            }
-            // A codeword touches its sender's slot only; every other event
-            // may have changed liveness anywhere.
-            match self.dispatch(event) {
-                Some((slot_idx, tagged_step, values)) => {
-                    if tagged_step == step && codewords[slot_idx].is_none() {
-                        codewords[slot_idx] = Some(values);
-                    }
-                    let answered = codewords[slot_idx].is_some();
-                    awaited.update(slot_idx, &self.slots[slot_idx], answered);
-                }
-                None => awaited.rescan(&self.slots, |i| codewords[i].is_some()),
-            }
-        }
-
-        // The shard-local decode: availability over the full worker
-        // universe restricted to this shard's arrivals, with the same
-        // (seed, step)-derived RNG a flat master uses — the FR decoder's
-        // per-group hash then picks exactly the flat representatives.
-        let (lo, n) = (self.geometry.lo, self.geometry.n);
-        let arrivals: Vec<usize> = (0..shard_len)
-            .filter(|&i| codewords[i].is_some())
-            .map(|i| lo + i)
-            .collect();
-        let available = WorkerSet::from_indices(n, arrivals.iter().copied());
-        let result = self
-            .decoder
-            .decode(&available, &mut step_rng(self.geometry.seed, step));
-        let mut selected_slots: Vec<Option<Vector>> = vec![None; shard_len];
-        for &w in result.selected() {
-            selected_slots[w - lo] = codewords[w - lo].take();
-        }
-        let partial = pairwise_sum(&selected_slots);
-        Message::ShardUpload {
-            shard: self.geometry.shard as u64,
+        );
+        Ok(Message::ShardUpload {
+            shard: host.geometry.shard as u64,
             step,
             arrivals: arrivals.iter().map(|&w| w as u64).collect(),
-            selected: result.selected().iter().map(|&w| w as u64).collect(),
-            recovered: result.recovered_count() as u64,
-            partial: partial.map(Vector::into_vec).unwrap_or_default(),
-        }
+            selected: decoded.selected.iter().map(|&w| w as u64).collect(),
+            recovered: decoded.recovered as u64,
+            partial: decoded.partial.map(Vector::into_vec).unwrap_or_default(),
+        })
     }
 
     /// Relays shutdown to the shard's workers, or emulates a crash (which
     /// hard-closes every socket, the root link included).
-    pub(crate) fn close_workers(&mut self, crashed: bool) {
-        if !crashed {
-            let frame: Arc<[u8]> = Message::Shutdown.encode_for_job(self.options.job).into();
-            let targets: Vec<Token> = self.slots.iter().filter_map(|s| s.conn).collect();
-            self.reactor.broadcast(&frame, &targets);
-            self.reactor.flush_all(FLUSH_LIMIT);
-        } else {
-            self.reactor.hard_close_all();
-        }
+    pub fn close_workers(&mut self, crashed: bool) {
+        self.tier.close(crashed, self.host.options.job, FLUSH_LIMIT);
     }
 }

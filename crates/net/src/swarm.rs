@@ -22,6 +22,7 @@ use isgc_ml::model::Model;
 
 use crate::reactor::{NetEvent, Reactor, Token};
 use crate::retry::RetryPolicy;
+use crate::seam::Transport;
 use crate::wire::Message;
 use crate::worker::{Assignment, Request, WorkerCore, WorkerOptions};
 use crate::{DelayFn, NetError};

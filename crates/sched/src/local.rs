@@ -4,7 +4,7 @@
 use isgc_core::decode::{decoder_for, Decoder};
 use isgc_core::WorkerSet;
 use isgc_engine::{
-    pairwise_sum, shard_ranges, step_rng, Collected, Collector, EngineError, MetricsObserver,
+    decode_shard, shard_ranges, step_rng, Collected, Collector, EngineError, MetricsObserver,
     Session, SessionStatus, ShardedDecode, StepContext, StepEngine, TrainReport, WorkerStep,
 };
 use isgc_linalg::Vector;
@@ -99,34 +99,36 @@ impl Collector for TreeCollector {
     fn collect(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError> {
         let n = self.n();
         let arrivals = arrivals_for(n, self.stragglers, self.seed, ctx.step);
-        let global = WorkerSet::from_indices(n, arrivals.iter().copied());
 
         let mut selected = Vec::new();
         let mut recovered = 0;
         let mut partials: Vec<Option<Vector>> = Vec::with_capacity(self.shards.len());
         for &(lo, hi) in &self.shards {
-            // Shard-local decode: availability restricted to this shard's
-            // workers, but over the full worker universe with a fresh
-            // `step_rng(seed, step)` — the FR decoder's per-group hash then
-            // picks exactly the representatives the flat decoder would.
-            let shard = WorkerSet::from_indices(n, lo..hi);
-            let result = self.decoder.decode(
-                &global.intersection(&shard),
-                &mut step_rng(self.seed, ctx.step),
+            let own: Vec<usize> = arrivals
+                .iter()
+                .copied()
+                .filter(|w| (lo..hi).contains(w))
+                .collect();
+            // Only the workers the shard selects compute a codeword.
+            let shard = decode_shard(
+                self.decoder.as_ref(),
+                n,
+                (lo, hi),
+                &own,
+                (self.seed, ctx.step),
+                |w| {
+                    self.work.codeword(
+                        &self.model,
+                        &self.dataset,
+                        &self.assignments[w],
+                        ctx.step,
+                        ctx.params,
+                    )
+                },
             );
-            let mut slots: Vec<Option<Vector>> = vec![None; hi - lo];
-            for &w in result.selected() {
-                slots[w - lo] = Some(self.work.codeword(
-                    &self.model,
-                    &self.dataset,
-                    &self.assignments[w],
-                    ctx.step,
-                    ctx.params,
-                ));
-            }
-            partials.push(pairwise_sum(&slots));
-            selected.extend_from_slice(result.selected());
-            recovered += result.recovered_count();
+            partials.push(shard.partial);
+            selected.extend(shard.selected);
+            recovered += shard.recovered;
         }
 
         Ok(Collected {

@@ -34,6 +34,31 @@ if grep -q -e crossbeam -e isgc-runtime <<<"$metadata"; then
   exit 1
 fi
 
+echo "== one peer table, one collection loop (structural guard)"
+# What a connection's departure, silence and late frames do to a peer slot
+# is decided once, in crates/net/src/tier.rs: in non-test source under
+# crates/net/src/ the token -> slot lookup is defined once, and heartbeat
+# silence is matched only there and in the reactor that raises it.
+net_src() {
+  git ls-files 'crates/net/src/*.rs' | while read -r f; do
+    awk -v f="$f" -v pat="$1" '/#\[cfg\(test\)\]/ { exit }
+      $0 ~ pat { print f ":" FNR ": " $0 }' "$f"
+  done
+}
+lookups=$(net_src 'fn slot_of')
+if [ "$(grep -c . <<<"$lookups")" != 1 ]; then
+  echo "FAIL: want exactly one token -> slot lookup (Tier::slot_of), found:" >&2
+  echo "$lookups" >&2
+  exit 1
+fi
+silence=$(net_src 'NetEvent::HeartbeatTimeout' |
+  grep -v -e '^crates/net/src/tier\.rs:' -e '^crates/net/src/reactor\.rs:' || true)
+if [ -n "$silence" ]; then
+  echo "FAIL: heartbeat silence is decided outside crates/net/src/tier.rs:" >&2
+  echo "$silence" >&2
+  exit 1
+fi
+
 echo "== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -78,22 +103,28 @@ fi
 echo "== end-to-end benchmark smoke (4 workloads, 1 s windows, correctness gate)"
 benchmark/run.sh --smoke | tail -1
 
-echo "== protocol model-check smoke (flat3, depth-limited, exhaustive)"
-# Enumerates every delivery order and ≤2-fault schedule of an FR(3, 1)
-# cluster through the real collector loop; any invariant violation fails the
+echo "== protocol model-check (flat3 depth-limited, flat4, tree2x2; exhaustive)"
+# Enumerates every delivery order and ≤2-fault schedule of each shape
+# through the real collector loops; any invariant violation fails the
 # command (and would write a replayable counterexample trace).
-mc_out=$(cargo run --release --quiet -- mc --shape flat3 --depth 32 --trace-out target/mc_trace.json)
-echo "$mc_out" | sed -n '2p;6p'
-# The checker drives the shipped WorkerCore, so a change to what a peer
-# emits moves the explored state space before it shows up anywhere else:
-# runs and states must equal the pinned counts exactly.
-for key in runs states; do
-  got=$(echo "$mc_out" | sed -n "s/^$key: *\\([0-9]*\\) .*/\\1/p")
-  want=$(sed -n "s/^ *\"mc_flat3_$key\": *\\([0-9]*\\),*$/\\1/p" BENCH_mc.json)
-  if [ -z "$got" ] || [ "$got" != "$want" ]; then
-    echo "FAIL: mc flat3 explored ${got:-no} $key, BENCH_mc.json pins $want" >&2
-    exit 1
-  fi
+# The checker drives the shipped WorkerCore over the shipped loops, and what
+# it enumerates is the sequence of Transport calls they make: a change to
+# what a peer emits, or a reordered next_event/adopt/broadcast on the master
+# side, moves the explored state space before it shows up anywhere else.
+# Runs and states must equal the pinned counts exactly.
+for shape in flat4 tree2x2 flat3; do
+  depth=64
+  [ "$shape" = flat3 ] && depth=32
+  mc_out=$(cargo run --release --quiet -- mc --shape "$shape" --depth "$depth" --trace-out target/mc_trace.json)
+  echo "$mc_out" | sed -n '2p;6p'
+  for key in runs states; do
+    got=$(echo "$mc_out" | sed -n "s/^$key: *\\([0-9]*\\) .*/\\1/p")
+    want=$(sed -n "s/^ *\"mc_${shape}_$key\": *\\([0-9]*\\),*$/\\1/p" BENCH_mc.json)
+    if [ -z "$got" ] || [ "$got" != "$want" ]; then
+      echo "FAIL: mc $shape explored ${got:-no} $key, BENCH_mc.json pins $want" >&2
+      exit 1
+    fi
+  done
 done
 mc_rate=$(echo "$mc_out" | sed -n 's/^mc_flat3_states_per_sec: //p')
 printf '{\n  "mc_flat3_states_per_sec": %s\n}\n' "$mc_rate" > target/BENCH_mc_smoke.json

@@ -1,20 +1,22 @@
 //! End-to-end 2-level aggregation over real sockets: a root master, two
-//! sub-masters, and sixteen workers on 127.0.0.1. The acceptance bar is
+//! sub-masters, and their workers on 127.0.0.1. The acceptance bar is
 //! exact: the tree run's recovery fingerprint, loss curve, and final
 //! parameters are *bitwise* identical to a flat run of the same
 //! configuration — hierarchical aggregation is an implementation detail,
-//! never a numerics change.
+//! never a numerics change — with and without a misbehaving worker.
 
+use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
+use isgc_chaos::{run_chaos_worker, Fault, FaultKind, FaultPlan};
 use isgc_core::Placement;
 use isgc_engine::{shard_ranges, SessionStatus};
 use isgc_ml::dataset::Dataset;
 use isgc_ml::model::LinearRegression;
 use isgc_net::{
-    run_worker, Master, NetConfig, NetTrainReport, Submaster, SubmasterOptions, WaitPolicy,
-    WorkerOptions,
+    run_worker, Master, NetConfig, NetTrainReport, RetryPolicy, Submaster, SubmasterOptions,
+    WaitPolicy, WorkerOptions,
 };
 
 const N: usize = 16;
@@ -29,12 +31,12 @@ fn shared_dataset() -> Dataset {
     Dataset::synthetic_regression(SAMPLES, FEATURES, 0.05, SEED)
 }
 
-fn config() -> NetConfig {
-    let placement = Placement::fractional(N, C).expect("valid FR placement");
+fn config(n: usize) -> NetConfig {
+    let placement = Placement::fractional(n, C).expect("valid FR placement");
     // Wait for everyone and inject no delays: both topologies then see the
     // full arrival set every step, so any divergence is an aggregation bug,
     // not a timing artifact.
-    let mut config = NetConfig::new(placement, WaitPolicy::FirstW(N));
+    let mut config = NetConfig::new(placement, WaitPolicy::FirstW(n));
     config.batch_size = 8;
     config.learning_rate = 0.02;
     config.max_steps = STEPS;
@@ -54,23 +56,63 @@ fn spawn_worker(addr: std::net::SocketAddr) -> thread::JoinHandle<()> {
     })
 }
 
-fn flat_run() -> NetTrainReport {
+/// The step the scripted decliner refuses.
+const DECLINED_STEP: u64 = 1;
+
+/// Workers `ids` of one tier, dialing `addr`; joins them all. The
+/// `decliner` among them (if any) claims its slot before the honest,
+/// id-less ones are started, serves every step but [`DECLINED_STEP`], and
+/// declines that one.
+fn run_tier(addr: std::net::SocketAddr, ids: std::ops::Range<usize>, decliner: Option<usize>) {
+    let mut handles = Vec::new();
+    let mut honest = ids.len();
+    if let Some(worker) = decliner.filter(|w| ids.contains(w)) {
+        honest -= 1;
+        let (claimed_tx, claimed_rx) = mpsc::channel();
+        handles.push(thread::spawn(move || {
+            let mut plan = FaultPlan::quiet("decliner");
+            plan.faults.push(Fault {
+                worker,
+                step: DECLINED_STEP,
+                kind: FaultKind::Decline,
+            });
+            let retry = RetryPolicy::default();
+            let summary = run_chaos_worker(addr, worker, &plan, &retry, |_n, _batch| {
+                claimed_tx.send(()).expect("test thread waits");
+                (LinearRegression::new(FEATURES), shared_dataset())
+            })
+            .expect("decliner run");
+            assert_eq!(summary.faults_applied, 1);
+        }));
+        // The builder runs after the handshake, so the slot is taken before
+        // anyone else asks for a free one.
+        claimed_rx.recv().expect("decliner registered");
+    }
+    handles.extend((0..honest).map(|_| spawn_worker(addr)));
+    for handle in handles {
+        handle.join().expect("worker thread");
+    }
+}
+
+fn flat_run(n: usize, decliner: Option<usize>) -> NetTrainReport {
     let master = Master::bind("127.0.0.1:0").expect("bind master");
     let addr = master.local_addr().expect("local addr");
-    let workers: Vec<_> = (0..N).map(|_| spawn_worker(addr)).collect();
+    let workers = thread::spawn(move || run_tier(addr, 0..n, decliner));
 
     let mut session = master
-        .into_session(LinearRegression::new(FEATURES), shared_dataset(), &config())
+        .into_session(
+            LinearRegression::new(FEATURES),
+            shared_dataset(),
+            &config(n),
+        )
         .expect("flat session");
     while session.step().expect("flat step") == SessionStatus::Running {}
     let report = session.finish();
-    for w in workers {
-        w.join().expect("worker thread");
-    }
+    workers.join().expect("worker tier");
     report
 }
 
-fn tree_run() -> NetTrainReport {
+fn tree_run(n: usize, decliner: Option<usize>, options: SubmasterOptions) -> NetTrainReport {
     let master = Master::bind("127.0.0.1:0").expect("bind root");
     let root_addr = master.local_addr().expect("root addr");
 
@@ -87,25 +129,22 @@ fn tree_run() -> NetTrainReport {
         .into_iter()
         .enumerate()
         .map(|(shard, sub)| {
-            thread::spawn(move || {
-                sub.run(root_addr, shard, &SubmasterOptions::default())
-                    .expect("sub-master run")
-            })
+            let options = options.clone();
+            thread::spawn(move || sub.run(root_addr, shard, &options).expect("sub-master run"))
         })
         .collect();
 
-    let mut workers = Vec::new();
-    for (shard, &(lo, hi)) in shard_ranges(N, SUBMASTERS).iter().enumerate() {
-        for _ in lo..hi {
-            workers.push(spawn_worker(sub_addrs[shard]));
-        }
-    }
+    let tiers: Vec<_> = shard_ranges(n, SUBMASTERS)
+        .into_iter()
+        .zip(sub_addrs)
+        .map(|((lo, hi), addr)| thread::spawn(move || run_tier(addr, lo..hi, decliner)))
+        .collect();
 
     let mut session = master
         .into_tree_session(
             LinearRegression::new(FEATURES),
             shared_dataset(),
-            &config(),
+            &config(n),
             SUBMASTERS,
         )
         .expect("tree session");
@@ -118,16 +157,21 @@ fn tree_run() -> NetTrainReport {
         assert_eq!(summary.steps_served, STEPS);
         assert!(!summary.crashed);
     }
-    for w in workers {
-        w.join().expect("worker thread");
+    for tier in tiers {
+        tier.join().expect("worker tier");
     }
     report
 }
 
+fn param_bits(report: &NetTrainReport) -> Vec<u64> {
+    let params = report.final_params.as_slice();
+    params.iter().map(|p| p.to_bits()).collect()
+}
+
 #[test]
 fn two_level_tree_matches_flat_bitwise_over_tcp() {
-    let flat = flat_run();
-    let tree = tree_run();
+    let flat = flat_run(N, None);
+    let tree = tree_run(N, None, SubmasterOptions::default());
 
     assert_eq!(flat.step_count(), STEPS);
     assert_eq!(tree.step_count(), STEPS);
@@ -141,19 +185,7 @@ fn two_level_tree_matches_flat_bitwise_over_tcp() {
     let flat_losses: Vec<u64> = flat.loss_curve().iter().map(|l| l.to_bits()).collect();
     let tree_losses: Vec<u64> = tree.loss_curve().iter().map(|l| l.to_bits()).collect();
     assert_eq!(flat_losses, tree_losses);
-    let flat_params: Vec<u64> = flat
-        .final_params
-        .as_slice()
-        .iter()
-        .map(|p| p.to_bits())
-        .collect();
-    let tree_params: Vec<u64> = tree
-        .final_params
-        .as_slice()
-        .iter()
-        .map(|p| p.to_bits())
-        .collect();
-    assert_eq!(flat_params, tree_params);
+    assert_eq!(param_bits(&flat), param_bits(&tree));
 
     // Every step saw the full cluster in both runs. The flat master records
     // arrivals in network-arrival order (nondeterministic), so compare as
@@ -166,4 +198,38 @@ fn two_level_tree_matches_flat_bitwise_over_tcp() {
         assert_eq!(a.selected, b.selected, "step {}", a.step);
         assert_eq!(a.recovered, b.recovered, "step {}", a.step);
     }
+}
+
+/// The flat ≡ tree contract under a fault: a shard worker that declines a
+/// step ends its shard's wait exactly as it ends a flat master's — the step
+/// closes without it, its FR partner covers the group, and the run is
+/// bit-identical to the flat run with the same decliner.
+#[test]
+fn a_shard_workers_decline_ends_the_wait_as_at_a_flat_master() {
+    const SMALL: usize = 8;
+    const DECLINER: usize = 1;
+    // A heartbeat timeout far beyond the test: if the shard kept waiting on
+    // the decliner, nothing but the decline itself could end the step.
+    let patient = SubmasterOptions {
+        heartbeat_timeout: Duration::from_secs(60),
+        ..SubmasterOptions::default()
+    };
+    let flat = flat_run(SMALL, Some(DECLINER));
+    let tree = tree_run(SMALL, Some(DECLINER), patient);
+
+    for report in [&flat, &tree] {
+        assert_eq!(report.step_count(), STEPS);
+        for step in &report.steps {
+            assert_eq!(
+                step.arrivals.contains(&DECLINER),
+                step.step != DECLINED_STEP,
+                "step {} arrivals {:?}",
+                step.step,
+                step.arrivals
+            );
+            assert_eq!(step.recovered, SMALL, "step {}", step.step);
+        }
+    }
+    assert_eq!(flat.recovery_fingerprint(), tree.recovery_fingerprint());
+    assert_eq!(param_bits(&flat), param_bits(&tree));
 }

@@ -10,9 +10,14 @@
 //! | `fig13` | Fig. 13(a)(b) | HR(8, c₁, 4−c₁) tradeoff: recovery and loss curves |
 //! | `bounds` | §VII-A (Thms 10–11) | decoder output vs. theoretical recovery bounds |
 //! | `fairness` | §IV claim | per-partition inclusion frequency uniformity |
+//! | `ablation` | Fig. 3 / Theorem 12 | optimal vs. arrival-order decoding; sum-of-means vs. mean-over-recovered update |
+//! | `expectation` | §VII-A | `E[α(G[W'])]`: closed form vs. enumeration vs. Monte-Carlo through the decoders |
+//! | `enduring` | §I, §VIII-C (extension) | time-correlated (Markov) stragglers, every scheme on one trace |
+//! | `partial` | §II (extension) | IS-GC vs. uncoded partial upload at equal deadlines |
+//! | `distribution` | Thms 10–11 (extension) | exact PMF of `α(G[W'])` over all `C(n, w)` subsets |
 //!
-//! Criterion micro-benchmarks (`cargo bench`) cover decoder throughput,
-//! encode/assemble, classic-GC decode, and a full simulated step.
+//! All ten are bit-deterministic; `run_all_experiments.sh` writes their
+//! output to `results/`, which `scripts/check.sh` holds them to.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -13,7 +13,6 @@
 //! | [`HrDecoder`] | Algs. 3–4 | hybrid repetition |
 //! | [`ExactDecoder`] | — | any placement (branch-and-bound oracle) |
 //! | [`ArrivalOrderDecoder`] | Fig. 3 strawman | any placement (greedy, maximal only) |
-//! | [`StreamingDecoder`] | §IV deadline masters | anytime wrapper over any decoder |
 //! | [`ApproxDecoder`] | approximate GC (1905.05383) | bias-corrected partial estimates below the Theorem 10 floor |
 
 mod approx;
@@ -22,7 +21,6 @@ mod cr;
 mod exact;
 mod fr;
 mod hr;
-mod streaming;
 
 pub use approx::{ApproxDecoder, ApproxReport};
 pub use arrival::ArrivalOrderDecoder;
@@ -30,7 +28,6 @@ pub use cr::CrDecoder;
 pub use exact::{ExactDecoder, OracleTimeout};
 pub use fr::FrDecoder;
 pub use hr::{hr_conflict, HrDecoder};
-pub use streaming::StreamingDecoder;
 
 use rand::RngCore;
 

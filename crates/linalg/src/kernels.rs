@@ -11,8 +11,8 @@
 //!   identical to the plain scalar loop — results are **bitwise identical**
 //!   to the scalar reference for every input, NaN payloads included. These
 //!   are written as straight zip loops on purpose: LLVM vectorizes them
-//!   4-wide, and the kernels benchmark measured a manual 4× unroll ~2×
-//!   *slower* than the auto-vectorized loop. Vectorization only reorders
+//!   4-wide, and a manual 4× unroll measured ~2× *slower* than the
+//!   auto-vectorized loop. Vectorization only reorders
 //!   *independent* elements, never the arithmetic within one.
 //! - **Reductions** ([`dot`], [`sum`], [`sum_into`]): `f64` addition is not
 //!   associative, so a blocked reduction is a *different* (faster, usually

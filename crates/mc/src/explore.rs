@@ -58,7 +58,7 @@ impl Shape {
         }
     }
 
-    /// Short name used in trace names and bench keys.
+    /// Short name used in trace names and the CLI report.
     pub fn name(self) -> String {
         match self {
             Shape::Flat { n, .. } => format!("flat{n}"),
@@ -169,7 +169,7 @@ impl Exploration {
         self.runs + self.branch_states
     }
 
-    /// Exploration throughput, for the bench guard.
+    /// Exploration throughput: explored states per second of wall time.
     pub fn states_per_sec(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64().max(1e-9);
         self.states() as f64 / secs

@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
-# Regenerates every experiment output in results/ (see EXPERIMENTS.md).
+# Regenerates every experiment output (see EXPERIMENTS.md) into the directory
+# given as the first argument, results/ by default. The binaries are
+# bit-deterministic, and scripts/check.sh fails when results/ differs from
+# what they print.
 set -euo pipefail
 cd "$(dirname "$0")"
-mkdir -p results
+out="${1:-results}"
+mkdir -p "$out"
 for bin in fig11 fig12 fig13 bounds fairness ablation expectation enduring partial distribution; do
     echo "== $bin =="
-    cargo run --release -p isgc-bench --bin "$bin" --quiet | tee "results/$bin.txt"
+    cargo run --release -p isgc-bench --bin "$bin" --quiet | tee "$out/$bin.txt"
     echo
 done
-echo "All experiment outputs written to results/."
+echo "All experiment outputs written to $out/."

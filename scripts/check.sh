@@ -12,13 +12,11 @@ echo "== one worker step, one fewer backend (structural guard)"
 # — is written once, in crates/engine/src/worker.rs. Anywhere else in
 # non-test library source (a file's text before its first #[cfg(test)]) the
 # two calls it is made of may appear only in: the ml crate that defines them,
-# the simulator's per-partition gradient cache (a different algorithm), the
-# bench binaries that time them, and sched's `Model` impl for `ModelKind`,
-# which only forwards the trait method.
+# the simulator's per-partition gradient cache (a different algorithm), and
+# sched's `Model` impl for `ModelKind`, which only forwards the trait method.
 copies=$(git ls-files 'crates/*/src/*.rs' 'src/*.rs' |
   grep -v -e '^crates/engine/src/worker\.rs$' -e '^crates/ml/' \
-    -e '^crates/simnet/src/trainer\.rs$' -e '^crates/bench/' \
-    -e '^crates/sched/src/spec\.rs$' |
+    -e '^crates/simnet/src/trainer\.rs$' -e '^crates/sched/src/spec\.rs$' |
   while read -r f; do
     awk -v f="$f" '/#\[cfg\(test\)\]/ { exit }
       /gradient_sum_into\(|\.minibatch\(/ { print f ":" FNR ": " $0 }' "$f"
@@ -29,8 +27,16 @@ if [ -n "$copies" ]; then
   exit 1
 fi
 metadata=$(cargo metadata --offline --format-version 1)
-if grep -q -e crossbeam -e isgc-runtime <<<"$metadata"; then
-  echo "FAIL: the workspace depends on crossbeam or isgc-runtime again" >&2
+if grep -q -e crossbeam -e isgc-runtime -e criterion <<<"$metadata"; then
+  echo "FAIL: the workspace depends on crossbeam, isgc-runtime or criterion again" >&2
+  exit 1
+fi
+
+echo "== one performance record (structural guard)"
+# Every performance number lives in BENCHMARK.json + benchmark/; a second
+# record beside it is how the two came to disagree.
+if [ -n "$(git ls-files 'BENCH_*.json')" ]; then
+  echo "FAIL: a BENCH_*.json is tracked again; performance numbers belong to benchmark/" >&2
   exit 1
 fi
 
@@ -103,33 +109,6 @@ fi
 echo "== end-to-end benchmark smoke (4 workloads, 1 s windows, correctness gate)"
 benchmark/run.sh --smoke | tail -1
 
-echo "== protocol model-check (flat3 depth-limited, flat4, tree2x2; exhaustive)"
-# Enumerates every delivery order and ≤2-fault schedule of each shape
-# through the real collector loops; any invariant violation fails the
-# command (and would write a replayable counterexample trace).
-# The checker drives the shipped WorkerCore over the shipped loops, and what
-# it enumerates is the sequence of Transport calls they make: a change to
-# what a peer emits, or a reordered next_event/adopt/broadcast on the master
-# side, moves the explored state space before it shows up anywhere else.
-# Runs and states must equal the pinned counts exactly.
-for shape in flat4 tree2x2 flat3; do
-  depth=64
-  [ "$shape" = flat3 ] && depth=32
-  mc_out=$(cargo run --release --quiet -- mc --shape "$shape" --depth "$depth" --trace-out target/mc_trace.json)
-  echo "$mc_out" | sed -n '2p;6p'
-  for key in runs states; do
-    got=$(echo "$mc_out" | sed -n "s/^$key: *\\([0-9]*\\) .*/\\1/p")
-    want=$(sed -n "s/^ *\"mc_${shape}_$key\": *\\([0-9]*\\),*$/\\1/p" BENCH_mc.json)
-    if [ -z "$got" ] || [ "$got" != "$want" ]; then
-      echo "FAIL: mc $shape explored ${got:-no} $key, BENCH_mc.json pins $want" >&2
-      exit 1
-    fi
-  done
-done
-mc_rate=$(echo "$mc_out" | sed -n 's/^mc_flat3_states_per_sec: //p')
-printf '{\n  "mc_flat3_states_per_sec": %s\n}\n' "$mc_rate" > target/BENCH_mc_smoke.json
-scripts/bench_guard.sh target/BENCH_mc_smoke.json BENCH_mc.json
-
 echo "== model-checker mutation loop (seeded bug: find -> shrink -> replay)"
 # The mc-mutation feature weakens the real master's stale guard; the gated
 # suite must find the bug by exhaustive search, shrink the schedule to its
@@ -137,10 +116,15 @@ echo "== model-checker mutation loop (seeded bug: find -> shrink -> replay)"
 # loopback cluster.
 cargo test --release -q -p isgc-mc --features mc-mutation --test mutation
 
-echo "== kernels bench smoke + regression guard (30% ns/elem budget)"
-# A reduced-iteration measurement on this host, compared per-kernel against
-# the checked-in BENCH_kernels.json; >30% slower on any kernel fails.
-ISGC_BENCH_SMOKE=1 cargo run --release --quiet -p isgc-bench --bin kernels -- target/BENCH_kernels_smoke.json > /dev/null
-scripts/bench_guard.sh target/BENCH_kernels_smoke.json
+echo "== paper reproduction matches results/ (./run_all_experiments.sh to regenerate)"
+# The ten figure binaries are bit-deterministic. Runs un-blessed, like the
+# metrics snapshots above: any drift from the checked-in results/ is a hard
+# failure here, never a silent regeneration.
+rm -rf target/results
+./run_all_experiments.sh target/results > /dev/null
+if ! diff -r -x README.md results target/results; then
+  echo "FAIL: results/ is stale: regenerate with ./run_all_experiments.sh and update EXPERIMENTS.md" >&2
+  exit 1
+fi
 
-echo "ok: fmt, clippy, docs, tests, engine parity, snapshots, chaos, blackout, multi-tenant, reactor scale, benchmark smoke, model check, and perf guards all clean"
+echo "ok: fmt, structural guards, clippy, docs, tests, engine parity, snapshots, chaos, blackout, multi-tenant, reactor scale, benchmark smoke, mc mutation loop, and paper reproduction all clean"

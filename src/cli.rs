@@ -117,7 +117,8 @@ USAGE:
               --steps <k> --seed <s>       run length and data seed (default 2 7)
               --max-faults <k>             faults budget per schedule (default 2)
               --depth <k>                  branching decisions per run (default 64)
-              --max-runs <k>               search cutoff (default 200000)
+              --max-runs <k>               search cutoff (default 200000); a search
+                                           it cuts short fails the command
               --trace-out <path>           where to write the minimized
                                            counterexample (default mc_trace.json)
 
@@ -1425,7 +1426,9 @@ fn cmd_chaos_replay(path: &str, flags: &HashMap<String, String>) -> Result<Strin
 }
 
 /// The `mc` command: exhaustive protocol model checking with counterexample
-/// minimization. A violation writes a replayable trace and fails the command.
+/// minimization. A violation writes a replayable trace and fails the command;
+/// so does a search `--max-runs` cut short, which proves nothing about the
+/// runs it never reached.
 fn cmd_mc(args: &[String]) -> Result<String, String> {
     let flags = parse_flags(
         args,
@@ -1515,6 +1518,15 @@ fn cmd_mc(args: &[String]) -> Result<String, String> {
     );
 
     if result.passed() {
+        if result.truncated {
+            let _ = writeln!(
+                out,
+                "invariants:         held on the {} runs explored, but the search was \
+                 truncated: coverage is incomplete",
+                result.runs
+            );
+            return Err(out);
+        }
         let _ = writeln!(
             out,
             "invariants:         recovery bounds, oracle equality, ladder arithmetic, \
@@ -2046,5 +2058,32 @@ mod tests {
         assert!(err.contains("skip or approx"), "{err}");
         // Tree chaos has no ladder: the flag is rejected, not ignored.
         assert!(run(&args("chaos --plan submaster-crash --degrade skip")).is_err());
+    }
+
+    #[test]
+    fn mc_command_exhausts_tree2x2() {
+        let out = run(&args("mc --shape tree2x2")).unwrap();
+        assert!(out.contains("runs:               1344 ("), "{out}");
+        assert!(out.contains("states:             2687 ("), "{out}");
+        assert!(out.contains("exhausted the bounded state space"), "{out}");
+        assert!(out.contains("all hold"), "{out}");
+    }
+
+    #[test]
+    fn mc_command_rejects_unknown_shape() {
+        let err = run(&args("mc --shape nope")).unwrap_err();
+        assert!(err.contains("unknown shape 'nope'"), "{err}");
+    }
+
+    #[test]
+    fn mc_command_fails_a_truncated_search() {
+        // Ten clean runs out of 1344 prove nothing about the rest: the
+        // report comes back as the error, as a violation's does.
+        let err = run(&args("mc --shape tree2x2 --max-runs 10")).unwrap_err();
+        assert!(err.contains("TRUNCATED by --max-runs"), "{err}");
+        let verdict = err.lines().last().unwrap();
+        assert!(verdict.contains("held on the 10 runs explored"), "{err}");
+        assert!(verdict.contains("coverage is incomplete"), "{err}");
+        assert!(!err.contains("all hold"), "{err}");
     }
 }

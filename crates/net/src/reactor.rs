@@ -397,8 +397,8 @@ fn raw_fd<T>(_stream: &T) -> i32 {
 }
 
 /// The master-side event loop. One instance per listening state machine
-/// (flat master, tree root, or sub-master shard); the swarm client reuses
-/// it listener-less for its outbound connections.
+/// (flat master, tree root, or sub-master shard); the worker session loop
+/// (`crate::swarm`) reuses it listener-less for its outbound connections.
 pub(crate) struct Reactor {
     listener: Option<TcpListener>,
     conns: BTreeMap<Token, Conn>,
@@ -551,6 +551,12 @@ impl Transport for Reactor {
 }
 
 impl Reactor {
+    /// Pops an event an earlier poll already queued, never polling itself:
+    /// the worker session loop drains these before it answers any of them.
+    pub(crate) fn queued_event(&mut self) -> Option<NetEvent> {
+        self.events.pop_front()
+    }
+
     /// One poll cycle: wait for readiness (or `timeout`), fire due timers,
     /// then drain every ready descriptor into the event queue.
     fn pump(&mut self, timeout: Duration) -> Result<(), NetError> {

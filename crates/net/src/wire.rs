@@ -341,21 +341,10 @@ impl Message {
     ///
     /// As [`Message::decode`].
     pub fn decode_tagged(bytes: &[u8]) -> Result<(u64, Message, usize), WireError> {
-        if bytes.len() < HEADER_LEN {
+        let Some(header) = bytes.first_chunk() else {
             return Err(WireError::Truncated);
-        }
-        let magic: [u8; 4] = bytes[0..4].try_into().expect("4-byte slice");
-        if magic != MAGIC {
-            return Err(WireError::BadMagic(magic));
-        }
-        if bytes[4] != VERSION {
-            return Err(WireError::UnsupportedVersion(bytes[4]));
-        }
-        let job = u64::from_le_bytes(bytes[5..13].try_into().expect("8-byte slice"));
-        let len = u32::from_le_bytes(bytes[13..17].try_into().expect("4-byte slice"));
-        if len > MAX_PAYLOAD {
-            return Err(WireError::Oversized(len));
-        }
+        };
+        let (job, len) = parse_header(header)?;
         let len = len as usize;
         if bytes.len() < HEADER_LEN + len {
             return Err(WireError::Truncated);
@@ -492,6 +481,25 @@ pub fn read_message_sized(r: &mut impl Read) -> Result<(Message, usize), WireErr
     read_message_tagged(r).map(|(_, message, bytes)| (message, bytes))
 }
 
+/// Validates a frame header — magic, then version, then a payload length
+/// within [`MAX_PAYLOAD`] — into `(job, payload length)`: the one place the
+/// header layout is read.
+fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u64, u32), WireError> {
+    let magic: [u8; 4] = header[0..4].try_into().expect("4-byte slice");
+    if magic != MAGIC {
+        return Err(WireError::BadMagic(magic));
+    }
+    if header[4] != VERSION {
+        return Err(WireError::UnsupportedVersion(header[4]));
+    }
+    let job = u64::from_le_bytes(header[5..13].try_into().expect("8-byte slice"));
+    let len = u32::from_le_bytes(header[13..17].try_into().expect("4-byte slice"));
+    if len > MAX_PAYLOAD {
+        return Err(WireError::Oversized(len));
+    }
+    Ok((job, len))
+}
+
 /// [`read_message_sized`] also returning the frame's job id, so a server
 /// can reject frames scoped to a foreign tenant.
 ///
@@ -516,18 +524,7 @@ pub fn read_message_tagged(r: &mut impl Read) -> Result<(u64, Message, usize), W
             Err(e) => return Err(WireError::Io(e)),
         }
     }
-    let magic: [u8; 4] = header[0..4].try_into().expect("4-byte slice");
-    if magic != MAGIC {
-        return Err(WireError::BadMagic(magic));
-    }
-    if header[4] != VERSION {
-        return Err(WireError::UnsupportedVersion(header[4]));
-    }
-    let job = u64::from_le_bytes(header[5..13].try_into().expect("8-byte slice"));
-    let len = u32::from_le_bytes(header[13..17].try_into().expect("4-byte slice"));
-    if len > MAX_PAYLOAD {
-        return Err(WireError::Oversized(len));
-    }
+    let (job, len) = parse_header(&header)?;
     let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload).map_err(|e| {
         if e.kind() == io::ErrorKind::UnexpectedEof {
@@ -720,22 +717,10 @@ impl FrameAssembler {
     /// length)`, applying both size clamps; `Ok(None)` until all
     /// [`HEADER_LEN`] bytes are buffered.
     fn header(&self) -> Result<Option<(u64, usize)>, WireError> {
-        let bytes = &self.buf[self.start..self.end];
-        if bytes.len() < HEADER_LEN {
+        let Some(header) = self.buf[self.start..self.end].first_chunk() else {
             return Ok(None);
-        }
-        let magic: [u8; 4] = bytes[0..4].try_into().expect("4-byte slice");
-        if magic != MAGIC {
-            return Err(WireError::BadMagic(magic));
-        }
-        if bytes[4] != VERSION {
-            return Err(WireError::UnsupportedVersion(bytes[4]));
-        }
-        let job = u64::from_le_bytes(bytes[5..13].try_into().expect("8-byte slice"));
-        let len = u32::from_le_bytes(bytes[13..17].try_into().expect("4-byte slice"));
-        if len > MAX_PAYLOAD {
-            return Err(WireError::Oversized(len));
-        }
+        };
+        let (job, len) = parse_header(header)?;
         if len > self.max_frame {
             return Err(WireError::FrameTooLarge {
                 len,

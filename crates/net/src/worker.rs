@@ -1,16 +1,13 @@
 //! The IS-GC worker: [`WorkerCore`], the one implementation of a worker's
 //! reaction to the protocol (`Assign`, `Params`, `Shutdown`, the rejoin
-//! sit-out) that every client drives — this module's thread-per-connection
-//! [`run_worker`], each [`crate::swarm`] member, the chaos client and the
-//! model checker's peer — plus `run_worker` itself, which connects to a
-//! master, straggles per an injected delay, and reconnects under a shared
-//! [`RetryPolicy`] when the connection drops.
+//! sit-out) that every client drives — the session loop in [`crate::swarm`]
+//! (so [`run_worker`] and every swarm member), the chaos client and the
+//! model checker's peer — plus `run_worker` itself: one process per worker
+//! is still the deployment story, and its session is that loop with one
+//! member, wrapped in a redial under a shared [`RetryPolicy`] for when the
+//! connection drops.
 
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver};
-use std::sync::{Arc, Mutex};
-use std::thread;
 use std::time::Duration;
 
 use isgc_engine::WorkerStep;
@@ -19,20 +16,22 @@ use isgc_ml::dataset::Dataset;
 use isgc_ml::model::Model;
 
 use crate::retry::RetryPolicy;
+use crate::swarm::serve;
 use crate::wire::{read_message_tagged, write_message_for_job, Message};
 use crate::{DelayFn, NetError};
 
 /// Tunables of the worker loop.
 #[derive(Clone)]
 pub struct WorkerOptions {
-    /// Injected straggler delay applied after each step's computation.
+    /// Injected straggler delay: the reply is held this long after it is
+    /// computed; heartbeats continue.
     pub delay: DelayFn,
     /// How often the worker proves liveness to the master.
     pub heartbeat_interval: Duration,
-    /// Backoff schedule shared by the initial connect, reconnects after a
-    /// dropped connection, and heartbeat write retries. Jitter is salted by
-    /// the worker id, so a cluster reconnecting at once still fans out
-    /// deterministically instead of thundering back in lockstep.
+    /// Backoff schedule shared by the initial connect and reconnects after
+    /// a dropped connection. Jitter is salted by the worker id, so a cluster
+    /// reconnecting at once still fans out deterministically instead of
+    /// thundering back in lockstep.
     pub retry: RetryPolicy,
     /// Tenant id stamped on every outbound frame; inbound frames tagged
     /// with a different job are ignored. Job 0 is the single-tenant
@@ -265,12 +264,6 @@ pub struct WorkerSummary {
     pub cause: ShutdownCause,
 }
 
-/// How one connection session ended.
-enum SessionEnd {
-    Shutdown,
-    Lost,
-}
-
 /// Runs a worker until the master shuts the run down (or becomes
 /// unreachable).
 ///
@@ -279,8 +272,11 @@ enum SessionEnd {
 /// every peer slices identically. Each `Params` message triggers one
 /// codeword: per assigned partition, a deterministic mini-batch is drawn
 /// (`partition`, `batch_size`, `step`, `seed` — identical on any peer that
-/// would recompute it), gradient sums are accumulated, the injected delay
-/// runs, and the codeword is sent back tagged with the step.
+/// would recompute it), gradient sums are accumulated, and the codeword,
+/// tagged with the step, is sent back once the injected delay has passed.
+/// The worker is sequential — one reply in flight — and jumps to the newest
+/// `Params` when several arrived while it straggled (the session loop is
+/// the one every [`crate::swarm`] member runs, on this thread alone).
 ///
 /// A mid-session `Assign` (issued by placement repair when a peer is
 /// declared permanently dead) replaces this worker's partition list on the
@@ -289,8 +285,8 @@ enum SessionEnd {
 /// # Errors
 ///
 /// [`NetError::Io`] when the initial connection cannot be established at
-/// all; after a successful registration, connection loss is handled by
-/// reconnecting and ultimately reported via
+/// all, or `poll(2)` itself fails; after a successful registration,
+/// connection loss is handled by reconnecting and ultimately reported via
 /// [`ShutdownCause::MasterUnreachable`] instead of an error.
 pub fn run_worker<M, F>(
     addr: impl ToSocketAddrs,
@@ -306,7 +302,7 @@ where
         .next()
         .ok_or_else(|| NetError::InvalidConfig("address resolved to nothing".into()))?;
 
-    let (stream, assignment) = connect(addr, None, options)?;
+    let (mut stream, assignment) = connect(addr, None, options)?;
     let (model, dataset) = build(&assignment);
     let mut work = assignment.work(&model, &dataset);
     let mut core = WorkerCore::new(assignment);
@@ -317,41 +313,31 @@ where
         reconnects: 0,
         cause: ShutdownCause::MasterShutdown,
     };
-    let mut stream = stream;
     loop {
-        let end = session(
-            stream,
-            &mut core,
-            &mut work,
-            &model,
-            &dataset,
-            options,
-            &mut summary.steps_served,
-        );
-        match end {
-            SessionEnd::Shutdown => {
-                summary.cause = ShutdownCause::MasterShutdown;
+        let (served, mut lost) = serve(vec![(stream, core)], &mut work, &model, &dataset, options)?;
+        summary.steps_served += served;
+        // The one member either saw `Shutdown` or comes back lost.
+        let Some(back) = lost.pop() else {
+            return Ok(summary);
+        };
+        core = back;
+        match connect(addr, Some(core.worker() as u64), options) {
+            Ok((fresh, reassign)) => {
+                summary.reconnects += 1;
+                core.reassign(reassign);
+                stream = fresh;
+            }
+            Err(_) => {
+                summary.cause = ShutdownCause::MasterUnreachable;
                 return Ok(summary);
             }
-            SessionEnd::Lost => match connect(addr, Some(core.worker() as u64), options) {
-                Ok((fresh, reassign)) => {
-                    summary.reconnects += 1;
-                    core.reassign(reassign);
-                    stream = fresh;
-                }
-                Err(_) => {
-                    summary.cause = ShutdownCause::MasterUnreachable;
-                    return Ok(summary);
-                }
-            },
         }
     }
 }
 
 /// Dials the master under the shared [`RetryPolicy`] and completes the
 /// `Hello`/`Assign` handshake. Also the swarm's per-member handshake (see
-/// [`crate::swarm`]), which then hands the stream to its reactor instead of
-/// spawning threads, and the chaos client's.
+/// [`crate::swarm`]) and the chaos client's.
 ///
 /// # Errors
 ///
@@ -363,211 +349,25 @@ pub fn connect(
     preferred: Option<u64>,
     options: &WorkerOptions,
 ) -> Result<(TcpStream, Assignment), NetError> {
-    let salt = preferred.map_or(u64::MAX, |p| p);
-    let mut last_err: Option<NetError> = None;
-    for attempt in 0..options.retry.max_attempts.max(1) {
-        thread::sleep(options.retry.delay(attempt, salt));
-        let mut stream = match TcpStream::connect(addr) {
-            Ok(s) => s,
-            Err(e) => {
-                last_err = Some(NetError::Io(e));
-                continue;
-            }
-        };
+    let salt = preferred.unwrap_or(u64::MAX);
+    options.retry.run(salt, || {
+        let mut stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        if let Err(e) =
-            write_message_for_job(&mut stream, options.job, &Message::Hello { preferred })
-        {
-            last_err = Some(NetError::Wire(e));
-            continue;
+        write_message_for_job(&mut stream, options.job, &Message::Hello { preferred })?;
+        let (frame_job, message, _) = read_message_tagged(&mut stream)?;
+        if frame_job != options.job {
+            return Err(NetError::Protocol(format!(
+                "master answered for job {frame_job}, expected {}",
+                options.job
+            )));
         }
-        match read_message_tagged(&mut stream) {
-            Ok((frame_job, _, _)) if frame_job != options.job => {
-                last_err = Some(NetError::Protocol(format!(
-                    "master answered for job {frame_job}, expected {}",
-                    options.job
-                )));
-            }
-            Ok((_, message, _)) => match Assignment::from_message(message) {
-                Ok(assignment) => return Ok((stream, assignment)),
-                Err(other) => {
-                    last_err = Some(NetError::Protocol(format!(
-                        "expected Assign after Hello, got {other:?}"
-                    )));
-                }
-            },
-            Err(e) => last_err = Some(NetError::Wire(e)),
+        match Assignment::from_message(message) {
+            Ok(assignment) => Ok((stream, assignment)),
+            Err(other) => Err(NetError::Protocol(format!(
+                "expected Assign after Hello, got {other:?}"
+            ))),
         }
-    }
-    Err(last_err.unwrap_or_else(|| NetError::Protocol("no connect attempts made".into())))
-}
-
-/// Serves one connection until shutdown or loss.
-///
-/// A reader thread feeds inbound messages into a channel so the main loop
-/// can *drain to the newest* `Params` — a worker that straggled through
-/// several rounds jumps straight to the current step instead of burning
-/// time on parameters the master already gave up waiting for.
-fn session<M: Model>(
-    stream: TcpStream,
-    core: &mut WorkerCore,
-    work: &mut WorkerStep,
-    model: &M,
-    dataset: &Dataset,
-    options: &WorkerOptions,
-    steps_served: &mut usize,
-) -> SessionEnd {
-    let writer = Arc::new(Mutex::new(match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return SessionEnd::Lost,
-    }));
-
-    let (inbound_tx, inbound_rx) = channel::<Message>();
-    let reader = {
-        let mut read_half = stream;
-        let job = options.job;
-        thread::Builder::new()
-            .name(format!("isgc-net-worker-{}-reader", core.worker()))
-            .spawn(move || loop {
-                match read_message_tagged(&mut read_half) {
-                    Ok((frame_job, _, _)) if frame_job != job => continue,
-                    Ok((_, message, _)) => {
-                        let shutdown = matches!(message, Message::Shutdown);
-                        if inbound_tx.send(message).is_err() || shutdown {
-                            return;
-                        }
-                    }
-                    Err(_) => return, // dropping inbound_tx signals loss
-                }
-            })
-    };
-    if reader.is_err() {
-        return SessionEnd::Lost;
-    }
-
-    let hb_stop = Arc::new(AtomicBool::new(false));
-    let heartbeat = spawn_heartbeat(
-        Arc::clone(&writer),
-        core.worker() as u64,
-        options.heartbeat_interval,
-        options.retry.clone(),
-        Arc::clone(&hb_stop),
-        options.job,
-    );
-
-    let end = serve_messages(
-        &inbound_rx,
-        &writer,
-        core,
-        work,
-        model,
-        dataset,
-        options,
-        steps_served,
-    );
-
-    hb_stop.store(true, Ordering::Release);
-    let _ = heartbeat.join();
-    end
-}
-
-/// The worker's message loop proper (split out so `session` owns cleanup).
-#[allow(clippy::too_many_arguments)]
-fn serve_messages<M: Model>(
-    inbound_rx: &Receiver<Message>,
-    writer: &Arc<Mutex<TcpStream>>,
-    core: &mut WorkerCore,
-    work: &mut WorkerStep,
-    model: &M,
-    dataset: &Dataset,
-    options: &WorkerOptions,
-    steps_served: &mut usize,
-) -> SessionEnd {
-    loop {
-        let Ok(first) = inbound_rx.recv() else {
-            return SessionEnd::Lost;
-        };
-        // Drain the backlog, applying every message in order: Shutdown wins
-        // outright, Assigns update the partition list immediately (they must
-        // not be skipped by the drain), and only the newest Params survives —
-        // a worker that straggled through several rounds jumps straight to
-        // the current step.
-        let mut backlog = vec![first];
-        while let Ok(next) = inbound_rx.try_recv() {
-            backlog.push(next);
-        }
-        let mut latest_params: Option<(u64, Vec<f64>)> = None;
-        for message in backlog {
-            match core.handle(message) {
-                Request::Shutdown => return SessionEnd::Shutdown,
-                Request::Params { step, values } => latest_params = Some((step, values)),
-                Request::Idle => {}
-            }
-        }
-        let Some((step, values)) = latest_params else {
-            continue;
-        };
-        let reply = core.answer(work, model, dataset, step, &Vector::from(values));
-        let pause = (options.delay)(core.worker(), step);
-        if !pause.is_zero() {
-            thread::sleep(pause);
-        }
-        let sent = {
-            let mut guard = writer.lock().expect("writer mutex poisoned");
-            write_message_for_job(&mut *guard, options.job, &reply)
-        };
-        match sent {
-            Ok(_) => *steps_served += 1,
-            Err(_) => return SessionEnd::Lost,
-        }
-    }
-}
-
-/// Periodically proves liveness; a failed write is retried under the shared
-/// [`RetryPolicy`] before the thread gives up (the session loop notices the
-/// dead socket through its own writes and reconnects).
-fn spawn_heartbeat(
-    writer: Arc<Mutex<TcpStream>>,
-    worker: u64,
-    interval: Duration,
-    retry: RetryPolicy,
-    stop: Arc<AtomicBool>,
-    job: u64,
-) -> thread::JoinHandle<()> {
-    thread::Builder::new()
-        .name("isgc-net-heartbeat".into())
-        .spawn(move || {
-            // Tick in short slices so a stop request never waits a full
-            // interval.
-            let slice = Duration::from_millis(25).min(interval);
-            let mut elapsed = Duration::ZERO;
-            let mut failures = 0u32;
-            loop {
-                if stop.load(Ordering::Acquire) {
-                    return;
-                }
-                if elapsed >= interval {
-                    elapsed = Duration::ZERO;
-                    let ok = {
-                        let mut guard = writer.lock().expect("writer mutex poisoned");
-                        write_message_for_job(&mut *guard, job, &Message::Heartbeat { worker })
-                            .is_ok()
-                    };
-                    if ok {
-                        failures = 0;
-                    } else {
-                        failures += 1;
-                        if failures >= retry.max_attempts.max(1) {
-                            return;
-                        }
-                        thread::sleep(retry.delay(failures, worker));
-                    }
-                }
-                thread::sleep(slice);
-                elapsed += slice;
-            }
-        })
-        .expect("failed to spawn heartbeat thread")
+    })
 }
 
 #[cfg(test)]

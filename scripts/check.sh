@@ -65,6 +65,25 @@ if [ -n "$silence" ]; then
   exit 1
 fi
 
+echo "== isgc-net spawns no thread; one session loop (structural guard)"
+# A worker connection's session — heartbeats, handle, answer, held replies —
+# is written once, in crates/net/src/swarm.rs, and runs on the caller's
+# thread: run_worker is that loop with one member. A thread, a lock or a
+# channel in non-test source under crates/net/src/, or a second call of
+# WorkerCore::answer, is a second session loop coming back.
+threading=$(net_src 'thread::spawn|thread::Builder|Mutex|mpsc|AtomicBool')
+if [ -n "$threading" ]; then
+  echo "FAIL: isgc-net spawns a thread or shares state across threads again:" >&2
+  echo "$threading" >&2
+  exit 1
+fi
+answers=$(net_src '[.]answer[(]')
+if [ "$(grep -c . <<<"$answers")" != 1 ]; then
+  echo "FAIL: want exactly one caller of WorkerCore::answer (swarm::serve), found:" >&2
+  echo "$answers" >&2
+  exit 1
+fi
+
 echo "== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -106,6 +125,25 @@ if [ -z "$threads" ] || [ "$threads" -gt 2 ]; then
   exit 1
 fi
 
+echo "== straggling swarm smoke (stragglers ignored, not slept through; heartbeats kept)"
+# An injected delay is a send deadline in the one session loop, so a swarm's
+# stragglers hold their replies independently: the master's wait is the fast
+# members' latency, not the sum of the delays (2 x 100 ms here), and a member
+# held past the heartbeat timeout silences nobody, itself included.
+straggle_out=$(cargo run --release --quiet -- launch cr 8 2 --w 6 --steps 6 --swarm 1 --slow 2 --delay-ms 100)
+waited=$(echo "$straggle_out" | sed -n 's|^waited/step (mean): \([0-9.]*\) ms$|\1|p')
+if [ -z "$waited" ] || ! awk -v w="$waited" 'BEGIN { exit !(w < 50) }'; then
+  echo "FAIL: a swarm with 2 stragglers of 100 ms waited ${waited:-unknown} ms per step (expected < 50)" >&2
+  exit 1
+fi
+held_out=$(cargo run --release --quiet -- launch fr 8 2 --w 7 --steps 5 --swarm 1 --slow 1 --delay-ms 700 --heartbeat-timeout-ms 300)
+if ! grep -q '^steps:              5$' <<<"$held_out"; then
+  echo "FAIL: a member held past the heartbeat timeout took its swarm down:" >&2
+  echo "$held_out" >&2
+  exit 1
+fi
+echo "waited/step (mean): $waited ms with 2 of 8 members held 100 ms; 5 steps with a member held 700 ms past a 300 ms heartbeat timeout"
+
 echo "== end-to-end benchmark smoke (4 workloads, 1 s windows, correctness gate)"
 benchmark/run.sh --smoke | tail -1
 
@@ -127,4 +165,4 @@ if ! diff -r -x README.md results target/results; then
   exit 1
 fi
 
-echo "ok: fmt, structural guards, clippy, docs, tests, engine parity, snapshots, chaos, blackout, multi-tenant, reactor scale, benchmark smoke, mc mutation loop, and paper reproduction all clean"
+echo "ok: fmt, structural guards (incl. no thread in isgc-net, one session loop), clippy, docs, tests, engine parity, snapshots, chaos, blackout, multi-tenant, reactor scale, straggling swarm, benchmark smoke, mc mutation loop, and paper reproduction all clean"

@@ -904,28 +904,54 @@ fn cmd_serve_jobs(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
+/// `--heartbeat-interval-ms`, when given: a positive number of milliseconds.
+fn heartbeat_interval_ms_from(flags: &HashMap<String, String>) -> Result<Option<u64>, String> {
+    let Some(s) = flags.get("heartbeat-interval-ms") else {
+        return Ok(None);
+    };
+    let ms: u64 = parse(s, "heartbeat-interval-ms")?;
+    if ms == 0 {
+        return Err("--heartbeat-interval-ms must be positive".to_string());
+    }
+    Ok(Some(ms))
+}
+
+/// The flags `worker` and `swarm` share. A worker whose master-assigned
+/// index is below `slow` straggles by `--delay-ms` (`default_delay_ms` when
+/// the flag is absent).
+fn worker_options_from(
+    flags: &HashMap<String, String>,
+    slow: usize,
+    default_delay_ms: u64,
+) -> Result<WorkerOptions, String> {
+    let delay_ms: u64 = match flags.get("delay-ms") {
+        Some(s) => parse(s, "delay-ms")?,
+        None => default_delay_ms,
+    };
+    let mut options = WorkerOptions::with_delay(Arc::new(move |w, _step| {
+        if w < slow {
+            Duration::from_millis(delay_ms)
+        } else {
+            Duration::ZERO
+        }
+    }));
+    if let Some(s) = flags.get("job") {
+        options.job = parse(s, "job")?;
+    }
+    if let Some(ms) = heartbeat_interval_ms_from(flags)? {
+        options.heartbeat_interval = Duration::from_millis(ms);
+    }
+    Ok(options)
+}
+
 fn cmd_worker(args: &[String]) -> Result<String, String> {
     let addr = args
         .first()
         .ok_or_else(|| "expected: worker <host:port> [--delay-ms <d>] [--job <id>]".to_string())?
         .clone();
     let flags = parse_flags(&args[1..], &["delay-ms", "job", "heartbeat-interval-ms"])?;
-    let delay_ms: u64 = match flags.get("delay-ms") {
-        Some(s) => parse(s, "delay-ms")?,
-        None => 0,
-    };
-    let mut options =
-        WorkerOptions::with_delay(Arc::new(move |_w, _step| Duration::from_millis(delay_ms)));
-    if let Some(s) = flags.get("job") {
-        options.job = parse(s, "job")?;
-    }
-    if let Some(s) = flags.get("heartbeat-interval-ms") {
-        let ms: u64 = parse(s, "heartbeat-interval-ms")?;
-        if ms == 0 {
-            return Err("--heartbeat-interval-ms must be positive".to_string());
-        }
-        options.heartbeat_interval = Duration::from_millis(ms);
-    }
+    // A standalone worker straggles whatever index the master assigns it.
+    let options = worker_options_from(&flags, usize::MAX, 0)?;
     let summary = isgc_net::run_worker(addr.as_str(), &options, |assignment| {
         net_model_and_data(assignment.n)
     })
@@ -959,30 +985,12 @@ fn cmd_swarm(args: &[String]) -> Result<String, String> {
         Some(s) => parse(s, "slow")?,
         None => 0,
     };
-    let delay_ms: u64 = match flags.get("delay-ms") {
-        Some(s) => parse(s, "delay-ms")?,
-        None => 100,
-    };
-    let mut options = SwarmOptions::new(workers);
     // Straggling keys on the master-assigned worker index, so the semantics
     // match `launch --slow` no matter which swarm process owns a member.
-    options.delay = Arc::new(move |w, _step| {
-        if w < slow {
-            Duration::from_millis(delay_ms)
-        } else {
-            Duration::ZERO
-        }
-    });
-    if let Some(s) = flags.get("job") {
-        options.job = parse(s, "job")?;
-    }
-    if let Some(s) = flags.get("heartbeat-interval-ms") {
-        let ms: u64 = parse(s, "heartbeat-interval-ms")?;
-        if ms == 0 {
-            return Err("--heartbeat-interval-ms must be positive".to_string());
-        }
-        options.heartbeat_interval = Duration::from_millis(ms);
-    }
+    let options = SwarmOptions {
+        workers,
+        worker: worker_options_from(&flags, slow, 100)?,
+    };
     let summary = isgc_net::run_swarm(addr.as_str(), &options, |assignment| {
         net_model_and_data(assignment.n)
     })
@@ -1040,16 +1048,7 @@ fn cmd_launch(args: &[String]) -> Result<String, String> {
         Some(s) => parse(s, "delay-ms")?,
         None => 100,
     };
-    let heartbeat_interval_ms: Option<u64> = match flags.get("heartbeat-interval-ms") {
-        Some(s) => {
-            let ms: u64 = parse(s, "heartbeat-interval-ms")?;
-            if ms == 0 {
-                return Err("--heartbeat-interval-ms must be positive".to_string());
-            }
-            Some(ms)
-        }
-        None => None,
-    };
+    let heartbeat_interval_ms = heartbeat_interval_ms_from(&flags)?;
     let jobs: u64 = match flags.get("jobs") {
         Some(s) => parse(s, "jobs")?,
         None => 1,

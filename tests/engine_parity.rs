@@ -4,10 +4,15 @@
 //! recovered-partition fingerprints and bitwise-identical loss curves —
 //! real sockets and thread scheduling contribute timing, never math.
 //!
-//! The straggler set is static (the TCP worker drains its parameter backlog
-//! to the newest step, so a worker that straggles *sometimes* can skip
-//! steps in wall-clock-dependent ways; one that straggles *always* is
-//! simply ignored every step by both backends).
+//! The TCP side is hosted two ways — six `run_worker` threads, and one
+//! `run_swarm` serving all six members from a single thread — because both
+//! are the same session loop and must ignore the same stragglers.
+//!
+//! The straggler set is static (the shared worker session loop holds one
+//! reply per member and jumps to the newest `Params` once it is released,
+//! so a worker that straggles *sometimes* can skip steps in
+//! wall-clock-dependent ways; one that straggles *always* is simply ignored
+//! every step by both backends).
 
 use std::sync::Arc;
 use std::thread;
@@ -16,7 +21,10 @@ use std::time::Duration;
 use isgc_core::{HrParams, Placement};
 use isgc_ml::dataset::Dataset;
 use isgc_ml::model::LinearRegression;
-use isgc_net::{run_worker, Master, NetConfig, NetTrainReport, WaitPolicy, WorkerOptions};
+use isgc_net::{
+    run_swarm, run_worker, Master, NetConfig, NetTrainReport, SwarmOptions, WaitPolicy,
+    WorkerOptions,
+};
 use isgc_simnet::policy::WaitPolicy as SimWaitPolicy;
 use isgc_simnet::trace::{StragglerTrace, TraceClusterSim};
 use isgc_simnet::trainer::{train_on_trace, CodingScheme, TrainReport, TrainingConfig};
@@ -38,17 +46,27 @@ fn shared_dataset() -> Dataset {
     Dataset::synthetic_regression(SAMPLES, FEATURES, 0.05, SEED)
 }
 
-/// Runs a real loopback TCP cluster where the stragglers sleep far longer
-/// than the fast workers take, so `FirstW(4)` ignores exactly them.
-fn run_net(placement: &Placement) -> NetTrainReport {
+/// How the six TCP workers are hosted.
+#[derive(Debug, Clone, Copy)]
+enum Workers {
+    /// One `run_worker` thread each.
+    Threads,
+    /// One `run_swarm` on one thread serving all six.
+    Swarm,
+}
+
+/// Runs a real loopback TCP cluster where the stragglers hold their replies
+/// far longer than the fast workers take, so `FirstW(4)` ignores exactly
+/// them.
+fn run_net(placement: &Placement, workers: Workers) -> NetTrainReport {
     let mut config = NetConfig::new(placement.clone(), WaitPolicy::FirstW(W));
     config.batch_size = BATCH;
     config.learning_rate = LR;
     config.loss_threshold = 0.0;
     config.max_steps = STEPS;
     config.seed = SEED;
-    // Keep sleeping stragglers "alive": the schedule, not the heartbeat
-    // sweep, decides who is ignored.
+    // Keep stragglers "alive" whatever the host does to their heartbeats:
+    // the schedule, not the heartbeat sweep, decides who is ignored.
     config.heartbeat_timeout = Duration::from_secs(5);
     config.register_timeout = Duration::from_secs(10);
 
@@ -59,27 +77,37 @@ fn run_net(placement: &Placement) -> NetTrainReport {
     let master_handle =
         thread::spawn(move || master.run(&model, &dataset, &config).expect("master run"));
 
-    let workers: Vec<_> = (0..N)
-        .map(|_| {
-            let options = WorkerOptions::with_delay(Arc::new(|w, _step| {
-                if STRAGGLERS.contains(&w) {
-                    Duration::from_millis(400)
-                } else {
-                    Duration::ZERO
-                }
-            }));
-            thread::spawn(move || {
-                run_worker(addr, &options, |_assignment| {
-                    (LinearRegression::new(FEATURES), shared_dataset())
+    let options = WorkerOptions::with_delay(Arc::new(|w, _step| {
+        if STRAGGLERS.contains(&w) {
+            Duration::from_millis(400)
+        } else {
+            Duration::ZERO
+        }
+    }));
+    let build = |_: &_| (LinearRegression::new(FEATURES), shared_dataset());
+    let hosts: Vec<_> = match workers {
+        Workers::Threads => (0..N)
+            .map(|_| {
+                let options = options.clone();
+                thread::spawn(move || {
+                    run_worker(addr, &options, build).expect("worker run");
                 })
-                .expect("worker run")
             })
-        })
-        .collect();
+            .collect(),
+        Workers::Swarm => {
+            let options = SwarmOptions {
+                workers: N,
+                worker: options,
+            };
+            vec![thread::spawn(move || {
+                run_swarm(addr, &options, build).expect("swarm run");
+            })]
+        }
+    };
 
     let report = master_handle.join().expect("master thread");
-    for w in workers {
-        let _ = w.join().expect("worker thread");
+    for host in hosts {
+        host.join().expect("worker host thread");
     }
     report
 }
@@ -120,8 +148,8 @@ fn run_sim(placement: &Placement) -> TrainReport {
     )
 }
 
-fn assert_backends_agree(placement: &Placement) {
-    let net = run_net(placement);
+fn assert_backends_agree(placement: &Placement, workers: Workers) {
+    let net = run_net(placement, workers);
     let sim = run_sim(placement);
 
     assert_eq!(net.step_count(), STEPS);
@@ -129,7 +157,7 @@ fn assert_backends_agree(placement: &Placement) {
     assert_eq!(
         net.recovery_fingerprint(),
         sim.recovery_fingerprint(),
-        "recovery fingerprints diverge for {}: net {:?} vs sim {:?}",
+        "recovery fingerprints diverge for {} ({workers:?}): net {:?} vs sim {:?}",
         placement.scheme(),
         net.steps
             .iter()
@@ -145,7 +173,7 @@ fn assert_backends_agree(placement: &Placement) {
     assert_eq!(
         net.loss_curve(),
         sim.loss_curve(),
-        "loss curves diverge for {}",
+        "loss curves diverge for {} ({workers:?})",
         placement.scheme()
     );
     assert_eq!(net.final_params, sim.final_params);
@@ -157,7 +185,7 @@ fn assert_backends_agree(placement: &Placement) {
             for s in STRAGGLERS {
                 assert!(
                     !step.arrivals.contains(&s),
-                    "straggler {s} arrived in step {} ({:?})",
+                    "straggler {s} arrived in step {} ({:?}, {workers:?})",
                     step.step,
                     step.arrivals
                 );
@@ -166,21 +194,45 @@ fn assert_backends_agree(placement: &Placement) {
     }
 }
 
+fn fr() -> Placement {
+    Placement::fractional(N, C).expect("valid FR placement")
+}
+
+fn cr() -> Placement {
+    Placement::cyclic(N, C).expect("valid CR placement")
+}
+
+/// g = 3 groups of n₀ = 2, one within-group row and one global row.
+fn hr() -> Placement {
+    Placement::hybrid(HrParams::new(N, 3, 1, 1)).expect("valid HR placement")
+}
+
 #[test]
 fn fr_cluster_matches_simulator_exactly() {
-    let placement = Placement::fractional(N, C).expect("valid FR placement");
-    assert_backends_agree(&placement);
+    assert_backends_agree(&fr(), Workers::Threads);
 }
 
 #[test]
 fn cr_cluster_matches_simulator_exactly() {
-    let placement = Placement::cyclic(N, C).expect("valid CR placement");
-    assert_backends_agree(&placement);
+    assert_backends_agree(&cr(), Workers::Threads);
 }
 
 #[test]
 fn hr_cluster_matches_simulator_exactly() {
-    // g = 3 groups of n₀ = 2, one within-group row and one global row.
-    let placement = Placement::hybrid(HrParams::new(N, 3, 1, 1)).expect("valid HR placement");
-    assert_backends_agree(&placement);
+    assert_backends_agree(&hr(), Workers::Threads);
+}
+
+#[test]
+fn fr_swarm_matches_simulator_exactly() {
+    assert_backends_agree(&fr(), Workers::Swarm);
+}
+
+#[test]
+fn cr_swarm_matches_simulator_exactly() {
+    assert_backends_agree(&cr(), Workers::Swarm);
+}
+
+#[test]
+fn hr_swarm_matches_simulator_exactly() {
+    assert_backends_agree(&hr(), Workers::Swarm);
 }

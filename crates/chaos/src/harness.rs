@@ -16,18 +16,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 use std::time::Duration;
 
-use isgc_core::decode::{Decoder, ExactDecoder};
-use isgc_core::{bounds, ConflictGraph, Placement, WorkerSet};
-use isgc_engine::{DegradePolicy, StepOutcome};
+use isgc_core::hash::{fnv1a, FNV_BASIS};
+use isgc_core::Placement;
+use isgc_engine::DegradePolicy;
 use isgc_ml::dataset::Dataset;
 use isgc_ml::model::LinearRegression;
 use isgc_net::{
     CheckpointConfig, Master, NetConfig, NetReport, RetryPolicy, StepControl, WaitPolicy,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::plan::{FaultKind, FaultPlan};
+use crate::invariants::check_reports;
+use crate::plan::FaultPlan;
 use crate::worker::{run_chaos_worker, ChaosWorkerSummary};
 use crate::ChaosError;
 
@@ -75,6 +74,23 @@ impl ChaosConfig {
             metrics: None,
             degrade: DegradePolicy::Fail,
         }
+    }
+
+    /// The master's training setup for this config: wait for every worker,
+    /// this config's batch size, seed, step budget and degrade policy, a
+    /// learning rate of 0.02, and a negative loss threshold so a run never
+    /// stops early (a deterministic step count keeps fingerprints comparable
+    /// across plans). The model checker trains under exactly this setup, so
+    /// its counterexample traces replay here.
+    pub fn net_config(&self, placement: Placement) -> NetConfig {
+        let mut net = NetConfig::new(placement, WaitPolicy::FirstW(self.n));
+        net.batch_size = self.batch_size;
+        net.learning_rate = 0.02;
+        net.loss_threshold = -1.0;
+        net.max_steps = self.steps;
+        net.seed = self.seed;
+        net.degrade = self.degrade.clone();
+        net
     }
 }
 
@@ -157,14 +173,7 @@ pub fn run_chaos(plan: &FaultPlan, config: &ChaosConfig) -> Result<ChaosOutcome,
         Some(dir)
     };
 
-    let mut net_config = NetConfig::new(placement.clone(), WaitPolicy::FirstW(config.n));
-    net_config.batch_size = config.batch_size;
-    net_config.learning_rate = 0.02;
-    // Never stop early: a deterministic step count keeps fingerprints
-    // comparable across plans.
-    net_config.loss_threshold = -1.0;
-    net_config.max_steps = config.steps;
-    net_config.seed = config.seed;
+    let mut net_config = config.net_config(placement.clone());
     // Chaos workers speak every step and do not run heartbeat threads; the
     // generous timeout keeps liveness driven by connection state (EOF on
     // fault), which is what the plans script.
@@ -180,7 +189,6 @@ pub fn run_chaos(plan: &FaultPlan, config: &ChaosConfig) -> Result<ChaosOutcome,
         .as_ref()
         .map(|dir| CheckpointConfig::every_step(dir.join("master.ckpt")));
     net_config.repair_after_steps = plan.has_deaths().then_some(2);
-    net_config.degrade = config.degrade.clone();
     // The engine's per-step series stitch naturally across master restarts:
     // a resumed segment starts at the checkpointed step, so each step is
     // recorded exactly once.
@@ -238,7 +246,14 @@ pub fn run_chaos(plan: &FaultPlan, config: &ChaosConfig) -> Result<ChaosOutcome,
         let _ = std::fs::remove_dir_all(dir);
     }
 
-    let violations = check_invariants(plan, config, &placement, &reports, master_restarts);
+    let mut violations = check_reports(&placement, &reports, &plan.faults, Some(config.steps));
+    if master_restarts != plan.master_crashes.len() {
+        violations.push(format!(
+            "plan scripted {} master crashes, harness restarted {} times",
+            plan.master_crashes.len(),
+            master_restarts
+        ));
+    }
     let final_loss = reports.last().map_or(f64::INFINITY, |r| r.loss);
     let fingerprint = fingerprint(&reports, &final_params);
     if let Some(registry) = &config.metrics {
@@ -330,7 +345,9 @@ fn master_segments(
     loop {
         let master = match pending.take() {
             Some(m) => m,
-            None => Master::bind_with_retry(addr, &bind_retry).map_err(ChaosError::Net)?,
+            // A master coming back on its old port may briefly race the OS
+            // releasing it.
+            None => bind_retry.run(0, || Master::bind(addr))?,
         };
         let segment = master
             .run_controlled(&model, &dataset, net_config, |report| {
@@ -357,198 +374,10 @@ fn master_segments(
     }
 }
 
-/// Checks every invariant of a finished run; returns human-readable
-/// violations (empty = pass).
-fn check_invariants(
-    plan: &FaultPlan,
-    config: &ChaosConfig,
-    placement: &Placement,
-    reports: &[NetReport],
-    master_restarts: usize,
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    let (n, c) = (config.n, config.c);
-
-    // 1. The stitched run covers every step exactly once, in order — this
-    //    is also the mid-run-resume check: a master restarting at the wrong
-    //    step duplicates or skips an index.
-    for (i, r) in reports.iter().enumerate() {
-        if r.step != i as u64 {
-            violations.push(format!(
-                "step sequence broken at position {i}: found step {}",
-                r.step
-            ));
-        }
-    }
-    if reports.len() != config.steps {
-        violations.push(format!(
-            "expected {} steps, got {}",
-            config.steps,
-            reports.len()
-        ));
-    }
-    if master_restarts != plan.master_crashes.len() {
-        violations.push(format!(
-            "plan scripted {} master crashes, harness restarted {} times",
-            plan.master_crashes.len(),
-            master_restarts
-        ));
-    }
-
-    // 2. Recovery bounds and decode-oracle equality, step by step,
-    //    replaying placement repair as it happened.
-    let oracle = ExactDecoder::new(placement);
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut assignments: Vec<Vec<usize>> = (0..n)
-        .map(|w| placement.partitions_of(w).to_vec())
-        .collect();
-    let mut repaired = false;
-    for r in reports {
-        for e in &r.repairs {
-            let Some(pos) = assignments[e.from].iter().position(|&j| j == e.partition) else {
-                violations.push(format!(
-                    "step {}: repair moves partition {} which worker {} does not hold",
-                    r.step, e.partition, e.from
-                ));
-                continue;
-            };
-            assignments[e.from].remove(pos);
-            assignments[e.to].push(e.partition);
-            assignments[e.to].sort_unstable();
-            repaired = true;
-        }
-        let available = WorkerSet::from_indices(n, r.arrivals.iter().copied());
-        let w = r.arrivals.len();
-        if !repaired {
-            if !bounds::recovery_within_bounds_of(placement, w, r.recovered) {
-                let (lo, hi) = bounds::recovery_bounds_of(placement, w);
-                violations.push(format!(
-                    "step {}: recovered {} outside Theorem 10-11 bounds [{lo}, {hi}] for w={w}",
-                    r.step, r.recovered
-                ));
-            }
-            let best = oracle.decode(&available, &mut rng).recovered_count();
-            if r.recovered != best {
-                violations.push(format!(
-                    "step {}: recovered {} but the exact decoder finds {best} for arrivals {:?}",
-                    r.step, r.recovered, r.arrivals
-                ));
-            }
-        } else {
-            // Post-repair the placement is no longer the scheme's, so the
-            // theorems do not apply verbatim; the contract is bounded
-            // degradation: at least one worker's original load, at most
-            // everything.
-            if !(c..=n).contains(&r.recovered) {
-                violations.push(format!(
-                    "step {}: post-repair recovered {} outside [{c}, {n}]",
-                    r.step, r.recovered
-                ));
-            }
-            // Independent reconstruction of the repaired decode.
-            let mut edges = Vec::new();
-            for a in 0..n {
-                for b in a + 1..n {
-                    if assignments[a].iter().any(|p| assignments[b].contains(p)) {
-                        edges.push((a, b));
-                    }
-                }
-            }
-            let graph = ConflictGraph::from_edges(n, &edges);
-            let best: usize = graph
-                .max_independent_set(&available)
-                .iter()
-                .map(|&w| assignments[w].len())
-                .sum();
-            if r.recovered != best {
-                violations.push(format!(
-                    "step {}: post-repair recovered {} but reconstruction finds {best}",
-                    r.step, r.recovered
-                ));
-            }
-        }
-    }
-
-    // 3. Scripted absences: a fault that suppresses the codeword keeps the
-    //    worker out of that step's arrivals; connection kills also cost the
-    //    next step; a death costs every later step.
-    for f in &plan.faults {
-        if !f.kind.suppresses_codeword() {
-            continue;
-        }
-        let mut absent_steps: Vec<u64> = vec![f.step];
-        if f.kind.kills_connection() && f.kind != FaultKind::Die {
-            absent_steps.push(f.step + 1);
-        }
-        if f.kind == FaultKind::Die {
-            absent_steps = (f.step..config.steps as u64).collect();
-        }
-        for s in absent_steps {
-            if let Some(r) = reports.iter().find(|r| r.step == s) {
-                if r.arrivals.contains(&f.worker) {
-                    violations.push(format!(
-                        "worker {} arrived at step {s} despite {:?} at step {}",
-                        f.worker, f.kind, f.step
-                    ));
-                }
-            }
-        }
-    }
-
-    // 4. Ladder arithmetic: the consecutive-degraded counter climbs by one
-    //    on every approx/skipped step and resets on exact steps — across
-    //    master restarts too, which is exactly what checkpointing the
-    //    counter buys (a resumed master must not forget a live streak).
-    let mut expected_streak = 0u64;
-    for r in reports {
-        expected_streak = if r.outcome.is_degraded() {
-            expected_streak + 1
-        } else {
-            0
-        };
-        if r.consecutive_degraded != expected_streak {
-            violations.push(format!(
-                "step {}: consecutive-degraded counter is {} but the report \
-                 sequence implies {expected_streak}",
-                r.step, r.consecutive_degraded
-            ));
-        }
-        if r.outcome == StepOutcome::Skipped && r.recovered != 0 {
-            violations.push(format!(
-                "step {}: skipped outcome with {} recovered partitions",
-                r.step, r.recovered
-            ));
-        }
-    }
-
-    // 5. Stale accounting: every scripted stale or duplicate frame must be
-    //    discarded (counted), never double-applied. Counted across the whole
-    //    run because a duplicate can land in the next step's window.
-    let scripted_stale = plan
-        .faults
-        .iter()
-        .filter(|f| matches!(f.kind, FaultKind::Stale | FaultKind::Duplicate) && f.step > 0)
-        .count();
-    let observed_stale: usize = reports.iter().map(|r| r.stale).sum();
-    if observed_stale < scripted_stale {
-        violations.push(format!(
-            "plan scripted {scripted_stale} stale/duplicate frames but the master counted only \
-             {observed_stale}"
-        ));
-    }
-
-    violations
-}
-
 /// FNV-1a over the run's deterministic observables.
 pub(crate) fn fingerprint(reports: &[NetReport], final_params: &[f64]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
+    let mut h = FNV_BASIS;
+    let mut eat = |bytes: &[u8]| h = fnv1a(h, bytes);
     for r in reports {
         eat(&r.step.to_le_bytes());
         let mut arrivals = r.arrivals.clone();

@@ -10,7 +10,9 @@
 //! the [`harness`] runs a genuine loopback cluster under the plan while
 //! asserting, step by step, that recovery stays inside the theorems'
 //! bounds, that decode results match an independent oracle, and that the
-//! run's observable behavior is a pure function of `(plan, seed)`.
+//! run's observable behavior is a pure function of `(plan, seed)`. The
+//! step-by-step checks are [`invariants::check_reports`], the one report
+//! checker the tree harness and the model checker (`isgc-mc`) call too.
 //!
 //! Determinism is engineered, not hoped for:
 //!
@@ -33,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod harness;
+pub mod invariants;
 pub mod metrics;
 pub mod plan;
 pub mod rng;

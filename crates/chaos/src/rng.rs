@@ -7,6 +7,8 @@
 //! from string labels, so "which worker flaps" and "which byte gets flipped"
 //! draw from unrelated sequences even though both come from one seed.
 
+use isgc_core::hash::{fnv1a, mix64, FNV_BASIS, GOLDEN_GAMMA};
+
 /// A seeded SplitMix64 stream with labeled forking.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosRng {
@@ -21,11 +23,8 @@ impl ChaosRng {
 
     /// The next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
+        mix64(self.state)
     }
 
     /// A uniform value in `0..bound` (`0` when `bound == 0`).
@@ -48,13 +47,9 @@ impl ChaosRng {
     /// string label. Forking does not advance the parent.
     pub fn fork(&self, label: &str) -> ChaosRng {
         // FNV-1a over the label, mixed into the current state.
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        for b in label.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        let h = fnv1a(FNV_BASIS, label.as_bytes());
         ChaosRng {
-            state: self.state ^ h.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            state: self.state ^ h.wrapping_mul(GOLDEN_GAMMA),
         }
     }
 }

@@ -24,6 +24,8 @@
 
 use std::collections::BTreeMap;
 
+use isgc_core::hash::{fnv1a, FNV_BASIS};
+
 use crate::plan::{Fault, FaultKind, FaultPlan};
 
 /// A serialized counterexample: cluster shape + fault schedule + the
@@ -185,19 +187,12 @@ impl Trace {
 /// containing an embedded separator cannot collide with a split pair. An
 /// empty slice (a passing run) hashes to the FNV basis.
 pub fn failure_fingerprint(violations: &[String]) -> u64 {
-    const BASIS: u64 = 0xCBF2_9CE4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
     let mut sorted: Vec<&str> = violations.iter().map(String::as_str).collect();
     sorted.sort_unstable();
-    let mut hash = BASIS;
-    for violation in sorted {
+    sorted.into_iter().fold(FNV_BASIS, |hash, violation| {
         let bytes = violation.as_bytes();
-        for &byte in (bytes.len() as u64).to_le_bytes().iter().chain(bytes) {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(PRIME);
-        }
-    }
-    hash
+        fnv1a(fnv1a(hash, &(bytes.len() as u64).to_le_bytes()), bytes)
+    })
 }
 
 fn get<'a>(obj: &'a BTreeMap<String, Json>, key: &str, index: usize) -> Result<&'a Json, String> {

@@ -22,9 +22,7 @@
 use std::thread;
 use std::time::Duration;
 
-use isgc_core::decode::{Decoder, ExactDecoder};
-use isgc_core::WorkerSet;
-use isgc_core::{bounds, Placement};
+use isgc_core::Placement;
 use isgc_engine::{shard_ranges, SessionStatus};
 use isgc_ml::dataset::Dataset;
 use isgc_ml::model::LinearRegression;
@@ -32,10 +30,9 @@ use isgc_net::{
     run_worker, Master, NetConfig, NetReport, RetryPolicy, Submaster, SubmasterOptions, WaitPolicy,
     WorkerOptions,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::harness::fingerprint;
+use crate::invariants::check_reports;
 use crate::ChaosError;
 
 /// Shape and script of a tree chaos run.
@@ -210,7 +207,7 @@ pub fn run_tree_chaos(config: &TreeChaosConfig) -> Result<TreeChaosOutcome, Chao
                         let restarted = pending.is_none();
                         let sub = match pending.take() {
                             Some(s) => s,
-                            None => Submaster::bind_with_retry(addr, &retry)?,
+                            None => retry.run(0, || Submaster::bind(addr))?,
                         };
                         let options = SubmasterOptions {
                             crash_at_step: crash_at.take(),
@@ -279,7 +276,11 @@ pub fn run_tree_chaos(config: &TreeChaosConfig) -> Result<TreeChaosOutcome, Chao
         .filter(|r| r.arrivals.len() < config.n)
         .map(|r| r.step)
         .collect();
-    let violations = check_invariants(config, &placement, &reports, submaster_restarts);
+    // Recovery bounds and decode-oracle equality hold on every step,
+    // including the degraded one: the shard-local decodes must compose to
+    // exactly what a flat master would have recovered.
+    let mut violations = check_reports(&placement, &reports, &[], Some(config.steps));
+    violations.extend(check_crash_script(config, &reports, submaster_restarts));
     let final_loss = reports.last().map_or(f64::INFINITY, |r| r.loss);
     let fingerprint = fingerprint(&reports, &final_params);
     Ok(TreeChaosOutcome {
@@ -292,43 +293,23 @@ pub fn run_tree_chaos(config: &TreeChaosConfig) -> Result<TreeChaosOutcome, Chao
     })
 }
 
-/// Checks every invariant of a finished tree run.
-fn check_invariants(
+/// The tree script's own checks, beside the shared report invariants: the
+/// one scripted sub-master crash was restarted once, exactly the scripted
+/// step degrades, losing exactly the crashed shard, and every other step
+/// sees the full cluster.
+fn check_crash_script(
     config: &TreeChaosConfig,
-    placement: &Placement,
     reports: &[NetReport],
     submaster_restarts: usize,
 ) -> Vec<String> {
     let mut violations = Vec::new();
     let n = config.n;
-    let shards = shard_ranges(n, config.submasters);
-    let (crash_lo, crash_hi) = shards[config.crash_shard];
-
-    // 1. The run completed every step exactly once, in order — the
-    //    never-hangs contract, made checkable.
-    for (i, r) in reports.iter().enumerate() {
-        if r.step != i as u64 {
-            violations.push(format!(
-                "step sequence broken at position {i}: found step {}",
-                r.step
-            ));
-        }
-    }
-    if reports.len() != config.steps {
-        violations.push(format!(
-            "expected {} steps, got {}",
-            config.steps,
-            reports.len()
-        ));
-    }
+    let (crash_lo, crash_hi) = shard_ranges(n, config.submasters)[config.crash_shard];
     if submaster_restarts != 1 {
         violations.push(format!(
             "scripted 1 sub-master crash, harness restarted {submaster_restarts} times"
         ));
     }
-
-    // 2. Exactly the scripted step degrades, losing exactly the crashed
-    //    shard; every other step sees the full cluster.
     for r in reports {
         let mut arrivals = r.arrivals.clone();
         arrivals.sort_unstable();
@@ -348,31 +329,6 @@ fn check_invariants(
             ));
         }
     }
-
-    // 3. Recovery bounds and decode-oracle equality on every step,
-    //    including the degraded one — the shard-local decodes must compose
-    //    to exactly what a flat master would have recovered.
-    let oracle = ExactDecoder::new(placement);
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    for r in reports {
-        let w = r.arrivals.len();
-        if !bounds::recovery_within_bounds_of(placement, w, r.recovered) {
-            let (lo, hi) = bounds::recovery_bounds_of(placement, w);
-            violations.push(format!(
-                "step {}: recovered {} outside Theorem 10-11 bounds [{lo}, {hi}] for w={w}",
-                r.step, r.recovered
-            ));
-        }
-        let available = WorkerSet::from_indices(n, r.arrivals.iter().copied());
-        let best = oracle.decode(&available, &mut rng).recovered_count();
-        if r.recovered != best {
-            violations.push(format!(
-                "step {}: recovered {} but the exact decoder finds {best} for arrivals {:?}",
-                r.step, r.recovered, r.arrivals
-            ));
-        }
-    }
-
     violations
 }
 

@@ -3,6 +3,7 @@
 use rand::RngCore;
 
 use crate::decode::{assert_universe, DecodeResult, Decoder};
+use crate::hash::{mix64, GOLDEN_GAMMA};
 use crate::{Error, Placement, Scheme, WorkerSet};
 
 /// `Decode()` for fractional repetition (paper Alg. 1).
@@ -83,21 +84,15 @@ impl Decoder for FrDecoder {
             let members = WorkerSet::from_indices(n, group * c..(group + 1) * c);
             let survivors = available.intersection(&members).to_vec();
             if !survivors.is_empty() {
-                let pick = splitmix64(base ^ group as u64) as usize % survivors.len();
+                // SplitMix64 decorrelates the pick from the group index so
+                // neighbouring groups don't share low-bit patterns.
+                let z = (base ^ group as u64).wrapping_add(GOLDEN_GAMMA);
+                let pick = mix64(z) as usize % survivors.len();
                 selected.push(survivors[pick]);
             }
         }
         DecodeResult::from_selected(&self.placement, selected)
     }
-}
-
-/// SplitMix64 finalizer: decorrelates the per-group pick from the group
-/// index so neighbouring groups don't share low-bit patterns.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

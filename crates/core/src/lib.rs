@@ -70,6 +70,7 @@
 //! | [`encode`] | §IV | sum-encoding and `ĝ` assembly |
 //! | [`classic`] | §III | classic GC baseline (Tandon et al.) |
 //! | [`fairness`] | §IV, §V-B | Monte-Carlo partition-inclusion fairness |
+//! | [`hash`] | — | FNV-1a and the SplitMix64 finalizer, written once |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -83,6 +84,7 @@ pub mod encode;
 mod error;
 pub mod expectation;
 pub mod fairness;
+pub mod hash;
 pub mod placement;
 mod worker_set;
 

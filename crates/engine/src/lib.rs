@@ -46,7 +46,6 @@
 //! - **Normalization and the SGD update** (Theorem 12), plus the unified
 //!   [`StepReport`]/[`TrainReport`].
 
-pub mod invariants;
 pub mod merge;
 pub mod metrics;
 mod repair;
@@ -60,6 +59,7 @@ pub use worker::WorkerStep;
 
 use isgc_core::classic::ClassicGc;
 use isgc_core::decode::{decoder_for, ApproxDecoder, ArrivalOrderDecoder, Decoder};
+use isgc_core::hash::{mix64, GOLDEN_GAMMA};
 use isgc_core::{bounds, Placement, WorkerSet};
 use isgc_linalg::Vector;
 use isgc_ml::optimizer::{LrSchedule, Sgd};
@@ -73,10 +73,7 @@ use crate::repair::RepairState;
 /// stream is identical across backends and across a master restart — a
 /// resumed run decodes step `t` exactly as the original would have.
 pub fn step_rng(seed: u64, step: u64) -> StdRng {
-    let mut z = seed ^ step.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    StdRng::seed_from_u64(z ^ (z >> 31))
+    StdRng::seed_from_u64(mix64(seed ^ step.wrapping_mul(GOLDEN_GAMMA)))
 }
 
 /// How the decoded gradient `ĝ` is normalized before the SGD update.

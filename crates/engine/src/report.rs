@@ -1,5 +1,6 @@
 //! Unified per-step and per-run reporting shared by every backend.
 
+use isgc_core::hash::{fnv1a, FNV_BASIS};
 use isgc_linalg::Vector;
 
 /// One partition reassignment performed by placement repair: partition
@@ -260,15 +261,8 @@ impl TrainReport {
     /// and the same straggler schedule must produce identical fingerprints —
     /// the cross-backend parity tests assert exactly this.
     pub fn recovery_fingerprint(&self) -> u64 {
-        const BASIS: u64 = 0xCBF2_9CE4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01B3;
-        let mut hash = BASIS;
-        let mut mix = |value: u64| {
-            for byte in value.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(PRIME);
-            }
-        };
+        let mut hash = FNV_BASIS;
+        let mut mix = |value: u64| hash = fnv1a(hash, &value.to_le_bytes());
         for s in &self.steps {
             mix(s.step);
             let mut arrivals = s.arrivals.clone();

@@ -7,32 +7,17 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use isgc_chaos::{failure_fingerprint, Fault, FaultKind, Trace};
+use isgc_chaos::invariants::check_reports;
+use isgc_chaos::{failure_fingerprint, ChaosConfig, Fault, FaultKind, Trace};
 use isgc_core::Placement;
-use isgc_engine::invariants::InvariantChecker;
-use isgc_engine::{
-    DegradePolicy, EngineConfig, EngineError, RecordingObserver, StepEngine, StepReport,
-};
+use isgc_engine::{EngineConfig, EngineError, RecordingObserver, StepEngine, StepReport};
 use isgc_ml::{Dataset, LinearRegression};
 use isgc_net::master::MasterLoop;
 use isgc_net::submaster::{ShardGeometry, ShardLoop, TreeRootLoop};
-use isgc_net::{NetConfig, SubmasterOptions, WaitPolicy};
+use isgc_net::{NetConfig, SubmasterOptions};
 
 use crate::sched::{Ctx, Poison};
 use crate::world::{Role, VirtualTransport, World};
-
-/// Feature dimension of the checker's synthetic regression task (mirrors
-/// the chaos harness default).
-pub const FEATURES: usize = 5;
-/// Sample count of the synthetic dataset (mirrors the chaos harness).
-pub const SAMPLES: usize = 192;
-/// Mini-batch size per partition per step (mirrors the chaos harness).
-pub const BATCH: usize = 8;
-/// Learning rate (mirrors the chaos harness).
-pub const LR: f64 = 0.02;
-/// Loss threshold: negative so runs never stop early and every schedule
-/// executes the same step count (mirrors the chaos harness).
-pub const LOSS: f64 = -1.0;
 
 /// The cluster geometry a checking run drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -393,37 +378,44 @@ fn explore_inner(cfg: &McConfig, forced: Option<Vec<Fault>>) -> Exploration {
     out
 }
 
-/// Builds the master/engine configs the checker drives — the same mapping
-/// the chaos harness uses, minus everything wall-clock.
-fn configs(cfg: &McConfig, placement: &Placement, n: usize) -> (NetConfig, EngineConfig) {
-    let mut net = NetConfig::new(placement.clone(), WaitPolicy::FirstW(n));
-    net.batch_size = BATCH;
-    net.learning_rate = LR;
-    net.loss_threshold = LOSS;
-    net.max_steps = cfg.steps as usize;
-    net.seed = cfg.seed;
+/// The training setup a counterexample trace replays under: `isgc chaos`
+/// runs it with `ChaosConfig::new(seed)` at the trace's shape, so the
+/// checker trains with exactly that config's task, batch and master setup.
+fn chaos_config(cfg: &McConfig) -> ChaosConfig {
+    let (n, c) = cfg.shape.cluster();
+    let mut chaos = ChaosConfig::new(cfg.seed);
+    chaos.n = n;
+    chaos.c = c;
+    chaos.steps = cfg.steps as usize;
+    chaos
+}
 
+/// Builds the master/engine configs the checker drives — the chaos
+/// harness's own training setup, minus everything wall-clock.
+fn configs(chaos: &ChaosConfig, placement: &Placement) -> (NetConfig, EngineConfig) {
+    let net = chaos.net_config(placement.clone());
     let mut engine = EngineConfig::new(placement.clone());
-    engine.batch_size = BATCH;
-    engine.learning_rate = LR;
-    engine.loss_threshold = LOSS;
-    engine.max_steps = cfg.steps;
-    engine.seed = cfg.seed;
-    engine.degrade = DegradePolicy::Fail;
+    engine.batch_size = net.batch_size;
+    engine.learning_rate = net.learning_rate;
+    engine.loss_threshold = net.loss_threshold;
+    engine.max_steps = net.max_steps as u64;
+    engine.seed = net.seed;
+    engine.degrade = net.degrade.clone();
     (net, engine)
 }
 
 fn run_flat_once(cfg: &McConfig, ctx: &Rc<RefCell<Ctx>>, n: usize, c: usize) -> RunResult {
     let placement = Placement::fractional(n, c).expect("checker shapes are valid placements");
-    let (net, engine_cfg) = configs(cfg, &placement, n);
+    let chaos = chaos_config(cfg);
+    let (net, engine_cfg) = configs(&chaos, &placement);
     let world = World::new(
         Rc::clone(ctx),
         Role::Flat,
         n,
-        BATCH,
+        chaos.batch_size,
         cfg.seed,
-        FEATURES,
-        SAMPLES,
+        chaos.features,
+        chaos.samples,
     );
     {
         let mut w = world.borrow_mut();
@@ -431,8 +423,8 @@ fn run_flat_once(cfg: &McConfig, ctx: &Rc<RefCell<Ctx>>, n: usize, c: usize) -> 
             w.spawn_worker(worker);
         }
     }
-    let model = LinearRegression::new(FEATURES);
-    let dataset = Dataset::synthetic_regression(SAMPLES, FEATURES, 0.05, cfg.seed);
+    let model = LinearRegression::new(chaos.features);
+    let dataset = Dataset::synthetic_regression(chaos.samples, chaos.features, 0.05, cfg.seed);
     let mut observer = RecordingObserver::default();
     let result = (|| {
         let mut master = MasterLoop::new(net, Box::new(VirtualTransport::new(world)));
@@ -456,10 +448,11 @@ fn run_tree_once(cfg: &McConfig, ctx: &Rc<RefCell<Ctx>>) -> RunResult {
     let submasters = 2;
     let per = n / submasters;
     let placement = Placement::fractional(n, c).expect("tree shape is a valid placement");
-    let (net, engine_cfg) = configs(cfg, &placement, n);
+    let chaos = chaos_config(cfg);
+    let (net, engine_cfg) = configs(&chaos, &placement);
 
-    let model = LinearRegression::new(FEATURES);
-    let dataset = Dataset::synthetic_regression(SAMPLES, FEATURES, 0.05, cfg.seed);
+    let model = LinearRegression::new(chaos.features);
+    let dataset = Dataset::synthetic_regression(chaos.samples, chaos.features, 0.05, cfg.seed);
     let mut observer = RecordingObserver::default();
     let mut shards: Vec<Rc<RefCell<ShardLoop>>> = Vec::new();
     let result = (|| {
@@ -468,10 +461,10 @@ fn run_tree_once(cfg: &McConfig, ctx: &Rc<RefCell<Ctx>>) -> RunResult {
                 Rc::clone(ctx),
                 Role::ShardWorkers,
                 n,
-                BATCH,
+                chaos.batch_size,
                 cfg.seed,
-                FEATURES,
-                SAMPLES,
+                chaos.features,
+                chaos.samples,
             );
             {
                 let mut w = world.borrow_mut();
@@ -485,7 +478,7 @@ fn run_tree_once(cfg: &McConfig, ctx: &Rc<RefCell<Ctx>>) -> RunResult {
                 hi: (k + 1) * per,
                 n,
                 c,
-                batch_size: BATCH,
+                batch_size: chaos.batch_size,
                 seed: cfg.seed,
             };
             let shard = ShardLoop::new(
@@ -505,10 +498,10 @@ fn run_tree_once(cfg: &McConfig, ctx: &Rc<RefCell<Ctx>>) -> RunResult {
             Rc::clone(ctx),
             Role::TreeRoot(shards.clone()),
             n,
-            BATCH,
+            chaos.batch_size,
             cfg.seed,
-            FEATURES,
-            SAMPLES,
+            chaos.features,
+            chaos.samples,
         );
         {
             let mut w = root_world.borrow_mut();
@@ -586,61 +579,15 @@ fn finish(
     }
 }
 
-/// Checks one terminal run. Violation strings are byte-identical to the
-/// chaos harness's, so [`failure_fingerprint`] values are comparable across
-/// the model and a loopback replay.
+/// Checks one terminal run: the chaos harness's report invariants
+/// ([`check_reports`], so [`failure_fingerprint`] values are comparable
+/// across the model and a loopback replay), plus the terminals only a
+/// model checker can reach.
 fn check_run(cfg: &McConfig, run: &RunResult, faults: &[Fault]) -> Vec<String> {
     let (n, c) = cfg.shape.cluster();
     let placement = Placement::fractional(n, c).expect("checker shapes are valid placements");
-    let mut checker = InvariantChecker::new(&placement).with_oracle();
-    if run.terminal == Terminal::Completed {
-        checker = checker.expect_steps(cfg.steps as usize);
-    }
-    let mut violations = checker.check(&run.reports);
-
-    // Scripted absences (chaos invariant 3): a fault that suppresses the
-    // codeword keeps the worker out of that step's arrivals; connection
-    // kills also cost the next step; a death costs every later step.
-    for f in faults {
-        if !f.kind.suppresses_codeword() {
-            continue;
-        }
-        let mut absent_steps: Vec<u64> = vec![f.step];
-        if f.kind.kills_connection() && f.kind != FaultKind::Die {
-            absent_steps.push(f.step + 1);
-        }
-        if f.kind == FaultKind::Die {
-            absent_steps = (f.step..cfg.steps).collect();
-        }
-        for s in absent_steps {
-            if let Some(r) = run.reports.iter().find(|r| r.step == s) {
-                if r.arrivals.contains(&f.worker) {
-                    violations.push(format!(
-                        "worker {} arrived at step {s} despite {:?} at step {}",
-                        f.worker, f.kind, f.step
-                    ));
-                }
-            }
-        }
-    }
-
-    // Stale accounting (chaos invariant 5): every scripted stale/duplicate
-    // frame must be discarded (counted), never double-applied. Only
-    // meaningful for completed runs — a truncated run may end before the
-    // frame's delivery window.
-    if run.terminal == Terminal::Completed {
-        let scripted_stale = faults
-            .iter()
-            .filter(|f| matches!(f.kind, FaultKind::Stale | FaultKind::Duplicate) && f.step > 0)
-            .count();
-        let observed_stale: usize = run.reports.iter().map(|r| r.stale).sum();
-        if observed_stale < scripted_stale {
-            violations.push(format!(
-                "plan scripted {scripted_stale} stale/duplicate frames but the master counted only \
-                 {observed_stale}"
-            ));
-        }
-    }
+    let completed = (run.terminal == Terminal::Completed).then_some(cfg.steps as usize);
+    let mut violations = check_reports(&placement, &run.reports, faults, completed);
 
     // Model-checker-only terminals.
     if run.terminal == Terminal::Stuck {

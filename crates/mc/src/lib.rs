@@ -13,12 +13,15 @@
 //! collector behind the [`isgc_net::seam::Transport`] seam, a property
 //! proved here is a property of the shipped protocol, not of a model of it.
 //!
-//! At every terminal state the checker asserts the same invariants the
-//! chaos harness does, with byte-identical violation strings:
+//! At every terminal state the checker holds the run to the report checker
+//! the chaos harness calls, [`isgc_chaos::invariants::check_reports`] — one
+//! function, so a modeled violation and its loopback replay produce the same
+//! strings — and adds the last two checks below, which only a search can
+//! make:
 //!
 //! * recovery inside the Theorem 10–11 interval, and equal to the exact
-//!   branch-and-bound decoder's maximum (`isgc-engine`'s
-//!   [`InvariantChecker`](isgc_engine::invariants::InvariantChecker));
+//!   branch-and-bound decoder's maximum (after a placement repair, equal to
+//!   an independent reconstruction of the repaired decode);
 //! * degradation-ladder arithmetic (streak counters, skipped-step and
 //!   bias-weight coherence);
 //! * scripted absences: a suppressed codeword keeps its worker out of the
@@ -63,5 +66,4 @@ mod world;
 
 pub use explore::{
     counterexample_trace, explore, explore_plan, minimize, Exploration, McConfig, Shape, Violation,
-    BATCH, FEATURES, LOSS, LR, SAMPLES,
 };

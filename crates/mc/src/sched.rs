@@ -22,6 +22,7 @@
 use std::collections::HashSet;
 
 use isgc_chaos::Fault;
+use isgc_core::hash::{fnv1a, FNV_BASIS};
 
 /// Sentinel carried through [`isgc_net::NetError::Protocol`] when a run is
 /// cut short because its state was already explored.
@@ -216,7 +217,7 @@ impl Ctx {
     /// The run's delivered-multiset key: phases in order, each an
     /// order-insensitive sum of its event hashes.
     pub(crate) fn delivered_key(&self) -> u64 {
-        let mut h = fnv_start();
+        let mut h = FNV_BASIS;
         for &phase in &self.delivered {
             h = fnv_u64(h, phase);
         }
@@ -224,23 +225,8 @@ impl Ctx {
     }
 }
 
-pub(crate) const FNV_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
-pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-pub(crate) fn fnv_start() -> u64 {
-    FNV_BASIS
-}
-
-pub(crate) fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 pub(crate) fn fnv_u64(h: u64, value: u64) -> u64 {
-    fnv_bytes(h, &value.to_le_bytes())
+    fnv1a(h, &value.to_le_bytes())
 }
 
 #[cfg(test)]

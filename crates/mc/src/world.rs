@@ -22,6 +22,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use isgc_chaos::{Action, Fault, FaultKind};
+use isgc_core::hash::{fnv1a, FNV_BASIS};
 use isgc_engine::WorkerStep;
 use isgc_linalg::Vector;
 use isgc_ml::{Dataset, LinearRegression};
@@ -30,7 +31,7 @@ use isgc_net::submaster::ShardLoop;
 use isgc_net::wire::Message;
 use isgc_net::{Assignment, NetError, WorkerCore};
 
-use crate::sched::{fnv_bytes, fnv_start, fnv_u64, Ctx, Poison, PRUNE, STUCK};
+use crate::sched::{fnv_u64, Ctx, Poison, PRUNE, STUCK};
 
 /// Which collector this world faces.
 pub(crate) enum Role {
@@ -132,7 +133,7 @@ impl World {
         self.conns.push(Conn {
             open: true,
             queue: VecDeque::new(),
-            delivered: fnv_start(),
+            delivered: FNV_BASIS,
             sim,
         });
         token
@@ -330,7 +331,7 @@ impl World {
         // The multiset key must identify the *source* connection, not just
         // the frame: under FR replication two workers of one group emit
         // byte-identical codewords, and their absences must not alias.
-        let keyed = fnv_u64(fnv_u64(fnv_start(), pick as u64), hash);
+        let keyed = fnv_u64(fnv_u64(FNV_BASIS, pick as u64), hash);
         ctx_rc.borrow_mut().record_delivery(phase, keyed);
         Ok(Some(event))
     }
@@ -398,7 +399,7 @@ impl World {
     /// each connection's delivered *sequence* (captured by the rolling
     /// hashes), the pending queues, and the modeled-worker states.
     fn state_hash(&self, ctx: &Ctx) -> u64 {
-        let mut h = fnv_start();
+        let mut h = FNV_BASIS;
         h = fnv_u64(h, self.collecting.map_or(u64::MAX, |s| s));
         for conn in &self.conns {
             h = fnv_u64(h, u64::from(conn.open));
@@ -419,7 +420,7 @@ impl World {
         for fault in &ctx.faults {
             h = fnv_u64(h, fault.worker as u64);
             h = fnv_u64(h, fault.step);
-            h = fnv_bytes(h, format!("{:?}", fault.kind).as_bytes());
+            h = fnv1a(h, format!("{:?}", fault.kind).as_bytes());
         }
         h
     }
@@ -429,7 +430,7 @@ impl World {
 /// per-connection delivery hashes and for the per-phase delivered-multiset
 /// key.
 fn event_hash(event: &NetEvent) -> u64 {
-    let mut h = fnv_start();
+    let mut h = FNV_BASIS;
     match event {
         NetEvent::Hello { preferred, .. } => {
             h = fnv_u64(h, 1);
@@ -441,7 +442,7 @@ fn event_hash(event: &NetEvent) -> u64 {
         }
         NetEvent::Msg { message, .. } => {
             h = fnv_u64(h, 3);
-            h = fnv_bytes(h, &message.encode());
+            h = fnv1a(h, &message.encode());
         }
         NetEvent::Codeword { step, values, .. } => {
             h = fnv_u64(h, 4);
@@ -557,8 +558,8 @@ impl Transport for VirtualTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{BATCH, FEATURES, SAMPLES};
     use isgc_chaos::worker::{perform, Flow};
+    use isgc_chaos::ChaosConfig;
 
     const WORKER: usize = 2;
     const STEP: u64 = 1;
@@ -570,15 +571,17 @@ mod tests {
     /// cluster.
     #[test]
     fn modeled_faults_queue_what_the_chaos_client_writes() {
+        let chaos = ChaosConfig::new(SEED);
+        let (batch, features, samples) = (chaos.batch_size, chaos.features, chaos.samples);
         let assign = Message::Assign {
             worker: WORKER as u64,
             n: 4,
             c: 2,
-            batch_size: BATCH as u64,
+            batch_size: batch as u64,
             seed: SEED,
             partitions: vec![2, 3],
         };
-        let params: Vec<f64> = (0..=FEATURES).map(|i| 0.25 * i as f64 - 0.5).collect();
+        let params: Vec<f64> = (0..=features).map(|i| 0.25 * i as f64 - 0.5).collect();
 
         for kind in [
             FaultKind::Decline,
@@ -594,7 +597,7 @@ mod tests {
                 step: STEP,
                 kind,
             }]);
-            let world = World::new(ctx, Role::Flat, 4, BATCH, SEED, FEATURES, SAMPLES);
+            let world = World::new(ctx, Role::Flat, 4, batch, SEED, features, samples);
             let mut world = world.borrow_mut();
             world.spawn_worker(WORKER);
             assert!(world.adopt(0, &assign.encode()));
@@ -630,8 +633,8 @@ mod tests {
             }
 
             // The chaos client's side: same assignment, same recipe.
-            let model = LinearRegression::new(FEATURES);
-            let dataset = Dataset::synthetic_regression(SAMPLES, FEATURES, 0.05, SEED);
+            let model = LinearRegression::new(features);
+            let dataset = Dataset::synthetic_regression(samples, features, 0.05, SEED);
             let mut core = WorkerCore::new(Assignment::from_message(assign.clone()).unwrap());
             let mut work = core.assignment().work(&model, &dataset);
             let mut written = Vec::new();

@@ -1,5 +1,6 @@
 //! Synthetic datasets with deterministic partitioning and mini-batching.
 
+use isgc_core::hash::{GOLDEN_GAMMA, MIX_MULTIPLIERS};
 use isgc_linalg::{Matrix, Vector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -311,10 +312,11 @@ impl Partitioned {
         assert!(batch_size > 0, "batch_size must be positive");
         let range = self.range(p);
         // Derive a stream unique to (seed, step, partition) with splitmix-style mixing.
+        let [m1, m2] = MIX_MULTIPLIERS;
         let stream = seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(step.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-            .wrapping_add((p as u64).wrapping_mul(0x94D0_49BB_1331_11EB));
+            .wrapping_mul(GOLDEN_GAMMA)
+            .wrapping_add(step.wrapping_mul(m1))
+            .wrapping_add((p as u64).wrapping_mul(m2));
         let mut rng = StdRng::seed_from_u64(stream);
         (0..batch_size)
             .map(|_| rng.random_range(range.clone()))

@@ -38,7 +38,6 @@ use isgc_ml::model::Model;
 use crate::checkpoint::{CheckpointConfig, MasterCheckpoint};
 use crate::reactor::{NetEvent, Reactor};
 use crate::report::{NetReport, NetTrainReport};
-use crate::retry::RetryPolicy;
 use crate::seam::Transport;
 use crate::submaster::TreeRootLoop;
 use crate::tier::{worker_reply, Frame, Host, Peers, Reply, Tier};
@@ -232,19 +231,6 @@ impl Master {
     pub fn bind(addr: impl ToSocketAddrs) -> Result<Master, NetError> {
         let listener = TcpListener::bind(addr)?;
         Ok(Master { listener })
-    }
-
-    /// Binds with retries under `policy` — the restart path: a master
-    /// coming back on its old port may briefly race the OS releasing it.
-    ///
-    /// # Errors
-    ///
-    /// The final bind error once the policy's attempts are exhausted.
-    pub fn bind_with_retry(
-        addr: impl ToSocketAddrs + Copy,
-        policy: &RetryPolicy,
-    ) -> Result<Master, NetError> {
-        policy.run(0, || Master::bind(addr))
     }
 
     /// The bound address (useful after binding port 0).

@@ -11,6 +11,8 @@
 
 use std::time::Duration;
 
+use isgc_core::hash::{mix64, GOLDEN_GAMMA};
+
 /// Exponential backoff with cap, bounded attempts, and deterministic jitter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
@@ -67,12 +69,8 @@ impl RetryPolicy {
         // splitmix64 of (salt, attempt) → uniform factor in
         // [1 − jitter/2, 1 + jitter/2]. Pure function of its inputs: the
         // same peer retries on the same schedule every run.
-        let mut x = salt ^ (u64::from(attempt)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let x = salt ^ u64::from(attempt).wrapping_mul(GOLDEN_GAMMA);
+        let z = mix64(x.wrapping_add(GOLDEN_GAMMA));
         let unit = (z >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
         let scale = 1.0 + self.jitter * (unit - 0.5);
         Duration::from_secs_f64(d.as_secs_f64() * scale)

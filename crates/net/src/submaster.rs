@@ -35,7 +35,6 @@
 use std::collections::VecDeque;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
-use std::thread;
 use std::time::Duration;
 
 use isgc_core::decode::{decoder_for, Decoder};
@@ -326,19 +325,6 @@ impl Submaster {
         })
     }
 
-    /// Binds with retries — the restart path after a scripted crash, when
-    /// the old socket may still be draining.
-    ///
-    /// # Errors
-    ///
-    /// The final bind error once the policy's attempts are exhausted.
-    pub fn bind_with_retry(
-        addr: impl ToSocketAddrs + Copy,
-        policy: &RetryPolicy,
-    ) -> Result<Submaster, NetError> {
-        policy.run(0, || Submaster::bind(addr))
-    }
-
     /// The bound worker-facing address.
     ///
     /// # Errors
@@ -420,29 +406,15 @@ fn dial_root(
     shard: usize,
     options: &SubmasterOptions,
 ) -> Result<TcpStream, NetError> {
-    let mut last_err: Option<NetError> = None;
-    for attempt in 0..options.retry.max_attempts.max(1) {
-        thread::sleep(options.retry.delay(attempt, shard as u64));
-        let mut stream = match TcpStream::connect(addr) {
-            Ok(s) => s,
-            Err(e) => {
-                last_err = Some(NetError::Io(e));
-                continue;
-            }
-        };
+    options.retry.run(shard as u64, || {
+        let mut stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        match write_message_for_job(
-            &mut stream,
-            options.job,
-            &Message::SubHello {
-                shard: shard as u64,
-            },
-        ) {
-            Ok(_) => return Ok(stream),
-            Err(e) => last_err = Some(NetError::Wire(e)),
-        }
-    }
-    Err(last_err.unwrap_or_else(|| NetError::Protocol("no connect attempts made".into())))
+        let hello = Message::SubHello {
+            shard: shard as u64,
+        };
+        write_message_for_job(&mut stream, options.job, &hello)?;
+        Ok(stream)
+    })
 }
 
 /// Reads the `ShardAssign` reply of a `SubHello`.

@@ -24,6 +24,8 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
+use isgc_core::hash::{mix64, GOLDEN_GAMMA};
+
 /// Leading bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"ISGC";
 
@@ -934,11 +936,8 @@ pub fn corpus_messages(seed: u64) -> Vec<Message> {
     let mut next = move || -> u64 {
         // splitmix64: the standard seeding PRNG; tiny, full-period, and
         // good enough for corpus generation.
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        state = state.wrapping_add(GOLDEN_GAMMA);
+        mix64(state)
     };
     (0..80u64)
         .map(|i| {

@@ -84,6 +84,33 @@ if [ "$(grep -c . <<<"$answers")" != 1 ]; then
   exit 1
 fi
 
+echo "== one invariant checker, one hash (structural guard)"
+# The report invariants are written once, in crates/chaos/src/invariants.rs,
+# and the chaos harness, the tree harness and the model checker all call it;
+# FNV-1a and the SplitMix64 finalizer are written once, in
+# crates/core/src/hash.rs. In non-test source under crates/*/src and src/
+# each marker below occurs exactly once, and no chaos module grows its own
+# check_invariants again.
+src_with() {
+  git ls-files 'crates/*/src/*.rs' 'src/*.rs' | while read -r f; do
+    awk -v f="$f" -v s="$1" '/#\[cfg\(test\)\]/ { exit }
+      index($0, s) { print f ":" FNR ": " $0 }' "$f"
+  done
+}
+for marker in 'outside Theorem 10-11 bounds' 'despite {:?} at step' \
+  '0x0000_0100_0000_01B3' '0xBF58_476D_1CE4_E5B9'; do
+  hits=$(src_with "$marker")
+  if [ "$(grep -c . <<<"$hits")" != 1 ]; then
+    echo "FAIL: want '$marker' exactly once in non-test source, found:" >&2
+    echo "$hits" >&2
+    exit 1
+  fi
+done
+if grep -rn 'fn check_invariants' crates/chaos/src >&2; then
+  echo "FAIL: a chaos harness checks invariants by hand again (call invariants::check_reports)" >&2
+  exit 1
+fi
+
 echo "== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -165,4 +192,4 @@ if ! diff -r -x README.md results target/results; then
   exit 1
 fi
 
-echo "ok: fmt, structural guards (incl. no thread in isgc-net, one session loop), clippy, docs, tests, engine parity, snapshots, chaos, blackout, multi-tenant, reactor scale, straggling swarm, benchmark smoke, mc mutation loop, and paper reproduction all clean"
+echo "ok: fmt, structural guards (incl. no thread in isgc-net, one session loop, one invariant checker and one hash), clippy, docs, tests, engine parity, snapshots, chaos, blackout, multi-tenant, reactor scale, straggling swarm, benchmark smoke, mc mutation loop, and paper reproduction all clean"

@@ -15,7 +15,6 @@ use isgc_core::Placement;
 use isgc_ml::dataset::Dataset;
 use isgc_ml::metrics::mean;
 use isgc_ml::model::SoftmaxRegression;
-use isgc_ml::optimizer::LrSchedule;
 use isgc_simnet::policy::WaitPolicy;
 use isgc_simnet::trainer::{train, CodingScheme, GradientNormalization, TrainingConfig};
 
@@ -87,12 +86,10 @@ fn normalization_ablation() {
             let config = TrainingConfig {
                 batch_size: 32,
                 learning_rate: 0.05,
-                momentum: 0.0,
                 loss_threshold: 0.205,
                 max_steps: 4000,
                 seed: 40 + trial * 11,
                 normalization: norm,
-                lr_schedule: LrSchedule::Constant,
                 ..Default::default()
             };
             let r = train(
@@ -132,12 +129,10 @@ fn run(scheme: &CodingScheme, w: usize) -> (f64, f64, f64) {
         let config = TrainingConfig {
             batch_size: 32,
             learning_rate: 0.05,
-            momentum: 0.0,
             loss_threshold: 0.205,
             max_steps: 4000,
             seed: 70 + trial * 13,
             normalization: GradientNormalization::SumOfPartitionMeans,
-            lr_schedule: LrSchedule::Constant,
             ..Default::default()
         };
         let r = train(

@@ -20,7 +20,6 @@ use isgc_bench::table::Table;
 use isgc_core::Placement;
 use isgc_ml::dataset::Dataset;
 use isgc_ml::model::{Mlp, SoftmaxRegression};
-use isgc_ml::optimizer::LrSchedule;
 use isgc_obs::{buckets, Class, Registry};
 use isgc_simnet::policy::WaitPolicy;
 use isgc_simnet::trainer::{
@@ -171,14 +170,12 @@ fn run_trials(scheme: &CodingScheme, w: usize, use_mlp: bool) -> Vec<TrainReport
             let config = TrainingConfig {
                 batch_size: 32,
                 learning_rate: 0.05,
-                momentum: 0.0,
                 // The MLP starts from random init with a slightly higher
                 // attainable loss floor; nudge the threshold accordingly.
                 loss_threshold: if use_mlp { 0.24 } else { 0.205 },
                 max_steps: 4000,
                 seed: 9000 + trial * 31,
                 normalization: GradientNormalization::SumOfPartitionMeans,
-                lr_schedule: LrSchedule::Constant,
                 ..Default::default()
             };
             let policy = WaitPolicy::WaitForCount(w);

@@ -18,7 +18,6 @@ use isgc_core::{HrParams, Placement, WorkerSet};
 use isgc_ml::dataset::Dataset;
 use isgc_ml::metrics::mean;
 use isgc_ml::model::SoftmaxRegression;
-use isgc_ml::optimizer::LrSchedule;
 use isgc_simnet::policy::WaitPolicy;
 use isgc_simnet::trainer::{train, CodingScheme, GradientNormalization, TrainingConfig};
 use rand::rngs::StdRng;
@@ -84,12 +83,10 @@ fn panel_b() {
             let config = TrainingConfig {
                 batch_size: 32,
                 learning_rate: 0.02,
-                momentum: 0.0,
                 loss_threshold: 0.0, // run all steps; we compare curves
                 max_steps: 200,
                 seed: 500 + trial * 17,
                 normalization: GradientNormalization::SumOfPartitionMeans,
-                lr_schedule: LrSchedule::Constant,
                 ..Default::default()
             };
             let report = train(

@@ -21,9 +21,7 @@ use isgc_core::Placement;
 use isgc_engine::DegradePolicy;
 use isgc_ml::dataset::Dataset;
 use isgc_ml::model::LinearRegression;
-use isgc_net::{
-    CheckpointConfig, Master, NetConfig, NetReport, RetryPolicy, StepControl, WaitPolicy,
-};
+use isgc_net::{Master, NetConfig, NetReport, RetryPolicy, StepControl, WaitPolicy};
 
 use crate::invariants::check_reports;
 use crate::plan::FaultPlan;
@@ -185,9 +183,7 @@ pub fn run_chaos(plan: &FaultPlan, config: &ChaosConfig) -> Result<ChaosOutcome,
     // permanently dead worker costs this grace exactly once, at the step
     // before repair declares it dead.)
     net_config.rejoin_grace = Duration::from_secs(5);
-    net_config.checkpoint = checkpoint_dir
-        .as_ref()
-        .map(|dir| CheckpointConfig::every_step(dir.join("master.ckpt")));
+    net_config.checkpoint = checkpoint_dir.as_ref().map(|dir| dir.join("master.ckpt"));
     net_config.repair_after_steps = plan.has_deaths().then_some(2);
     // The engine's per-step series stitch naturally across master restarts:
     // a resumed segment starts at the checkpointed step, so each step is

@@ -62,7 +62,7 @@ use isgc_core::decode::{decoder_for, ApproxDecoder, ArrivalOrderDecoder, Decoder
 use isgc_core::hash::{mix64, GOLDEN_GAMMA};
 use isgc_core::{bounds, Placement, WorkerSet};
 use isgc_linalg::Vector;
-use isgc_ml::optimizer::{LrSchedule, Sgd};
+use isgc_ml::optimizer::Sgd;
 use isgc_ml::{Dataset, Model};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -167,10 +167,8 @@ pub struct EngineConfig {
     pub codec: CodecSpec,
     /// Mini-batch size per partition.
     pub batch_size: usize,
-    /// Base SGD learning rate.
+    /// SGD learning rate.
     pub learning_rate: f64,
-    /// SGD momentum (`0` for plain SGD).
-    pub momentum: f64,
     /// Stop once full-dataset loss reaches this value.
     pub loss_threshold: f64,
     /// Step cap.
@@ -180,8 +178,6 @@ pub struct EngineConfig {
     pub seed: u64,
     /// How `ĝ` is scaled before the update.
     pub normalization: GradientNormalization,
-    /// Learning-rate schedule applied on top of `learning_rate`.
-    pub lr_schedule: LrSchedule,
     /// Declare a worker permanently dead — and re-home its partitions —
     /// after this many consecutive steps of reported death. `None` disables
     /// placement repair.
@@ -190,10 +186,6 @@ pub struct EngineConfig {
     /// previous iterate, or apply a bias-corrected approximation with
     /// bounded escalation (the graceful degradation ladder).
     pub degrade: DegradePolicy,
-    /// Verify every scheme decode against the Theorem 10–11 recovery
-    /// bounds (pre-repair only; repair invalidates the placement structure
-    /// the theorems assume).
-    pub check_bounds: bool,
 }
 
 impl EngineConfig {
@@ -204,15 +196,12 @@ impl EngineConfig {
             codec: CodecSpec::Scheme,
             batch_size: 32,
             learning_rate: 0.05,
-            momentum: 0.0,
             loss_threshold: 0.05,
             max_steps: 2000,
             seed: 0,
             normalization: GradientNormalization::default(),
-            lr_schedule: LrSchedule::Constant,
             repair_after_steps: None,
             degrade: DegradePolicy::Skip,
-            check_bounds: true,
         }
     }
 }
@@ -533,8 +522,7 @@ impl StepEngine {
         // The theorems assume a scheme decoder over an intact FR/CR/HR
         // placement; the arrival-order strawman is only maximal and custom
         // placements have no closed-form bounds.
-        let bounds_checked = config.check_bounds
-            && matches!(config.codec, CodecSpec::Scheme)
+        let bounds_checked = matches!(config.codec, CodecSpec::Scheme)
             && config.placement.scheme() != isgc_core::Scheme::Custom;
         let repair = RepairState::new(&config.placement);
         let approx = ApproxDecoder::new(&config.placement)?;
@@ -672,11 +660,7 @@ impl StepEngine {
     pub fn begin<M: Model>(&self, model: &M, dataset: &Dataset, params: Option<Vector>) -> Session {
         Session {
             params: params.unwrap_or_else(|| self.initial_params(model)),
-            opt: if self.config.momentum > 0.0 {
-                Sgd::with_momentum(self.config.learning_rate, self.config.momentum)
-            } else {
-                Sgd::new(self.config.learning_rate)
-            },
+            opt: Sgd::new(self.config.learning_rate),
             all_indices: (0..dataset.len()).collect(),
             steps: Vec::new(),
             reached_threshold: false,
@@ -865,13 +849,6 @@ impl StepEngine {
             }
         };
 
-        if !matches!(self.config.lr_schedule, LrSchedule::Constant) {
-            session.opt.set_learning_rate(
-                self.config
-                    .lr_schedule
-                    .rate_at(self.config.learning_rate, step as usize),
-            );
-        }
         if decoded.recovered > 0 && outcome != StepOutcome::Skipped {
             // Aggregate through the canonical balanced pairwise reduction
             // (`merge`), so flat masters and 2-level trees add the same
@@ -1363,6 +1340,54 @@ mod tests {
                 assert_eq!(recovered, 0);
             }
             other => panic!("expected Degraded, got {other}"),
+        }
+    }
+
+    /// Step-at-a-time drivers (the scheduler's `JobDriver`s) forward
+    /// `step` without state of their own: a session that failed or finished
+    /// must answer `Done` and leave the collector untouched.
+    #[test]
+    fn a_failed_or_finished_session_steps_as_a_done_no_op() {
+        let placement = Placement::fractional(4, 2).unwrap();
+        let dataset = Dataset::synthetic_regression(64, 3, 0.05, 9);
+        let model = LinearRegression::new(3);
+        for (max_steps, degrade) in [(12, DegradePolicy::Fail), (1, DegradePolicy::Skip)] {
+            let mut config = EngineConfig::new(placement.clone());
+            config.batch_size = 8;
+            config.max_steps = max_steps;
+            config.loss_threshold = -1.0;
+            config.degrade = degrade;
+            let mut engine = StepEngine::new(config).unwrap();
+            let mut collector = ScriptedCollector {
+                model: &model,
+                dataset: &dataset,
+                assignments: (0..4)
+                    .map(|w| placement.partitions_of(w).to_vec())
+                    .collect(),
+                work: WorkerStep::new(&model, &dataset, 4, 8, 0),
+                down_from: vec![(1, vec![0, 1, 2, 3])],
+                back_from: Vec::new(),
+                step_now: 0,
+            };
+            let mut session = engine.begin(&model, &dataset, None);
+            let mut step = |session: &mut Session| {
+                engine.step(session, &model, &dataset, &mut collector, &mut NoopObserver)
+            };
+            if max_steps == 1 {
+                assert_eq!(step(&mut session).unwrap(), SessionStatus::Done);
+            } else {
+                assert_eq!(step(&mut session).unwrap(), SessionStatus::Running);
+                assert!(matches!(
+                    step(&mut session),
+                    Err(EngineError::Degraded { step: 1, .. })
+                ));
+            }
+            for _ in 0..2 {
+                assert_eq!(step(&mut session).unwrap(), SessionStatus::Done);
+            }
+            assert!(session.is_done());
+            assert_eq!(session.steps().len(), 1);
+            assert_eq!(collector.step_now, max_steps.min(2) - 1);
         }
     }
 

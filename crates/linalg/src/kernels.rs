@@ -5,7 +5,7 @@
 //! normalize + SGD tail, and the per-sample dot products inside the model
 //! gradients. The kernels come in two determinism classes:
 //!
-//! - **Elementwise** ([`axpy`], [`scale`], [`scaled_into`], [`axpby`],
+//! - **Elementwise** ([`axpy`], [`scale`], [`scaled_into`],
 //!   [`scale_axpy`]): each output element depends on exactly one input
 //!   element per operand, and the per-element operation sequence is
 //!   identical to the plain scalar loop — results are **bitwise identical**
@@ -91,21 +91,6 @@ pub fn scaled_into(out: &mut [f64], x: &[f64], s: f64) {
     assert_eq!(out.len(), x.len(), "scaled_into: length mismatch");
     for (o, xi) in out.iter_mut().zip(x) {
         *o = xi * s;
-    }
-}
-
-/// Fused in-place `y[i] = alpha * x[i] + beta * y[i]` (BLAS `axpby`).
-/// Elementwise; one pass instead of a `scale` pass followed by an `axpy`
-/// pass, with the identical per-element operation sequence (the `beta * y`
-/// product rounds first, then the `alpha * x` product adds on).
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn axpby(y: &mut [f64], alpha: f64, x: &[f64], beta: f64) {
-    assert_eq!(y.len(), x.len(), "axpby: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi = alpha * xi + beta * *yi;
     }
 }
 
@@ -358,17 +343,6 @@ mod tests {
         scaled_into(&mut scaled, &x, 0.125);
         let mut two_pass = y0.clone();
         axpy(&mut two_pass, -0.05, &scaled);
-        assert_eq!(
-            fused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            two_pass.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-
-        // axpby == scale then axpy (addition commuted, which is exact).
-        let mut fused = y0.clone();
-        axpby(&mut fused, 1.5, &x, 0.9);
-        let mut two_pass = y0.clone();
-        scale(&mut two_pass, 0.9);
-        axpy(&mut two_pass, 1.5, &x);
         assert_eq!(
             fused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             two_pass.iter().map(|v| v.to_bits()).collect::<Vec<_>>()

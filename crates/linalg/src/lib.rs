@@ -35,7 +35,7 @@ mod vector;
 pub use matrix::Matrix;
 pub use qr::{qr_least_squares, Qr};
 pub use solve::{least_squares, lu_solve, solve_consistent, SolveError};
-pub use special::{log_sum_exp, sigmoid, softmax_in_place};
+pub use special::{log_sum_exp, softmax_in_place};
 pub use vector::Vector;
 
 /// Absolute tolerance used by the crate's own tests when comparing floats.

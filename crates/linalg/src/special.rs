@@ -1,27 +1,5 @@
 //! Numerically stable special functions used by the ML models.
 
-/// Numerically stable logistic sigmoid `1 / (1 + e^{-x})`.
-///
-/// Uses the two-branch formulation so that neither branch exponentiates a
-/// large positive argument.
-///
-/// # Examples
-///
-/// ```
-/// let s = isgc_linalg::sigmoid(0.0);
-/// assert!((s - 0.5).abs() < 1e-12);
-/// assert_eq!(isgc_linalg::sigmoid(1000.0), 1.0);
-/// assert_eq!(isgc_linalg::sigmoid(-1000.0), 0.0);
-/// ```
-pub fn sigmoid(x: f64) -> f64 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
-}
-
 /// Numerically stable `log(Σ exp(xᵢ))`.
 ///
 /// Returns `-inf` for an empty slice (the sum of zero exponentials).
@@ -72,21 +50,6 @@ pub fn softmax_in_place(xs: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sigmoid_symmetry() {
-        for x in [-3.0, -0.5, 0.0, 0.5, 3.0] {
-            assert!((sigmoid(x) + sigmoid(-x) - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn sigmoid_extremes_are_finite() {
-        assert_eq!(sigmoid(1e6), 1.0);
-        assert_eq!(sigmoid(-1e6), 0.0);
-        assert!(sigmoid(f64::MAX).is_finite());
-        assert!(sigmoid(f64::MIN).is_finite());
-    }
 
     #[test]
     fn log_sum_exp_matches_naive_for_small_values() {

@@ -42,12 +42,6 @@ fn scale_axpy_ref(y: &mut [f64], alpha: f64, x: &[f64], s: f64) {
     }
 }
 
-fn axpby_ref(y: &mut [f64], alpha: f64, x: &[f64], beta: f64) {
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi = alpha * xi + beta * *yi;
-    }
-}
-
 /// The canonical lane order, written independently of the kernel: lane `l`
 /// sums elements `l, l+4, l+8, …` of the full-block prefix from `-0.0`,
 /// lanes combine as `(0+1)+(2+3)`, tail folds in sequentially.
@@ -128,12 +122,6 @@ proptest! {
         let mut want = y0.to_vec();
         scale_axpy_ref(&mut want, alpha, x, s);
         prop_assert_eq!(to_bits(&got), to_bits(&want), "scale_axpy len={}", len);
-
-        let mut got = y0.to_vec();
-        kernels::axpby(&mut got, alpha, x, s);
-        let mut want = y0.to_vec();
-        axpby_ref(&mut want, alpha, x, s);
-        prop_assert_eq!(to_bits(&got), to_bits(&want), "axpby len={}", len);
     }
 
     /// The fused step kernel is bitwise the two-pass normalize-then-update,

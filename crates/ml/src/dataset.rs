@@ -111,12 +111,6 @@ impl Dataset {
         Self::new(x, y, classes)
     }
 
-    /// Generates a binary classification dataset (two Gaussians); targets
-    /// are 0/1. Deterministic in `seed`.
-    pub fn two_gaussians(samples: usize, features: usize, separation: f64, seed: u64) -> Self {
-        Self::gaussian_classification(samples, features, 2, separation, seed)
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.features.rows()
@@ -154,88 +148,6 @@ impl Dataset {
     /// Panics if `i >= len()`.
     pub fn target_of(&self, i: usize) -> f64 {
         self.targets[i]
-    }
-
-    /// Parses a dataset from CSV text: one sample per line, features first,
-    /// target last; `#`-prefixed lines and blank lines are skipped.
-    ///
-    /// `classes` is 0 for regression targets, otherwise the number of
-    /// classes (targets must then be integers in `0..classes`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed line: non-numeric
-    /// fields, inconsistent column counts, fewer than two columns, or no
-    /// data rows.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use isgc_ml::dataset::Dataset;
-    ///
-    /// let csv = "# x0, x1, label\n0.5, 1.0, 0\n-0.25, 2.0, 1\n";
-    /// let d = Dataset::from_csv_str(csv, 2).unwrap();
-    /// assert_eq!(d.len(), 2);
-    /// assert_eq!(d.feature_dim(), 2);
-    /// assert_eq!(d.target_of(1), 1.0);
-    /// ```
-    pub fn from_csv_str(csv: &str, classes: usize) -> Result<Self, String> {
-        let mut rows: Vec<Vec<f64>> = Vec::new();
-        for (lineno, line) in csv.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let fields: Result<Vec<f64>, _> =
-                line.split(',').map(|f| f.trim().parse::<f64>()).collect();
-            let fields = fields.map_err(|e| format!("line {}: {e}", lineno + 1))?;
-            if fields.len() < 2 {
-                return Err(format!(
-                    "line {}: need at least one feature and a target",
-                    lineno + 1
-                ));
-            }
-            if let Some(first) = rows.first() {
-                if fields.len() != first.len() {
-                    return Err(format!(
-                        "line {}: expected {} columns, got {}",
-                        lineno + 1,
-                        first.len(),
-                        fields.len()
-                    ));
-                }
-            }
-            rows.push(fields);
-        }
-        if rows.is_empty() {
-            return Err("no data rows".to_string());
-        }
-        let p = rows[0].len() - 1;
-        let features = Matrix::from_fn(rows.len(), p, |r, c| rows[r][c]);
-        let targets = Vector::from_fn(rows.len(), |r| rows[r][p]);
-        if classes > 0 {
-            for (i, &t) in targets.iter().enumerate() {
-                if t.fract() != 0.0 || !(0.0..classes as f64).contains(&t) {
-                    return Err(format!(
-                        "sample {i}: target {t} is not a class in 0..{classes}"
-                    ));
-                }
-            }
-        }
-        Ok(Self::new(features, targets, classes))
-    }
-
-    /// Serializes the dataset to CSV (features first, target last), the
-    /// inverse of [`Dataset::from_csv_str`].
-    pub fn to_csv_string(&self) -> String {
-        let mut out = String::new();
-        for i in 0..self.len() {
-            for x in self.features_of(i) {
-                out.push_str(&format!("{x},"));
-            }
-            out.push_str(&format!("{}\n", self.target_of(i)));
-        }
-        out
     }
 
     /// Splits the sample indices into `n` contiguous, near-equal partitions
@@ -374,7 +286,7 @@ mod tests {
 
     #[test]
     fn two_gaussians_are_separable_when_far() {
-        let d = Dataset::two_gaussians(200, 2, 10.0, 5);
+        let d = Dataset::gaussian_classification(200, 2, 2, 10.0, 5);
         // With separation 10 the class means are far; a nearest-mean rule
         // should classify almost perfectly. Compute class means first.
         let mut means = [[0.0f64; 2]; 2];
@@ -428,47 +340,6 @@ mod tests {
     #[should_panic(expected = "more partitions")]
     fn partition_rejects_more_parts_than_samples() {
         Dataset::synthetic_regression(3, 1, 0.0, 0).partition(4);
-    }
-
-    #[test]
-    fn csv_roundtrip_preserves_dataset() {
-        let d = Dataset::gaussian_classification(20, 3, 2, 2.0, 7);
-        let csv = d.to_csv_string();
-        let back = Dataset::from_csv_str(&csv, 2).unwrap();
-        assert_eq!(back.len(), d.len());
-        assert_eq!(back.feature_dim(), d.feature_dim());
-        for i in 0..d.len() {
-            assert_eq!(back.target_of(i), d.target_of(i));
-            for (a, b) in back.features_of(i).iter().zip(d.features_of(i)) {
-                assert!((a - b).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn csv_parsing_errors_are_descriptive() {
-        assert!(Dataset::from_csv_str("", 0)
-            .unwrap_err()
-            .contains("no data"));
-        assert!(Dataset::from_csv_str("1.0", 0)
-            .unwrap_err()
-            .contains("at least one feature"));
-        assert!(Dataset::from_csv_str("1,2\n3,4,5\n", 0)
-            .unwrap_err()
-            .contains("expected 2 columns"));
-        assert!(Dataset::from_csv_str("1,abc\n", 0)
-            .unwrap_err()
-            .contains("line 1"));
-        assert!(Dataset::from_csv_str("1,7\n", 2)
-            .unwrap_err()
-            .contains("not a class"));
-    }
-
-    #[test]
-    fn csv_skips_comments_and_blanks() {
-        let d = Dataset::from_csv_str("# header\n\n1,2,0.5\n# more\n3,4,1.5\n", 0).unwrap();
-        assert_eq!(d.len(), 2);
-        assert_eq!(d.target_of(0), 0.5);
     }
 
     #[test]

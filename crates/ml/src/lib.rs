@@ -8,11 +8,11 @@
 //!   classification) with **deterministic partition/mini-batch selection**,
 //!   mirroring the paper's "we carefully control all random seeds so that
 //!   data in each batch are always the same in the same dataset partition";
-//! - [`model`] — linear regression, logistic regression, softmax regression,
-//!   and a one-hidden-layer MLP (so both convex and non-convex losses are
+//! - [`model`] — linear regression, softmax regression, and a
+//!   one-hidden-layer MLP (so both convex and non-convex losses are
 //!   covered), each exposing *summed* per-sample gradients as IS-GC requires;
-//! - [`optimizer`] — plain and momentum SGD;
-//! - [`metrics`] — accuracy and loss helpers.
+//! - [`optimizer`] — plain SGD, the paper's Theorem 12 update;
+//! - [`metrics`] — sample statistics (mean, standard deviation, quantiles).
 //!
 //! # Example: one manual SGD step over two partitions
 //!
@@ -39,12 +39,10 @@
 #![warn(missing_docs)]
 
 pub mod dataset;
-pub mod evaluation;
 pub mod metrics;
 pub mod model;
 pub mod optimizer;
 
 pub use dataset::{Dataset, Partitioned};
-pub use evaluation::{train_test_split, ClassificationReport};
-pub use model::{LinearRegression, LogisticRegression, Mlp, Model, SoftmaxRegression};
+pub use model::{LinearRegression, Mlp, Model, SoftmaxRegression};
 pub use optimizer::Sgd;

@@ -1,31 +1,4 @@
-//! Evaluation metrics and light statistics helpers.
-
-use crate::dataset::Dataset;
-
-/// Classification accuracy of a prediction function over the whole dataset.
-///
-/// # Panics
-///
-/// Panics if the dataset is not a classification dataset.
-///
-/// # Examples
-///
-/// ```
-/// use isgc_ml::dataset::Dataset;
-/// use isgc_ml::metrics::accuracy;
-///
-/// let data = Dataset::two_gaussians(10, 2, 5.0, 0);
-/// // A constant predictor is right about half the time on balanced data.
-/// let acc = accuracy(&data, |_x| 0);
-/// assert!((acc - 0.5).abs() < 1e-12);
-/// ```
-pub fn accuracy(data: &Dataset, mut predict: impl FnMut(&[f64]) -> usize) -> f64 {
-    assert!(data.classes() > 0, "accuracy needs classification data");
-    let correct = (0..data.len())
-        .filter(|&i| predict(data.features_of(i)) == data.target_of(i) as usize)
-        .count();
-    correct as f64 / data.len() as f64
-}
+//! Light statistics helpers.
 
 /// Mean of a sample; 0 for empty input.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -69,33 +42,6 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accuracy_perfect_and_zero() {
-        let data = Dataset::two_gaussians(20, 2, 3.0, 1);
-        let perfect = accuracy(&data, |x| {
-            // Cheat: look up the sample by identity of features.
-            (0..20)
-                .find(|&i| data.features_of(i) == x)
-                .map(|i| data.target_of(i) as usize)
-                .unwrap()
-        });
-        assert_eq!(perfect, 1.0);
-        let wrong = accuracy(&data, |x| {
-            1 - (0..20)
-                .find(|&i| data.features_of(i) == x)
-                .map(|i| data.target_of(i) as usize)
-                .unwrap()
-        });
-        assert_eq!(wrong, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "classification")]
-    fn accuracy_rejects_regression_data() {
-        let data = Dataset::synthetic_regression(5, 2, 0.1, 0);
-        let _ = accuracy(&data, |_| 0);
-    }
 
     #[test]
     fn mean_and_std() {

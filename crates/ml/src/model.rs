@@ -5,7 +5,7 @@
 //! normalizes once by the total number of samples recovered (paper
 //! Assumption 2). Losses are reported as means for monitoring.
 
-use isgc_linalg::{kernels, log_sum_exp, sigmoid, softmax_in_place, Vector};
+use isgc_linalg::{kernels, log_sum_exp, softmax_in_place, Vector};
 use rand::RngCore;
 
 use crate::dataset::Dataset;
@@ -149,87 +149,6 @@ impl Model for LinearRegression {
         for &i in indices {
             let x = data.features_of(i);
             let e = self.predict(params, x) - data.target_of(i);
-            let os = out.as_mut_slice();
-            kernels::axpy(&mut os[..self.features], e, x);
-            os[self.features] += e;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Logistic regression
-// ---------------------------------------------------------------------------
-
-/// Binary logistic regression with cross-entropy loss; targets are 0/1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LogisticRegression {
-    features: usize,
-}
-
-impl LogisticRegression {
-    /// Creates the model for `features`-dimensional inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features == 0`.
-    pub fn new(features: usize) -> Self {
-        assert!(features > 0, "features must be positive");
-        Self { features }
-    }
-
-    /// The probability `P(y = 1 | x)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions mismatch.
-    pub fn probability(&self, params: &Vector, x: &[f64]) -> f64 {
-        assert_eq!(params.len(), self.param_dim(), "bad parameter vector");
-        assert_eq!(x.len(), self.features, "bad feature vector");
-        let z = kernels::dot(x, &params.as_slice()[..self.features]) + params[self.features];
-        sigmoid(z)
-    }
-
-    /// The hard 0/1 prediction.
-    pub fn predict_class(&self, params: &Vector, x: &[f64]) -> usize {
-        usize::from(self.probability(params, x) >= 0.5)
-    }
-}
-
-impl Model for LogisticRegression {
-    fn param_dim(&self) -> usize {
-        self.features + 1
-    }
-
-    fn init_params(&self, rng: &mut dyn RngCore) -> Vector {
-        Vector::random_normal(self.param_dim(), 0.0, 0.01, rng)
-    }
-
-    fn loss_mean(&self, params: &Vector, data: &Dataset, indices: &[usize]) -> f64 {
-        assert!(!indices.is_empty(), "loss over empty batch");
-        let total: f64 = indices
-            .iter()
-            .map(|&i| {
-                let p = self
-                    .probability(params, data.features_of(i))
-                    .clamp(1e-12, 1.0 - 1e-12);
-                let y = data.target_of(i);
-                -(y * p.ln() + (1.0 - y) * (1.0 - p).ln())
-            })
-            .sum();
-        total / indices.len() as f64
-    }
-
-    fn gradient_sum_into(
-        &self,
-        params: &Vector,
-        data: &Dataset,
-        indices: &[usize],
-        out: &mut Vector,
-    ) {
-        assert_eq!(out.len(), self.param_dim(), "bad gradient vector");
-        for &i in indices {
-            let x = data.features_of(i);
-            let e = self.probability(params, x) - data.target_of(i);
             let os = out.as_mut_slice();
             kernels::axpy(&mut os[..self.features], e, x);
             os[self.features] += e;
@@ -559,13 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn logistic_regression_gradient_matches_finite_differences() {
-        let data = Dataset::two_gaussians(20, 3, 2.0, 2);
-        let idx: Vec<usize> = (0..20).collect();
-        check_gradient(&LogisticRegression::new(3), &data, &idx, 11);
-    }
-
-    #[test]
     fn softmax_regression_gradient_matches_finite_differences() {
         let data = Dataset::gaussian_classification(21, 3, 3, 2.0, 3);
         let idx: Vec<usize> = (0..21).collect();
@@ -662,7 +574,6 @@ mod tests {
     #[test]
     fn param_dims() {
         assert_eq!(LinearRegression::new(5).param_dim(), 6);
-        assert_eq!(LogisticRegression::new(5).param_dim(), 6);
         assert_eq!(SoftmaxRegression::new(5, 3).param_dim(), 18);
         assert_eq!(Mlp::new(4, 8, 3).param_dim(), 4 * 8 + 8 + 8 * 3 + 3);
     }
@@ -679,9 +590,5 @@ mod tests {
         let params = mlp.init_params(&mut rng);
         let probs = mlp.probabilities(&params, &[0.5, -1.0, 2.0]);
         assert!((probs.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        let lr = LogisticRegression::new(2);
-        let p = lr.probability(&lr.zero_params(), &[1.0, 1.0]);
-        assert_eq!(p, 0.5);
-        assert_eq!(lr.predict_class(&lr.zero_params(), &[1.0, 1.0]), 1);
     }
 }

@@ -1,9 +1,9 @@
-//! SGD optimizers (the `torch.optim.SGD` stand-in).
+//! Plain SGD (the `torch.optim.SGD` stand-in at its defaults).
 
 use isgc_linalg::{kernels, Vector};
 
-/// Mini-batch SGD with optional momentum, matching `torch.optim.SGD`
-/// semantics (`v ← μv + g`, `θ ← θ − ηv`).
+/// Mini-batch SGD, `θ ← θ − ηg` — the update of the paper's Theorem 12 and
+/// its reference implementation, whose only optimizer argument is `lr`.
 ///
 /// # Examples
 ///
@@ -20,11 +20,8 @@ use isgc_linalg::{kernels, Vector};
 #[derive(Debug, Clone)]
 pub struct Sgd {
     learning_rate: f64,
-    momentum: f64,
-    weight_decay: f64,
-    velocity: Option<Vector>,
-    /// Reusable effective-gradient buffer for the non-trivial
-    /// [`Sgd::step_prescaled`] paths, so no step allocates.
+    /// Reusable effective-gradient buffer for [`Sgd::step_prescaled`]'s
+    /// extra-scale path, so no step allocates.
     scratch: Option<Vector>,
 }
 
@@ -35,73 +32,24 @@ impl Sgd {
     ///
     /// Panics if `learning_rate` is not finite and positive.
     pub fn new(learning_rate: f64) -> Self {
-        Self::with_momentum(learning_rate, 0.0)
-    }
-
-    /// SGD with momentum `μ ∈ [0, 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `learning_rate` is not finite and positive or `momentum`
-    /// is outside `[0, 1)`.
-    pub fn with_momentum(learning_rate: f64, momentum: f64) -> Self {
         assert!(
             learning_rate.is_finite() && learning_rate > 0.0,
             "learning rate must be positive"
         );
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
         Self {
             learning_rate,
-            momentum,
-            weight_decay: 0.0,
-            velocity: None,
             scratch: None,
         }
     }
 
-    /// Adds L2 weight decay `λ`: the effective gradient becomes `g + λθ`
-    /// (applied before momentum, matching `torch.optim.SGD`).
+    /// Applies one update `θ ← θ − ηg` in place.
     ///
     /// # Panics
     ///
-    /// Panics if `weight_decay` is negative or non-finite.
-    pub fn with_weight_decay(mut self, weight_decay: f64) -> Self {
-        assert!(
-            weight_decay.is_finite() && weight_decay >= 0.0,
-            "weight decay must be non-negative"
-        );
-        self.weight_decay = weight_decay;
-        self
-    }
-
-    /// The configured weight decay.
-    pub fn weight_decay(&self) -> f64 {
-        self.weight_decay
-    }
-
-    /// The configured learning rate.
-    pub fn learning_rate(&self) -> f64 {
-        self.learning_rate
-    }
-
-    /// The configured momentum.
-    pub fn momentum(&self) -> f64 {
-        self.momentum
-    }
-
-    /// Applies one update `θ ← θ − η·(μv + g)` in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grad.len() != params.len()` (or differs from a previous
-    /// call's dimension when momentum is active).
+    /// Panics if `grad.len() != params.len()`.
     pub fn step(&mut self, params: &mut Vector, grad: &Vector) {
-        if self.momentum == 0.0 && self.weight_decay == 0.0 {
-            assert_eq!(params.len(), grad.len(), "parameter/gradient mismatch");
-            params.axpy(-self.learning_rate, grad);
-        } else {
-            self.step_prescaled(params, grad, 1.0, None);
-        }
+        assert_eq!(params.len(), grad.len(), "parameter/gradient mismatch");
+        params.axpy(-self.learning_rate, grad);
     }
 
     /// Applies one update treating `prescale * grad` (further multiplied by
@@ -112,15 +60,13 @@ impl Sgd {
     /// Bitwise contract: identical to scaling a copy of `grad` by
     /// `prescale` (then by `extra_scale`) and calling [`Sgd::step`] on it —
     /// the per-element rounding sequence is preserved, only the passes over
-    /// memory are fused. The plain-SGD path (no momentum, no decay, no
-    /// extra scale) runs as a single fused [`kernels::scale_axpy`]; the
-    /// other paths build the effective gradient in a scratch buffer that is
-    /// reused across steps.
+    /// memory are fused. Without an extra scale the update runs as a single
+    /// fused [`kernels::scale_axpy`]; with one, the effective gradient is
+    /// built in a scratch buffer that is reused across steps.
     ///
     /// # Panics
     ///
-    /// Panics if `grad.len() != params.len()` (or differs from a previous
-    /// call's dimension when momentum is active).
+    /// Panics if `grad.len() != params.len()`.
     pub fn step_prescaled(
         &mut self,
         params: &mut Vector,
@@ -129,7 +75,7 @@ impl Sgd {
         extra_scale: Option<f64>,
     ) {
         assert_eq!(params.len(), grad.len(), "parameter/gradient mismatch");
-        if self.momentum == 0.0 && self.weight_decay == 0.0 && extra_scale.is_none() {
+        let Some(b) = extra_scale else {
             kernels::scale_axpy(
                 params.as_mut_slice(),
                 -self.learning_rate,
@@ -137,7 +83,7 @@ impl Sgd {
                 prescale,
             );
             return;
-        }
+        };
         if self
             .scratch
             .as_ref()
@@ -147,98 +93,8 @@ impl Sgd {
         }
         let g = self.scratch.as_mut().expect("scratch just ensured");
         kernels::scaled_into(g.as_mut_slice(), grad.as_slice(), prescale);
-        if let Some(b) = extra_scale {
-            kernels::scale(g.as_mut_slice(), b);
-        }
-        if self.weight_decay > 0.0 {
-            kernels::axpy(g.as_mut_slice(), self.weight_decay, params.as_slice());
-        }
-        if self.momentum == 0.0 {
-            kernels::axpy(params.as_mut_slice(), -self.learning_rate, g.as_slice());
-            return;
-        }
-        let v = self
-            .velocity
-            .get_or_insert_with(|| Vector::zeros(params.len()));
-        assert_eq!(v.len(), params.len(), "dimension changed mid-training");
-        // v ← g + μv, bitwise equal to the classical v ← μv then v += g
-        // (exact 1.0 multiply, commuted addition), in one pass.
-        kernels::axpby(v.as_mut_slice(), 1.0, g.as_slice(), self.momentum);
-        kernels::axpy(params.as_mut_slice(), -self.learning_rate, v.as_slice());
-    }
-
-    /// Clears accumulated momentum (e.g. when restarting training).
-    pub fn reset(&mut self) {
-        self.velocity = None;
-    }
-
-    /// Changes the learning rate mid-training (for [`LrSchedule`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `learning_rate` is not finite and positive.
-    pub fn set_learning_rate(&mut self, learning_rate: f64) {
-        assert!(
-            learning_rate.is_finite() && learning_rate > 0.0,
-            "learning rate must be positive"
-        );
-        self.learning_rate = learning_rate;
-    }
-}
-
-/// A learning-rate schedule: maps `(base_rate, step)` to the rate in effect.
-///
-/// # Examples
-///
-/// ```
-/// use isgc_ml::optimizer::LrSchedule;
-///
-/// let s = LrSchedule::StepDecay { every: 100, factor: 0.5 };
-/// assert_eq!(s.rate_at(0.2, 0), 0.2);
-/// assert_eq!(s.rate_at(0.2, 100), 0.1);
-/// assert_eq!(s.rate_at(0.2, 250), 0.05);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LrSchedule {
-    /// The base rate forever.
-    Constant,
-    /// Multiply by `factor` every `every` steps.
-    StepDecay {
-        /// Steps between decays (> 0).
-        every: usize,
-        /// Multiplicative factor per decay, in `(0, 1]`.
-        factor: f64,
-    },
-    /// `base / (1 + decay · step)` — the classical Robbins–Monro-compatible
-    /// schedule.
-    InverseTime {
-        /// Decay strength (≥ 0).
-        decay: f64,
-    },
-}
-
-impl LrSchedule {
-    /// The learning rate in effect at `step` given `base`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schedule parameters are invalid.
-    pub fn rate_at(&self, base: f64, step: usize) -> f64 {
-        match self {
-            LrSchedule::Constant => base,
-            LrSchedule::StepDecay { every, factor } => {
-                assert!(*every > 0, "decay interval must be positive");
-                assert!(
-                    (0.0..=1.0).contains(factor) && *factor > 0.0,
-                    "factor must be in (0, 1]"
-                );
-                base * factor.powi((step / every) as i32)
-            }
-            LrSchedule::InverseTime { decay } => {
-                assert!(*decay >= 0.0, "decay must be non-negative");
-                base / (1.0 + decay * step as f64)
-            }
-        }
+        kernels::scale(g.as_mut_slice(), b);
+        kernels::axpy(params.as_mut_slice(), -self.learning_rate, g.as_slice());
     }
 }
 
@@ -256,116 +112,17 @@ mod tests {
     }
 
     #[test]
-    fn momentum_accumulates() {
-        let mut p = Vector::from_slice(&[0.0]);
-        let g = Vector::from_slice(&[1.0]);
-        let mut opt = Sgd::with_momentum(1.0, 0.5);
-        opt.step(&mut p, &g); // v = 1,   p = -1
-        opt.step(&mut p, &g); // v = 1.5, p = -2.5
-        assert!((p[0] + 2.5).abs() < 1e-12);
-        opt.reset();
-        opt.step(&mut p, &g); // v = 1, p = -3.5
-        assert!((p[0] + 3.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn accessors() {
-        let opt = Sgd::with_momentum(0.05, 0.9);
-        assert_eq!(opt.learning_rate(), 0.05);
-        assert_eq!(opt.momentum(), 0.9);
-    }
-
-    #[test]
     #[should_panic(expected = "learning rate")]
     fn rejects_negative_lr() {
         let _ = Sgd::new(-0.1);
     }
 
     #[test]
-    #[should_panic(expected = "momentum")]
-    fn rejects_momentum_of_one() {
-        let _ = Sgd::with_momentum(0.1, 1.0);
-    }
-
-    #[test]
-    fn schedules_compute_rates() {
-        assert_eq!(LrSchedule::Constant.rate_at(0.3, 1000), 0.3);
-        let s = LrSchedule::InverseTime { decay: 1.0 };
-        assert_eq!(s.rate_at(1.0, 0), 1.0);
-        assert_eq!(s.rate_at(1.0, 1), 0.5);
-        assert_eq!(s.rate_at(1.0, 3), 0.25);
-        let d = LrSchedule::StepDecay {
-            every: 10,
-            factor: 0.1,
-        };
-        assert!((d.rate_at(1.0, 25) - 0.01).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "decay interval")]
-    fn step_decay_rejects_zero_interval() {
-        let _ = LrSchedule::StepDecay {
-            every: 0,
-            factor: 0.5,
-        }
-        .rate_at(0.1, 1);
-    }
-
-    #[test]
-    fn set_learning_rate_takes_effect() {
-        let mut p = Vector::from_slice(&[0.0]);
-        let g = Vector::from_slice(&[1.0]);
-        let mut opt = Sgd::new(0.1);
-        opt.step(&mut p, &g);
-        opt.set_learning_rate(0.2);
-        opt.step(&mut p, &g);
-        assert!((p[0] + 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_parameters() {
-        // Zero gradient: pure decay pulls parameters toward zero.
-        let mut p = Vector::from_slice(&[10.0]);
-        let g = Vector::from_slice(&[0.0]);
-        let mut opt = Sgd::new(0.1).with_weight_decay(0.5);
-        assert_eq!(opt.weight_decay(), 0.5);
-        opt.step(&mut p, &g);
-        // θ ← θ − η·λ·θ = 10 · (1 − 0.05).
-        assert!((p[0] - 9.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weight_decay_composes_with_momentum() {
-        let mut p = Vector::from_slice(&[1.0]);
-        let g = Vector::from_slice(&[2.0]);
-        let mut opt = Sgd::with_momentum(0.1, 0.5).with_weight_decay(1.0);
-        opt.step(&mut p, &g); // v = g + θ = 3; θ = 1 − 0.3 = 0.7
-        assert!((p[0] - 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "weight decay")]
-    fn rejects_negative_weight_decay() {
-        let _ = Sgd::new(0.1).with_weight_decay(-0.1);
-    }
-
-    #[test]
     fn step_prescaled_matches_scale_then_step_bitwise() {
         let grad = Vector::from_fn(9, |i| 0.4 * i as f64 - 1.3);
-        let configs = [
-            (Sgd::new(0.1), None),
-            (Sgd::new(0.1), Some(0.75)),
-            (Sgd::with_momentum(0.1, 0.9), None),
-            (Sgd::with_momentum(0.1, 0.9), Some(0.75)),
-            (Sgd::new(0.1).with_weight_decay(0.01), None),
-            (
-                Sgd::with_momentum(0.1, 0.5).with_weight_decay(0.01),
-                Some(0.3),
-            ),
-        ];
-        for (opt, extra) in configs {
-            let mut fused = opt.clone();
-            let mut reference = opt;
+        for extra in [None, Some(0.75), Some(0.3)] {
+            let mut fused = Sgd::new(0.1);
+            let mut reference = Sgd::new(0.1);
             let mut p1 = Vector::from_fn(9, |i| (i as f64).cos());
             let mut p2 = p1.clone();
             for _ in 0..4 {
@@ -384,19 +141,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn momentum_matches_plain_when_zero() {
-        let g = Vector::from_slice(&[2.0]);
-        let mut p1 = Vector::from_slice(&[5.0]);
-        let mut p2 = Vector::from_slice(&[5.0]);
-        let mut a = Sgd::new(0.1);
-        let mut b = Sgd::with_momentum(0.1, 0.0);
-        for _ in 0..3 {
-            a.step(&mut p1, &g);
-            b.step(&mut p2, &g);
-        }
-        assert_eq!(p1.as_slice(), p2.as_slice());
     }
 }

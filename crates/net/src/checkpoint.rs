@@ -15,7 +15,7 @@
 
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::NetError;
 
@@ -29,45 +29,6 @@ pub const CKPT_MAGIC: [u8; 8] = *b"ISGCCKPT";
 /// counter of zero, which matches what every v1 run actually had: the
 /// ladder did not exist yet, so no run could have been mid-streak.
 pub const CKPT_VERSION: u8 = 2;
-
-/// When and where the master persists its state.
-#[derive(Debug, Clone)]
-pub struct CheckpointConfig {
-    /// File the checkpoint is written to (and resumed from, when present).
-    pub path: PathBuf,
-    /// Persist every `every` steps (1 = after each step).
-    pub every: u64,
-}
-
-impl CheckpointConfig {
-    /// Checkpoint to `path` after every step.
-    pub fn every_step(path: impl Into<PathBuf>) -> Self {
-        CheckpointConfig {
-            path: path.into(),
-            every: 1,
-        }
-    }
-
-    /// The same cadence, but under a job's checkpoint namespace: the file
-    /// name gains a `-<namespace>` suffix before its extension, so co-tenant
-    /// jobs sharing one checkpoint directory never clobber each other.
-    pub fn scoped(&self, namespace: &str) -> CheckpointConfig {
-        let stem = self
-            .path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("checkpoint");
-        let ext = self.path.extension().and_then(|s| s.to_str());
-        let name = match ext {
-            Some(ext) => format!("{stem}-{namespace}.{ext}"),
-            None => format!("{stem}-{namespace}"),
-        };
-        CheckpointConfig {
-            path: self.path.with_file_name(name),
-            every: self.every,
-        }
-    }
-}
 
 /// Everything a restarted master needs to resume mid-training.
 #[derive(Debug, Clone, PartialEq)]
@@ -283,22 +244,6 @@ mod tests {
             params: vec![1.5, -2.25, f64::MIN_POSITIVE],
             assignments: vec![vec![0, 1], vec![1, 2], vec![2, 3, 0], vec![]],
         }
-    }
-
-    #[test]
-    fn scoped_config_namespaces_the_file() {
-        let base = CheckpointConfig::every_step("/tmp/run/master.ckpt");
-        let scoped = base.scoped("job-a");
-        assert_eq!(
-            scoped.path,
-            std::path::PathBuf::from("/tmp/run/master-job-a.ckpt")
-        );
-        assert_eq!(scoped.every, base.every);
-        let bare = CheckpointConfig::every_step("/tmp/run/master");
-        assert_eq!(
-            bare.scoped("job-b").path,
-            std::path::PathBuf::from("/tmp/run/master-job-b")
-        );
     }
 
     #[test]

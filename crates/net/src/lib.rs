@@ -39,7 +39,7 @@ pub(crate) mod tier;
 pub mod wire;
 pub mod worker;
 
-pub use checkpoint::{CheckpointConfig, MasterCheckpoint};
+pub use checkpoint::MasterCheckpoint;
 pub use master::{Master, MasterSession, NetConfig, StepControl};
 pub use report::{NetReport, NetTrainReport, RepairEvent};
 pub use retry::RetryPolicy;

@@ -22,6 +22,7 @@
 //! regardless of `n`.
 
 use std::net::{TcpListener, ToSocketAddrs};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -35,7 +36,7 @@ use isgc_linalg::Vector;
 use isgc_ml::dataset::Dataset;
 use isgc_ml::model::Model;
 
-use crate::checkpoint::{CheckpointConfig, MasterCheckpoint};
+use crate::checkpoint::MasterCheckpoint;
 use crate::reactor::{NetEvent, Reactor};
 use crate::report::{NetReport, NetTrainReport};
 use crate::seam::Transport;
@@ -71,9 +72,9 @@ pub struct NetConfig {
     pub heartbeat_timeout: Duration,
     /// How long `run` waits for all `n` workers to register.
     pub register_timeout: Duration,
-    /// When set, the master persists a [`MasterCheckpoint`] on the given
-    /// cadence and resumes from the file if it exists at startup.
-    pub checkpoint: Option<CheckpointConfig>,
+    /// When set, the master persists a [`MasterCheckpoint`] to this file
+    /// after every step and resumes from it if it exists at startup.
+    pub checkpoint: Option<PathBuf>,
     /// When set, a worker dead for this many consecutive step starts is
     /// declared permanently dead: its partitions are reassigned to
     /// survivors (minimizing added conflict-graph edges) and fresh `Assign`
@@ -104,8 +105,7 @@ pub struct NetConfig {
     pub job: u64,
     /// Human-readable tenant name. When set (and `metrics` is set), the
     /// engine's per-step series are recorded under a `("job", name)` label
-    /// scope, and [`NetConfig::checkpoint`] should be pre-scoped via
-    /// [`CheckpointConfig::scoped`] so co-tenants keep separate files.
+    /// scope.
     pub job_name: Option<String>,
 }
 
@@ -710,10 +710,10 @@ impl FlatHost {
     /// placement; the ladder counter goes to [`StepEngine::resume_ladder`]
     /// so escalation decisions replay bit-for-bit.
     fn try_resume(&mut self, params: &mut Vector) -> Result<(u64, u64), NetError> {
-        let Some(ck_config) = self.config.checkpoint.clone() else {
+        let Some(path) = &self.config.checkpoint else {
             return Ok((0, 0));
         };
-        let Some(ck) = MasterCheckpoint::load(&ck_config.path)? else {
+        let Some(ck) = MasterCheckpoint::load(path)? else {
             return Ok((0, 0));
         };
         let (n, c) = (self.config.placement.n(), self.config.placement.c());
@@ -727,19 +727,16 @@ impl FlatHost {
         Ok((ck.step, ck.consecutive_degraded))
     }
 
-    /// Persists a checkpoint for `next_step` if the cadence says so.
+    /// Persists a checkpoint for `next_step` when checkpointing is on.
     fn maybe_checkpoint(
         &self,
         next_step: u64,
         params: &Vector,
         ladder: LadderState,
     ) -> Result<(), NetError> {
-        let Some(ck_config) = &self.config.checkpoint else {
+        let Some(path) = &self.config.checkpoint else {
             return Ok(());
         };
-        if !next_step.is_multiple_of(ck_config.every.max(1)) {
-            return Ok(());
-        }
         let ck = MasterCheckpoint {
             seed: self.config.seed,
             n: self.config.placement.n() as u64,
@@ -753,7 +750,7 @@ impl FlatHost {
                 .map(|list| list.iter().map(|&j| j as u64).collect())
                 .collect(),
         };
-        ck.save(&ck_config.path)
+        ck.save(path)
     }
 }
 

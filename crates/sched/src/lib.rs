@@ -1,7 +1,7 @@
 //! isgc-sched: a multi-tenant job scheduler for IS-GC training sessions.
 //!
 //! One server process hosts `J` concurrent training jobs, each with its own
-//! [`isgc_core::Placement`], seed, checkpoint namespace, and metrics scope.
+//! [`isgc_core::Placement`], seed, and metrics scope.
 //! The crate splits responsibilities in two:
 //!
 //! - **Scheduler** ([`Scheduler`]): admission control (a cap on concurrent

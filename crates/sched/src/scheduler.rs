@@ -196,29 +196,9 @@ impl Scheduler {
         }
     }
 
-    /// Ids of the currently admitted jobs, in scheduling order.
-    pub fn running_ids(&self) -> Vec<JobId> {
-        self.running.iter().map(|j| j.id).collect()
-    }
-
-    /// Number of jobs waiting for a slot.
-    pub fn queued(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether any job is still admitted or queued.
-    pub fn is_idle(&self) -> bool {
+    /// Whether no job is admitted or queued any more.
+    fn is_idle(&self) -> bool {
         self.running.is_empty() && self.queue.is_empty()
-    }
-
-    /// Outcomes of every job finished so far, in completion order.
-    pub fn outcomes(&self) -> &[JobOutcome] {
-        &self.outcomes
-    }
-
-    /// Consumes the scheduler, returning all outcomes.
-    pub fn into_outcomes(self) -> Vec<JobOutcome> {
-        self.outcomes
     }
 
     /// One fair round: step every admitted job exactly once in admission

@@ -128,8 +128,7 @@ impl Model for ModelKind {
 /// always produce bitwise-identical sessions, regardless of co-tenants.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
-    /// Job name: the metrics scope (`("job", name)` label) and the
-    /// checkpoint namespace.
+    /// Job name: the metrics scope (`("job", name)` label).
     pub name: String,
     /// The job's own partition-to-worker placement.
     pub placement: Placement,
@@ -180,17 +179,6 @@ impl JobSpec {
                 noise: 0.05,
             },
         }
-    }
-
-    /// The job's checkpoint namespace: the file-name stem its checkpoints
-    /// live under, so co-tenant jobs never collide on disk.
-    pub fn checkpoint_namespace(&self) -> String {
-        let safe: String = self
-            .name
-            .chars()
-            .map(|ch| if ch.is_ascii_alphanumeric() { ch } else { '-' })
-            .collect();
-        format!("job-{safe}")
     }
 
     /// The engine configuration this spec induces.
@@ -318,11 +306,5 @@ mod tests {
             spec.validate(),
             Err(SchedError::InvalidSpec(why)) if why.contains("FR placement")
         ));
-    }
-
-    #[test]
-    fn checkpoint_namespace_is_filesystem_safe() {
-        let spec = JobSpec::new("ten ant/7", Placement::fractional(4, 2).unwrap(), 1);
-        assert_eq!(spec.checkpoint_namespace(), "job-ten-ant-7");
     }
 }

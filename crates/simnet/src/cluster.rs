@@ -13,10 +13,10 @@ use crate::policy::WaitPolicy;
 pub enum StragglerSelection {
     /// Nobody straggles (beyond the shared jitter).
     None,
-    /// A fixed set of workers straggles every step (the paper's Fig. 11
-    /// setup: delays injected on 12 or 24 of the 24 workers).
+    /// A fixed set of workers straggles every step.
     Fixed(Vec<usize>),
-    /// A fresh uniformly random set of this size straggles each step.
+    /// A fresh uniformly random set of this size straggles each step (the
+    /// Fig. 11 setup: delays injected on 12 or 24 of the 24 workers).
     RandomEachStep(usize),
     /// Every worker independently straggles with this probability each step.
     Probabilistic(f64),

@@ -35,7 +35,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 pub use isgc_engine::{CodecSpec, GradientNormalization, StepReport, TrainReport};
-pub use isgc_ml::optimizer::LrSchedule;
 
 use crate::cluster::{ClusterConfig, ClusterSim};
 use crate::policy::WaitPolicy;
@@ -100,8 +99,6 @@ pub struct TrainingConfig {
     pub batch_size: usize,
     /// SGD learning rate.
     pub learning_rate: f64,
-    /// SGD momentum (0 disables).
-    pub momentum: f64,
     /// Stop when the full-dataset training loss reaches this value.
     pub loss_threshold: f64,
     /// Hard cap on the number of steps.
@@ -111,8 +108,6 @@ pub struct TrainingConfig {
     pub seed: u64,
     /// Gradient normalization rule (paper-faithful by default).
     pub normalization: GradientNormalization,
-    /// Learning-rate schedule applied on top of `learning_rate`.
-    pub lr_schedule: LrSchedule,
     /// What to do when a step decodes below the recoverable floor; the
     /// simulator's historical behavior is [`DegradePolicy::Skip`].
     pub degrade: DegradePolicy,
@@ -123,12 +118,10 @@ impl Default for TrainingConfig {
         Self {
             batch_size: 32,
             learning_rate: 0.05,
-            momentum: 0.0,
             loss_threshold: 0.05,
             max_steps: 2000,
             seed: 0,
             normalization: GradientNormalization::SumOfPartitionMeans,
-            lr_schedule: LrSchedule::Constant,
             degrade: DegradePolicy::Skip,
         }
     }
@@ -191,7 +184,11 @@ pub fn train<M: Model>(
 }
 
 /// [`train`], with an [`Observer`] receiving every step report as it is
-/// produced — bench plots and chaos harnesses hook in here.
+/// produced — bench plots and chaos harnesses hook in here, and an
+/// [`isgc_engine::MetricsObserver`] records every step into a registry.
+/// Simulated waits land in its timing-classed series even though they are
+/// deterministic here, because their *values* are simulated time and would
+/// never match a wall-clock backend's.
 ///
 /// # Panics
 ///
@@ -213,37 +210,6 @@ pub fn train_observed<M: Model>(
         config,
         |_, _| policy.clone(),
         observer,
-    )
-}
-
-/// [`train`], with every step additionally recorded into an
-/// [`isgc_obs::Registry`] under the engine's shared metric catalogue
-/// ([`isgc_engine::metrics`]) — the simulator side of the cross-backend
-/// metrics parity story. Simulated waits land in the timing-classed series
-/// even though they are deterministic here, because their *values* are
-/// simulated time and would never match a wall-clock backend's.
-///
-/// # Panics
-///
-/// As [`train`].
-pub fn train_metered<M: Model>(
-    model: &M,
-    dataset: &Dataset,
-    scheme: &CodingScheme,
-    policy: &WaitPolicy,
-    cluster: ClusterConfig,
-    config: &TrainingConfig,
-    registry: &isgc_obs::Registry,
-) -> TrainReport {
-    let mut observer = isgc_engine::MetricsObserver::new(registry.clone(), cluster.n);
-    train_observed(
-        model,
-        dataset,
-        scheme,
-        policy,
-        cluster,
-        config,
-        &mut observer,
     )
 }
 
@@ -479,12 +445,10 @@ fn train_loop<M: Model>(
     engine_config.codec = codec;
     engine_config.batch_size = config.batch_size;
     engine_config.learning_rate = config.learning_rate;
-    engine_config.momentum = config.momentum;
     engine_config.loss_threshold = config.loss_threshold;
     engine_config.max_steps = config.max_steps as u64;
     engine_config.seed = config.seed;
     engine_config.normalization = config.normalization;
-    engine_config.lr_schedule = config.lr_schedule;
     engine_config.degrade = config.degrade.clone();
     let mut engine = StepEngine::new(engine_config)
         .unwrap_or_else(|e| panic!("invalid simulated training config: {e}"));
@@ -563,12 +527,10 @@ mod tests {
         let config = TrainingConfig {
             batch_size: 16,
             learning_rate: 0.05,
-            momentum: 0.0,
             loss_threshold: 0.01,
             max_steps: 800,
             seed: 5,
             normalization: GradientNormalization::default(),
-            lr_schedule: LrSchedule::Constant,
             ..Default::default()
         };
         (model, data, config)
@@ -725,12 +687,10 @@ mod tests {
         let config = TrainingConfig {
             batch_size: 16,
             learning_rate: 0.1,
-            momentum: 0.5,
             loss_threshold: 0.1,
             max_steps: 600,
             seed: 3,
             normalization: GradientNormalization::default(),
-            lr_schedule: LrSchedule::Constant,
             ..Default::default()
         };
         let placement = Placement::fractional(4, 2).unwrap();
@@ -940,20 +900,21 @@ mod tests {
     #[test]
     fn metered_training_fills_the_registry_deterministically() {
         use isgc_engine::metrics::names;
+        use isgc_engine::MetricsObserver;
         use isgc_obs::{Registry, Snapshot};
         let (model, data, mut config) = regression_setup();
         config.max_steps = 6;
         config.loss_threshold = 0.0;
         let run = |registry: &Registry| {
             let placement = Placement::cyclic(4, 2).unwrap();
-            train_metered(
+            train_observed(
                 &model,
                 &data,
                 &CodingScheme::IsGc(placement),
                 &WaitPolicy::WaitForCount(3),
                 straggly_cluster(4, 1.0, 1),
                 &config,
-                registry,
+                &mut MetricsObserver::new(registry.clone(), 4),
             )
         };
         let (a, b) = (Registry::new(), Registry::new());

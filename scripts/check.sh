@@ -111,6 +111,22 @@ if grep -rn 'fn check_invariants' crates/chaos/src >&2; then
   exit 1
 fi
 
+echo "== only options someone sets (structural guard)"
+# The optimizer is plain SGD, every scheme decode is bound-checked, a master
+# checkpoints after every step, and the ML crate keeps only what a figure, a
+# backend or a command calls: no non-test caller ever set these options to
+# anything but their defaults, or called these items. None of them may come
+# back into non-test source under crates/*/src and src/.
+for marker in LrSchedule with_momentum with_weight_decay check_bounds \
+  CheckpointConfig LogisticRegression; do
+  hits=$(src_with "$marker")
+  if [ -n "$hits" ]; then
+    echo "FAIL: '$marker' is back in non-test source (an option one value reaches is a constant):" >&2
+    echo "$hits" >&2
+    exit 1
+  fi
+done
+
 echo "== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -192,4 +208,4 @@ if ! diff -r -x README.md results target/results; then
   exit 1
 fi
 
-echo "ok: fmt, structural guards (incl. no thread in isgc-net, one session loop, one invariant checker and one hash), clippy, docs, tests, engine parity, snapshots, chaos, blackout, multi-tenant, reactor scale, straggling swarm, benchmark smoke, mc mutation loop, and paper reproduction all clean"
+echo "ok: fmt, structural guards (incl. no thread in isgc-net, one session loop, one invariant checker and one hash, only options someone sets), clippy, docs, tests, engine parity, snapshots, chaos, blackout, multi-tenant, reactor scale, straggling swarm, benchmark smoke, mc mutation loop, and paper reproduction all clean"

@@ -11,10 +11,10 @@ use isgc_chaos::{
 };
 use isgc_core::decode::{decoder_for, ExactDecoder, OracleTimeout};
 use isgc_core::{bounds, ConflictGraph, HrParams, Placement, Scheme, WorkerSet};
-use isgc_engine::{shard_ranges, DegradePolicy, StepOutcome};
+use isgc_engine::{shard_ranges, DegradePolicy, MetricsObserver, StepOutcome};
 use isgc_mc::{counterexample_trace, explore, explore_plan, minimize, McConfig};
 use isgc_ml::dataset::Dataset;
-use isgc_ml::model::SoftmaxRegression;
+use isgc_ml::model::{Model, SoftmaxRegression};
 use isgc_net::{
     Master, MasterSession, NetConfig, Submaster, SubmasterOptions, SwarmOptions,
     WaitPolicy as NetWaitPolicy, WorkerOptions,
@@ -24,7 +24,7 @@ use isgc_sched::{DriverError, JobDriver, Scheduler, SchedulerConfig, SessionStat
 use isgc_simnet::cluster::{ClusterConfig, StragglerSelection};
 use isgc_simnet::delay::Delay;
 use isgc_simnet::policy::WaitPolicy;
-use isgc_simnet::trainer::{train, train_metered, CodingScheme, TrainingConfig};
+use isgc_simnet::trainer::{train, train_observed, CodingScheme, TrainingConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -476,8 +476,14 @@ fn cmd_sim(args: &[String]) -> Result<String, String> {
     let scheme = CodingScheme::IsGc(p.clone());
     let policy = WaitPolicy::WaitForCount(w);
     let report = match &metrics {
-        Some((_, registry)) => train_metered(
-            &model, &dataset, &scheme, &policy, cluster, &config, registry,
+        Some((_, registry)) => train_observed(
+            &model,
+            &dataset,
+            &scheme,
+            &policy,
+            cluster,
+            &config,
+            &mut MetricsObserver::new(registry.clone(), n),
         ),
         None => train(&model, &dataset, &scheme, &policy, cluster, &config),
     };
@@ -753,42 +759,18 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
 /// [`isgc_sched::JobDriver`] over a networked [`MasterSession`]: the
 /// adapter that lets one scheduler round-robin several TCP masters in one
 /// process. Lives here (not in `isgc-sched`) so the scheduler crate stays
-/// transport-free.
-struct NetJob {
-    session: Option<MasterSession<SoftmaxRegression>>,
-    done: bool,
-}
+/// transport-free. It keeps no state of its own: a session that finished
+/// or failed already answers [`MasterSession::step`] with
+/// [`SessionStatus::Done`], which is the [`JobDriver`] contract.
+pub struct NetJob<M: Model>(pub MasterSession<M>);
 
-impl NetJob {
-    fn new(session: MasterSession<SoftmaxRegression>) -> Self {
-        NetJob {
-            session: Some(session),
-            done: false,
-        }
-    }
-}
-
-impl JobDriver for NetJob {
+impl<M: Model> JobDriver for NetJob<M> {
     fn step(&mut self) -> Result<SessionStatus, DriverError> {
-        if self.done {
-            return Ok(SessionStatus::Done);
-        }
-        let session = self.session.as_mut().expect("live session");
-        match session.step() {
-            Ok(SessionStatus::Running) => Ok(SessionStatus::Running),
-            Ok(SessionStatus::Done) => {
-                self.done = true;
-                Ok(SessionStatus::Done)
-            }
-            Err(e) => {
-                self.done = true;
-                Err(Box::new(e))
-            }
-        }
+        self.0.step().map_err(|e| Box::new(e) as DriverError)
     }
 
-    fn finish(mut self: Box<Self>) -> isgc_engine::TrainReport {
-        self.session.take().expect("live session").finish()
+    fn finish(self: Box<Self>) -> isgc_engine::TrainReport {
+        self.0.finish()
     }
 }
 
@@ -808,8 +790,8 @@ const SERVE_JOBS_FLAGS: &[&str] = &[
     "metrics-out",
 ];
 
-/// Builds job `j`'s config: shared shape, per-job id, name (metrics scope
-/// and checkpoint namespace), and seed.
+/// Builds job `j`'s config: shared shape, per-job id, name (metrics
+/// scope), and seed.
 fn job_config(base: &NetConfig, j: u64) -> NetConfig {
     let mut config = base.clone();
     config.job = j;
@@ -884,7 +866,7 @@ fn cmd_serve_jobs(args: &[String]) -> Result<String, String> {
                     let (model, dataset) = net_model_and_data(n);
                     master
                         .into_session(model, dataset, &config)
-                        .map(|session| Box::new(NetJob::new(session)) as Box<dyn JobDriver>)
+                        .map(|session| Box::new(NetJob(session)) as Box<dyn JobDriver>)
                         .map_err(|e| Box::new(e) as DriverError)
                 }),
             )
@@ -1316,7 +1298,7 @@ fn launch_multi(
                     master.into_session(model, dataset, &config)
                 };
                 session
-                    .map(|session| Box::new(NetJob::new(session)) as Box<dyn JobDriver>)
+                    .map(|session| Box::new(NetJob(session)) as Box<dyn JobDriver>)
                     .map_err(|e| Box::new(e) as DriverError)
             }),
         );

@@ -142,11 +142,6 @@ fn random_configurations_uphold_invariants() {
         let config = TrainingConfig {
             batch_size: rng.random_range(1..16usize),
             learning_rate: rng.random_range(0.001..0.1),
-            momentum: if rng.random_range(0..2) == 0 {
-                0.0
-            } else {
-                0.5
-            },
             loss_threshold: 0.0,
             max_steps,
             seed: trial,

@@ -4,7 +4,6 @@
 use isgc::core::Placement;
 use isgc::ml::dataset::Dataset;
 use isgc::ml::model::{Mlp, SoftmaxRegression};
-use isgc::ml::optimizer::LrSchedule;
 use isgc::simnet::cluster::{ClusterConfig, StragglerSelection};
 use isgc::simnet::delay::Delay;
 use isgc::simnet::policy::WaitPolicy;
@@ -25,12 +24,10 @@ fn config(threshold: f64, max_steps: usize, seed: u64) -> TrainingConfig {
     TrainingConfig {
         batch_size: 32,
         learning_rate: 0.05,
-        momentum: 0.0,
         loss_threshold: threshold,
         max_steps,
         seed,
         normalization: GradientNormalization::SumOfPartitionMeans,
-        lr_schedule: LrSchedule::Constant,
         ..Default::default()
     }
 }

@@ -14,9 +14,9 @@ use isgc::simnet::cluster::{ClusterConfig, StragglerSelection};
 use isgc::simnet::delay::Delay;
 use isgc::simnet::policy::WaitPolicy;
 use isgc::simnet::trace::MarkovStragglerModel;
-use isgc::simnet::trainer::{train, train_metered, CodingScheme, TrainingConfig};
+use isgc::simnet::trainer::{train, train_observed, CodingScheme, TrainingConfig};
 use isgc_engine::metrics::names;
-use isgc_engine::{DegradePolicy, StepOutcome};
+use isgc_engine::{DegradePolicy, MetricsObserver, StepOutcome};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -340,14 +340,14 @@ proptest! {
             ..TrainingConfig::default()
         };
         let registry = Registry::new();
-        let report = train_metered(
+        let report = train_observed(
             &LinearRegression::new(3),
             &Dataset::synthetic_regression(48, 3, 0.05, seed),
             &CodingScheme::IsGc(placement),
             &WaitPolicy::WaitForCount(w),
             cluster,
             &config,
-            &registry,
+            &mut MetricsObserver::new(registry.clone(), n),
         );
         let hist = registry
             .histogram(names::STEP_RECOVERED, &[])

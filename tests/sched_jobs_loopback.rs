@@ -11,15 +11,15 @@
 use std::thread;
 use std::time::Duration;
 
+use isgc::cli::NetJob;
 use isgc_core::Placement;
 use isgc_engine::{shard_ranges, TrainReport};
 use isgc_ml::dataset::Dataset;
 use isgc_ml::model::LinearRegression;
 use isgc_net::{
-    run_worker, Master, MasterSession, NetConfig, Submaster, SubmasterOptions, WaitPolicy,
-    WorkerOptions,
+    run_worker, Master, NetConfig, Submaster, SubmasterOptions, WaitPolicy, WorkerOptions,
 };
-use isgc_sched::{DriverError, JobDriver, Scheduler, SchedulerConfig, SessionStatus};
+use isgc_sched::{DriverError, JobDriver, Scheduler, SchedulerConfig};
 
 const N: usize = 8;
 const C: usize = 2;
@@ -38,36 +38,6 @@ fn dataset(seed: u64) -> Dataset {
 struct Tenant {
     seed: u64,
     tree: bool,
-}
-
-/// The same adapter the CLI uses: [`JobDriver`] over a networked session.
-struct NetJob {
-    session: Option<MasterSession<LinearRegression>>,
-    done: bool,
-}
-
-impl JobDriver for NetJob {
-    fn step(&mut self) -> Result<SessionStatus, DriverError> {
-        if self.done {
-            return Ok(SessionStatus::Done);
-        }
-        let session = self.session.as_mut().expect("live session");
-        match session.step() {
-            Ok(SessionStatus::Running) => Ok(SessionStatus::Running),
-            Ok(SessionStatus::Done) => {
-                self.done = true;
-                Ok(SessionStatus::Done)
-            }
-            Err(e) => {
-                self.done = true;
-                Err(Box::new(e))
-            }
-        }
-    }
-
-    fn finish(mut self: Box<Self>) -> TrainReport {
-        self.session.take().expect("live session").finish()
-    }
 }
 
 fn job_config(job: u64, tenant: Tenant) -> NetConfig {
@@ -140,12 +110,7 @@ fn run_cluster(tenants: &[Tenant]) -> Vec<TrainReport> {
                         master.into_session(model, data, &config)
                     };
                     session
-                        .map(|s| {
-                            Box::new(NetJob {
-                                session: Some(s),
-                                done: false,
-                            }) as Box<dyn JobDriver>
-                        })
+                        .map(|s| Box::new(NetJob(s)) as Box<dyn JobDriver>)
                         .map_err(|e| Box::new(e) as DriverError)
                 }),
             )

@@ -172,7 +172,8 @@ impl World {
     }
 
     /// Queues `message` as the event the reactor would deliver for its
-    /// frame: codewords take the zero-copy path, everything else is a `Msg`.
+    /// frame: codewords take the `CodewordView` path, everything else is a
+    /// `Msg`.
     pub(crate) fn enqueue_msg(&mut self, token: Token, message: Message) {
         let bytes = message.encode().len();
         let event = match message {

@@ -17,6 +17,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
+use crate::wire::{f64_le, put_f64_vec, put_u32, put_u64, put_u64_vec, u64_le, Cursor, WireError};
 use crate::NetError;
 
 /// Leading bytes of a checkpoint file.
@@ -66,18 +67,12 @@ impl MasterCheckpoint {
             self.step,
             self.consecutive_degraded,
         ] {
-            buf.extend_from_slice(&x.to_le_bytes());
+            put_u64(&mut buf, x);
         }
-        buf.extend_from_slice(&(self.params.len() as u32).to_le_bytes());
-        for v in &self.params {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        buf.extend_from_slice(&(self.assignments.len() as u32).to_le_bytes());
+        put_f64_vec(&mut buf, &self.params);
+        put_u32(&mut buf, self.assignments.len() as u32);
         for list in &self.assignments {
-            buf.extend_from_slice(&(list.len() as u32).to_le_bytes());
-            for p in list {
-                buf.extend_from_slice(&p.to_le_bytes());
-            }
+            put_u64_vec(&mut buf, list);
         }
         buf
     }
@@ -89,40 +84,44 @@ impl MasterCheckpoint {
     /// [`NetError::Protocol`] on any structural problem — wrong magic or
     /// version, truncation, trailing bytes — never a panic.
     pub fn decode(bytes: &[u8]) -> Result<Self, NetError> {
-        let mut r = Reader { bytes, pos: 0 };
-        let magic = r.take(8)?;
+        let short = |_: WireError| NetError::Protocol("truncated checkpoint".into());
+        let mut r = Cursor::new(bytes);
+        let magic = r.take(8).map_err(short)?;
         if magic != CKPT_MAGIC {
             return Err(NetError::Protocol(format!(
                 "checkpoint magic mismatch: {magic:02x?}"
             )));
         }
-        let version = r.take(1)?[0];
+        let version = r.take(1).map_err(short)?[0];
         if version != 1 && version != CKPT_VERSION {
             return Err(NetError::Protocol(format!(
                 "unsupported checkpoint version {version}"
             )));
         }
-        let seed = r.u64()?;
-        let n = r.u64()?;
-        let c = r.u64()?;
-        let step = r.u64()?;
-        let consecutive_degraded = if version >= 2 { r.u64()? } else { 0 };
-        let plen = r.u32()? as usize;
-        if r.remaining() < plen.saturating_mul(8) {
-            return Err(NetError::Protocol("truncated checkpoint params".into()));
-        }
-        let params = (0..plen).map(|_| r.f64()).collect::<Result<Vec<_>, _>>()?;
-        let alen = r.u32()? as usize;
+        let seed = r.u64().map_err(short)?;
+        let n = r.u64().map_err(short)?;
+        let c = r.u64().map_err(short)?;
+        let step = r.u64().map_err(short)?;
+        let consecutive_degraded = if version >= 2 {
+            r.u64().map_err(short)?
+        } else {
+            0
+        };
+        let plen = r.u32().map_err(short)? as usize;
+        let params = r
+            .words(plen, f64_le)
+            .map_err(|_| NetError::Protocol("truncated checkpoint params".into()))?;
+        let alen = r.u32().map_err(short)? as usize;
         if alen > 1 << 20 {
             return Err(NetError::Protocol("implausible worker count".into()));
         }
         let mut assignments = Vec::with_capacity(alen);
         for _ in 0..alen {
-            let k = r.u32()? as usize;
-            if r.remaining() < k.saturating_mul(8) {
-                return Err(NetError::Protocol("truncated checkpoint assignment".into()));
-            }
-            assignments.push((0..k).map(|_| r.u64()).collect::<Result<Vec<_>, _>>()?);
+            let k = r.u32().map_err(short)? as usize;
+            let list = r
+                .words(k, u64_le)
+                .map_err(|_| NetError::Protocol("truncated checkpoint assignment".into()))?;
+            assignments.push(list);
         }
         if r.remaining() != 0 {
             return Err(NetError::Protocol(format!(
@@ -188,45 +187,6 @@ impl MasterCheckpoint {
             )));
         }
         Ok(())
-    }
-}
-
-/// A bounds-checked reader over the checkpoint bytes.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, k: usize) -> Result<&'a [u8], NetError> {
-        if self.remaining() < k {
-            return Err(NetError::Protocol("truncated checkpoint".into()));
-        }
-        let s = &self.bytes[self.pos..self.pos + k];
-        self.pos += k;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32, NetError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4-byte slice"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, NetError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8-byte slice"),
-        ))
-    }
-
-    fn f64(&mut self) -> Result<f64, NetError> {
-        Ok(f64::from_le_bytes(
-            self.take(8)?.try_into().expect("8-byte slice"),
-        ))
     }
 }
 

@@ -42,7 +42,7 @@ use crate::report::{NetReport, NetTrainReport};
 use crate::seam::Transport;
 use crate::submaster::TreeRootLoop;
 use crate::tier::{worker_reply, Frame, Host, Peers, Reply, Tier};
-use crate::wire::{encode_params_frame, Message};
+use crate::wire::{encode_params_frame, max_vector_len, Message, MAX_PAYLOAD};
 use crate::{NetError, WaitPolicy};
 
 pub use isgc_engine::StepControl;
@@ -413,7 +413,8 @@ fn metered<'a>(config: &NetConfig, inner: impl Observer + 'a) -> Box<dyn Observe
 }
 
 /// Builds the collector, engine, and open session of a run: registration
-/// and (flat-mode) checkpoint resume happen here.
+/// and (flat-mode) checkpoint resume happen here, after a model whose
+/// uploads would not fit in one frame is refused.
 fn build_session_state<M: Model>(
     model: &M,
     dataset: &Dataset,
@@ -421,6 +422,32 @@ fn build_session_state<M: Model>(
     reactor: Reactor,
     submasters: Option<usize>,
 ) -> Result<(SessionCollector, StepEngine, isgc_engine::Session), NetError> {
+    let upload = match submasters {
+        None => Message::Codeword {
+            worker: 0,
+            step: 0,
+            values: Vec::new(),
+        },
+        // A sub-master uploads its shard's worker ids beside the partial sum.
+        Some(shards) => {
+            let ids = vec![0; config.placement.n().div_ceil(shards.max(1))];
+            Message::ShardUpload {
+                shard: 0,
+                step: 0,
+                arrivals: ids.clone(),
+                selected: ids,
+                recovered: 0,
+                partial: Vec::new(),
+            }
+        }
+    };
+    let (dim, max) = (model.param_dim(), max_vector_len(&upload));
+    if dim > max {
+        return Err(NetError::InvalidConfig(format!(
+            "model dimension {dim} does not fit in one frame of at most {MAX_PAYLOAD} \
+             payload bytes; the largest that fits is {max}"
+        )));
+    }
     match submasters {
         None => {
             let mut loop_state = MasterLoop::new(config.clone(), Box::new(reactor));
@@ -757,7 +784,7 @@ impl FlatHost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use isgc_ml::model::LinearRegression;
+    use isgc_ml::model::{LinearRegression, SoftmaxRegression};
 
     fn test_config(n: usize, c: usize, w: usize) -> NetConfig {
         let mut config = NetConfig::new(
@@ -797,6 +824,34 @@ mod tests {
         let dataset = Dataset::synthetic_regression(16, 2, 0.1, 1);
         let err = master.run(&model, &dataset, &config).unwrap_err();
         assert!(matches!(err, NetError::Protocol(_)), "{err}");
+    }
+
+    #[test]
+    fn a_model_too_large_for_one_frame_is_refused_before_registration() {
+        // dim = (1 + 1) · 4,194,303 = 8,388,606: one past the longest
+        // codeword a frame carries (21 + 8 · dim ≤ 2²⁶ payload bytes). The
+        // model allocates nothing at that size, and neither may the master
+        // before refusing it; no worker ever registers here.
+        let model = SoftmaxRegression::new(1, 4_194_303);
+        let dataset = Dataset::synthetic_regression(16, 1, 0.1, 1);
+        let mut config = test_config(4, 2, 4);
+        config.register_timeout = Duration::from_millis(100);
+        let master = Master::bind("127.0.0.1:0").unwrap();
+        match master.run(&model, &dataset, &config) {
+            Err(NetError::InvalidConfig(why)) => {
+                assert!(why.contains("8388606") && why.contains("8388605"), "{why}");
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+        // A sub-master's upload also carries `recovered` and two lists of
+        // its workers' ids: 48 more bytes for shards of 2 workers.
+        config.placement = Placement::fractional(4, 2).expect("valid FR");
+        let master = Master::bind("127.0.0.1:0").unwrap();
+        match master.into_tree_session(model, dataset, &config, 2) {
+            Err(NetError::InvalidConfig(why)) => assert!(why.contains("8388599"), "{why}"),
+            Err(other) => panic!("expected InvalidConfig, got {other}"),
+            Ok(_) => panic!("expected InvalidConfig, got a session"),
+        }
     }
 
     #[test]

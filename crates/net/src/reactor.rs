@@ -17,9 +17,9 @@
 //!   [`FrameAssembler`] so a frame split across arbitrarily many readiness
 //!   events decodes byte-identically; a read costs the bytes that arrived
 //!   (the assembler's tail is zero-filled when it grows, not per call, and
-//!   an idle connection holds 4 KiB of it); `Codeword` payloads are decoded
-//!   *in place* from that buffer straight into an [`isgc_linalg::Vector`] —
-//!   no intermediate `Vec<u8>`/`Vec<f64>` copies on the upload hot path;
+//!   an idle connection holds 4 KiB of it); a `Codeword` payload is parsed
+//!   in that buffer and its values decoded in one bulk pass into the
+//!   [`isgc_linalg::Vector`] the engine sums — no `Message` is built for it;
 //! - **write interest + pooled broadcast**: outbound frames are
 //!   reference-counted `Arc<[u8]>` slices shared across per-connection
 //!   write queues, with partial writes resumed on the next `POLLOUT`;
@@ -98,9 +98,9 @@ pub enum NetEvent {
         /// Wire bytes consumed by the frame (for byte counters).
         bytes: usize,
     },
-    /// An adopted connection produced a codeword, decoded in place from the
-    /// reassembly buffer (the zero-copy upload path — `Message::Codeword`
-    /// never materializes).
+    /// An adopted connection produced a codeword, decoded in one pass from
+    /// the reassembly buffer through a `CodewordView` — `Message::Codeword`
+    /// never materializes.
     Codeword {
         /// The connection that produced the codeword.
         token: Token,
@@ -890,7 +890,7 @@ fn parse_frames(
                 let bytes = frame.wire_len;
                 match CodewordView::parse(frame.payload) {
                     Some(Ok(view)) => {
-                        let values = Vector::from_fn(view.len(), |i| view.value(i));
+                        let values = Vector::from(view.to_vec());
                         events.push_back(NetEvent::Codeword {
                             token,
                             step: view.step,

@@ -221,20 +221,11 @@ impl Message {
     /// Serializes the message as one complete frame (header + payload)
     /// scoped to `job`.
     pub fn encode_for_job(&self, job: u64) -> Vec<u8> {
-        let mut payload = Vec::new();
-        match self {
+        framed(job, |buf| match self {
             Message::Hello { preferred } => {
-                payload.push(TAG_HELLO);
-                match preferred {
-                    Some(id) => {
-                        payload.push(1);
-                        put_u64(&mut payload, *id);
-                    }
-                    None => {
-                        payload.push(0);
-                        put_u64(&mut payload, 0);
-                    }
-                }
+                buf.push(TAG_HELLO);
+                buf.push(u8::from(preferred.is_some()));
+                put_u64(buf, preferred.unwrap_or(0));
             }
             Message::Assign {
                 worker,
@@ -244,42 +235,36 @@ impl Message {
                 seed,
                 partitions,
             } => {
-                payload.push(TAG_ASSIGN);
-                put_u64(&mut payload, *worker);
-                put_u64(&mut payload, *n);
-                put_u64(&mut payload, *c);
-                put_u64(&mut payload, *batch_size);
-                put_u64(&mut payload, *seed);
-                put_u64_vec(&mut payload, partitions);
+                buf.push(TAG_ASSIGN);
+                for x in [worker, n, c, batch_size, seed] {
+                    put_u64(buf, *x);
+                }
+                put_u64_vec(buf, partitions);
             }
-            Message::Params { step, values } => {
-                payload.push(TAG_PARAMS);
-                put_u64(&mut payload, *step);
-                put_f64_vec(&mut payload, values);
-            }
+            Message::Params { step, values } => put_params(buf, *step, values),
             Message::Codeword {
                 worker,
                 step,
                 values,
             } => {
-                payload.push(TAG_CODEWORD);
-                put_u64(&mut payload, *worker);
-                put_u64(&mut payload, *step);
-                put_f64_vec(&mut payload, values);
+                buf.push(TAG_CODEWORD);
+                put_u64(buf, *worker);
+                put_u64(buf, *step);
+                put_f64_vec(buf, values);
             }
             Message::Heartbeat { worker } => {
-                payload.push(TAG_HEARTBEAT);
-                put_u64(&mut payload, *worker);
+                buf.push(TAG_HEARTBEAT);
+                put_u64(buf, *worker);
             }
-            Message::Shutdown => payload.push(TAG_SHUTDOWN),
+            Message::Shutdown => buf.push(TAG_SHUTDOWN),
             Message::Decline { worker, step } => {
-                payload.push(TAG_DECLINE);
-                put_u64(&mut payload, *worker);
-                put_u64(&mut payload, *step);
+                buf.push(TAG_DECLINE);
+                put_u64(buf, *worker);
+                put_u64(buf, *step);
             }
             Message::SubHello { shard } => {
-                payload.push(TAG_SUB_HELLO);
-                put_u64(&mut payload, *shard);
+                buf.push(TAG_SUB_HELLO);
+                put_u64(buf, *shard);
             }
             Message::ShardAssign {
                 shard,
@@ -290,14 +275,10 @@ impl Message {
                 batch_size,
                 seed,
             } => {
-                payload.push(TAG_SHARD_ASSIGN);
-                put_u64(&mut payload, *shard);
-                put_u64(&mut payload, *lo);
-                put_u64(&mut payload, *hi);
-                put_u64(&mut payload, *n);
-                put_u64(&mut payload, *c);
-                put_u64(&mut payload, *batch_size);
-                put_u64(&mut payload, *seed);
+                buf.push(TAG_SHARD_ASSIGN);
+                for x in [shard, lo, hi, n, c, batch_size, seed] {
+                    put_u64(buf, *x);
+                }
             }
             Message::ShardUpload {
                 shard,
@@ -307,22 +288,15 @@ impl Message {
                 recovered,
                 partial,
             } => {
-                payload.push(TAG_SHARD_UPLOAD);
-                put_u64(&mut payload, *shard);
-                put_u64(&mut payload, *step);
-                put_u64_vec(&mut payload, arrivals);
-                put_u64_vec(&mut payload, selected);
-                put_u64(&mut payload, *recovered);
-                put_f64_vec(&mut payload, partial);
+                buf.push(TAG_SHARD_UPLOAD);
+                put_u64(buf, *shard);
+                put_u64(buf, *step);
+                put_u64_vec(buf, arrivals);
+                put_u64_vec(buf, selected);
+                put_u64(buf, *recovered);
+                put_f64_vec(buf, partial);
             }
-        }
-        let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-        frame.extend_from_slice(&MAGIC);
-        frame.push(VERSION);
-        frame.extend_from_slice(&job.to_le_bytes());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame
+        })
     }
 
     /// Parses one frame from the front of `bytes`, returning the message and
@@ -545,16 +519,36 @@ pub fn read_message_tagged(r: &mut impl Read) -> Result<(u64, Message, usize), W
 /// broadcast hot path calls this once per step with the engine's parameter
 /// slice.
 pub fn encode_params_frame(job: u64, step: u64, values: &[f64]) -> Vec<u8> {
-    let payload_len = 1 + 8 + 4 + values.len() * 8;
-    let mut frame = Vec::with_capacity(HEADER_LEN + payload_len);
+    framed(job, |buf| put_params(buf, step, values))
+}
+
+/// The one header writer: writes a frame for `job` in place — the header,
+/// then the payload `body` appends straight after it, then the payload
+/// length patched into the header. A vector-carrying body grows the buffer
+/// once, to its exact size.
+fn framed(job: u64, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(64);
     frame.extend_from_slice(&MAGIC);
     frame.push(VERSION);
-    frame.extend_from_slice(&job.to_le_bytes());
-    frame.extend_from_slice(&(payload_len as u32).to_le_bytes());
-    frame.push(TAG_PARAMS);
-    put_u64(&mut frame, step);
-    put_f64_vec(&mut frame, values);
+    put_u64(&mut frame, job);
+    put_u32(&mut frame, 0);
+    body(&mut frame);
+    let len = (frame.len() - HEADER_LEN) as u32;
+    frame[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
     frame
+}
+
+fn put_params(buf: &mut Vec<u8>, step: u64, values: &[f64]) {
+    buf.push(TAG_PARAMS);
+    put_u64(buf, step);
+    put_f64_vec(buf, values);
+}
+
+/// The longest vector one frame can carry beside `message`'s other fields
+/// (`message` is the frame with that vector empty): what [`MAX_PAYLOAD`]
+/// leaves after the bytes the encoder writes for everything else.
+pub(crate) fn max_vector_len(message: &Message) -> usize {
+    (MAX_PAYLOAD as usize + HEADER_LEN - message.encode().len()) / 8
 }
 
 /// One complete frame yielded by [`FrameAssembler::next_frame`], borrowing
@@ -763,10 +757,10 @@ impl FrameAssembler {
     }
 }
 
-/// A zero-copy view of a `Codeword` payload: the gradient values stay as
-/// little-endian bytes in the connection's reassembly buffer and are decoded
-/// element-wise straight into their destination, skipping both the
-/// intermediate `Vec<f64>` and the copy into a vector type.
+/// A view of a `Codeword` payload in the connection's reassembly buffer:
+/// the header fields are parsed, the gradient values stay little-endian
+/// bytes until [`CodewordView::to_vec`] decodes them in one pass — no
+/// [`Message`] is built around them.
 #[derive(Debug)]
 pub struct CodewordView<'a> {
     /// The sender's claimed slot.
@@ -793,12 +787,9 @@ impl<'a> CodewordView<'a> {
             let worker = cursor.u64()?;
             let step = cursor.u64()?;
             let count = cursor.u32()? as usize;
-            let values = cursor.take_remaining();
-            if values.len() < count * 8 {
-                return Err(WireError::Truncated);
-            }
-            if values.len() > count * 8 {
-                return Err(WireError::TrailingBytes(values.len() - count * 8));
+            let values = cursor.take(count.saturating_mul(8))?;
+            if cursor.remaining() != 0 {
+                return Err(WireError::TrailingBytes(cursor.remaining()));
             }
             Ok(CodewordView {
                 worker,
@@ -806,6 +797,11 @@ impl<'a> CodewordView<'a> {
                 values,
             })
         })())
+    }
+
+    /// Decodes every value in one pass over the payload bytes.
+    pub fn to_vec(&self) -> Vec<f64> {
+        self.values.chunks_exact(8).map(f64_le).collect()
     }
 
     /// Number of gradient values.
@@ -824,54 +820,65 @@ impl<'a> CodewordView<'a> {
     ///
     /// When `i >= self.len()`.
     pub fn value(&self, i: usize) -> f64 {
-        f64::from_le_bytes(
-            self.values[i * 8..i * 8 + 8]
-                .try_into()
-                .expect("8-byte slice"),
-        )
+        f64_le(&self.values[i * 8..i * 8 + 8])
     }
 }
 
-fn put_u64(buf: &mut Vec<u8>, x: u64) {
+// The little-endian codec of the wire and of the checkpoint file: a vector
+// is a `u32` count, then each value's 8 bytes. Vectors are converted in one
+// pass over a buffer sized once, which the compiler vectorises.
+
+pub(crate) fn put_u32(buf: &mut Vec<u8>, x: u32) {
     buf.extend_from_slice(&x.to_le_bytes());
 }
 
-fn put_u64_vec(buf: &mut Vec<u8>, xs: &[u64]) {
-    buf.extend_from_slice(&(xs.len() as u32).to_le_bytes());
-    for x in xs {
-        put_u64(buf, *x);
+pub(crate) fn put_u64(buf: &mut Vec<u8>, x: u64) {
+    buf.extend_from_slice(&x.to_le_bytes());
+}
+
+pub(crate) fn put_u64_vec(buf: &mut Vec<u8>, xs: &[u64]) {
+    put_words(buf, xs, u64::to_le_bytes);
+}
+
+pub(crate) fn put_f64_vec(buf: &mut Vec<u8>, xs: &[f64]) {
+    put_words(buf, xs, f64::to_le_bytes);
+}
+
+fn put_words<T: Copy>(buf: &mut Vec<u8>, xs: &[T], le: impl Fn(T) -> [u8; 8]) {
+    put_u32(buf, xs.len() as u32);
+    let start = buf.len();
+    buf.resize(start + 8 * xs.len(), 0);
+    for (word, &x) in buf[start..].chunks_exact_mut(8).zip(xs) {
+        word.copy_from_slice(&le(x));
     }
 }
 
-fn put_f64_vec(buf: &mut Vec<u8>, xs: &[f64]) {
-    buf.extend_from_slice(&(xs.len() as u32).to_le_bytes());
-    for x in xs {
-        buf.extend_from_slice(&x.to_le_bytes());
-    }
+/// Decodes one 8-byte little-endian word (`word.len() == 8`).
+pub(crate) fn u64_le(word: &[u8]) -> u64 {
+    u64::from_le_bytes(word.try_into().expect("8-byte word"))
+}
+
+/// Decodes one 8-byte little-endian word (`word.len() == 8`).
+pub(crate) fn f64_le(word: &[u8]) -> f64 {
+    f64::from_le_bytes(word.try_into().expect("8-byte word"))
 }
 
 /// A bounds-checked reader over a payload slice.
-struct Cursor<'a> {
+pub(crate) struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
         Cursor { bytes, pos: 0 }
     }
 
-    fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
-    fn take_remaining(&mut self) -> &'a [u8] {
-        let slice = &self.bytes[self.pos..];
-        self.pos = self.bytes.len();
-        slice
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated);
         }
@@ -884,39 +891,38 @@ impl<'a> Cursor<'a> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, WireError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
         Ok(u32::from_le_bytes(
             self.take(4)?.try_into().expect("4-byte slice"),
         ))
     }
 
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8-byte slice"),
-        ))
+    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
+        self.take(8).map(u64_le)
+    }
+
+    /// `count` 8-byte words taken as one slice, so a count the remaining
+    /// bytes cannot hold is `Truncated` before anything is allocated.
+    pub(crate) fn words<T>(
+        &mut self,
+        count: usize,
+        word: impl Fn(&[u8]) -> T,
+    ) -> Result<Vec<T>, WireError> {
+        Ok(self
+            .take(count.saturating_mul(8))?
+            .chunks_exact(8)
+            .map(word)
+            .collect())
     }
 
     fn u64_vec(&mut self) -> Result<Vec<u64>, WireError> {
         let count = self.u32()? as usize;
-        // The count must be consistent with the bytes actually present;
-        // otherwise a corrupt count could request a huge allocation.
-        if self.remaining() < count * 8 {
-            return Err(WireError::Truncated);
-        }
-        (0..count).map(|_| self.u64()).collect()
+        self.words(count, u64_le)
     }
 
     fn f64_vec(&mut self) -> Result<Vec<f64>, WireError> {
         let count = self.u32()? as usize;
-        if self.remaining() < count * 8 {
-            return Err(WireError::Truncated);
-        }
-        (0..count)
-            .map(|_| {
-                self.take(8)
-                    .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte slice")))
-            })
-            .collect()
+        self.words(count, f64_le)
     }
 }
 

@@ -2,7 +2,7 @@
 //! split at *every* byte boundary across readiness events — and a whole
 //! stream of frames split at arbitrary boundaries — must come out of
 //! [`FrameAssembler`] byte-identical to a one-shot decode, with the
-//! zero-copy [`CodewordView`] agreeing bit-for-bit with the copying path.
+//! in-buffer [`CodewordView`] agreeing bit-for-bit with the copying path.
 
 use isgc_net::wire::{CodewordView, FrameAssembler, Message};
 use proptest::prelude::*;
@@ -207,7 +207,7 @@ proptest! {
         prop_assert_eq!(&decoded[0].1, &message);
     }
 
-    /// The zero-copy codeword view agrees bit-for-bit with the copying
+    /// The in-buffer codeword view agrees bit-for-bit with the copying
     /// decode — NaN payloads, infinities, and subnormals included — no
     /// matter where the frame was split.
     #[test]

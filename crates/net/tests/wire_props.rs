@@ -4,7 +4,8 @@
 
 use isgc_chaos::ChaosRng;
 use isgc_net::wire::{
-    corpus_messages, FrameAssembler, Message, WireError, HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION,
+    corpus_messages, encode_params_frame, CodewordView, FrameAssembler, Message, WireError,
+    HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION,
 };
 use proptest::prelude::*;
 
@@ -409,4 +410,312 @@ fn frame_layout_is_stable() {
     assert_eq!(used, HEADER_LEN + 1); // header + the tag byte
     let (job, _, _) = Message::decode_tagged(&Message::Shutdown.encode()).unwrap();
     assert_eq!(job, 0);
+}
+
+/// The per-element codec the shipped bulk codec replaced, kept as the
+/// reference its bytes must equal: every value is written and read 8 bytes
+/// at a time, and a payload is built in its own buffer, then copied behind
+/// the header. It covers the four variants that carry vectors.
+mod reference {
+    use isgc_net::wire::{Message, HEADER_LEN, MAGIC, VERSION};
+
+    fn put_u64(buf: &mut Vec<u8>, x: u64) {
+        buf.extend_from_slice(&x.to_le_bytes());
+    }
+
+    fn put_u64_vec(buf: &mut Vec<u8>, xs: &[u64]) {
+        buf.extend_from_slice(&(xs.len() as u32).to_le_bytes());
+        for x in xs {
+            put_u64(buf, *x);
+        }
+    }
+
+    fn put_f64_vec(buf: &mut Vec<u8>, xs: &[f64]) {
+        buf.extend_from_slice(&(xs.len() as u32).to_le_bytes());
+        for x in xs {
+            buf.extend_from_slice(&x.to_le_bytes());
+        }
+    }
+
+    pub fn encode(job: u64, message: &Message) -> Vec<u8> {
+        let mut payload = Vec::new();
+        match message {
+            Message::Assign {
+                worker,
+                n,
+                c,
+                batch_size,
+                seed,
+                partitions,
+            } => {
+                payload.push(2);
+                for x in [worker, n, c, batch_size, seed] {
+                    put_u64(&mut payload, *x);
+                }
+                put_u64_vec(&mut payload, partitions);
+            }
+            Message::Params { step, values } => {
+                payload.push(3);
+                put_u64(&mut payload, *step);
+                put_f64_vec(&mut payload, values);
+            }
+            Message::Codeword {
+                worker,
+                step,
+                values,
+            } => {
+                payload.push(4);
+                put_u64(&mut payload, *worker);
+                put_u64(&mut payload, *step);
+                put_f64_vec(&mut payload, values);
+            }
+            Message::ShardUpload {
+                shard,
+                step,
+                arrivals,
+                selected,
+                recovered,
+                partial,
+            } => {
+                payload.push(10);
+                put_u64(&mut payload, *shard);
+                put_u64(&mut payload, *step);
+                put_u64_vec(&mut payload, arrivals);
+                put_u64_vec(&mut payload, selected);
+                put_u64(&mut payload, *recovered);
+                put_f64_vec(&mut payload, partial);
+            }
+            other => panic!("no reference encoder for {other:?}"),
+        }
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&MAGIC);
+        frame.push(VERSION);
+        put_u64(&mut frame, job);
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        frame
+    }
+
+    struct Reader<'a> {
+        bytes: &'a [u8],
+        pos: usize,
+    }
+
+    impl Reader<'_> {
+        fn take<const N: usize>(&mut self) -> [u8; N] {
+            let word = self.bytes[self.pos..self.pos + N].try_into().unwrap();
+            self.pos += N;
+            word
+        }
+
+        fn u64(&mut self) -> u64 {
+            u64::from_le_bytes(self.take())
+        }
+
+        fn count(&mut self) -> usize {
+            u32::from_le_bytes(self.take()) as usize
+        }
+
+        fn u64s(&mut self) -> Vec<u64> {
+            (0..self.count()).map(|_| self.u64()).collect()
+        }
+
+        fn f64s(&mut self) -> Vec<f64> {
+            (0..self.count())
+                .map(|_| f64::from_le_bytes(self.take()))
+                .collect()
+        }
+    }
+
+    /// Decodes a well-formed frame of one of the four variants into
+    /// `(job, message)`, panicking on anything else.
+    pub fn decode(frame: &[u8]) -> (u64, Message) {
+        let mut r = Reader {
+            bytes: frame,
+            pos: 0,
+        };
+        assert_eq!(r.take::<4>(), MAGIC);
+        assert_eq!(r.take::<1>(), [VERSION]);
+        let job = r.u64();
+        assert_eq!(r.count(), frame.len() - HEADER_LEN);
+        let message = match r.take::<1>()[0] {
+            2 => Message::Assign {
+                worker: r.u64(),
+                n: r.u64(),
+                c: r.u64(),
+                batch_size: r.u64(),
+                seed: r.u64(),
+                partitions: r.u64s(),
+            },
+            3 => Message::Params {
+                step: r.u64(),
+                values: r.f64s(),
+            },
+            4 => Message::Codeword {
+                worker: r.u64(),
+                step: r.u64(),
+                values: r.f64s(),
+            },
+            10 => Message::ShardUpload {
+                shard: r.u64(),
+                step: r.u64(),
+                arrivals: r.u64s(),
+                selected: r.u64s(),
+                recovered: r.u64(),
+                partial: r.f64s(),
+            },
+            tag => panic!("no reference decoder for tag {tag}"),
+        };
+        assert_eq!(r.pos, frame.len(), "reference decode left bytes");
+        (job, message)
+    }
+}
+
+/// Bit patterns a value-based codec could get wrong: quiet, signalling and
+/// negative NaNs with payloads, both zeros, both ends of the subnormals,
+/// both infinities.
+const SPECIAL_BITS: [u64; 10] = [
+    0x7FF8_0000_0000_0000,
+    0x7FF0_0000_0000_0001,
+    0xFFF8_DEAD_BEEF_0001,
+    0x0000_0000_0000_0000,
+    0x8000_0000_0000_0000,
+    0x0000_0000_0000_0001,
+    0x800F_FFFF_FFFF_FFFF,
+    0x0010_0000_0000_0000,
+    0x7FF0_0000_0000_0000,
+    0xFFF0_0000_0000_0000,
+];
+
+/// The four vector-carrying variants around one float vector.
+fn vector_messages(a: u64, ints: &[u64], values: &[f64]) -> [Message; 4] {
+    [
+        Message::Params {
+            step: a,
+            values: values.to_vec(),
+        },
+        Message::Codeword {
+            worker: a % 1024,
+            step: a,
+            values: values.to_vec(),
+        },
+        Message::Assign {
+            worker: a,
+            n: ints.len() as u64,
+            c: 2,
+            batch_size: 8,
+            seed: !a,
+            partitions: ints.to_vec(),
+        },
+        Message::ShardUpload {
+            shard: 1,
+            step: a,
+            arrivals: ints.to_vec(),
+            selected: ints.iter().rev().copied().collect(),
+            recovered: ints.len() as u64,
+            partial: values.to_vec(),
+        },
+    ]
+}
+
+/// A message with its float vector taken out, and that vector's bits — so
+/// NaN payloads compare exactly.
+fn split_floats(message: &Message) -> (Message, Vec<u64>) {
+    let mut message = message.clone();
+    let floats = match &mut message {
+        Message::Params { values, .. }
+        | Message::Codeword { values, .. }
+        | Message::ShardUpload {
+            partial: values, ..
+        } => std::mem::take(values),
+        _ => Vec::new(),
+    };
+    (message, floats.iter().map(|x| x.to_bits()).collect())
+}
+
+/// The shipped codec and the per-element reference agree on every byte
+/// of `message`'s frame, in both directions.
+fn assert_matches_reference(job: u64, message: &Message) {
+    let shipped = message.encode_for_job(job);
+    assert!(
+        shipped == reference::encode(job, message),
+        "{} values: shipped bytes differ from the reference",
+        split_floats(message).1.len()
+    );
+    let (ref_job, by_reference) = reference::decode(&shipped);
+    let (job_back, by_shipped, used) = Message::decode_tagged(&shipped).expect("decodes");
+    assert_eq!((ref_job, job_back, used), (job, job, shipped.len()));
+    assert_eq!(split_floats(&by_reference), split_floats(message));
+    assert_eq!(split_floats(&by_shipped), split_floats(message));
+    if let Message::Params { step, values } = message {
+        assert!(encode_params_frame(job, *step, values) == shipped);
+    }
+}
+
+proptest! {
+    #[test]
+    fn bulk_codec_matches_the_per_element_reference(
+        a in 0u64..u64::MAX,
+        job in 0u64..u64::MAX,
+        ints in proptest::collection::vec(0u64..u64::MAX, 0..10),
+        words in proptest::collection::vec((0u64..u64::MAX, 0usize..20), 0..10),
+    ) {
+        // About half the values are special bit patterns, the rest raw bits.
+        let values: Vec<f64> = words
+            .iter()
+            .map(|&(bits, pick)| f64::from_bits(*SPECIAL_BITS.get(pick).unwrap_or(&bits)))
+            .collect();
+        for message in vector_messages(a, &ints, &values) {
+            assert_matches_reference(job, &message);
+        }
+    }
+}
+
+/// Vectors of every length 0–9 (below, at and above one 8-byte word per
+/// value, around any unrolled loop's remainder) and of `wide-d65k`'s
+/// dimension, 65,552, cycling the special bit patterns through raw bits.
+#[test]
+fn bulk_codec_matches_the_reference_at_every_short_length_and_wide_d65k() {
+    let raw = |i: usize| (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    for len in (0..=9).chain([65_552]) {
+        let values: Vec<f64> = (0..len)
+            .map(|i| {
+                f64::from_bits(if i % 3 == 0 {
+                    SPECIAL_BITS[i % 10]
+                } else {
+                    raw(i)
+                })
+            })
+            .collect();
+        let ints: Vec<u64> = (0..len.min(40)).map(raw).collect();
+        for message in vector_messages(raw(len), &ints, &values) {
+            assert_matches_reference(len as u64, &message);
+        }
+    }
+}
+
+/// `CodewordView`'s bulk decode is `value(i)` for every `i`, and both are
+/// the values the frame was encoded from.
+#[test]
+fn codeword_view_bulk_decode_equals_every_value() {
+    for len in (0..=9).chain([65_552]) {
+        let values: Vec<f64> = (0..len)
+            .map(|i| f64::from_bits(SPECIAL_BITS[i % 10] ^ ((i as u64) << 20)))
+            .collect();
+        let frame = Message::Codeword {
+            worker: 3,
+            step: 9,
+            values: values.clone(),
+        }
+        .encode_for_job(1);
+        let view = CodewordView::parse(&frame[HEADER_LEN..])
+            .expect("a codeword")
+            .expect("well-formed");
+        let bulk = view.to_vec();
+        assert_eq!(bulk.len(), len);
+        for (i, v) in values.iter().enumerate() {
+            assert_eq!(bulk[i].to_bits(), view.value(i).to_bits(), "value {i}");
+            assert_eq!(bulk[i].to_bits(), v.to_bits(), "value {i}");
+        }
+    }
 }

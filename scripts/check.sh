@@ -127,6 +127,25 @@ for marker in LrSchedule with_momentum with_weight_decay check_bounds \
   fi
 done
 
+echo "== one f64 codec, no per-element ingest (structural guard)"
+# Wire frames and checkpoint files share one little-endian codec in
+# crates/net/src/wire.rs that converts whole vectors in one pass: in
+# non-test source under crates/net/src/ `f64::from_le_bytes` occurs once
+# (the word decoder every f64 read goes through), and no codeword upload is
+# decoded value by value.
+decoders=$(net_src 'f64::from_le_bytes')
+if [ "$(grep -c . <<<"$decoders")" != 1 ]; then
+  echo "FAIL: want exactly one f64::from_le_bytes (wire::f64_le), found:" >&2
+  echo "$decoders" >&2
+  exit 1
+fi
+per_element=$(net_src 'view[.]value[(]')
+if [ -n "$per_element" ]; then
+  echo "FAIL: a codeword is decoded value by value again (use CodewordView::to_vec):" >&2
+  echo "$per_element" >&2
+  exit 1
+fi
+
 echo "== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -208,4 +227,4 @@ if ! diff -r -x README.md results target/results; then
   exit 1
 fi
 
-echo "ok: fmt, structural guards (incl. no thread in isgc-net, one session loop, one invariant checker and one hash, only options someone sets), clippy, docs, tests, engine parity, snapshots, chaos, blackout, multi-tenant, reactor scale, straggling swarm, benchmark smoke, mc mutation loop, and paper reproduction all clean"
+echo "ok: fmt, structural guards (incl. no thread in isgc-net, one session loop, one invariant checker and one hash, only options someone sets, one f64 codec and no per-element ingest), clippy, docs, tests, engine parity, snapshots, chaos, blackout, multi-tenant, reactor scale, straggling swarm, benchmark smoke, mc mutation loop, and paper reproduction all clean"

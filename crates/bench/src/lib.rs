@@ -176,9 +176,9 @@ mod tests {
     fn cluster_builders_are_valid() {
         let c = fig11_cluster(24, 1.5, 12);
         assert_eq!(c.n, 24);
-        assert_eq!(c.straggler_delay.mean(), 1.5);
+        assert_eq!(c.straggler_delay, Delay::Exponential { mean: 1.5 });
         let c = cloud_cluster(4);
         assert_eq!(c.n, 4);
-        assert!(c.jitter.mean() > 0.0);
+        assert_eq!(c.jitter, Delay::Exponential { mean: 0.4 });
     }
 }

@@ -50,11 +50,6 @@ impl AsciiChart {
         self.series.push((marker, values.to_vec()));
     }
 
-    /// Number of series added.
-    pub fn series_count(&self) -> usize {
-        self.series.len()
-    }
-
     /// Renders the chart with a y-axis legend.
     ///
     /// # Panics
@@ -136,7 +131,6 @@ mod tests {
         let mut chart = AsciiChart::new(10, 5);
         chart.add_series('a', &[1.0, 1.0]);
         chart.add_series('b', &[0.0, 0.0]);
-        assert_eq!(chart.series_count(), 2);
         let r = chart.render();
         assert!(r.contains('a'));
         assert!(r.contains('b'));

@@ -49,16 +49,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Returns `true` when no data rows have been added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
         let cols = self.headers.len();
@@ -91,18 +81,6 @@ impl Table {
         out
     }
 
-    /// Renders the table as comma-separated values (for plotting scripts).
-    pub fn render_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
-
     /// Prints the rendered table to stdout.
     pub fn print(&self) {
         print!("{}", self.render());
@@ -123,15 +101,6 @@ mod tests {
         assert!(lines[0].starts_with("a        long-header"));
         assert!(lines[1].starts_with("---"));
         assert!(lines[2].starts_with("xxxxxxx"));
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn renders_csv() {
-        let mut t = Table::new(vec!["x", "y"]);
-        t.add_row(vec!["1".into(), "2".into()]);
-        assert_eq!(t.render_csv(), "x,y\n1,2\n");
     }
 
     #[test]

@@ -63,41 +63,6 @@ pub fn recovery_lower_bound(n: usize, c: usize, w: usize) -> usize {
     c * alpha_lower_bound(n, c, w)
 }
 
-/// Best-case number of recovered partitions, `c · alpha_upper_bound`, capped
-/// at `n`.
-///
-/// # Panics
-///
-/// Panics if `c == 0` or `w > n`.
-pub fn recovery_upper_bound(n: usize, c: usize, w: usize) -> usize {
-    (c * alpha_upper_bound(n, c, w)).min(n)
-}
-
-/// Both Theorem 10–11 recovery bounds at once, as
-/// `(recovery_lower_bound, recovery_upper_bound)` — the interval a
-/// bound-checked harness asserts every step's recovered-partition count
-/// against.
-///
-/// # Panics
-///
-/// Panics if `c == 0` or `w > n`.
-pub fn recovery_bounds(n: usize, c: usize, w: usize) -> (usize, usize) {
-    (recovery_lower_bound(n, c, w), recovery_upper_bound(n, c, w))
-}
-
-/// Whether `recovered` partitions from `w` available workers is consistent
-/// with Theorems 10–11. The chaos harness calls this on every step of a
-/// fault-injected run: a violation means the decoder, not the fault, is
-/// broken.
-///
-/// # Panics
-///
-/// Panics if `c == 0` or `w > n`.
-pub fn recovery_within_bounds(n: usize, c: usize, w: usize, recovered: usize) -> bool {
-    let (lo, hi) = recovery_bounds(n, c, w);
-    (lo..=hi).contains(&recovered)
-}
-
 /// One decode checked against Theorems 10–11: the bound interval and the
 /// observed recovery, bundled as an emit-ready record — the engine copies
 /// it into every step report and the metrics layer turns it into bound
@@ -117,21 +82,6 @@ impl BoundCheck {
     pub fn within(&self) -> bool {
         (self.lo..=self.hi).contains(&self.recovered)
     }
-
-    /// Headroom above the Theorem 10 floor (`recovered − lo`, saturating).
-    pub fn margin(&self) -> usize {
-        self.recovered.saturating_sub(self.lo)
-    }
-}
-
-/// Checks one decode against Theorems 10–11 and returns the full record.
-///
-/// # Panics
-///
-/// Panics if `c == 0` or `w > n`.
-pub fn check_recovery(n: usize, c: usize, w: usize, recovered: usize) -> BoundCheck {
-    let (lo, hi) = recovery_bounds(n, c, w);
-    BoundCheck { lo, hi, recovered }
 }
 
 /// Placement-aware bracket on the number of selectable workers `α(G[W'])`,
@@ -221,68 +171,6 @@ pub fn check_recovery_of(placement: &crate::Placement, w: usize, recovered: usiz
     BoundCheck { lo, hi, recovered }
 }
 
-/// The largest number of stragglers `s` for which **full** recovery of all
-/// `n` partition gradients is guaranteed for *every* straggler pattern —
-/// computed exactly by checking the worst availability pattern at each `s`.
-///
-/// For FR and CR with `c | n` this equals classic GC's `c − 1` (both schemes
-/// place each partition on `c` workers, and an adversary silencing all `c`
-/// replicas of one partition defeats any code), which is exactly the paper's
-/// point: IS-GC matches GC's guaranteed tolerance *and* degrades gracefully
-/// beyond it.
-///
-/// Exponential in `n` (it enumerates worst cases); intended for `n ≤ 20`.
-///
-/// # Panics
-///
-/// Panics if `n > 20`.
-///
-/// # Examples
-///
-/// ```
-/// use isgc_core::bounds::guaranteed_full_recovery_tolerance;
-/// use isgc_core::Placement;
-///
-/// # fn main() -> Result<(), isgc_core::Error> {
-/// let p = Placement::cyclic(8, 3)?;
-/// // Any 2 stragglers still leave full recovery impossible to block? No —
-/// // tolerance is c − 1 = 2 only if 8 % 3 == 0; here partial coverage caps it.
-/// let t = guaranteed_full_recovery_tolerance(&p);
-/// assert!(t <= 2);
-/// # Ok(())
-/// # }
-/// ```
-pub fn guaranteed_full_recovery_tolerance(placement: &crate::Placement) -> usize {
-    let n = placement.n();
-    assert!(n <= 20, "exhaustive tolerance check capped at n = 20");
-    let graph = crate::ConflictGraph::from_placement(placement);
-    // Full recovery means every partition is covered by the selected
-    // independent set, i.e. recovered_count == n, i.e. alpha * c == n AND
-    // the partitions covered are all n. Since selected workers are
-    // non-conflicting, their partition sets are disjoint: alpha * c == n
-    // already implies full coverage.
-    let full_alpha = n / placement.c();
-    if !n.is_multiple_of(placement.c()) {
-        return 0; // c ∤ n: even all workers can't tile the partitions
-    }
-    for s in 1..n {
-        let w = n - s;
-        // Check every availability pattern of size w.
-        let mut mask: u64 = (1u64 << w) - 1;
-        let limit: u64 = 1u64 << n;
-        while mask < limit {
-            let avail = crate::WorkerSet::from_indices(n, (0..n).filter(|&i| mask & (1 << i) != 0));
-            if graph.alpha(&avail) < full_alpha {
-                return s - 1;
-            }
-            let c0 = mask & mask.wrapping_neg();
-            let r = mask + c0;
-            mask = (((r ^ mask) >> 2) / c0) | r;
-        }
-    }
-    n - 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,8 +187,7 @@ mod tests {
                     let lo = alpha_lower_bound(n, c, w);
                     let hi = alpha_upper_bound(n, c, w);
                     assert!(lo <= hi, "n={n}, c={c}, w={w}");
-                    assert!(recovery_lower_bound(n, c, w) <= recovery_upper_bound(n, c, w));
-                    assert!(recovery_upper_bound(n, c, w) <= n);
+                    assert!(recovery_lower_bound(n, c, w) <= n);
                 }
             }
         }
@@ -316,7 +203,7 @@ mod tests {
     fn full_availability_hits_n_over_c() {
         assert_eq!(alpha_lower_bound(8, 2, 8), 4);
         assert_eq!(alpha_upper_bound(8, 2, 8), 4);
-        assert_eq!(recovery_upper_bound(8, 2, 8), 8);
+        assert_eq!(recovery_lower_bound(8, 2, 8), 8);
         // Non-divisible case: CR(7, 3) can select at most 2 workers.
         assert_eq!(alpha_upper_bound(7, 3, 7), 2);
     }
@@ -325,41 +212,6 @@ mod tests {
     #[should_panic(expected = "cannot exceed")]
     fn w_above_n_panics() {
         alpha_lower_bound(4, 2, 5);
-    }
-
-    #[test]
-    fn recovery_bounds_pair_matches_parts() {
-        for n in 1..=12 {
-            for c in 1..=n {
-                for w in 0..=n {
-                    let (lo, hi) = recovery_bounds(n, c, w);
-                    assert_eq!(lo, recovery_lower_bound(n, c, w));
-                    assert_eq!(hi, recovery_upper_bound(n, c, w));
-                    assert!(recovery_within_bounds(n, c, w, lo));
-                    assert!(recovery_within_bounds(n, c, w, hi));
-                    assert!(!recovery_within_bounds(n, c, w, hi + 1));
-                    if lo > 0 {
-                        assert!(!recovery_within_bounds(n, c, w, lo - 1));
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn check_recovery_agrees_with_predicate() {
-        for n in 1..=10 {
-            for c in 1..=n {
-                for w in 0..=n {
-                    for recovered in 0..=n {
-                        let check = check_recovery(n, c, w, recovered);
-                        assert_eq!(check.within(), recovery_within_bounds(n, c, w, recovered));
-                        assert_eq!((check.lo, check.hi), recovery_bounds(n, c, w));
-                        assert_eq!(check.margin(), recovered.saturating_sub(check.lo));
-                    }
-                }
-            }
-        }
     }
 
     /// Every decoder's output must fall within the placement-aware bounds
@@ -467,7 +319,9 @@ mod tests {
     }
 
     /// On FR and CR the placement-aware entry points agree exactly with the
-    /// raw Theorem 10–11 formulas.
+    /// raw Theorem 10–11 formulas, and a decode is within bounds exactly when
+    /// it lands in the inclusive bracket — both ends attained, one past
+    /// either end not.
     #[test]
     fn placement_aware_bounds_match_formulas_on_fr_cr() {
         for (n, c) in [(6usize, 2usize), (8, 4), (9, 3), (7, 3)] {
@@ -485,10 +339,13 @@ mod tests {
                         "{} n={n} c={c} w={w}",
                         p.scheme()
                     );
-                    assert_eq!(recovery_bounds_of(p, w), recovery_bounds(n, c, w));
-                    for recovered in 0..=n {
+                    let (lo, hi) = recovery_bounds_of(p, w);
+                    assert_eq!(lo, recovery_lower_bound(n, c, w));
+                    assert_eq!(hi, (c * alpha_upper_bound(n, c, w)).min(n));
+                    for recovered in 0..=n + 1 {
                         let check = check_recovery_of(p, w, recovered);
-                        assert_eq!(check, check_recovery(n, c, w, recovered));
+                        assert_eq!((check.lo, check.hi, check.recovered), (lo, hi, recovered));
+                        assert_eq!(check.within(), (lo..=hi).contains(&recovered));
                         assert_eq!(check.within(), recovery_within_bounds_of(p, w, recovered));
                     }
                 }
@@ -496,11 +353,31 @@ mod tests {
         }
     }
 
+    /// The most stragglers every one of whose patterns still leaves `n/c`
+    /// non-conflicting workers, i.e. recovers all `n` partitions — found by
+    /// computing `α` on every availability pattern (`n ≤ 16`).
+    fn full_recovery_tolerance(placement: &Placement) -> usize {
+        let (n, c) = (placement.n(), placement.c());
+        if !n.is_multiple_of(c) {
+            return 0; // c ∤ n: even all workers can't tile the partitions
+        }
+        let graph = crate::ConflictGraph::from_placement(placement);
+        let fewest_losing_stragglers = (0u32..1 << n)
+            .filter(|&mask| {
+                let avail = WorkerSet::from_indices(n, (0..n).filter(|&i| mask & (1 << i) != 0));
+                graph.alpha(&avail) < n / c
+            })
+            .map(|mask| n - mask.count_ones() as usize)
+            .min()
+            .expect("with every worker straggling nothing is recovered");
+        fewest_losing_stragglers - 1
+    }
+
     /// IS-GC's guaranteed full-recovery tolerance equals classic GC's c − 1
     /// for FR and CR alike (the paper's "same guarantee, graceful beyond").
     #[test]
     fn guaranteed_tolerance_equals_classic_gc() {
-        use super::guaranteed_full_recovery_tolerance as tol;
+        let tol = full_recovery_tolerance;
         for (n, c) in [(4usize, 2usize), (6, 2), (6, 3), (8, 2), (8, 4), (9, 3)] {
             let fr = Placement::fractional(n, c).unwrap();
             assert_eq!(tol(&fr), c - 1, "FR({n},{c})");

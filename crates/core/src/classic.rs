@@ -117,11 +117,6 @@ impl ClassicGc {
         &self.placement
     }
 
-    /// The coefficient matrix `B` (row `i` = worker `i`).
-    pub fn coefficients(&self) -> &Matrix {
-        &self.b
-    }
-
     /// Minimum number of workers classic GC needs: `n − c + 1` (it tolerates
     /// at most `c − 1` stragglers).
     pub fn min_workers(&self) -> usize {
@@ -241,9 +236,23 @@ mod tests {
             for j in 0..6 {
                 let on_support = (0..3).any(|t| (i + t) % 6 == j);
                 if !on_support {
-                    assert_eq!(gc.coefficients()[(i, j)], 0.0, "B[{i}][{j}]");
+                    assert_eq!(gc.b[(i, j)], 0.0, "B[{i}][{j}]");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn b_has_rank_n_minus_c_plus_one() {
+        // Classic GC's B has full row span of null(H): rank n − c + 1.
+        let mut rng = StdRng::seed_from_u64(12);
+        for (n, c) in [(5usize, 2usize), (6, 3), (8, 2)] {
+            let gc = ClassicGc::cyclic(n, c, &mut rng).unwrap();
+            assert_eq!(
+                gc.b.rank(1e-9),
+                n - c + 1,
+                "classic GC rank at n={n}, c={c}"
+            );
         }
     }
 

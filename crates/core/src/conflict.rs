@@ -94,15 +94,6 @@ impl ConflictGraph {
         &self.adjacency[a]
     }
 
-    /// Degree of worker `a`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a >= n`.
-    pub fn degree(&self, a: WorkerId) -> usize {
-        self.adjacency[a].len()
-    }
-
     /// Total number of (undirected) edges.
     pub fn edge_count(&self) -> usize {
         self.adjacency.iter().map(WorkerSet::len).sum::<usize>() / 2
@@ -491,9 +482,8 @@ mod tests {
     fn from_edges_and_queries() {
         let g = ConflictGraph::from_edges(4, &[(0, 1), (1, 2)]);
         assert!(g.has_edge(1, 0));
-        assert_eq!(g.degree(1), 2);
-        assert_eq!(g.degree(3), 0);
         assert_eq!(g.neighbors(1).to_vec(), vec![0, 2]);
+        assert!(g.neighbors(3).is_empty());
         assert_eq!(g.n(), 4);
     }
 

@@ -9,9 +9,8 @@
 //! *bias-corrected partial estimate* of the full gradient is enough to keep
 //! SGD converging.
 //!
-//! [`ApproxDecoder`] wraps the placement's exact decoder: it selects the
-//! same maximal conflict-free sub-collection the exact path would, and
-//! additionally produces an [`ApproxReport`] describing the partial
+//! [`ApproxDecoder`] takes the conflict-free selection the exact decoder
+//! already made and produces an [`ApproxReport`] describing the partial
 //! estimate — which partitions are covered, how many replicas of each
 //! arrived, and the normalization weights that make the partial sum an
 //! unbiased estimate of the full-gradient sum under uniform coverage:
@@ -19,10 +18,7 @@
 //! `(k/|S|) · Σ_{p∈S} ḡ_p`, whose expectation over a uniformly random
 //! covered set equals the exact sum `Σ_{p∈[k]} ḡ_p`.
 
-use rand::RngCore;
-
-use super::{decoder_for, Decoder};
-use crate::{Error, PartitionId, Placement, WorkerId, WorkerSet};
+use crate::{PartitionId, Placement, WorkerId, WorkerSet};
 
 /// The partial-estimate description produced by [`ApproxDecoder`]: what a
 /// degraded step can still recover, and how to weight it.
@@ -64,55 +60,20 @@ impl ApproxReport {
             bias_weight: 0.0,
         }
     }
-
-    /// Number of partitions covered by the partial estimate.
-    pub fn covered_count(&self) -> usize {
-        self.covered.len()
-    }
-
-    /// Whether any estimate exists at all.
-    pub fn is_empty(&self) -> bool {
-        self.covered.is_empty()
-    }
 }
 
-/// Wraps a placement's exact decoder with partial-estimate accounting for
-/// steps below the coverage floor (see the module docs).
+/// Partial-estimate accounting for steps below the coverage floor (see the
+/// module docs), over one placement.
 pub struct ApproxDecoder {
     placement: Placement,
-    inner: Box<dyn Decoder>,
 }
 
 impl ApproxDecoder {
-    /// Builds the approximate decoder on top of the placement's scheme
-    /// decoder (Alg. 1/2/3–4, or the exact MIS oracle for custom layouts).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the scheme decoder's construction errors.
-    pub fn new(placement: &Placement) -> Result<Self, Error> {
-        Ok(ApproxDecoder {
+    /// Builds the accounting for `placement`.
+    pub fn new(placement: &Placement) -> Self {
+        ApproxDecoder {
             placement: placement.clone(),
-            inner: decoder_for(placement)?,
-        })
-    }
-
-    /// The number of workers (and partitions) this decoder was built for.
-    pub fn n(&self) -> usize {
-        self.placement.n()
-    }
-
-    /// Decodes one degraded step: the exact decoder picks the maximal
-    /// conflict-free sub-collection, and the report adds the coverage,
-    /// multiplicity, and bias-correction accounting.
-    ///
-    /// Randomness only affects *which* maximum independent set is selected,
-    /// exactly as in the underlying decoder — coverage and weights are
-    /// invariant across equally-sized selections of an FR placement, and
-    /// deterministic given the RNG stream for CR/HR.
-    pub fn decode(&self, available: &WorkerSet, rng: &mut dyn RngCore) -> ApproxReport {
-        let selected = self.inner.decode(available, rng).selected().to_vec();
-        self.report_for(available, &selected)
+        }
     }
 
     /// Builds the [`ApproxReport`] for an already-chosen conflict-free
@@ -167,36 +128,37 @@ impl ApproxDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decode::decoder_for;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(0)
+    /// The report for `available` on top of the placement's exact decode —
+    /// the step engine's path.
+    fn report(p: &Placement, available: &WorkerSet) -> ApproxReport {
+        let decoder = decoder_for(p).unwrap();
+        let selected = decoder.decode(available, &mut StdRng::seed_from_u64(0));
+        ApproxDecoder::new(p).report_for(available, selected.selected())
     }
 
     #[test]
     fn full_arrival_covers_everything_with_unit_bias() {
         let p = Placement::fractional(6, 2).unwrap();
-        let d = ApproxDecoder::new(&p).unwrap();
-        let r = d.decode(&WorkerSet::full(6), &mut rng());
+        let r = report(&p, &WorkerSet::full(6));
         assert_eq!(r.covered, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(r.coverage, 1.0);
         assert_eq!(r.bias_weight, 1.0);
         assert_eq!(r.weights, vec![1.0; 6]);
         // Every partition has both FR replicas in the arrival set.
         assert_eq!(r.multiplicity, vec![2; 6]);
-        assert!(!r.is_empty());
     }
 
     #[test]
     fn single_arrival_yields_partial_estimate_with_corrected_bias() {
         // FR(6,2): worker 0 holds partitions {0,1}; alone it covers 2 of 6.
         let p = Placement::fractional(6, 2).unwrap();
-        let d = ApproxDecoder::new(&p).unwrap();
-        let r = d.decode(&WorkerSet::from_indices(6, [0]), &mut rng());
+        let r = report(&p, &WorkerSet::from_indices(6, [0]));
         assert_eq!(r.selected, vec![0]);
         assert_eq!(r.covered, p.partitions_of(0).to_vec());
-        assert_eq!(r.covered_count(), 2);
         assert!((r.coverage - 2.0 / 6.0).abs() < 1e-12);
         assert_eq!(r.bias_weight, 3.0);
         assert_eq!(r.weights, vec![3.0, 3.0]);
@@ -208,10 +170,9 @@ mod tests {
         // FR(6,2): workers 0 and 1 mirror partitions {0,1}. Only one can be
         // selected (they conflict), but both replicas arrived.
         let p = Placement::fractional(6, 2).unwrap();
-        let d = ApproxDecoder::new(&p).unwrap();
-        let r = d.decode(&WorkerSet::from_indices(6, [0, 1]), &mut rng());
+        let r = report(&p, &WorkerSet::from_indices(6, [0, 1]));
         assert_eq!(r.selected.len(), 1);
-        assert_eq!(r.covered_count(), 2);
+        assert_eq!(r.covered.len(), 2);
         assert_eq!(r.multiplicity, vec![2, 2]);
         assert_eq!(r.bias_weight, 3.0);
     }
@@ -219,23 +180,18 @@ mod tests {
     #[test]
     fn empty_arrival_yields_empty_report() {
         let p = Placement::fractional(4, 2).unwrap();
-        let d = ApproxDecoder::new(&p).unwrap();
-        let r = d.decode(&WorkerSet::empty(4), &mut rng());
+        let r = report(&p, &WorkerSet::empty(4));
         assert_eq!(r, ApproxReport::empty());
-        assert!(r.is_empty());
         assert_eq!(r.bias_weight, 0.0);
         assert_eq!(r.coverage, 0.0);
     }
 
     #[test]
-    fn report_for_matches_decode_and_is_deterministic() {
+    fn report_for_is_deterministic() {
         let p = Placement::cyclic(7, 3).unwrap();
-        let d = ApproxDecoder::new(&p).unwrap();
         let avail = WorkerSet::from_indices(7, [0, 1, 4, 5]);
-        let via_decode = d.decode(&avail, &mut rng());
-        let via_report = d.report_for(&avail, &via_decode.selected);
-        assert_eq!(via_decode, via_report);
-        assert_eq!(via_report, d.report_for(&avail, &via_decode.selected));
+        let r = report(&p, &avail);
+        assert_eq!(r, ApproxDecoder::new(&p).report_for(&avail, &r.selected));
     }
 
     #[test]
@@ -246,10 +202,9 @@ mod tests {
             Placement::fractional(8, 2).unwrap(),
             Placement::cyclic(9, 3).unwrap(),
         ] {
-            let d = ApproxDecoder::new(&p).unwrap();
             for upto in 1..p.n() {
-                let r = d.decode(&WorkerSet::from_indices(p.n(), 0..upto), &mut rng());
-                if !r.is_empty() {
+                let r = report(&p, &WorkerSet::from_indices(p.n(), 0..upto));
+                if !r.covered.is_empty() {
                     assert!((r.bias_weight * r.coverage - 1.0).abs() < 1e-12);
                 }
             }

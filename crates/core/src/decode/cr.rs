@@ -161,7 +161,10 @@ mod tests {
         let p = Placement::cyclic(5, 2).unwrap();
         let d = CrDecoder::new(&p).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
-        assert!(d.decode(&WorkerSet::empty(5), &mut rng).is_empty());
+        assert!(d
+            .decode(&WorkerSet::empty(5), &mut rng)
+            .selected()
+            .is_empty());
     }
 
     #[test]

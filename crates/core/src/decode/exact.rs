@@ -86,11 +86,6 @@ impl ExactDecoder {
         }
     }
 
-    /// The configured per-decode budget, if any.
-    pub fn budget(&self) -> Option<Duration> {
-        self.budget
-    }
-
     /// Decodes one step under the configured budget.
     ///
     /// Without a budget (constructed via [`ExactDecoder::new`]) this is
@@ -114,11 +109,6 @@ impl ExactDecoder {
                 budget: self.budget.unwrap_or(Duration::ZERO),
             }),
         }
-    }
-
-    /// The underlying conflict graph.
-    pub fn graph(&self) -> &ConflictGraph {
-        &self.graph
     }
 }
 
@@ -158,7 +148,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let r = d.decode(&WorkerSet::full(8), &mut rng);
         assert_eq!(r.selected().len(), 2); // floor(n/c) = 2
-        assert!(d.graph().is_independent(r.selected()));
+        assert!(d.graph.is_independent(r.selected()));
     }
 
     #[test]

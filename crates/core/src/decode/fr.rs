@@ -127,7 +127,7 @@ mod tests {
         let d = FrDecoder::new(&p).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let r = d.decode(&WorkerSet::empty(4), &mut rng);
-        assert!(r.is_empty());
+        assert!(r.selected().is_empty());
     }
 
     #[test]

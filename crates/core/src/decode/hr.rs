@@ -36,7 +36,7 @@ use crate::{ConflictGraph, Error, HrParams, Placement, Scheme, WorkerId, WorkerS
 ///     &mut StdRng::seed_from_u64(0),
 /// );
 /// // One worker per group can join I (in-group workers conflict).
-/// assert!(!r.is_empty());
+/// assert!(!r.selected().is_empty());
 /// # Ok(())
 /// # }
 /// ```
@@ -295,7 +295,10 @@ mod tests {
         let p = Placement::hybrid(HrParams::new(8, 2, 2, 2)).unwrap();
         let d = HrDecoder::new(&p).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
-        assert!(d.decode(&WorkerSet::empty(8), &mut rng).is_empty());
+        assert!(d
+            .decode(&WorkerSet::empty(8), &mut rng)
+            .selected()
+            .is_empty());
     }
 
     #[test]

@@ -119,47 +119,6 @@ impl DecodeResult {
         }
     }
 
-    /// Like [`DecodeResult::from_selected`], but validates the selection in
-    /// **all** build profiles: every worker id must be in range and no two
-    /// selected workers may share a partition.
-    ///
-    /// Use this for selections from untrusted sources (custom decoders,
-    /// deserialized state); the in-tree decoders are proven to produce
-    /// independent sets, so the hot path keeps the debug-only assert.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ConflictingSelection`] when two selected workers (or a
-    /// duplicated worker id) share a partition, and
-    /// [`Error::WorkerSetMismatch`] when a worker id is `>= placement.n()`.
-    pub fn try_from_selected(
-        placement: &Placement,
-        mut selected: Vec<WorkerId>,
-    ) -> Result<Self, Error> {
-        selected.sort_unstable();
-        if let Some(&w) = selected.iter().find(|&&w| w >= placement.n()) {
-            return Err(Error::WorkerSetMismatch {
-                expected: placement.n(),
-                got: w + 1,
-            });
-        }
-        let mut partitions: Vec<PartitionId> = selected
-            .iter()
-            .flat_map(|&w| placement.partitions_of(w).iter().copied())
-            .collect();
-        partitions.sort_unstable();
-        if let Some(pair) = partitions.windows(2).find(|p| p[0] == p[1]) {
-            return Err(Error::ConflictingSelection {
-                selected,
-                partition: pair[0],
-            });
-        }
-        Ok(Self {
-            selected,
-            partitions,
-        })
-    }
-
     /// An empty result (nothing recovered this step).
     pub fn empty() -> Self {
         Self {
@@ -181,11 +140,6 @@ impl DecodeResult {
     /// Number of partitions recovered, `|I| · c` for IS-GC placements.
     pub fn recovered_count(&self) -> usize {
         self.partitions.len()
-    }
-
-    /// Returns `true` when nothing was recovered.
-    pub fn is_empty(&self) -> bool {
-        self.selected.is_empty()
     }
 }
 
@@ -256,9 +210,9 @@ mod tests {
         assert_eq!(r.selected(), &[0, 2]);
         assert_eq!(r.partitions(), &[0, 1, 2, 3]);
         assert_eq!(r.recovered_count(), 4);
-        assert!(!r.is_empty());
+        assert!(!r.selected().is_empty());
         let e = DecodeResult::empty();
-        assert!(e.is_empty());
+        assert!(e.selected().is_empty());
         assert_eq!(e.recovered_count(), 0);
     }
 
@@ -268,30 +222,6 @@ mod tests {
     fn conflicting_selection_panics_in_debug() {
         let p = Placement::cyclic(4, 2).unwrap();
         let _ = DecodeResult::from_selected(&p, vec![0, 1]);
-    }
-
-    #[test]
-    fn try_from_selected_validates_in_release_too() {
-        let p = Placement::cyclic(4, 2).unwrap();
-        let ok = DecodeResult::try_from_selected(&p, vec![2, 0]).unwrap();
-        assert_eq!(ok.selected(), &[0, 2]);
-        match DecodeResult::try_from_selected(&p, vec![0, 1]) {
-            Err(Error::ConflictingSelection {
-                selected,
-                partition,
-            }) => {
-                assert_eq!(selected, vec![0, 1]);
-                assert_eq!(partition, 1);
-            }
-            other => panic!("expected ConflictingSelection, got {other:?}"),
-        }
-        // A duplicated worker id is a conflict with itself.
-        assert!(DecodeResult::try_from_selected(&p, vec![2, 2]).is_err());
-        // Out-of-range worker ids are rejected rather than panicking.
-        assert!(matches!(
-            DecodeResult::try_from_selected(&p, vec![7]),
-            Err(Error::WorkerSetMismatch { expected: 4, .. })
-        ));
     }
 
     #[test]
@@ -308,7 +238,7 @@ mod tests {
                 &WorkerSet::full(p.n()),
                 &mut rand::rngs::StdRng::seed_from_u64(0),
             );
-            assert!(!r.is_empty());
+            assert!(!r.selected().is_empty());
         }
     }
 

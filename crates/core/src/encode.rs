@@ -5,7 +5,7 @@
 //! any non-unit coefficients would force joint decoding across specific
 //! workers and destroy the freedom to ignore an arbitrary straggler set.
 
-use isgc_linalg::{Matrix, Vector};
+use isgc_linalg::Vector;
 
 use crate::decode::DecodeResult;
 use crate::{Placement, WorkerId};
@@ -41,27 +41,6 @@ impl SumEncoder {
         Self {
             placement: placement.clone(),
         }
-    }
-
-    /// The placement this encoder serves.
-    pub fn placement(&self) -> &Placement {
-        &self.placement
-    }
-
-    /// The coding matrix `B ∈ {0,1}^{n×n}` of this encoder: row `i` is the
-    /// indicator of worker `i`'s partitions, so `codeword_i = B_i · g` where
-    /// `g` stacks the per-partition gradients. This casts IS-GC in the same
-    /// formalism as classic GC's coefficient matrix — except IS-GC's `B`
-    /// needs no coefficient design at all.
-    pub fn coefficient_matrix(&self) -> Matrix {
-        let n = self.placement.n();
-        let mut b = Matrix::zeros(n, n);
-        for w in 0..n {
-            for &j in self.placement.partitions_of(w) {
-                b[(w, j)] = 1.0;
-            }
-        }
-        b
     }
 
     /// Encodes worker `worker`'s codeword: the sum of its per-partition
@@ -196,55 +175,17 @@ mod tests {
     }
 
     #[test]
-    fn coefficient_matrix_reproduces_codewords() {
-        use isgc_linalg::Matrix;
-        let placement = Placement::cyclic(5, 2).unwrap();
-        let encoder = SumEncoder::new(&placement);
-        let b = encoder.coefficient_matrix();
-        // Scalar gradients g_j = j + 1: codeword_i must equal (B g)_i.
-        let g = isgc_linalg::Vector::from_fn(5, |j| j as f64 + 1.0);
-        let coded = b.matvec(&g);
-        for w in 0..5 {
-            let direct = encoder.encode(
-                w,
-                &placement
-                    .partitions_of(w)
-                    .iter()
-                    .map(|&j| isgc_linalg::Vector::from_slice(&[g[j]]))
-                    .collect::<Vec<_>>(),
-            );
-            assert_eq!(direct[0], coded[w], "worker {w}");
-        }
-        // Row sums are c; column sums are c (balanced replication).
-        for i in 0..5 {
-            let row_sum: f64 = b.row(i).iter().sum();
-            assert_eq!(row_sum, 2.0);
-            let col_sum: f64 = (0..5).map(|r| b[(r, i)]).sum();
-            assert_eq!(col_sum, 2.0);
-        }
-        let _ = Matrix::zeros(1, 1); // silence unused-import lint paths
-    }
-
-    #[test]
     fn coding_matrix_ranks_match_theory() {
         use isgc_linalg::Matrix;
-        // Classic GC's B has full row span of null(H): rank n − c + 1.
-        use crate::classic::ClassicGc;
-        let mut rng = StdRng::seed_from_u64(12);
-        for (n, c) in [(5usize, 2usize), (6, 3), (8, 2)] {
-            let gc = ClassicGc::cyclic(n, c, &mut rng).unwrap();
-            assert_eq!(
-                gc.coefficients().rank(1e-9),
-                n - c + 1,
-                "classic GC rank at n={n}, c={c}"
-            );
-        }
-        // IS-GC's 0/1 matrix for CR is circulant with c ones per row; it is
-        // full rank unless the all-ones filter has a zero eigenvalue — in
-        // particular FR's B has rank n/c (one distinct row per group).
-        let fr = SumEncoder::new(&Placement::fractional(8, 2).unwrap());
-        assert_eq!(fr.coefficient_matrix().rank(1e-9), 4);
-        let _ = Matrix::zeros(1, 1);
+        // IS-GC's 0/1 matrix (row i = indicator of worker i's partitions) for
+        // CR is circulant with c ones per row; it is full rank unless the
+        // all-ones filter has a zero eigenvalue — in particular FR's B has
+        // rank n/c (one distinct row per group).
+        let fr = Placement::fractional(8, 2).unwrap();
+        let b = Matrix::from_fn(8, 8, |w, j| {
+            f64::from(u8::from(fr.partitions_of(w).contains(&j)))
+        });
+        assert_eq!(b.rank(1e-9), 4);
     }
 
     #[test]

@@ -22,22 +22,6 @@ pub enum Error {
         /// Minimum number of workers classic GC needs (`n − c + 1`).
         required: usize,
     },
-    /// A decoder was invoked with a worker set sized for a different cluster.
-    WorkerSetMismatch {
-        /// `n` the decoder was built for.
-        expected: usize,
-        /// Universe size of the supplied [`crate::WorkerSet`].
-        got: usize,
-    },
-    /// A decode selection is not an independent set: two selected workers
-    /// store the same partition, so summing their codewords would count that
-    /// partition's gradient twice.
-    ConflictingSelection {
-        /// The selected workers, sorted.
-        selected: Vec<usize>,
-        /// A partition stored by more than one selected worker.
-        partition: usize,
-    },
 }
 
 impl Error {
@@ -62,17 +46,6 @@ impl fmt::Display for Error {
                 f,
                 "classic gradient coding needs at least {required} workers, got {available}"
             ),
-            Error::WorkerSetMismatch { expected, got } => write!(
-                f,
-                "worker set universe mismatch: decoder built for n={expected}, set has n={got}"
-            ),
-            Error::ConflictingSelection {
-                selected,
-                partition,
-            } => write!(
-                f,
-                "selected workers conflict: partition {partition} appears more than once in {selected:?}"
-            ),
         }
     }
 }
@@ -93,11 +66,6 @@ mod tests {
             required: 3,
         };
         assert!(e.to_string().contains("at least 3"));
-        let e = Error::WorkerSetMismatch {
-            expected: 4,
-            got: 8,
-        };
-        assert!(e.to_string().contains("n=4"));
     }
 
     #[test]

@@ -15,27 +15,11 @@ use crate::WorkerSet;
 /// decoding trials.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FairnessReport {
+    /// Per-partition frequency of appearing in `ĝ` (index = partition id).
     frequencies: Vec<f64>,
-    trials: usize,
-    w: usize,
 }
 
 impl FairnessReport {
-    /// Per-partition frequency of appearing in `ĝ` (index = partition id).
-    pub fn frequencies(&self) -> &[f64] {
-        &self.frequencies
-    }
-
-    /// Number of Monte-Carlo trials behind the estimate.
-    pub fn trials(&self) -> usize {
-        self.trials
-    }
-
-    /// Number of available workers per trial.
-    pub fn available_workers(&self) -> usize {
-        self.w
-    }
-
     /// Mean inclusion frequency across partitions.
     pub fn mean(&self) -> f64 {
         if self.frequencies.is_empty() {
@@ -101,8 +85,6 @@ pub fn measure_inclusion<R: Rng>(
             .into_iter()
             .map(|c| c as f64 / trials as f64)
             .collect(),
-        trials,
-        w,
     }
 }
 
@@ -132,7 +114,7 @@ mod tests {
                     report.max_deviation() < 0.05,
                     "w={w}: dev={} freqs={:?}",
                     report.max_deviation(),
-                    report.frequencies()
+                    report.frequencies
                 );
             }
         }
@@ -144,10 +126,8 @@ mod tests {
         let d = FrDecoder::new(&fr).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         let report = measure_inclusion(&d, 4, 100, &mut rng);
-        assert!(report.frequencies().iter().all(|&f| f == 1.0));
+        assert!(report.frequencies.iter().all(|&f| f == 1.0));
         assert_eq!(report.max_deviation(), 0.0);
-        assert_eq!(report.trials(), 100);
-        assert_eq!(report.available_workers(), 4);
     }
 
     #[test]

@@ -192,11 +192,6 @@ impl WorkerSet {
         out
     }
 
-    /// Returns `true` when `self` and `other` share no worker.
-    pub fn is_disjoint(&self, other: &WorkerSet) -> bool {
-        self.intersection(other).is_empty()
-    }
-
     /// Iterates over members in increasing order.
     pub fn iter(&self) -> Iter<'_> {
         Iter { set: self, next: 0 }
@@ -315,8 +310,9 @@ mod tests {
         assert_eq!(a.intersection(&b).to_vec(), vec![3]);
         assert_eq!(a.union(&b).to_vec(), vec![1, 2, 3, 4]);
         assert_eq!(a.difference(&b).to_vec(), vec![1, 2]);
-        assert!(!a.is_disjoint(&b));
-        assert!(a.is_disjoint(&WorkerSet::from_indices(10, [0, 9])));
+        assert!(a
+            .intersection(&WorkerSet::from_indices(10, [0, 9]))
+            .is_empty());
     }
 
     #[test]

@@ -525,7 +525,7 @@ impl StepEngine {
         let bounds_checked = matches!(config.codec, CodecSpec::Scheme)
             && config.placement.scheme() != isgc_core::Scheme::Custom;
         let repair = RepairState::new(&config.placement);
-        let approx = ApproxDecoder::new(&config.placement)?;
+        let approx = ApproxDecoder::new(&config.placement);
         let n = config.placement.n();
         Ok(Self {
             config,
@@ -542,11 +542,6 @@ impl StepEngine {
     /// Cluster size.
     pub fn n(&self) -> usize {
         self.config.placement.n()
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
     }
 
     /// The current per-worker partition assignments (diverges from the
@@ -583,14 +578,6 @@ impl StepEngine {
         }
         self.start_step = step;
         Ok(())
-    }
-
-    /// Consecutive degraded (approx/skipped) steps ending at the most
-    /// recent step — the ladder's escalation counter. Checkpoint this
-    /// alongside the step and parameters: a resumed run must replay the
-    /// same escalation decisions bit-for-bit.
-    pub fn consecutive_degraded(&self) -> u64 {
-        self.consecutive_degraded
     }
 
     /// Restores the ladder's escalation counter on resume (pair with
@@ -1028,31 +1015,6 @@ pub struct Session {
 }
 
 impl Session {
-    /// The step the next [`StepEngine::step`] call will run.
-    pub fn next_step(&self) -> u64 {
-        self.next_step
-    }
-
-    /// Current model parameters.
-    pub fn params(&self) -> &Vector {
-        &self.params
-    }
-
-    /// Loss after the most recent step, if one ran.
-    pub fn last_loss(&self) -> Option<f64> {
-        self.last_loss
-    }
-
-    /// Step reports accumulated so far.
-    pub fn steps(&self) -> &[StepReport] {
-        &self.steps
-    }
-
-    /// Whether the session has finished (see [`SessionStatus`]).
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
     fn status(&self) -> SessionStatus {
         if self.done {
             SessionStatus::Done
@@ -1385,8 +1347,7 @@ mod tests {
             for _ in 0..2 {
                 assert_eq!(step(&mut session).unwrap(), SessionStatus::Done);
             }
-            assert!(session.is_done());
-            assert_eq!(session.steps().len(), 1);
+            assert_eq!(session.steps.len(), 1);
             assert_eq!(collector.step_now, max_steps.min(2) - 1);
         }
     }
@@ -1538,8 +1499,8 @@ mod tests {
             min_coverage: 0.75,
         };
         let mut engine = StepEngine::new(config).unwrap();
-        assert_eq!(engine.consecutive_degraded(), 0);
+        assert_eq!(engine.consecutive_degraded, 0);
         engine.resume_ladder(2);
-        assert_eq!(engine.consecutive_degraded(), 2);
+        assert_eq!(engine.consecutive_degraded, 2);
     }
 }

@@ -10,7 +10,7 @@
 //! latency, waits) carry the host clock and are excluded from logical
 //! snapshots.
 
-use isgc_obs::{buckets, Class, Registry, Snapshot, SpanField};
+use isgc_obs::{buckets, Class, Registry, SpanField};
 
 use crate::{NoopObserver, Observer, StepControl, StepReport, TrainReport};
 
@@ -211,14 +211,6 @@ pub fn record_train_report(registry: &Registry, report: &TrainReport) {
     }
 }
 
-/// Renders a run's logical metrics as the sorted-text snapshot — the
-/// "Metrics" section a CLI summary appends to a [`TrainReport`].
-pub fn logical_metrics_text(report: &TrainReport) -> String {
-    let registry = Registry::new();
-    record_train_report(&registry, report);
-    registry.to_text(Snapshot::Logical)
-}
-
 /// An [`Observer`] that records every step into a registry, then defers to
 /// an inner observer for flow control.
 #[derive(Debug)]
@@ -287,6 +279,7 @@ impl<O: Observer> Observer for MetricsObserver<O> {
 mod tests {
     use super::*;
     use crate::report::RepairEvent;
+    use isgc_obs::Snapshot;
 
     fn report(step: u64, arrivals: Vec<usize>, recovered: usize) -> StepReport {
         StepReport {

@@ -235,26 +235,6 @@ impl TrainReport {
         self.steps.iter().map(|s| s.arrivals.len()).collect()
     }
 
-    /// The `q`-quantile of per-step durations (e.g. `0.99` for the tail the
-    /// straggler literature cares about).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no steps ran or `q` is outside `[0, 1]`.
-    pub fn step_duration_quantile(&self, q: f64) -> f64 {
-        isgc_ml::metrics::quantile(&self.step_durations(), q)
-    }
-
-    /// Total uplink volume over the run, assuming `dim`-dimensional `f64`
-    /// gradient codewords: one vector per accepted worker per step.
-    ///
-    /// IS-GC's communication advantage over multi-message partial upload
-    /// (see `isgc_simnet::partial`) shows up here: the count is independent
-    /// of `c`.
-    pub fn total_upload_bytes(&self, dim: usize) -> usize {
-        self.steps.iter().map(|s| s.arrivals.len()).sum::<usize>() * dim * 8
-    }
-
     /// A timing-free FNV-1a fingerprint of the run's recovery behavior:
     /// per step, the step number, the *sorted* arrival and selection sets,
     /// and the recovered-partition count. Two backends given the same seed
@@ -403,7 +383,6 @@ mod tests {
         assert_eq!(r.mean_recovered_fraction(), 0.0);
         assert_eq!(r.mean_waited_ms(), 0.0);
         assert_eq!(r.failed_decodes(), 0);
-        assert_eq!(r.total_upload_bytes(8), 0);
     }
 
     #[test]
@@ -423,8 +402,6 @@ mod tests {
         assert!((r.mean_waited_ms() - 20.0).abs() < 1e-12);
         assert_eq!(r.recovered_fractions(), vec![1.0, 0.5]);
         assert_eq!(r.codewords_received(), vec![2, 2]);
-        // 2 steps × 2 codewords × dim 3 × 8 bytes.
-        assert_eq!(r.total_upload_bytes(3), 2 * 2 * 3 * 8);
     }
 
     #[test]

@@ -17,9 +17,9 @@ use crate::vector::{sample_standard_normal, Vector};
 /// ```
 /// use isgc_linalg::{Matrix, Vector};
 ///
-/// let m = Matrix::identity(2);
+/// let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 0.0, 1.0]);
 /// let x = Vector::from_slice(&[5.0, 7.0]);
-/// assert_eq!(m.matvec(&x).as_slice(), &[5.0, 7.0]);
+/// assert_eq!(m.matvec(&x).as_slice(), &[19.0, 7.0]);
 /// ```
 #[derive(Clone, Default, PartialEq)]
 pub struct Matrix {
@@ -38,15 +38,6 @@ impl Matrix {
         }
     }
 
-    /// Creates the `n x n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Creates a matrix from a closure mapping `(row, col)` to value.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
@@ -56,26 +47,6 @@ impl Matrix {
             }
         }
         Self { rows, cols, data }
-    }
-
-    /// Creates a matrix by copying a slice of row slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows have inconsistent lengths.
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
-        let nrows = rows.len();
-        let ncols = rows.first().map_or(0, |r| r.len());
-        let mut data = Vec::with_capacity(nrows * ncols);
-        for r in rows {
-            assert_eq!(r.len(), ncols, "from_rows: ragged rows");
-            data.extend_from_slice(r);
-        }
-        Self {
-            rows: nrows,
-            cols: ncols,
-            data,
-        }
     }
 
     /// Creates a matrix from row-major storage.
@@ -109,19 +80,9 @@ impl Matrix {
         self.cols
     }
 
-    /// Returns `true` when the matrix has zero entries.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Borrows the row-major storage.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Mutably borrows the row-major storage.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
     }
 
     /// Borrows row `r` as a slice.
@@ -132,26 +93,6 @@ impl Matrix {
     pub fn row(&self, r: usize) -> &[f64] {
         assert!(r < self.rows, "row index {r} out of bounds");
         &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Mutably borrows row `r` as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= self.rows()`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        assert!(r < self.rows, "row index {r} out of bounds");
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Copies column `c` into a new [`Vector`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c >= self.cols()`.
-    pub fn col(&self, c: usize) -> Vector {
-        assert!(c < self.cols, "col index {c} out of bounds");
-        Vector::from_fn(self.rows, |r| self[(r, c)])
     }
 
     /// Matrix-vector product `self * x`.
@@ -236,39 +177,6 @@ impl Matrix {
         Matrix::from_fn(indices.len(), self.cols, |r, c| self[(indices[r], c)])
     }
 
-    /// In-place `self += alpha * other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn axpy(&mut self, alpha: f64, other: &Matrix) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "axpy: shape mismatch"
-        );
-        for (s, o) in self.data.iter_mut().zip(&other.data) {
-            *s += alpha * o;
-        }
-    }
-
-    /// In-place scaling of all entries.
-    pub fn scale(&mut self, alpha: f64) {
-        for s in &mut self.data {
-            *s *= alpha;
-        }
-    }
-
-    /// Frobenius norm.
-    pub fn norm_frobenius(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// Returns `true` when every entry is finite.
-    pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
-    }
-
     /// Numerical rank by Gaussian elimination with partial pivoting:
     /// pivots below `tol · max|entry|` are treated as zero.
     ///
@@ -277,8 +185,8 @@ impl Matrix {
     /// ```
     /// use isgc_linalg::Matrix;
     ///
-    /// assert_eq!(Matrix::identity(3).rank(1e-9), 3);
-    /// let singular = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
+    /// assert_eq!(Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]).rank(1e-9), 2);
+    /// let singular = Matrix::from_vec(2, 2, vec![1.0, 2.0, 2.0, 4.0]);
     /// assert_eq!(singular.rank(1e-9), 1);
     /// ```
     pub fn rank(&self, tol: f64) -> usize {
@@ -360,34 +268,29 @@ impl IndexMut<(usize, usize)> for Matrix {
 mod tests {
     use super::*;
 
+    fn identity(n: usize) -> Matrix {
+        Matrix::from_fn(n, n, |r, c| if r == c { 1.0 } else { 0.0 })
+    }
+
     #[test]
     fn construction_and_indexing() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+        let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(m.rows(), 2);
         assert_eq!(m.cols(), 2);
         assert_eq!(m[(0, 1)], 2.0);
         assert_eq!(m.row(1), &[3.0, 4.0]);
-        assert_eq!(m.col(0).as_slice(), &[1.0, 3.0]);
-        assert!(!m.is_empty());
-        assert!(Matrix::zeros(0, 0).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "ragged rows")]
-    fn ragged_rows_panics() {
-        Matrix::from_rows(&[&[1.0], &[1.0, 2.0]]);
     }
 
     #[test]
     fn identity_matvec() {
-        let m = Matrix::identity(3);
+        let m = identity(3);
         let x = Vector::from_slice(&[1.0, 2.0, 3.0]);
         assert_eq!(m.matvec(&x).as_slice(), x.as_slice());
     }
 
     #[test]
     fn matvec_and_transpose() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
+        let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let x = Vector::from_slice(&[1.0, 0.0, -1.0]);
         assert_eq!(m.matvec(&x).as_slice(), &[-2.0, -2.0]);
         let y = Vector::from_slice(&[1.0, 1.0]);
@@ -422,8 +325,8 @@ mod tests {
 
     #[test]
     fn matmul_small() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
+        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        let b = Matrix::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]);
         let c = a.matmul(&b);
         assert_eq!(c.row(0), &[2.0, 1.0]);
         assert_eq!(c.row(1), &[4.0, 3.0]);
@@ -432,47 +335,28 @@ mod tests {
     #[test]
     fn matmul_identity_is_noop() {
         let a = Matrix::from_fn(3, 3, |r, c| (r + 2 * c) as f64);
-        assert_eq!(a.matmul(&Matrix::identity(3)), a);
-        assert_eq!(Matrix::identity(3).matmul(&a), a);
+        assert_eq!(a.matmul(&identity(3)), a);
+        assert_eq!(identity(3).matmul(&a), a);
     }
 
     #[test]
     fn select_rows_extracts() {
-        let m = Matrix::from_rows(&[&[0.0, 0.0], &[1.0, 1.0], &[2.0, 2.0]]);
+        let m = Matrix::from_vec(3, 2, vec![0.0, 0.0, 1.0, 1.0, 2.0, 2.0]);
         let s = m.select_rows(&[2, 0]);
         assert_eq!(s.row(0), &[2.0, 2.0]);
         assert_eq!(s.row(1), &[0.0, 0.0]);
     }
 
     #[test]
-    fn axpy_scale_norm() {
-        let mut a = Matrix::identity(2);
-        let b = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]);
-        a.axpy(2.0, &b);
-        assert_eq!(a.row(0), &[3.0, 2.0]);
-        a.scale(0.0);
-        assert_eq!(a.norm_frobenius(), 0.0);
-        assert_eq!(Matrix::identity(2).norm_frobenius(), 2f64.sqrt());
-    }
-
-    #[test]
     fn rank_computes() {
         assert_eq!(Matrix::zeros(3, 3).rank(1e-9), 0);
-        assert_eq!(Matrix::identity(4).rank(1e-9), 4);
+        assert_eq!(identity(4).rank(1e-9), 4);
         // Rank 2: third row is the sum of the first two.
-        let m = Matrix::from_rows(&[&[1.0, 0.0, 1.0], &[0.0, 1.0, 1.0], &[1.0, 1.0, 2.0]]);
+        let m = Matrix::from_vec(3, 3, vec![1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 2.0]);
         assert_eq!(m.rank(1e-9), 2);
         // Wide and tall shapes.
-        assert_eq!(Matrix::from_rows(&[&[1.0, 2.0, 3.0]]).rank(1e-9), 1);
+        assert_eq!(Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]).rank(1e-9), 1);
         assert_eq!(Matrix::zeros(0, 5).rank(1e-9), 0);
-    }
-
-    #[test]
-    fn all_finite_detects_inf() {
-        let mut m = Matrix::zeros(2, 2);
-        assert!(m.all_finite());
-        m[(1, 1)] = f64::INFINITY;
-        assert!(!m.all_finite());
     }
 
     #[test]

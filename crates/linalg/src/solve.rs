@@ -1,8 +1,10 @@
-//! Linear solvers: LU with partial pivoting and least squares.
+//! Linear solvers: LU with partial pivoting and exact Gauss–Jordan
+//! elimination for consistent systems.
 //!
-//! These back the classic gradient-coding decoder, which must solve for a
-//! decoding vector `a` with `Bᵀ_{W'} a = 1` given the coefficient rows of the
-//! non-straggling workers.
+//! These back classic gradient coding: the encoder solves one square LU
+//! system per row of its coefficient matrix `B`, and the decoder solves the
+//! consistent system `Bᵀ_{W'} a = 1` for a decoding vector `a` given the
+//! coefficient rows of the non-straggling workers.
 
 use std::error::Error;
 use std::fmt;
@@ -60,7 +62,7 @@ const PIVOT_TOL: f64 = 1e-12;
 /// use isgc_linalg::{lu_solve, Matrix, Vector};
 ///
 /// # fn main() -> Result<(), isgc_linalg::SolveError> {
-/// let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
+/// let a = Matrix::from_vec(2, 2, vec![2.0, 1.0, 1.0, 3.0]);
 /// let b = Vector::from_slice(&[5.0, 10.0]);
 /// let x = lu_solve(&a, &b)?;
 /// assert!((x[0] - 1.0).abs() < 1e-12);
@@ -137,55 +139,6 @@ pub fn lu_solve(a: &Matrix, b: &Vector) -> Result<Vector, SolveError> {
     Ok(x)
 }
 
-/// Solves the least-squares problem `min_x ||a x - b||₂` via the normal
-/// equations `aᵀa x = aᵀb` (with a tiny Tikhonov ridge for conditioning).
-///
-/// For the classic-GC decoder the system is consistent by construction, so the
-/// normal-equation route returns the exact decoding vector up to rounding.
-///
-/// # Errors
-///
-/// Returns [`SolveError::ShapeMismatch`] if `b.len() != a.rows()` and
-/// [`SolveError::Singular`] if the regularized normal matrix cannot be
-/// factored.
-///
-/// # Examples
-///
-/// ```
-/// use isgc_linalg::{least_squares, Matrix, Vector};
-///
-/// # fn main() -> Result<(), isgc_linalg::SolveError> {
-/// // Overdetermined consistent system: x = [1, 2].
-/// let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]);
-/// let b = Vector::from_slice(&[1.0, 2.0, 3.0]);
-/// let x = least_squares(&a, &b)?;
-/// assert!((x[0] - 1.0).abs() < 1e-8);
-/// assert!((x[1] - 2.0).abs() < 1e-8);
-/// # Ok(())
-/// # }
-/// ```
-pub fn least_squares(a: &Matrix, b: &Vector) -> Result<Vector, SolveError> {
-    if b.len() != a.rows() {
-        return Err(SolveError::ShapeMismatch {
-            expected: format!("rhs of length {}", a.rows()),
-            got: format!("length {}", b.len()),
-        });
-    }
-    let at = a.transposed();
-    let mut ata = at.matmul(a);
-    // Ridge keeps the factorization stable when `a` is rank-deficient in the
-    // floating-point sense; 1e-10 relative to the diagonal scale.
-    let diag_scale = (0..ata.rows())
-        .map(|i| ata[(i, i)].abs())
-        .fold(1.0_f64, f64::max);
-    let ridge = 1e-10 * diag_scale;
-    for i in 0..ata.rows() {
-        ata[(i, i)] += ridge;
-    }
-    let atb = at.matvec(b);
-    lu_solve(&ata, &atb)
-}
-
 /// Solves a *consistent* (possibly overdetermined or rank-deficient) system
 /// `a x = b` exactly by Gauss–Jordan elimination with partial pivoting.
 ///
@@ -210,7 +163,7 @@ pub fn least_squares(a: &Matrix, b: &Vector) -> Result<Vector, SolveError> {
 /// use isgc_linalg::{solve_consistent, Matrix, Vector, SolveError};
 ///
 /// // Overdetermined but consistent: x = [2, 1].
-/// let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]);
+/// let a = Matrix::from_vec(3, 2, vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
 /// let b = Vector::from_slice(&[2.0, 1.0, 3.0]);
 /// let x = solve_consistent(&a, &b).unwrap();
 /// assert!((x[0] - 2.0).abs() < 1e-12);
@@ -301,7 +254,7 @@ mod tests {
 
     #[test]
     fn solves_diagonal_system() {
-        let a = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 4.0]]);
+        let a = Matrix::from_vec(2, 2, vec![2.0, 0.0, 0.0, 4.0]);
         let b = Vector::from_slice(&[2.0, 8.0]);
         let x = lu_solve(&a, &b).unwrap();
         assert_eq!(x.as_slice(), &[1.0, 2.0]);
@@ -310,7 +263,7 @@ mod tests {
     #[test]
     fn solves_with_pivoting_required() {
         // Leading zero forces a row swap.
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
+        let a = Matrix::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]);
         let b = Vector::from_slice(&[3.0, 4.0]);
         let x = lu_solve(&a, &b).unwrap();
         assert_eq!(x.as_slice(), &[4.0, 3.0]);
@@ -318,7 +271,7 @@ mod tests {
 
     #[test]
     fn detects_singular() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
+        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 2.0, 4.0]);
         let b = Vector::from_slice(&[1.0, 2.0]);
         assert_eq!(lu_solve(&a, &b), Err(SolveError::Singular));
     }
@@ -330,13 +283,9 @@ mod tests {
             lu_solve(&a, &Vector::zeros(2)),
             Err(SolveError::ShapeMismatch { .. })
         ));
-        let sq = Matrix::identity(2);
+        let sq = Matrix::zeros(2, 2);
         assert!(matches!(
             lu_solve(&sq, &Vector::zeros(3)),
-            Err(SolveError::ShapeMismatch { .. })
-        ));
-        assert!(matches!(
-            least_squares(&a, &Vector::zeros(5)),
             Err(SolveError::ShapeMismatch { .. })
         ));
     }
@@ -352,26 +301,6 @@ mod tests {
             let err = (&x - &x_true).norm_inf();
             assert!(err < 1e-8, "n={n} err={err}");
         }
-    }
-
-    #[test]
-    fn least_squares_consistent_underdetermined_direction() {
-        // Square consistent system should be recovered exactly.
-        let mut rng = StdRng::seed_from_u64(9);
-        let a = Matrix::random_normal(6, 4, 0.0, 1.0, &mut rng);
-        let x_true = Vector::random_normal(4, 0.0, 1.0, &mut rng);
-        let b = a.matvec(&x_true);
-        let x = least_squares(&a, &b).unwrap();
-        assert!((&x - &x_true).norm_inf() < 1e-6);
-    }
-
-    #[test]
-    fn least_squares_minimizes_residual() {
-        // Inconsistent system: the solution must beat nearby perturbations.
-        let a = Matrix::from_rows(&[&[1.0], &[1.0], &[1.0]]);
-        let b = Vector::from_slice(&[0.0, 1.0, 2.0]);
-        let x = least_squares(&a, &b).unwrap();
-        assert!((x[0] - 1.0).abs() < 1e-6); // mean of b
     }
 
     #[test]
@@ -409,7 +338,7 @@ mod tests {
 
     #[test]
     fn solve_consistent_detects_inconsistency() {
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 0.0]]);
+        let a = Matrix::from_vec(2, 2, vec![1.0, 0.0, 1.0, 0.0]);
         let b = Vector::from_slice(&[1.0, 2.0]);
         assert_eq!(solve_consistent(&a, &b), Err(SolveError::Inconsistent));
     }
@@ -417,7 +346,7 @@ mod tests {
     #[test]
     fn solve_consistent_rank_deficient_free_vars_zero() {
         // Column 1 is all zeros: free variable, must come back 0.
-        let a = Matrix::from_rows(&[&[2.0, 0.0], &[4.0, 0.0]]);
+        let a = Matrix::from_vec(2, 2, vec![2.0, 0.0, 4.0, 0.0]);
         let b = Vector::from_slice(&[2.0, 4.0]);
         let x = solve_consistent(&a, &b).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-12);
@@ -427,7 +356,7 @@ mod tests {
     #[test]
     fn solve_consistent_duplicate_columns() {
         // Rank-deficient via duplicated columns; any consistent solution ok.
-        let a = Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 2.0]]);
+        let a = Matrix::from_vec(2, 2, vec![1.0, 1.0, 2.0, 2.0]);
         let b = Vector::from_slice(&[3.0, 6.0]);
         let x = solve_consistent(&a, &b).unwrap();
         let r = (&a.matvec(&x) - &b).norm_inf();
@@ -445,7 +374,7 @@ mod tests {
 
     #[test]
     fn solves_1x1() {
-        let a = Matrix::from_rows(&[&[4.0]]);
+        let a = Matrix::from_vec(1, 1, vec![4.0]);
         let b = Vector::from_slice(&[8.0]);
         assert_eq!(lu_solve(&a, &b).unwrap().as_slice(), &[2.0]);
     }

@@ -69,11 +69,6 @@ impl Vector {
         }
     }
 
-    /// Creates a vector with entries drawn uniformly from `[lo, hi)`.
-    pub fn random_uniform<R: Rng + ?Sized>(len: usize, lo: f64, hi: f64, rng: &mut R) -> Self {
-        Self::from_fn(len, |_| rng.random_range(lo..hi))
-    }
-
     /// Creates a vector with entries drawn from a standard normal
     /// distribution, via the Box–Muller transform (avoids a `rand_distr`
     /// dependency).
@@ -183,37 +178,6 @@ impl Vector {
     /// [`crate::kernels::sum`].
     pub fn sum(&self) -> f64 {
         crate::kernels::sum(&self.data)
-    }
-
-    /// Arithmetic mean of the entries; `0.0` for an empty vector.
-    pub fn mean(&self) -> f64 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f64
-        }
-    }
-
-    /// Index of the maximum entry, or `None` for an empty vector.
-    ///
-    /// Ties resolve to the earliest index, matching `argmax` conventions in
-    /// classification code.
-    pub fn argmax(&self) -> Option<usize> {
-        if self.data.is_empty() {
-            return None;
-        }
-        let mut best = 0;
-        for i in 1..self.data.len() {
-            if self.data[i] > self.data[best] {
-                best = i;
-            }
-        }
-        Some(best)
-    }
-
-    /// Returns `true` when every entry is finite (no NaN / ±∞).
-    pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
     }
 }
 
@@ -379,31 +343,19 @@ mod tests {
     }
 
     #[test]
-    fn argmax_stats() {
-        let v = Vector::from_slice(&[1.0, 5.0, 5.0, 2.0]);
-        assert_eq!(v.argmax(), Some(1));
-        assert_eq!(Vector::zeros(0).argmax(), None);
-        assert_eq!(v.sum(), 13.0);
-        assert_eq!(v.mean(), 3.25);
-        assert_eq!(Vector::zeros(0).mean(), 0.0);
+    fn sum_adds_every_entry() {
+        assert_eq!(Vector::from_slice(&[1.0, 5.0, 5.0, 2.0]).sum(), 13.0);
     }
 
     #[test]
     fn random_normal_moments() {
         let mut rng = StdRng::seed_from_u64(7);
         let v = Vector::random_normal(20_000, 1.0, 2.0, &mut rng);
-        let mean = v.mean();
+        let mean = v.sum() / v.len() as f64;
         let var = v.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / v.len() as f64;
         assert!((mean - 1.0).abs() < 0.06, "mean={mean}");
         assert!((var - 4.0).abs() < 0.25, "var={var}");
-        assert!(v.all_finite());
-    }
-
-    #[test]
-    fn random_uniform_range() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let v = Vector::random_uniform(1000, -1.0, 1.0, &mut rng);
-        assert!(v.iter().all(|x| (-1.0..1.0).contains(x)));
+        assert!(v.iter().all(|x| x.is_finite()));
     }
 
     #[test]
@@ -435,13 +387,5 @@ mod tests {
             assert_eq!((&a * 0.7)[i].to_bits(), (a[i] * 0.7).to_bits());
             assert_eq!((-&a)[i].to_bits(), (-a[i]).to_bits());
         }
-    }
-
-    #[test]
-    fn all_finite_detects_nan() {
-        let mut v = Vector::zeros(2);
-        assert!(v.all_finite());
-        v[1] = f64::NAN;
-        assert!(!v.all_finite());
     }
 }

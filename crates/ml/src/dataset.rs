@@ -14,7 +14,6 @@ use rand::{Rng, SeedableRng};
 pub struct Dataset {
     features: Matrix,
     targets: Vector,
-    classes: usize,
 }
 
 impl Dataset {
@@ -41,11 +40,7 @@ impl Dataset {
                 );
             }
         }
-        Self {
-            features,
-            targets,
-            classes,
-        }
+        Self { features, targets }
     }
 
     /// Generates a linear-regression dataset: `y = xᵀw* + b* + ε` with
@@ -122,16 +117,6 @@ impl Dataset {
         self.len() == 0
     }
 
-    /// Feature dimensionality.
-    pub fn feature_dim(&self) -> usize {
-        self.features.cols()
-    }
-
-    /// Number of classes: 0 for regression data.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
     /// Features of sample `i`.
     ///
     /// # Panics
@@ -190,16 +175,11 @@ pub struct Partitioned {
 }
 
 impl Partitioned {
-    /// Number of partitions.
-    pub fn n(&self) -> usize {
-        self.ranges.len()
-    }
-
     /// The index range of partition `p`.
     ///
     /// # Panics
     ///
-    /// Panics if `p >= n()`.
+    /// Panics if `p` is not below the number of partitions.
     pub fn range(&self, p: usize) -> std::ops::Range<usize> {
         self.ranges[p].clone()
     }
@@ -208,7 +188,7 @@ impl Partitioned {
     ///
     /// # Panics
     ///
-    /// Panics if `p >= n()`.
+    /// Panics if `p` is not below the number of partitions.
     pub fn len_of(&self, p: usize) -> usize {
         self.ranges[p].len()
     }
@@ -219,7 +199,7 @@ impl Partitioned {
     ///
     /// # Panics
     ///
-    /// Panics if `p >= n()` or `batch_size == 0`.
+    /// Panics if `p` is not below the number of partitions or `batch_size == 0`.
     pub fn minibatch(&self, p: usize, batch_size: usize, step: u64, seed: u64) -> Vec<usize> {
         assert!(batch_size > 0, "batch_size must be positive");
         let range = self.range(p);
@@ -248,8 +228,7 @@ mod tests {
         let c = Dataset::synthetic_regression(100, 4, 0.1, 10);
         assert_ne!(a, c);
         assert_eq!(a.len(), 100);
-        assert_eq!(a.feature_dim(), 4);
-        assert_eq!(a.classes(), 0);
+        assert_eq!(a.features_of(0).len(), 4);
         assert!(!a.is_empty());
     }
 
@@ -276,7 +255,6 @@ mod tests {
     #[test]
     fn classification_targets_are_balanced_classes() {
         let d = Dataset::gaussian_classification(90, 5, 3, 3.0, 1);
-        assert_eq!(d.classes(), 3);
         let mut counts = [0usize; 3];
         for i in 0..90 {
             counts[d.target_of(i) as usize] += 1;
@@ -326,7 +304,7 @@ mod tests {
     fn partition_covers_everything_contiguously() {
         let d = Dataset::synthetic_regression(10, 2, 0.1, 0);
         let parts = d.partition(3);
-        assert_eq!(parts.n(), 3);
+        assert_eq!(parts.ranges.len(), 3);
         // 10 = 4 + 3 + 3.
         assert_eq!(parts.range(0), 0..4);
         assert_eq!(parts.range(1), 4..7);

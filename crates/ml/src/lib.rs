@@ -12,7 +12,7 @@
 //!   one-hidden-layer MLP (so both convex and non-convex losses are
 //!   covered), each exposing *summed* per-sample gradients as IS-GC requires;
 //! - [`optimizer`] — plain SGD, the paper's Theorem 12 update;
-//! - [`metrics`] — sample statistics (mean, standard deviation, quantiles).
+//! - [`metrics`] — sample statistics (mean, standard deviation).
 //!
 //! # Example: one manual SGD step over two partitions
 //!

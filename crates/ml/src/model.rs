@@ -181,11 +181,6 @@ impl SoftmaxRegression {
         Self { features, classes }
     }
 
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
     fn logits(&self, params: &Vector, x: &[f64]) -> Vec<f64> {
         assert_eq!(params.len(), self.param_dim(), "bad parameter vector");
         assert_eq!(x.len(), self.features, "bad feature vector");
@@ -298,11 +293,6 @@ impl Mlp {
         }
     }
 
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
     fn w1_offset(&self) -> usize {
         0
     }
@@ -336,27 +326,6 @@ impl Mlp {
             })
             .collect();
         (a, z)
-    }
-
-    /// Class probabilities for input `x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions mismatch.
-    pub fn probabilities(&self, params: &Vector, x: &[f64]) -> Vec<f64> {
-        let (_, mut z) = self.forward(params, x);
-        softmax_in_place(&mut z);
-        z
-    }
-
-    /// The arg-max class prediction.
-    pub fn predict_class(&self, params: &Vector, x: &[f64]) -> usize {
-        let (_, z) = self.forward(params, x);
-        z.iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .expect("at least two classes")
     }
 }
 
@@ -565,7 +534,9 @@ mod tests {
         let correct = idx
             .iter()
             .filter(|&&i| {
-                model.predict_class(&params, data.features_of(i)) == data.target_of(i) as usize
+                let (_, z) = model.forward(&params, data.features_of(i));
+                let class = (0..z.len()).max_by(|&a, &b| z[a].total_cmp(&z[b]));
+                class == Some(data.target_of(i) as usize)
             })
             .count();
         assert!(correct >= 180, "accuracy {correct}/200");
@@ -585,10 +556,6 @@ mod tests {
         let params = sm.init_params(&mut rng);
         let probs = sm.probabilities(&params, &[0.5, -1.0, 2.0]);
         assert_eq!(probs.len(), 4);
-        assert!((probs.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        let mlp = Mlp::new(3, 4, 2);
-        let params = mlp.init_params(&mut rng);
-        let probs = mlp.probabilities(&params, &[0.5, -1.0, 2.0]);
         assert!((probs.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 }

@@ -378,7 +378,6 @@ impl Master {
         submasters: Option<usize>,
     ) -> Result<MasterSession<M>, NetError> {
         config.validate()?;
-        let local_addr = self.listener.local_addr()?;
         let reactor = Reactor::new(Some(self.listener), config.job, config.metrics.clone())?;
 
         // Errors need no explicit transport teardown: dropping the reactor
@@ -392,7 +391,6 @@ impl Master {
             session,
             collector,
             observer: metered(config, NoopObserver),
-            local_addr,
         })
     }
 }
@@ -512,15 +510,9 @@ pub struct MasterSession<M: Model> {
     session: isgc_engine::Session,
     collector: SessionCollector,
     observer: Box<dyn Observer>,
-    local_addr: std::net::SocketAddr,
 }
 
 impl<M: Model> MasterSession<M> {
-    /// The bound address workers (or sub-masters) dial.
-    pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.local_addr
-    }
-
     /// Runs one training step over the wire.
     ///
     /// # Errors

@@ -201,12 +201,6 @@ impl TimerWheel {
         self.now
     }
 
-    /// Entries filed and not yet due.
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.slots.iter().map(Vec::len).sum()
-    }
-
     /// Files an entry due at `deadline` (clamped to the future: entries at
     /// or before the current tick fire on the next advance).
     pub(crate) fn schedule(&mut self, token: Token, deadline: u64) {
@@ -916,6 +910,13 @@ fn parse_frames(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TimerWheel {
+        /// Entries filed and not yet due.
+        fn len(&self) -> usize {
+            self.slots.iter().map(Vec::len).sum()
+        }
+    }
 
     #[test]
     fn wheel_fires_exactly_at_the_deadline_tick() {

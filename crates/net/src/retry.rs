@@ -42,14 +42,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that tries exactly once, with no waiting.
-    pub fn once() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// The delay to sleep *before* attempt `attempt` (0-based). Attempt 0
     /// runs immediately; later delays grow by `factor`, saturate at `cap`,
     /// and are jittered deterministically by `salt` so distinct peers using

@@ -7,7 +7,7 @@
 //!
 //! - a [`Registry`] of **counters**, **gauges**, and **fixed-bucket
 //!   histograms**, addressed by name plus sorted key/value labels;
-//! - structured **trace spans** ([`Registry::record_span`], [`Span`]) with
+//! - structured **trace spans** ([`Registry::record_span`]) with
 //!   ordered sequence numbers and typed numeric fields;
 //! - deterministic **snapshot export** in two formats — a sorted text dump
 //!   ([`Registry::to_text`]) and JSON lines ([`Registry::to_jsonl`]) — built
@@ -60,7 +60,7 @@ mod span;
 
 pub use registry::{Class, HistogramSnapshot, Registry};
 pub use snapshot::Snapshot;
-pub use span::{Span, SpanField, SpanRecord};
+pub use span::{SpanField, SpanRecord};
 
 /// Ready-made histogram bucket ladders.
 ///
@@ -94,21 +94,21 @@ pub mod buckets {
             500.0, 1000.0, 2500.0, 5000.0, 10000.0,
         ]
     }
+}
 
-    #[cfg(test)]
-    mod tests {
-        use super::*;
+#[cfg(test)]
+mod tests {
+    use super::buckets::*;
 
-        #[test]
-        fn ladders_are_strictly_increasing() {
-            for ladder in [upto(6), linear(0.5, 0.25, 8), latency_ms()] {
-                assert!(ladder.windows(2).all(|w| w[0] < w[1]), "{ladder:?}");
-            }
+    #[test]
+    fn ladders_are_strictly_increasing() {
+        for ladder in [upto(6), linear(0.5, 0.25, 8), latency_ms()] {
+            assert!(ladder.windows(2).all(|w| w[0] < w[1]), "{ladder:?}");
         }
+    }
 
-        #[test]
-        fn upto_covers_every_exact_count() {
-            assert_eq!(upto(3), vec![0.0, 1.0, 2.0, 3.0]);
-        }
+    #[test]
+    fn upto_covers_every_exact_count() {
+        assert_eq!(upto(3), vec![0.0, 1.0, 2.0, 3.0]);
     }
 }

@@ -322,16 +322,6 @@ impl Registry {
         self.lock().spans.clone()
     }
 
-    /// Number of registered metric series (spans not included).
-    pub fn len(&self) -> usize {
-        self.lock().metrics.len()
-    }
-
-    /// Whether no metric has been registered yet.
-    pub fn is_empty(&self) -> bool {
-        self.lock().metrics.is_empty()
-    }
-
     pub(crate) fn with_inner<T>(&self, f: impl FnOnce(&Inner) -> T) -> T {
         f(&self.lock())
     }
@@ -348,7 +338,6 @@ mod tests {
         a.inc("x", &[], Class::Logical);
         b.inc_by("x", &[], Class::Logical, 4);
         assert_eq!(a.counter("x", &[]), Some(5));
-        assert_eq!(a.len(), 1);
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Structured trace spans: ordered events with typed numeric fields.
 
-use std::time::Instant;
-
-use crate::registry::{Class, Registry};
+use crate::registry::Class;
 
 /// One typed numeric field attached to a span.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,76 +53,10 @@ impl SpanRecord {
     }
 }
 
-/// An in-flight span guard: accumulates fields, then records itself — with
-/// a timing-classed `elapsed_ms` field — when dropped.
-///
-/// ```
-/// use isgc_obs::Registry;
-///
-/// let registry = Registry::new();
-/// {
-///     let mut span = registry.span("decode", &[("scheme", "hr")]);
-///     span.field("recovered", 8.0);
-/// }
-/// let spans = registry.spans();
-/// assert_eq!(spans.len(), 1);
-/// assert_eq!(spans[0].field("recovered"), Some(8.0));
-/// assert!(spans[0].field("elapsed_ms").is_some());
-/// ```
-#[derive(Debug)]
-pub struct Span {
-    registry: Registry,
-    name: String,
-    labels: Vec<(String, String)>,
-    fields: Vec<SpanField>,
-    started: Instant,
-}
-
-impl Registry {
-    /// Starts a wall-clock span guard; see [`Span`].
-    pub fn span(&self, name: &str, labels: &[(&str, &str)]) -> Span {
-        Span {
-            registry: self.clone(),
-            name: name.to_string(),
-            labels: labels
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
-            fields: Vec::new(),
-            started: Instant::now(),
-        }
-    }
-}
-
-impl Span {
-    /// Attaches a logical (deterministic) field.
-    pub fn field(&mut self, key: &str, value: f64) {
-        self.fields.push(SpanField::logical(key, value));
-    }
-
-    /// Attaches a timing field.
-    pub fn timing_field(&mut self, key: &str, value: f64) {
-        self.fields.push(SpanField::timing(key, value));
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        let elapsed_ms = self.started.elapsed().as_secs_f64() * 1e3;
-        self.fields
-            .push(SpanField::timing("elapsed_ms", elapsed_ms));
-        let labels: Vec<(&str, &str)> = self
-            .labels
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
-            .collect();
-        self.registry.record_span(&self.name, &labels, &self.fields);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Registry;
 
     #[test]
     fn record_span_sorts_fields_and_numbers_sequentially() {
@@ -142,19 +74,5 @@ mod tests {
         assert_eq!(spans[0].fields[0].key, "a");
         assert_eq!(spans[0].field("z"), Some(1.0));
         assert_eq!(spans[0].field("missing"), None);
-    }
-
-    #[test]
-    fn guard_records_elapsed_on_drop() {
-        let r = Registry::new();
-        {
-            let mut span = r.span("io", &[("side", "tx")]);
-            span.timing_field("bytes", 128.0);
-        }
-        let spans = r.spans();
-        assert_eq!(spans[0].name, "io");
-        assert_eq!(spans[0].labels, vec![("side".into(), "tx".into())]);
-        assert!(spans[0].field("elapsed_ms").unwrap() >= 0.0);
-        assert_eq!(spans[0].field("bytes"), Some(128.0));
     }
 }

@@ -65,13 +65,6 @@ pub struct JobOutcome {
     pub result: Result<TrainReport, DriverError>,
 }
 
-impl JobOutcome {
-    /// The job's recovery fingerprint, if it finished cleanly.
-    pub fn fingerprint(&self) -> Option<u64> {
-        self.result.as_ref().ok().map(|r| r.recovery_fingerprint())
-    }
-}
-
 /// What one [`Scheduler::run_round`] did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundReport {

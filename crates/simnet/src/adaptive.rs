@@ -29,7 +29,6 @@
 /// ```
 #[derive(Debug, Clone)]
 pub struct AdaptiveWaitController {
-    min_w: usize,
     max_w: usize,
     window: usize,
     rel_improvement: f64,
@@ -59,7 +58,6 @@ impl AdaptiveWaitController {
             "rel_improvement must be in [0, 1)"
         );
         Self {
-            min_w,
             max_w,
             window,
             rel_improvement,
@@ -106,14 +104,6 @@ impl AdaptiveWaitController {
         }
         self.previous_mean = Some(mean);
     }
-
-    /// Resets to the initial state (e.g. for a new trial).
-    pub fn reset(&mut self) {
-        self.current_w = self.min_w;
-        self.current_window.clear();
-        self.previous_mean = None;
-        self.w_history.clear();
-    }
 }
 
 #[cfg(test)]
@@ -156,18 +146,6 @@ mod tests {
             ctl.observe(1.0); // second flat window triggers escalation
         }
         assert_eq!(ctl.current_w(), 2);
-    }
-
-    #[test]
-    fn reset_restores_initial_state() {
-        let mut ctl = AdaptiveWaitController::new(1, 4, 1, 0.05);
-        ctl.observe(1.0);
-        ctl.observe(1.0);
-        ctl.observe(1.0);
-        assert!(ctl.current_w() > 1);
-        ctl.reset();
-        assert_eq!(ctl.current_w(), 1);
-        assert!(ctl.w_history().is_empty());
     }
 
     #[test]

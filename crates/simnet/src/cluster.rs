@@ -104,11 +104,6 @@ impl ClusterSim {
         }
     }
 
-    /// The cluster configuration.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.config
-    }
-
     /// Samples one step's arrival times for workers holding `c` partitions
     /// each.
     ///

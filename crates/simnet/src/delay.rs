@@ -117,32 +117,6 @@ impl Delay {
             }
         }
     }
-
-    /// The exact mean of the distribution, where defined (Pareto with
-    /// `shape <= 1` has infinite mean and returns `f64::INFINITY`).
-    ///
-    /// For [`Delay::PerWorker`] this is the average across the per-worker
-    /// models (i.e. the mean for a uniformly random worker).
-    pub fn mean(&self) -> f64 {
-        match self {
-            Delay::Constant(v) => *v,
-            Delay::Uniform { lo, hi } => 0.5 * (lo + hi),
-            Delay::Exponential { mean } => *mean,
-            Delay::ShiftedExponential { shift, mean } => shift + mean,
-            Delay::Pareto { scale, shape } => {
-                if *shape <= 1.0 {
-                    f64::INFINITY
-                } else {
-                    scale * shape / (shape - 1.0)
-                }
-            }
-            Delay::Bernoulli { p, delay } => p * delay.mean(),
-            Delay::Sum(a, b) => a.mean() + b.mean(),
-            Delay::PerWorker(models) => {
-                models.iter().map(Delay::mean).sum::<f64>() / models.len() as f64
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -175,7 +149,6 @@ mod tests {
         let d = Delay::Exponential { mean: 1.5 };
         let m = empirical_mean(&d, 40_000, 1);
         assert!((m - 1.5).abs() < 0.05, "m={m}");
-        assert_eq!(d.mean(), 1.5);
     }
 
     #[test]
@@ -188,7 +161,6 @@ mod tests {
         for _ in 0..200 {
             assert!(d.sample(0, &mut rng) >= 2.0);
         }
-        assert_eq!(d.mean(), 2.5);
     }
 
     #[test]
@@ -201,17 +173,8 @@ mod tests {
         for _ in 0..200 {
             assert!(d.sample(0, &mut rng) >= 1.0);
         }
-        assert_eq!(d.mean(), 1.5);
         let m = empirical_mean(&d, 60_000, 4);
         assert!((m - 1.5).abs() < 0.1, "m={m}");
-        assert_eq!(
-            Delay::Pareto {
-                scale: 1.0,
-                shape: 0.9
-            }
-            .mean(),
-            f64::INFINITY
-        );
     }
 
     #[test]
@@ -220,7 +183,6 @@ mod tests {
             p: 0.25,
             delay: Box::new(Delay::Constant(4.0)),
         };
-        assert_eq!(d.mean(), 1.0);
         let m = empirical_mean(&d, 40_000, 5);
         assert!((m - 1.0).abs() < 0.1, "m={m}");
     }
@@ -231,7 +193,6 @@ mod tests {
             Box::new(Delay::Constant(1.0)),
             Box::new(Delay::Exponential { mean: 2.0 }),
         );
-        assert_eq!(d.mean(), 3.0);
         let mut rng = StdRng::seed_from_u64(6);
         assert!(d.sample(0, &mut rng) >= 1.0);
     }
@@ -243,7 +204,6 @@ mod tests {
         assert_eq!(d.sample(0, &mut rng), 1.0);
         assert_eq!(d.sample(1, &mut rng), 9.0);
         assert_eq!(d.sample(2, &mut rng), 1.0); // wraps
-        assert_eq!(d.mean(), 5.0);
     }
 
     #[test]

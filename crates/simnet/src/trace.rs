@@ -11,7 +11,6 @@
 //!   worker, the standard synthetic model for correlated stragglers;
 //! - [`TraceClusterSim`]: a drop-in arrival sampler driven by a trace.
 
-use isgc_core::WorkerSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -51,11 +50,6 @@ impl StragglerTrace {
             }
         }
         Self { n, rows }
-    }
-
-    /// Synthesizes a trace from a [`MarkovStragglerModel`].
-    pub fn from_markov(model: &MarkovStragglerModel, steps: usize, seed: u64) -> Self {
-        model.generate(steps, seed)
     }
 
     /// Number of workers.
@@ -297,18 +291,6 @@ impl TraceClusterSim {
             duration: outcome.duration,
         }
     }
-
-    /// Convenience: which workers are straggling (delay above `threshold`)
-    /// at the replay cursor's current step.
-    pub fn straggling_now(&self, threshold: f64) -> WorkerSet {
-        let mut s = WorkerSet::empty(self.trace.n());
-        for w in 0..self.trace.n() {
-            if self.trace.delay(self.step, w) > threshold {
-                s.insert(w);
-            }
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -441,14 +423,5 @@ mod tests {
         assert!((out.duration - 0.25).abs() < 1e-12);
         let out = sim.run_step(2, &WaitPolicy::WaitForCount(1));
         assert_eq!(out.available.to_vec(), vec![1]); // roles swap at step 1
-    }
-
-    #[test]
-    fn straggling_now_reflects_cursor() {
-        let trace = StragglerTrace::new(vec![vec![0.0, 10.0], vec![10.0, 0.0]]);
-        let mut sim = TraceClusterSim::new(trace, 0.0, 0.0);
-        assert_eq!(sim.straggling_now(1.0).to_vec(), vec![1]);
-        let _ = sim.sample_arrivals(1);
-        assert_eq!(sim.straggling_now(1.0).to_vec(), vec![0]);
     }
 }

@@ -819,46 +819,6 @@ mod tests {
     }
 
     #[test]
-    fn step_duration_quantiles() {
-        fn step_with_duration(step: u64, duration: f64) -> StepReport {
-            StepReport {
-                step,
-                arrivals: vec![0, 1, 2, 3],
-                waited_ms: duration * 1e3,
-                duration,
-                decode_ms: 0.0,
-                selected: vec![0, 2],
-                recovered: 4,
-                bounds: Some((4, 4)),
-                ignored: vec![1, 3],
-                dead: vec![],
-                declined: vec![],
-                repairs: vec![],
-                stale: 0,
-                failed_decode: false,
-                outcome: isgc_engine::StepOutcome::Exact,
-                coverage: 1.0,
-                bias_weight: 1.0,
-                consecutive_degraded: 0,
-                loss: 1.0,
-            }
-        }
-        let report = TrainReport {
-            n: 4,
-            steps: (0..4)
-                .map(|t| step_with_duration(t, (t + 1) as f64))
-                .collect(),
-            reached_threshold: false,
-            interrupted: false,
-            wall_time: 0.0,
-            final_params: isgc_linalg::Vector::zeros(1),
-        };
-        assert_eq!(report.step_duration_quantile(0.0), 1.0);
-        assert_eq!(report.step_duration_quantile(1.0), 4.0);
-        assert_eq!(report.step_duration_quantile(0.5), 2.5);
-    }
-
-    #[test]
     fn report_display_is_informative() {
         let (model, data, mut config) = regression_setup();
         config.max_steps = 5;
@@ -893,8 +853,6 @@ mod tests {
         );
         assert_eq!(report.codewords_received().len(), 25);
         assert!(report.codewords_received().iter().all(|&m| m == 3));
-        // 25 steps × 3 codewords × dim 5 (4 weights + bias) × 8 bytes.
-        assert_eq!(report.total_upload_bytes(5), 25 * 3 * 5 * 8);
     }
 
     #[test]

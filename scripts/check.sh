@@ -7,20 +7,34 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
+# The structural guards below read non-test source: each file's text before
+# its first #[cfg(test)], printed as "file:line: text". That attribute must
+# open the file's `mod tests`, or the guards would stop reading early.
+non_test() {
+  awk '/#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' "$@"
+}
+src=$(git ls-files 'crates/*/src/*.rs' 'src/*.rs')
+net=$(git ls-files 'crates/net/src/*.rs')
+
+echo "== non-test source ends at mod tests (structural guard)"
+# A #[cfg(test)] on a single item hides every line after it from the guards.
+early=$(awk '/#\[cfg\(test\)\]/ { getline; if ($0 !~ /^mod tests \{$/) print FILENAME ":" FNR ": " $0; nextfile }' $src)
+if [ -n "$early" ]; then
+  echo "FAIL: a file's first #[cfg(test)] does not open its mod tests (move the item into mod tests):" >&2
+  echo "$early" >&2
+  exit 1
+fi
+
 echo "== one worker step, one fewer backend (structural guard)"
 # The IS-GC worker step — draw the partition's mini-batch, sum its gradients
 # — is written once, in crates/engine/src/worker.rs. Anywhere else in
-# non-test library source (a file's text before its first #[cfg(test)]) the
-# two calls it is made of may appear only in: the ml crate that defines them,
-# the simulator's per-partition gradient cache (a different algorithm), and
-# sched's `Model` impl for `ModelKind`, which only forwards the trait method.
-copies=$(git ls-files 'crates/*/src/*.rs' 'src/*.rs' |
-  grep -v -e '^crates/engine/src/worker\.rs$' -e '^crates/ml/' \
-    -e '^crates/simnet/src/trainer\.rs$' -e '^crates/sched/src/spec\.rs$' |
-  while read -r f; do
-    awk -v f="$f" '/#\[cfg\(test\)\]/ { exit }
-      /gradient_sum_into\(|\.minibatch\(/ { print f ":" FNR ": " $0 }' "$f"
-  done)
+# non-test library source the two calls it is made of may appear only in:
+# the ml crate that defines them, the simulator's per-partition gradient
+# cache (a different algorithm), and sched's `Model` impl for `ModelKind`,
+# which only forwards the trait method.
+copies=$(non_test $src | grep -E 'gradient_sum_into\(|\.minibatch\(' |
+  grep -v -e '^crates/engine/src/worker\.rs:' -e '^crates/ml/' \
+    -e '^crates/simnet/src/trainer\.rs:' -e '^crates/sched/src/spec\.rs:' || true)
 if [ -n "$copies" ]; then
   echo "FAIL: a second copy of the worker step (use isgc_engine::WorkerStep):" >&2
   echo "$copies" >&2
@@ -45,19 +59,13 @@ echo "== one peer table, one collection loop (structural guard)"
 # is decided once, in crates/net/src/tier.rs: in non-test source under
 # crates/net/src/ the token -> slot lookup is defined once, and heartbeat
 # silence is matched only there and in the reactor that raises it.
-net_src() {
-  git ls-files 'crates/net/src/*.rs' | while read -r f; do
-    awk -v f="$f" -v pat="$1" '/#\[cfg\(test\)\]/ { exit }
-      $0 ~ pat { print f ":" FNR ": " $0 }' "$f"
-  done
-}
-lookups=$(net_src 'fn slot_of')
+lookups=$(non_test $net | grep -e 'fn slot_of' || true)
 if [ "$(grep -c . <<<"$lookups")" != 1 ]; then
   echo "FAIL: want exactly one token -> slot lookup (Tier::slot_of), found:" >&2
   echo "$lookups" >&2
   exit 1
 fi
-silence=$(net_src 'NetEvent::HeartbeatTimeout' |
+silence=$(non_test $net | grep -e 'NetEvent::HeartbeatTimeout' |
   grep -v -e '^crates/net/src/tier\.rs:' -e '^crates/net/src/reactor\.rs:' || true)
 if [ -n "$silence" ]; then
   echo "FAIL: heartbeat silence is decided outside crates/net/src/tier.rs:" >&2
@@ -71,13 +79,13 @@ echo "== isgc-net spawns no thread; one session loop (structural guard)"
 # thread: run_worker is that loop with one member. A thread, a lock or a
 # channel in non-test source under crates/net/src/, or a second call of
 # WorkerCore::answer, is a second session loop coming back.
-threading=$(net_src 'thread::spawn|thread::Builder|Mutex|mpsc|AtomicBool')
+threading=$(non_test $net | grep -E 'thread::spawn|thread::Builder|Mutex|mpsc|AtomicBool' || true)
 if [ -n "$threading" ]; then
   echo "FAIL: isgc-net spawns a thread or shares state across threads again:" >&2
   echo "$threading" >&2
   exit 1
 fi
-answers=$(net_src '[.]answer[(]')
+answers=$(non_test $net | grep -e '[.]answer[(]' || true)
 if [ "$(grep -c . <<<"$answers")" != 1 ]; then
   echo "FAIL: want exactly one caller of WorkerCore::answer (swarm::serve), found:" >&2
   echo "$answers" >&2
@@ -91,15 +99,9 @@ echo "== one invariant checker, one hash (structural guard)"
 # crates/core/src/hash.rs. In non-test source under crates/*/src and src/
 # each marker below occurs exactly once, and no chaos module grows its own
 # check_invariants again.
-src_with() {
-  git ls-files 'crates/*/src/*.rs' 'src/*.rs' | while read -r f; do
-    awk -v f="$f" -v s="$1" '/#\[cfg\(test\)\]/ { exit }
-      index($0, s) { print f ":" FNR ": " $0 }' "$f"
-  done
-}
 for marker in 'outside Theorem 10-11 bounds' 'despite {:?} at step' \
   '0x0000_0100_0000_01B3' '0xBF58_476D_1CE4_E5B9'; do
-  hits=$(src_with "$marker")
+  hits=$(non_test $src | grep -F -e "$marker" || true)
   if [ "$(grep -c . <<<"$hits")" != 1 ]; then
     echo "FAIL: want '$marker' exactly once in non-test source, found:" >&2
     echo "$hits" >&2
@@ -119,7 +121,7 @@ echo "== only options someone sets (structural guard)"
 # back into non-test source under crates/*/src and src/.
 for marker in LrSchedule with_momentum with_weight_decay check_bounds \
   CheckpointConfig LogisticRegression; do
-  hits=$(src_with "$marker")
+  hits=$(non_test $src | grep -F -e "$marker" || true)
   if [ -n "$hits" ]; then
     echo "FAIL: '$marker' is back in non-test source (an option one value reaches is a constant):" >&2
     echo "$hits" >&2
@@ -133,16 +135,49 @@ echo "== one f64 codec, no per-element ingest (structural guard)"
 # non-test source under crates/net/src/ `f64::from_le_bytes` occurs once
 # (the word decoder every f64 read goes through), and no codeword upload is
 # decoded value by value.
-decoders=$(net_src 'f64::from_le_bytes')
+decoders=$(non_test $net | grep -e 'f64::from_le_bytes' || true)
 if [ "$(grep -c . <<<"$decoders")" != 1 ]; then
   echo "FAIL: want exactly one f64::from_le_bytes (wire::f64_le), found:" >&2
   echo "$decoders" >&2
   exit 1
 fi
-per_element=$(net_src 'view[.]value[(]')
+per_element=$(non_test $net | grep -e 'view[.]value[(]' || true)
 if [ -n "$per_element" ]; then
   echo "FAIL: a codeword is decoded value by value again (use CodewordView::to_vec):" >&2
   echo "$per_element" >&2
+  exit 1
+fi
+
+echo "== no public item without a caller (structural guard)"
+# Every pub fn, struct, enum, trait, type, const and static in non-test
+# source under crates/*/src has a caller: a mention in non-test source under
+# crates/*/src or src/, in tests/, crates/*/tests/, examples/ or
+# benchmark/src/ (which may not change, so whatever it calls stays).
+# Comments, use lines and definitions are not callers. Names are matched as
+# words, so a name counts as used when it has more mentions than
+# definitions. Items kept without a caller are allowlisted below, one
+# "name reason" per line.
+allowlist=$(cat <<'ALLOWLIST'
+ALLOWLIST
+)
+called=$(non_test $src $(git ls-files 'tests/*.rs' 'crates/*/tests/*.rs' 'examples/*.rs' 'benchmark/src/*.rs') |
+  awk '{ sub(/^[^:]*:[0-9]+: /, "") }
+    in_use { if (/;/) in_use = 0; next }
+    /^[ \t]*(pub(\([a-z]+\))? )?use / { if (!/;/) in_use = 1; next }
+    /^[ \t]*\/\// { next }
+    { print }' |
+  sed -E -e 's/(const|async|unsafe) fn /fn /g' \
+    -e "s/(^|[^A-Za-z0-9_'])(fn|struct|enum|trait|type|const|static)[ \t]+[A-Za-z_][A-Za-z0-9_]*/\1/g" |
+  grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u)
+uncalled=$(non_test $(git ls-files 'crates/*/src/*.rs') |
+  sed -nE 's/^([^:]*:[0-9]+): *pub ((const|async|unsafe) )*(fn|struct|enum|trait|type|const|static) +([A-Za-z_][A-Za-z0-9_]*).*/\5 \1/p' |
+  awk 'FILENAME == ARGV[1] { called[$1]; next }
+    FILENAME == ARGV[2] { if (NF == 1) print "allowlist entry without a reason: " $1; allowed[$1]; next }
+    !($1 in called) && !($1 in allowed) { print $2 ": " $1 }' <(echo "$called") <(echo "$allowlist") - |
+  sort)
+if [ -n "$uncalled" ]; then
+  echo "FAIL: public items nothing calls (delete them, or allowlist them with a reason):" >&2
+  echo "$uncalled" >&2
   exit 1
 fi
 
@@ -227,4 +262,4 @@ if ! diff -r -x README.md results target/results; then
   exit 1
 fi
 
-echo "ok: fmt, structural guards (incl. no thread in isgc-net, one session loop, one invariant checker and one hash, only options someone sets, one f64 codec and no per-element ingest), clippy, docs, tests, engine parity, snapshots, chaos, blackout, multi-tenant, reactor scale, straggling swarm, benchmark smoke, mc mutation loop, and paper reproduction all clean"
+echo "ok: fmt, structural guards (incl. non-test source ends at mod tests, no thread in isgc-net, one session loop, one invariant checker and one hash, only options someone sets, one f64 codec and no per-element ingest, no public item without a caller), clippy, docs, tests, engine parity, snapshots, chaos, blackout, multi-tenant, reactor scale, straggling swarm, benchmark smoke, mc mutation loop, and paper reproduction all clean"

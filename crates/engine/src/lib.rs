@@ -15,12 +15,27 @@
 //!                 └──────┬───────────────┬───────┘
 //!          Collector ────┘               └──── Observer
 //!   (broadcast params,                  (per-step StepReport
-//!    collect W', report                  callbacks: bench plots,
+//!    gather W', report                   callbacks: bench plots,
 //!    liveness, apply repairs)            chaos harness, crash tests)
 //!     │           │           │
 //!   simnet      sched        net
 //! (sim clock) (in-process)  (TCP)
 //! ```
+//!
+//! A step is pipelined one step ahead of its report, so the master's
+//! full-dataset loss runs while the workers compute the next codewords:
+//!
+//! ```text
+//!   gather(t) → decode → bound check → aggregate → SGD update
+//!     → after_step(t+1)            checkpoint, durable before t+1 is sent
+//!     → liveness, repair for t+1
+//!     → broadcast(t+1, params)     only if t+1 < max_steps
+//!     → loss(params)               overlaps the workers' step t+1
+//!     → StepReport(t) → Observer
+//! ```
+//!
+//! The first step of a session broadcasts before it gathers. See
+//! [`Collector`] for what the order implies.
 //!
 //! The worker half of a step — sum the gradients of the assigned partitions
 //! over a deterministic mini-batch — is likewise implemented once, as
@@ -288,12 +303,13 @@ impl From<isgc_core::Error> for EngineError {
     }
 }
 
-/// What the engine hands a [`Collector`] at the start of each step.
+/// What the engine hands [`Collector::gather`] for each step.
 #[derive(Debug)]
 pub struct StepContext<'a> {
-    /// The step about to run.
+    /// The step being gathered.
     pub step: u64,
-    /// Current model parameters (what the collector should broadcast).
+    /// The parameters broadcast for this step (what in-process collectors
+    /// compute their codewords at).
     pub params: &'a Vector,
     /// Loss after the previous step, if one ran (lets adaptive collectors
     /// tune their wait policy).
@@ -330,6 +346,26 @@ pub struct Collected {
 ///
 /// Everything else — decode, repair, bounds, normalization, the SGD update,
 /// reporting — is the engine's job.
+///
+/// The engine runs one step ahead: step `t + 1` is broadcast right after
+/// step `t`'s update and checkpoint, before the engine evaluates the
+/// full-dataset loss, so the loss runs while the workers compute. Per step
+/// the calls are `gather(t)` → `after_step(t + 1)` → `alive` / `on_repair` →
+/// `broadcast(t + 1)`, and only then is step `t` reported. Three rules
+/// follow:
+///
+/// - **No broadcast past `max_steps`.** Step `t + 1` is broadcast only when
+///   `t + 1 < max_steps`, so a run bounded by its step cap sends exactly one
+///   broadcast per gathered step.
+/// - **A threshold or [`StepControl::Crash`] stop leaves one broadcast
+///   unconsumed.** Both are decided after the next broadcast went out. The
+///   totals that move are the frames and bytes sent and the workers' served
+///   steps; no per-step logical series does. A transport backend drains that
+///   step's answers before it shuts its peers down.
+/// - **Same numbers.** `after_step(t + 1)` returns before step `t + 1` is
+///   broadcast, so a checkpoint is durable before any of that step's
+///   codewords can be accepted; `gather` still receives the previous step's
+///   loss in [`StepContext::last_loss`].
 pub trait Collector {
     /// Cluster size; must equal the placement's `n`.
     fn n(&self) -> usize;
@@ -345,9 +381,15 @@ pub trait Collector {
     /// Backends that push assignments to real workers re-issue them here.
     fn on_repair(&mut self, _events: &[RepairEvent], _assignments: &[Vec<usize>]) {}
 
-    /// Runs one collection round: deliver `ctx.params` to the workers and
-    /// return the arrivals under the backend's wait policy.
-    fn collect(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError>;
+    /// Delivers `params` for `step` to the workers. Called exactly once per
+    /// step, after liveness and repair for that step and before its
+    /// [`Collector::gather`]. The default does nothing, which suits
+    /// in-process backends that compute codewords inside `gather`.
+    fn broadcast(&mut self, _step: u64, _params: &Vector) {}
+
+    /// Waits for the answers to `ctx.step`, whose broadcast already went
+    /// out, and returns the arrivals under the backend's wait policy.
+    fn gather(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError>;
 
     /// Called after the optimizer update with the step count completed so
     /// far, the new parameters, and the degradation-ladder state
@@ -655,13 +697,17 @@ impl StepEngine {
             last_loss: None,
             started: std::time::Instant::now(),
             next_step: self.start_step,
+            broadcast: None,
             done: self.start_step >= self.config.max_steps,
         }
     }
 
     /// Runs exactly one training step of an open session (or none, if the
     /// session is already done). The step semantics are identical to one
-    /// iteration of [`StepEngine::run`]'s loop.
+    /// iteration of [`StepEngine::run`]'s loop: gather the step the previous
+    /// call broadcast (a session's first call broadcasts it first), update,
+    /// and broadcast the next step, unless the step cap is reached, before
+    /// evaluating the loss.
     ///
     /// # Errors
     ///
@@ -698,19 +744,16 @@ impl StepEngine {
         }
     }
 
-    fn step_inner<M: Model>(
+    /// Liveness bookkeeping and placement repair for `step`, then its
+    /// broadcast — repair first, so adopters receive their new partitions
+    /// along with the params. Returns the step's repair events.
+    fn broadcast(
         &mut self,
-        session: &mut Session,
-        model: &M,
-        dataset: &Dataset,
+        step: u64,
+        params: &Vector,
         collector: &mut dyn Collector,
-        observer: &mut dyn Observer,
-    ) -> Result<(), EngineError> {
+    ) -> Vec<RepairEvent> {
         let n = self.n();
-        let step = session.next_step;
-
-        // Liveness bookkeeping and placement repair, before broadcast so
-        // adopters receive their new partitions along with the params.
         let alive = collector.alive();
         debug_assert_eq!(alive.len(), n, "collector liveness vector sized wrong");
         for (w, &w_alive) in alive.iter().enumerate() {
@@ -732,8 +775,31 @@ impl StepEngine {
                 collector.on_repair(&repairs, &self.repair.assignments);
             }
         }
+        collector.broadcast(step, params);
+        repairs
+    }
 
-        let collected = collector.collect(&StepContext {
+    fn step_inner<M: Model>(
+        &mut self,
+        session: &mut Session,
+        model: &M,
+        dataset: &Dataset,
+        collector: &mut dyn Collector,
+        observer: &mut dyn Observer,
+    ) -> Result<(), EngineError> {
+        let n = self.n();
+        let step = session.next_step;
+
+        // The first step of a session broadcasts here; every later one was
+        // broadcast by the step before it.
+        let repairs = match session.broadcast.take() {
+            Some(broadcast) => {
+                debug_assert_eq!(broadcast.step, step, "the broadcast step is the next one");
+                broadcast.repairs
+            }
+            None => self.broadcast(step, &session.params, collector),
+        };
+        let collected = collector.gather(&StepContext {
             step,
             params: &session.params,
             last_loss: session.last_loss,
@@ -902,7 +968,6 @@ impl StepEngine {
             }
         }
 
-        let loss = model.loss_mean(&session.params, dataset, &session.all_indices);
         collector.after_step(
             step + 1,
             &session.params,
@@ -910,10 +975,23 @@ impl StepEngine {
                 consecutive_degraded: self.consecutive_degraded,
             },
         )?;
+        // Step t + 1 goes out before the loss of its parameters is
+        // evaluated, so the workers compute while the master does.
+        if step + 1 < self.config.max_steps {
+            let repairs = self.broadcast(step + 1, &session.params, collector);
+            session.broadcast = Some(Broadcast {
+                step: step + 1,
+                repairs,
+            });
+        }
+        let loss = model.loss_mean(&session.params, dataset, &session.all_indices);
 
         let report = StepReport {
             step,
-            ignored: (0..n).filter(|w| !decoded.selected.contains(w)).collect(),
+            // One pass over a bitset, not a scan of `selected` per worker.
+            ignored: WorkerSet::from_indices(n, decoded.selected.iter().copied())
+                .complement()
+                .to_vec(),
             arrivals: collected.arrivals,
             waited_ms: collected.waited_ms,
             duration: collected.duration,
@@ -1011,7 +1089,16 @@ pub struct Session {
     last_loss: Option<f64>,
     started: std::time::Instant,
     next_step: u64,
+    /// The step already broadcast and not yet gathered, if any.
+    broadcast: Option<Broadcast>,
     done: bool,
+}
+
+/// A step whose parameters went out before its gather.
+struct Broadcast {
+    step: u64,
+    /// The placement repairs made for that step, reported with it.
+    repairs: Vec<RepairEvent>,
 }
 
 impl Session {
@@ -1028,6 +1115,7 @@ impl Session {
 mod tests {
     use super::*;
     use isgc_ml::LinearRegression;
+    use std::cell::RefCell;
 
     #[test]
     fn step_rng_is_stable_per_step_and_differs_across_steps() {
@@ -1087,7 +1175,7 @@ mod tests {
             self.assignments = assignments.to_vec();
         }
 
-        fn collect(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError> {
+        fn gather(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError> {
             self.step_now = ctx.step;
             let n = self.n();
             let down = self.down_now();
@@ -1215,6 +1303,148 @@ mod tests {
         assert!(report.interrupted);
         assert!(!report.reached_threshold);
         assert_eq!(report.step_count(), 2);
+    }
+
+    /// One call the engine made, to the collector or the observer.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Call {
+        Broadcast(u64),
+        Gather(u64),
+        AfterStep(u64),
+        OnStep(u64),
+    }
+
+    /// Forwards to a scripted collector and logs every step-order call.
+    struct Logging<'a, C: Collector> {
+        inner: C,
+        log: &'a RefCell<Vec<Call>>,
+    }
+
+    impl<C: Collector> Collector for Logging<'_, C> {
+        fn n(&self) -> usize {
+            self.inner.n()
+        }
+
+        fn alive(&self) -> Vec<bool> {
+            self.inner.alive()
+        }
+
+        fn broadcast(&mut self, step: u64, params: &Vector) {
+            self.log.borrow_mut().push(Call::Broadcast(step));
+            self.inner.broadcast(step, params);
+        }
+
+        fn gather(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError> {
+            self.log.borrow_mut().push(Call::Gather(ctx.step));
+            self.inner.gather(ctx)
+        }
+
+        fn after_step(
+            &mut self,
+            completed: u64,
+            params: &Vector,
+            ladder: LadderState,
+        ) -> Result<(), EngineError> {
+            self.log.borrow_mut().push(Call::AfterStep(completed));
+            self.inner.after_step(completed, params, ladder)
+        }
+    }
+
+    /// A healthy FR(4,2) run of at most 6 steps that stops on
+    /// `loss_threshold` or crashes after reporting `crash_at`, with the
+    /// calls it made in order.
+    fn logged_run(loss_threshold: f64, crash_at: Option<u64>) -> (TrainReport, Vec<Call>) {
+        let placement = Placement::fractional(4, 2).unwrap();
+        let dataset = Dataset::synthetic_regression(64, 3, 0.05, 9);
+        let model = LinearRegression::new(3);
+        let mut config = EngineConfig::new(placement.clone());
+        config.batch_size = 8;
+        config.max_steps = 6;
+        config.loss_threshold = loss_threshold;
+        config.seed = 5;
+        let mut engine = StepEngine::new(config).unwrap();
+        let log = RefCell::new(Vec::new());
+        let mut collector = Logging {
+            inner: ScriptedCollector {
+                model: &model,
+                dataset: &dataset,
+                assignments: (0..4)
+                    .map(|w| placement.partitions_of(w).to_vec())
+                    .collect(),
+                work: WorkerStep::new(&model, &dataset, 4, 8, 5),
+                down_from: Vec::new(),
+                back_from: Vec::new(),
+                step_now: 0,
+            },
+            log: &log,
+        };
+        let mut observer = FnObserver(|r: &StepReport| {
+            log.borrow_mut().push(Call::OnStep(r.step));
+            if crash_at == Some(r.step) {
+                StepControl::Crash
+            } else {
+                StepControl::Continue
+            }
+        });
+        let report = engine
+            .run(&model, &dataset, None, &mut collector, &mut observer)
+            .unwrap();
+        (report, log.into_inner())
+    }
+
+    /// The steps broadcast and never gathered.
+    fn unconsumed(log: &[Call]) -> Vec<u64> {
+        log.iter()
+            .filter_map(|&call| match call {
+                Call::Broadcast(t) if !log.contains(&Call::Gather(t)) => Some(t),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_next_step_is_broadcast_after_the_checkpoint_and_before_the_report() {
+        let (report, log) = logged_run(-1.0, None);
+        assert_eq!(report.step_count(), 6);
+        let at = |call: Call| {
+            log.iter()
+                .position(|&c| c == call)
+                .unwrap_or_else(|| panic!("{call:?} never happened: {log:?}"))
+        };
+        // The first step broadcasts before it gathers.
+        assert_eq!(log[..2], [Call::Broadcast(0), Call::Gather(0)]);
+        for t in 0..5 {
+            assert!(at(Call::Gather(t)) < at(Call::AfterStep(t + 1)), "{log:?}");
+            assert!(
+                at(Call::AfterStep(t + 1)) < at(Call::Broadcast(t + 1)),
+                "{log:?}"
+            );
+            assert!(at(Call::Broadcast(t + 1)) < at(Call::OnStep(t)), "{log:?}");
+        }
+        // No broadcast past max_steps: one broadcast per gathered step.
+        assert!(!log.contains(&Call::Broadcast(6)), "{log:?}");
+        assert_eq!(unconsumed(&log), Vec::<u64>::new());
+
+        // Pipelining moves no number.
+        let again = run_scripted(Vec::new(), None, &mut NoopObserver);
+        assert_eq!(report.loss_curve(), again.loss_curve()[..6]);
+    }
+
+    #[test]
+    fn a_threshold_or_crash_stop_leaves_exactly_one_broadcast_unconsumed() {
+        let (full, _) = logged_run(-1.0, None);
+        // The loss first reaches the step-2 value at step 2.
+        let (stopped, log) = logged_run(full.steps[2].loss, None);
+        assert!(stopped.reached_threshold);
+        assert_eq!(stopped.step_count(), 3);
+        assert_eq!(unconsumed(&log), vec![3]);
+        assert_eq!(stopped.loss_curve(), full.loss_curve()[..3]);
+
+        let (crashed, log) = logged_run(-1.0, Some(2));
+        assert!(crashed.interrupted);
+        assert_eq!(crashed.step_count(), 3);
+        assert_eq!(unconsumed(&log), vec![3]);
+        assert_eq!(log.last(), Some(&Call::OnStep(2)));
     }
 
     #[test]

@@ -20,7 +20,11 @@
 //!   **one canonical order**, documented on the function, which is the
 //!   repo-wide reduction order: every call site — flat master, sub-master,
 //!   tree root, simulator, model code — reduces in exactly this order, so
-//!   cross-backend runs stay bitwise comparable.
+//!   cross-backend runs stay bitwise comparable. One exception: when a
+//!   reduction adds two NaNs, Rust does not specify which payload the sum
+//!   carries, and optimised code may commute the add. A NaN result is
+//!   therefore NaN in every build, but its payload bits are not pinned;
+//!   the property tests compare reductions as "both NaN" there.
 //!
 //! # The canonical lane order (scalar reductions)
 //!

@@ -42,7 +42,7 @@ use crate::report::{NetReport, NetTrainReport};
 use crate::seam::Transport;
 use crate::submaster::TreeRootLoop;
 use crate::tier::{worker_reply, Frame, Host, Peers, Reply, Tier};
-use crate::wire::{encode_params_frame, max_vector_len, Message, MAX_PAYLOAD};
+use crate::wire::{max_vector_len, Message, MAX_PAYLOAD};
 use crate::{NetError, WaitPolicy};
 
 pub use isgc_engine::StepControl;
@@ -532,9 +532,10 @@ impl<M: Model> MasterSession<M> {
             .map_err(engine_to_net)
     }
 
-    /// Closes the session: broadcasts `Shutdown` to the peers (unless the
-    /// run was interrupted by a scripted crash, which emulates a killed
-    /// process by hard-closing every socket) and returns the training
+    /// Closes the session: drains the step already broadcast for the next
+    /// [`MasterSession::step`], then broadcasts `Shutdown` to the peers
+    /// (unless the run was interrupted by a scripted crash, which emulates a
+    /// killed process by hard-closing every socket) and returns the training
     /// report. The listener closes when the reactor drops with the session.
     pub fn finish(mut self) -> NetTrainReport {
         let report = self.engine.finish(self.session);
@@ -551,6 +552,9 @@ impl<M: Model> MasterSession<M> {
 pub struct MasterLoop {
     tier: Tier,
     host: FlatHost,
+    /// Answers swallowed while the last broadcast waited out the rejoin
+    /// grace; reported as stale by that step's gather.
+    rejoin_stale: usize,
 }
 
 /// What the flat master supplies to its worker tier, and keeps beside it.
@@ -637,17 +641,24 @@ impl Collector for MasterLoop {
         }
     }
 
-    fn collect(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError> {
-        let MasterLoop { tier, host } = self;
-        let pre_stale = tier.await_rejoins(host, host.config.rejoin_grace);
-        // One encode, shared bytes to every peer — the fast path skips the
-        // `Vec<f64>` clone a `Message::Params` round-trip would cost.
-        let frame: Arc<[u8]> =
-            encode_params_frame(host.config.job, ctx.step, ctx.params.as_slice()).into();
-        tier.broadcast_alive(&frame);
-        let collected = tier
-            .collect(host, ctx.step, host.config.wait)
-            .map_err(backend)?;
+    fn broadcast(&mut self, step: u64, params: &Vector) {
+        let MasterLoop {
+            tier,
+            host,
+            rejoin_stale,
+        } = self;
+        let (grace, job) = (host.config.rejoin_grace, host.config.job);
+        *rejoin_stale = tier.broadcast_step(host, grace, job, step, params.as_slice());
+    }
+
+    fn gather(&mut self, _ctx: &StepContext<'_>) -> Result<Collected, EngineError> {
+        let MasterLoop {
+            tier,
+            host,
+            rejoin_stale,
+        } = self;
+        let pre_stale = std::mem::take(rejoin_stale);
+        let collected = tier.collect(host, host.config.wait).map_err(backend)?;
         // A step that closes with zero arrivals but alive workers (FirstW
         // with everyone freshly dead-marked or declining) is reported
         // upstream as Degraded by the engine.
@@ -695,6 +706,7 @@ impl MasterLoop {
                     .collect(),
                 config,
             },
+            rejoin_stale: 0,
         }
     }
 
@@ -713,10 +725,12 @@ impl MasterLoop {
     /// Notifies workers the run is over — a `Shutdown` broadcast (flushed
     /// through the reactor) normally, or (emulating a killed process, whose
     /// fds all close) a hard shutdown of every socket when the run ended in
-    /// a scripted crash.
+    /// a scripted crash. A normal close first drains a step that was
+    /// broadcast and never gathered, for up to the same 1 s limit.
     pub fn close_peers(&mut self, crashed: bool) {
+        let job = self.host.config.job;
         self.tier
-            .close(crashed, self.host.config.job, Duration::from_secs(1));
+            .close(&mut self.host, crashed, job, Duration::from_secs(1));
     }
 }
 

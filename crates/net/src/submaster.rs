@@ -49,7 +49,7 @@ use crate::reactor::{NetEvent, Reactor, Token};
 use crate::retry::RetryPolicy;
 use crate::seam::Transport;
 use crate::tier::{worker_reply, Frame, Host, Peers, Reply, Tier, POLL};
-use crate::wire::{encode_params_frame, read_message_tagged, write_message_for_job, Message};
+use crate::wire::{read_message_tagged, write_message_for_job, Message};
 use crate::{NetError, WaitPolicy};
 
 /// How long an upload or shutdown flush may pump before giving up on the
@@ -184,10 +184,12 @@ impl TreeRootLoop {
     }
 
     /// Notifies sub-masters the run is over (they relay to their workers),
-    /// or emulates a killed root by hard-closing every socket.
+    /// or emulates a killed root by hard-closing every socket. A normal
+    /// close first drains a step that was broadcast and never gathered.
     pub fn close_peers(&mut self, crashed: bool) {
+        let job = self.host.config.job;
         self.tier
-            .close(crashed, self.host.config.job, Duration::from_secs(1));
+            .close(&mut self.host, crashed, job, Duration::from_secs(1));
     }
 }
 
@@ -210,15 +212,17 @@ impl Collector for TreeRootLoop {
         alive
     }
 
-    fn collect(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError> {
+    fn broadcast(&mut self, step: u64, params: &Vector) {
         let TreeRootLoop { tier, host } = self;
         // A restarted shard's step membership must depend only on the step
         // its crash was scripted at, never on how fast its restart races
-        // the next broadcast.
-        tier.await_rejoins(host, host.config.rejoin_grace);
-        let frame: Arc<[u8]> =
-            encode_params_frame(host.config.job, ctx.step, ctx.params.as_slice()).into();
-        tier.broadcast_alive(&frame);
+        // the next broadcast. Uploads swallowed meanwhile are not counted.
+        let (grace, job) = (host.config.rejoin_grace, host.config.job);
+        tier.broadcast_step(host, grace, job, step, params.as_slice());
+    }
+
+    fn gather(&mut self, _ctx: &StepContext<'_>) -> Result<Collected, EngineError> {
+        let TreeRootLoop { tier, host } = self;
         // A deadline wait policy caps how long present shards are held up by
         // an absent one. Under FirstW the root waits for every shard that
         // received the broadcast — a crashed shard's EOF unblocks the step
@@ -227,7 +231,7 @@ impl Collector for TreeRootLoop {
             WaitPolicy::FirstW(_) => WaitPolicy::FirstW(tier.len()),
             deadline @ WaitPolicy::Deadline(_) => deadline,
         };
-        let collected = tier.collect(host, ctx.step, wait).map_err(backend)?;
+        let collected = tier.collect(host, wait).map_err(backend)?;
         if collected.arrivals.is_empty() && !tier.alive().any(|alive| alive) {
             return Err(backend(NetError::AllWorkersLost));
         }
@@ -678,9 +682,10 @@ impl ShardLoop {
             host,
             decoder,
         } = self;
-        let frame: Arc<[u8]> = encode_params_frame(host.options.job, step, values).into();
-        tier.broadcast_alive(&frame);
-        let mut collected = tier.collect(host, step, WaitPolicy::FirstW(tier.len()))?;
+        // A shard grants no rejoin grace: a worker that left between steps
+        // is not waited for.
+        tier.broadcast_step(host, Duration::ZERO, host.options.job, step, values);
+        let mut collected = tier.collect(host, WaitPolicy::FirstW(tier.len()))?;
 
         let ShardGeometry { lo, hi, .. } = host.geometry;
         let arrivals: Vec<usize> = (lo..hi)
@@ -712,6 +717,7 @@ impl ShardLoop {
     /// Relays shutdown to the shard's workers, or emulates a crash (which
     /// hard-closes every socket, the root link included).
     pub fn close_workers(&mut self, crashed: bool) {
-        self.tier.close(crashed, self.host.options.job, FLUSH_LIMIT);
+        let job = self.host.options.job;
+        self.tier.close(&mut self.host, crashed, job, FLUSH_LIMIT);
     }
 }

@@ -19,7 +19,7 @@ use isgc_linalg::Vector;
 
 use crate::reactor::{NetEvent, Token};
 use crate::seam::Transport;
-use crate::wire::Message;
+use crate::wire::{encode_params_frame, Message};
 use crate::{NetError, WaitPolicy};
 
 /// Poll granularity of every master-side loop: how often liveness and
@@ -87,6 +87,16 @@ impl Awaited {
             self.update(w, slot, answered(w));
         }
     }
+}
+
+/// A step whose `Params` went out and whose answers are not collected yet.
+struct Outstanding {
+    step: u64,
+    /// When the broadcast went out: a deadline counts from here, however
+    /// late the collection starts.
+    at: Instant,
+    /// Who is to answer, as of the broadcast.
+    awaited: Awaited,
 }
 
 /// Which peers a tier seats, hence which introduction it accepts.
@@ -191,6 +201,8 @@ pub(crate) struct Tier {
     transport: Box<dyn Transport>,
     /// The silence deadline armed on every seated connection.
     idle: Option<Duration>,
+    /// The step broadcast and not yet collected, if any.
+    outstanding: Option<Outstanding>,
 }
 
 impl Tier {
@@ -210,6 +222,7 @@ impl Tier {
             owner: HashMap::new(),
             transport,
             idle,
+            outstanding: None,
         }
     }
 
@@ -353,7 +366,7 @@ impl Tier {
     /// shared (`Arc` clones, not copies) across every peer's write queue; a
     /// peer that fails mid-write surfaces as a queued `Gone` event and is
     /// demoted when it is noted.
-    pub(crate) fn broadcast_alive(&mut self, frame: &Arc<[u8]>) {
+    fn broadcast_alive(&mut self, frame: &Arc<[u8]>) {
         let targets: Vec<Token> = self
             .slots
             .iter()
@@ -401,7 +414,7 @@ impl Tier {
     /// it *sends*, never by whether its reconnect handshake beat the
     /// broadcast. Returns the number of answers swallowed while waiting —
     /// necessarily stale, since the step has not been broadcast yet.
-    pub(crate) fn await_rejoins<H: Host>(&mut self, host: &mut H, grace: Duration) -> usize {
+    fn await_rejoins<H: Host>(&mut self, host: &mut H, grace: Duration) -> usize {
         let mut stale = 0usize;
         if grace.is_zero() {
             return stale;
@@ -423,27 +436,71 @@ impl Tier {
         stale
     }
 
-    /// Collects the answers to `step`, whose broadcast just went out, until
-    /// `wait` is satisfied or nobody that saw the broadcast is left to
-    /// answer. A step may close with zero arrivals; what that means is the
-    /// owner's call.
+    /// Starts `step`: waits out the rejoin `grace`, sends `params` to every
+    /// alive peer as one shared `Params` frame of job `job`, and notes who
+    /// is to answer. Returns the answers swallowed while waiting out the
+    /// grace, necessarily stale.
+    pub(crate) fn broadcast_step<H: Host>(
+        &mut self,
+        host: &mut H,
+        grace: Duration,
+        job: u64,
+        step: u64,
+        params: &[f64],
+    ) -> usize {
+        let stale = self.await_rejoins(host, grace);
+        // One encode, shared bytes to every peer — the fast path skips the
+        // `Vec<f64>` clone a `Message::Params` round-trip would cost.
+        let frame: Arc<[u8]> = encode_params_frame(job, step, params).into();
+        self.broadcast_alive(&frame);
+        self.outstanding = Some(Outstanding {
+            step,
+            at: Instant::now(),
+            awaited: Awaited::at_broadcast(&self.slots),
+        });
+        stale
+    }
+
+    /// Collects the answers to the step [broadcast](Tier::broadcast_step)
+    /// last, until `wait` is satisfied or nobody that saw the broadcast is
+    /// left to answer. A `Deadline` counts from the broadcast; `waited` from
+    /// this call. A step may close with zero arrivals; what that means is
+    /// the owner's call.
     ///
     /// # Errors
     ///
-    /// Transport failure.
+    /// Transport failure; [`NetError::Protocol`] when no step is
+    /// outstanding.
     pub(crate) fn collect<H: Host>(
         &mut self,
         host: &mut H,
-        step: u64,
         wait: WaitPolicy,
     ) -> Result<CollectedStep<H::Answer>, NetError> {
-        let step_start = Instant::now();
+        let outstanding = self.outstanding.take().ok_or_else(|| {
+            NetError::Protocol("collecting a step that was never broadcast".into())
+        })?;
+        self.collect_until(host, outstanding, wait, None)
+    }
+
+    /// [`Tier::collect`] for `outstanding`, which also stops at `limit`.
+    fn collect_until<H: Host>(
+        &mut self,
+        host: &mut H,
+        outstanding: Outstanding,
+        wait: WaitPolicy,
+        limit: Option<Instant>,
+    ) -> Result<CollectedStep<H::Answer>, NetError> {
+        let Outstanding {
+            step,
+            at,
+            mut awaited,
+        } = outstanding;
+        let gather_start = Instant::now();
         let cutoff = match wait {
             WaitPolicy::FirstW(_) => None,
-            WaitPolicy::Deadline(d) => Some(step_start + d),
+            WaitPolicy::Deadline(d) => Some(at + d),
         };
         let n = self.len();
-        let mut awaited = Awaited::at_broadcast(&self.slots);
         let mut answers: Vec<Option<H::Answer>> = (0..n).map(|_| None).collect();
         // Sized once: the list is kept in the step's report for the whole
         // run, and growing it by doubling would retain up to 2n slots.
@@ -461,18 +518,19 @@ impl Tier {
                     let expired = cutoff.is_some_and(|c| Instant::now() >= c);
                     (expired && !arrivals.is_empty()) || alive_pending == 0
                 }
-            };
+            } || limit.is_some_and(|l| Instant::now() >= l);
             if done {
                 return Ok(CollectedStep {
                     arrivals,
                     answers,
-                    waited: step_start.elapsed(),
+                    waited: gather_start.elapsed(),
                     stale,
                     declined: (0..n).filter(|&w| declined[w]).collect(),
                 });
             }
 
-            let Some(reply) = self.hear(host, POLL)? else {
+            let timeout = limit.map_or(POLL, |l| l.saturating_duration_since(Instant::now()));
+            let Some(reply) = self.hear(host, timeout.min(POLL))? else {
                 continue;
             };
             // An answer or decline touches its sender's slot only; every
@@ -521,10 +579,30 @@ impl Tier {
     /// alive one, flushed for up to `flush_limit` — or, when `crashed`, a
     /// hard close of every socket, emulating a killed process (whose fds
     /// all close, having sent nothing).
-    pub(crate) fn close(&mut self, crashed: bool, job: u64, flush_limit: Duration) {
+    ///
+    /// A step broadcast and never collected (the session ended after the
+    /// next step went out: a loss-threshold stop, or a caller that stopped
+    /// stepping) is drained first, for up to `flush_limit`: until every peer
+    /// that saw it has answered, declined or been lost. Otherwise the
+    /// sockets would close with those uploads unread, and the kernel would
+    /// reset the connections under them.
+    pub(crate) fn close<H: Host>(
+        &mut self,
+        host: &mut H,
+        crashed: bool,
+        job: u64,
+        flush_limit: Duration,
+    ) {
         if crashed {
             self.transport.hard_close_all();
         } else {
+            if let Some(outstanding) = self.outstanding.take() {
+                let limit = Instant::now() + flush_limit;
+                let everyone = WaitPolicy::FirstW(self.len());
+                // A transport failure ends the drain; the peers are being
+                // let go either way.
+                let _ = self.collect_until(host, outstanding, everyone, Some(limit));
+            }
             let frame: Arc<[u8]> = Message::Shutdown.encode_for_job(job).into();
             self.broadcast_alive(&frame);
             self.transport.flush_all(flush_limit);
@@ -573,5 +651,141 @@ mod tests {
         slots[2].alive = true;
         awaited.rescan(&slots, |w| w == 0);
         assert_eq!(awaited.count(), 0);
+    }
+
+    /// Events a test queues for the tier; each `next_event` pops one, or
+    /// sleeps out its timeout when none is queued.
+    type Queue = std::rc::Rc<std::cell::RefCell<std::collections::VecDeque<NetEvent>>>;
+
+    /// A transport that plays back a test's queue and sends nowhere.
+    struct Scripted(Queue);
+
+    impl Transport for Scripted {
+        fn next_event(&mut self, timeout: Duration) -> Result<Option<NetEvent>, NetError> {
+            let event = self.0.borrow_mut().pop_front();
+            if event.is_none() {
+                std::thread::sleep(timeout);
+            }
+            Ok(event)
+        }
+        fn adopt(&mut self, _: Token, _: Arc<[u8]>, _: Option<Duration>) -> bool {
+            true
+        }
+        fn reject(&mut self, _: Token) {}
+        fn send(&mut self, _: Token, _: Arc<[u8]>) {}
+        fn broadcast(&mut self, _: &Arc<[u8]>, _: &[Token]) {}
+        fn flush_all(&mut self, _: Duration) {}
+        fn flush_conn(&mut self, _: Token, _: Duration) -> bool {
+            true
+        }
+        fn hard_close_all(&mut self) {}
+    }
+
+    struct Workers;
+
+    impl Host for Workers {
+        type Answer = Vector;
+        fn welcome(&self, _: usize) -> Arc<[u8]> {
+            Arc::from(Vec::new())
+        }
+        fn read(&mut self, slot: usize, frame: Frame) -> Reply<Vector> {
+            worker_reply(slot, frame)
+        }
+    }
+
+    /// A tier with workers 0 and 1 seated on tokens 10 and 11.
+    fn seated_pair() -> (Tier, Queue) {
+        let queue = Queue::default();
+        let mut tier = Tier::new(
+            Peers::Workers,
+            0,
+            2,
+            None,
+            Box::new(Scripted(queue.clone())),
+        );
+        for (token, worker) in [(10, 0), (11, 1)] {
+            let preferred = Some(worker);
+            queue
+                .borrow_mut()
+                .push_back(NetEvent::Hello { token, preferred });
+        }
+        tier.await_registered(&mut Workers, Duration::from_secs(1), "test")
+            .unwrap();
+        (tier, queue)
+    }
+
+    fn codeword(token: Token, step: u64) -> NetEvent {
+        let values = Vector::from_slice(&[1.0]);
+        NetEvent::Codeword {
+            token,
+            step,
+            values,
+            bytes: 0,
+        }
+    }
+
+    #[test]
+    fn a_deadline_counts_from_the_broadcast_however_late_the_gather_starts() {
+        let (mut tier, queue) = seated_pair();
+        let (d, late) = (Duration::from_millis(200), Duration::from_millis(120));
+        let before = Instant::now();
+        tier.broadcast_step(&mut Workers, Duration::ZERO, 0, 0, &[0.5]);
+        // Worker 0 answers; worker 1 never does, so only the deadline ends
+        // the step. The gather starts `late`, as after a loss evaluation.
+        queue.borrow_mut().push_back(codeword(10, 0));
+        std::thread::sleep(late);
+        let gather = Instant::now();
+        let collected = tier.collect(&mut Workers, WaitPolicy::Deadline(d)).unwrap();
+        let closed = Instant::now();
+        assert_eq!(collected.arrivals, vec![0]);
+        assert!(closed >= before + d, "closed before broadcast + d");
+        assert!(
+            closed < gather + d,
+            "closed {:?} after the gather started: the deadline moved",
+            closed - gather
+        );
+        // The wait is what the gather blocked, not the time since broadcast.
+        assert!(collected.waited <= closed - gather);
+        assert!(collected.waited < d);
+        // A second gather has nothing broadcast to collect.
+        assert!(tier.collect(&mut Workers, WaitPolicy::Deadline(d)).is_err());
+    }
+
+    #[test]
+    fn close_drains_the_outstanding_step_within_the_limit() {
+        // Everyone that saw the broadcast answers or declines: the drain
+        // reads both and stops without waiting out the limit.
+        let (mut tier, queue) = seated_pair();
+        tier.broadcast_step(&mut Workers, Duration::ZERO, 0, 4, &[0.5]);
+        let decline = Message::Decline { worker: 1, step: 4 };
+        queue.borrow_mut().extend([
+            codeword(10, 3), // stale: read, not counted as an answer
+            codeword(10, 4),
+            NetEvent::Msg {
+                token: 11,
+                message: decline,
+                bytes: 0,
+            },
+        ]);
+        let start = Instant::now();
+        tier.close(&mut Workers, false, 0, Duration::from_secs(5));
+        assert!(start.elapsed() < Duration::from_secs(1));
+        assert!(queue.borrow().is_empty(), "the drain left answers unread");
+
+        // Worker 1 never answers: the drain gives up at the limit.
+        let (mut tier, queue) = seated_pair();
+        tier.broadcast_step(&mut Workers, Duration::ZERO, 0, 0, &[0.5]);
+        queue.borrow_mut().push_back(codeword(10, 0));
+        let start = Instant::now();
+        tier.close(&mut Workers, false, 0, Duration::from_millis(100));
+        let took = start.elapsed();
+        assert!(took >= Duration::from_millis(100), "{took:?}");
+        assert!(took < Duration::from_secs(1), "{took:?}");
+
+        // With nothing outstanding, close reads nothing.
+        let (mut tier, queue) = seated_pair();
+        queue.borrow_mut().push_back(codeword(10, 0));
+        tier.close(&mut Workers, false, 0, Duration::from_secs(5));
+        assert_eq!(queue.borrow().len(), 1);
     }
 }

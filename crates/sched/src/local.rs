@@ -48,7 +48,7 @@ impl Collector for LocalCollector {
         self.assignments.len()
     }
 
-    fn collect(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError> {
+    fn gather(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError> {
         let n = self.n();
         let arrivals = arrivals_for(n, self.stragglers, self.seed, ctx.step);
         let mut codewords: Vec<Option<Vector>> = vec![None; n];
@@ -96,7 +96,7 @@ impl Collector for TreeCollector {
         self.assignments.len()
     }
 
-    fn collect(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError> {
+    fn gather(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError> {
         let n = self.n();
         let arrivals = arrivals_for(n, self.stragglers, self.seed, ctx.step);
 

@@ -359,7 +359,7 @@ impl<M: Model, S: ArrivalSampler, P: FnMut(usize, Option<f64>) -> WaitPolicy> Co
         self.assignments = assignments.to_vec();
     }
 
-    fn collect(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError> {
+    fn gather(&mut self, ctx: &StepContext<'_>) -> Result<Collected, EngineError> {
         let step = ctx.step as usize;
         let policy = (self.policy_for_step)(step, ctx.last_loss);
         let outcome = self.sim.step(self.c, &policy, step);

@@ -148,6 +148,18 @@ if [ -n "$per_element" ]; then
   exit 1
 fi
 
+echo "== one broadcast, one gather (structural guard)"
+# A step's transport is Collector::broadcast, then Collector::gather, so the
+# engine can send step t+1 before it evaluates step t's loss. A collector
+# that broadcasts and waits in one call is the fused step coming back; no
+# Rust file in the repository, tests included, may define one.
+fused=$(git ls-files -- '*.rs' ':!:vendor/*' | xargs grep -n -F 'fn collect(&mut self, ctx: &StepContext' || true)
+if [ -n "$fused" ]; then
+  echo "FAIL: a collector fuses broadcast and wait again (implement broadcast and gather):" >&2
+  echo "$fused" >&2
+  exit 1
+fi
+
 echo "== no public item without a caller (structural guard)"
 # Every pub fn, struct, enum, trait, type, const and static in non-test
 # source under crates/*/src has a caller: a mention in non-test source under
@@ -189,6 +201,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "== cargo test"
 cargo test --workspace -q
+
+echo "== kernel properties under optimised codegen"
+# The kernels' bitwise claims are about the code that ships, and release
+# codegen is where an add can be commuted; the workspace tests above run
+# the debug build.
+cargo test --release -q -p isgc-linalg --test kernel_props
 
 echo "== cross-backend engine parity (net loopback vs simulator)"
 cargo test -q --test engine_parity
@@ -262,4 +280,4 @@ if ! diff -r -x README.md results target/results; then
   exit 1
 fi
 
-echo "ok: fmt, structural guards (incl. non-test source ends at mod tests, no thread in isgc-net, one session loop, one invariant checker and one hash, only options someone sets, one f64 codec and no per-element ingest, no public item without a caller), clippy, docs, tests, engine parity, snapshots, chaos, blackout, multi-tenant, reactor scale, straggling swarm, benchmark smoke, mc mutation loop, and paper reproduction all clean"
+echo "ok: fmt, structural guards (incl. non-test source ends at mod tests, no thread in isgc-net, one session loop, one invariant checker and one hash, only options someone sets, one f64 codec and no per-element ingest, one broadcast and one gather, no public item without a caller), clippy, docs, tests, release kernel properties, engine parity, snapshots, chaos, blackout, multi-tenant, reactor scale, straggling swarm, benchmark smoke, mc mutation loop, and paper reproduction all clean"

@@ -1,6 +1,7 @@
 //! End-to-end loopback tests of the TCP master/worker runtime: a real
 //! cluster on 127.0.0.1 with injected straggler delays, checked against the
-//! exact decoder as a recovery oracle, plus a mid-run worker kill.
+//! exact decoder as a recovery oracle, plus a mid-run worker kill and the
+//! drain of a broadcast a threshold stop leaves behind.
 
 use std::net::SocketAddr;
 use std::sync::{mpsc, Arc};
@@ -13,8 +14,8 @@ use isgc_core::{Placement, WorkerSet};
 use isgc_ml::dataset::Dataset;
 use isgc_ml::model::{LinearRegression, Model, SoftmaxRegression};
 use isgc_net::{
-    run_worker, DelayFn, Master, NetConfig, NetTrainReport, RetryPolicy, WaitPolicy, WorkerOptions,
-    WorkerSummary,
+    run_swarm, run_worker, DelayFn, Master, NetConfig, NetTrainReport, RetryPolicy, SwarmOptions,
+    SwarmSummary, WaitPolicy, WorkerOptions, WorkerSummary,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -287,4 +288,60 @@ fn jittery_stragglers_never_push_recovery_below_the_theorem_10_floor() {
         );
     }
     assert!(report.final_loss() < report.loss_curve()[0]);
+}
+
+/// Swarm members in the drain test, as many as `wide-d65k` has.
+const SWARM: usize = 16;
+
+/// A model whose uploads are 131 KB (16,400 values), over a dataset small
+/// enough that the master's loss is cheap next to the swarm's step.
+fn wide() -> (SoftmaxRegression, Dataset) {
+    let dataset = Dataset::gaussian_classification(128, 1024, 16, 4.0, DATA_SEED);
+    (SoftmaxRegression::new(1024, 16), dataset)
+}
+
+/// One swarm session of FR(16, 2) waiting for everyone, stopping on
+/// `loss_threshold` or after `max_steps`.
+fn swarm_run(loss_threshold: f64, max_steps: usize) -> (NetTrainReport, SwarmSummary) {
+    let placement = Placement::fractional(SWARM, C).expect("valid FR placement");
+    let mut config = cluster_config(placement, WaitPolicy::FirstW(SWARM), max_steps);
+    config.loss_threshold = loss_threshold;
+    config.learning_rate = 0.002;
+    config.heartbeat_timeout = Duration::from_secs(10);
+    let master = Master::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = master.local_addr().expect("local addr");
+    let swarm = thread::spawn(move || {
+        run_swarm(addr, &SwarmOptions::new(SWARM), |_| wide()).expect("swarm run")
+    });
+    let (model, dataset) = wide();
+    let report = master.run(&model, &dataset, &config).expect("master run");
+    (report, swarm.join().expect("swarm thread"))
+}
+
+#[test]
+fn a_threshold_stop_drains_the_broadcast_it_left_before_shutting_down() {
+    // Bounded by max_steps: one broadcast per step, nothing left over.
+    let (full, summary) = swarm_run(-1.0, 6);
+    assert_eq!(full.step_count(), 6);
+    assert_eq!((summary.lost, summary.steps_served), (0, SWARM * 6));
+
+    // The lowest of the first three losses stops a longer run at its step
+    // `stop`, decided after step `stop + 1` went out. Every member answers
+    // that broadcast too, and the master reads those uploads before it says
+    // Shutdown: without the drain, Shutdown overtakes members still
+    // computing, and a member whose upload sits unread has its connection
+    // reset.
+    let losses = full.loss_curve();
+    let threshold = losses[..3].iter().copied().fold(f64::INFINITY, f64::min);
+    let stop = losses
+        .iter()
+        .position(|&l| l <= threshold)
+        .expect("a minimum");
+    let (stopped, summary) = swarm_run(threshold, 50);
+    assert!(stopped.reached_threshold);
+    assert_eq!(stopped.step_count(), stop + 1);
+    assert_eq!(stopped.loss_curve(), losses[..=stop]);
+    assert_eq!(summary.lost, 0, "{summary:?}");
+    assert_eq!(summary.clean_shutdowns, SWARM);
+    assert_eq!(summary.steps_served, SWARM * (stopped.step_count() + 1));
 }

@@ -67,8 +67,10 @@ const TICK: Duration = Duration::from_millis(5);
 const WHEEL_SLOTS: usize = 512;
 
 /// How long a pending connection may sit without completing its handshake
-/// before the reactor drops it (the old handshake threads' read timeout).
-const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
+/// before the reactor drops it (the old handshake threads' read timeout),
+/// and how long a dialing worker or sub-master waits for the answer to its
+/// introduction.
+pub(crate) const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// What the transport tells the owning state machine. Public because the
 /// model checker's virtual network (`isgc-mc`) synthesizes these events

@@ -45,7 +45,7 @@ use isgc_engine::{
 use isgc_linalg::Vector;
 
 use crate::master::{backend, NetConfig};
-use crate::reactor::{NetEvent, Reactor, Token};
+use crate::reactor::{NetEvent, Reactor, Token, HANDSHAKE_TIMEOUT};
 use crate::retry::RetryPolicy;
 use crate::seam::Transport;
 use crate::tier::{worker_reply, Frame, Host, Peers, Reply, Tier, POLL};
@@ -421,13 +421,18 @@ fn dial_root(
     })
 }
 
-/// Reads the `ShardAssign` reply of a `SubHello`.
+/// Reads the `ShardAssign` reply of a `SubHello`, waiting no longer than
+/// the root gives a silent pending connection. The bound is cleared again
+/// before the stream becomes the reactor's (nonblocking) root link.
 fn read_shard_assign(
     stream: &mut TcpStream,
     expected_shard: usize,
     job: u64,
 ) -> Result<ShardGeometry, NetError> {
-    match read_message_tagged(stream)? {
+    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
+    let reply = read_message_tagged(stream)?;
+    stream.set_read_timeout(None)?;
+    match reply {
         (frame_job, _, _) if frame_job != job => Err(NetError::Protocol(format!(
             "root answered for job {frame_job}, expected {job}"
         ))),
@@ -719,5 +724,40 @@ impl ShardLoop {
     pub fn close_workers(&mut self, crashed: bool) {
         let job = self.host.options.job;
         self.tier.close(&mut self.host, crashed, job, FLUSH_LIMIT);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_root_that_accepts_and_stays_silent_fails_the_handshake() {
+        let root = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = root.local_addr().expect("local addr");
+        // Accepts, swallows the SubHello, and never answers; ends when the
+        // sub-master hangs up.
+        let silent = std::thread::spawn(move || {
+            let (mut stream, _) = root.accept().expect("the sub-master dials in");
+            let _ = std::io::copy(&mut stream, &mut std::io::sink());
+        });
+        let options = SubmasterOptions {
+            retry: RetryPolicy {
+                max_attempts: 1,
+                ..RetryPolicy::default()
+            },
+            ..SubmasterOptions::default()
+        };
+        let submaster = Submaster::bind("127.0.0.1:0").expect("bind loopback");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let dialer = std::thread::spawn(move || {
+            let _ = tx.send(submaster.run(addr, 0, &options).map(|_| ()));
+        });
+        let outcome = rx
+            .recv_timeout(HANDSHAKE_TIMEOUT * 4)
+            .expect("the sub-master hung on a silent root");
+        assert!(matches!(outcome, Err(NetError::Wire(_))), "{outcome:?}");
+        dialer.join().expect("dialer thread");
+        silent.join().expect("silent root thread");
     }
 }

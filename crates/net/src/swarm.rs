@@ -8,10 +8,21 @@
 //! members over the same listener-less `Reactor` the master uses.
 //! [`crate::run_worker`] — one process per machine, the deployment story —
 //! is this loop with one member and a redial around it; [`run_swarm`] is
-//! serial `Hello`/`Assign` handshakes and then this loop over all of them,
-//! sharing one `WorkerStep`, without reconnection: a lost member stays lost,
-//! which is fine for the scale runs it exists for (a loopback test with
-//! 1000 workers would otherwise need 1000 processes).
+//! the `Hello`/`Assign` handshakes, a window of them in flight at a time,
+//! and then this loop over all of them, sharing one `WorkerStep`, without
+//! reconnection: a lost member stays lost, which is fine for the scale runs
+//! it exists for (a loopback test with 1000 workers would otherwise need
+//! 1000 processes).
+//!
+//! Registration goes window by window: the swarm dials every member of a
+//! window (connect, send `Hello`) and only then reads each one's `Assign`,
+//! so the master seats a whole window per pass over its sockets instead of
+//! one member per round trip. A window is `WINDOW` (32) members: std's
+//! `TcpListener::bind` listens with a backlog of 128, and a connect past a
+//! full backlog waits out a 1 s SYN retransmit; four concurrent swarms
+//! (`launch --swarm 4`) of one window each stay inside it. The members then
+//! serve in slot order, sorted by their assigned worker index, whatever
+//! order their handshakes completed in.
 //!
 //! A loop that owes every member's heartbeats cannot sleep, so an injected
 //! straggler delay is a *send deadline*: the reply is computed at once and
@@ -32,8 +43,12 @@ use isgc_ml::model::Model;
 use crate::reactor::{NetEvent, Reactor, Token};
 use crate::seam::Transport;
 use crate::wire::Message;
-use crate::worker::{connect, Assignment, Request, WorkerCore, WorkerOptions};
+use crate::worker::{connect, dial, finish, Assignment, Request, WorkerCore, WorkerOptions};
 use crate::NetError;
+
+/// Handshakes a swarm keeps in flight at once; see the module docs for why
+/// 32 (16, 32 and 64 measured alike).
+const WINDOW: usize = 32;
 
 /// Tunables of a worker swarm.
 #[derive(Clone)]
@@ -42,7 +57,8 @@ pub struct SwarmOptions {
     pub workers: usize,
     /// What every member runs with. The delay is keyed by the
     /// master-assigned worker index; the retry schedule covers the initial
-    /// handshakes only.
+    /// handshakes only, and applies to a member once its windowed
+    /// handshake failed.
     pub worker: WorkerOptions,
 }
 
@@ -79,8 +95,9 @@ pub struct SwarmSummary {
 ///
 /// # Errors
 ///
-/// [`NetError`] when any initial handshake fails — the swarm is all-or-
-/// nothing at startup; after that, losses are absorbed into the summary.
+/// [`NetError`] when any initial handshake fails, its retries included —
+/// the swarm is all-or-nothing at startup; after that, losses are absorbed
+/// into the summary.
 pub fn run_swarm<M, F>(
     addr: impl ToSocketAddrs,
     options: &SwarmOptions,
@@ -101,12 +118,26 @@ where
         .ok_or_else(|| NetError::InvalidConfig("address resolved to nothing".into()))?;
 
     let mut members = Vec::with_capacity(options.workers);
-    for _ in 0..options.workers {
-        // Serial blocking handshakes: at most one in flight, so the
-        // master's pending-connection set never balloons.
-        let (stream, assignment) = connect(addr, None, &options.worker)?;
-        members.push((stream, WorkerCore::new(assignment)));
+    for start in (0..options.workers).step_by(WINDOW) {
+        // Every `Hello` of the window goes out before any `Assign` is read,
+        // in dial order; a member whose first attempt fails anywhere
+        // re-runs the whole handshake under the retry schedule.
+        let window = (start..options.workers.min(start + WINDOW))
+            .map(|_| dial(addr, None, &options.worker))
+            .collect::<Vec<_>>();
+        for dialed in window {
+            let (stream, assignment) = match dialed.and_then(|s| finish(s, &options.worker)) {
+                Ok(handshake) => handshake,
+                Err(_) => connect(addr, None, &options.worker)?,
+            };
+            members.push((stream, WorkerCore::new(assignment)));
+        }
     }
+    // `serve` answers a broadcast in the order its members are listed, and
+    // the master counts arrivals in the order replies come in: listed by
+    // slot, and with no delay injected, the first w to answer are the
+    // lowest w slots, as when handshakes completed one at a time.
+    members.sort_by_key(|(_, core)| core.worker());
     let first = members[0].1.assignment();
     let (model, dataset) = build(first);
     // The codeword recipe and its gradient scratch, shared by every member.

@@ -15,6 +15,7 @@ use isgc_linalg::Vector;
 use isgc_ml::dataset::Dataset;
 use isgc_ml::model::Model;
 
+use crate::reactor::HANDSHAKE_TIMEOUT;
 use crate::retry::RetryPolicy;
 use crate::swarm::serve;
 use crate::wire::{read_message_tagged, write_message_for_job, Message};
@@ -336,13 +337,15 @@ where
 }
 
 /// Dials the master under the shared [`RetryPolicy`] and completes the
-/// `Hello`/`Assign` handshake. Also the swarm's per-member handshake (see
-/// [`crate::swarm`]) and the chaos client's.
+/// `Hello`/`Assign` handshake: each attempt is `dial`, then `finish`.
+/// Also the chaos client's handshake, and the fallback of a swarm member
+/// whose windowed handshake failed (see [`crate::swarm`]).
 ///
 /// # Errors
 ///
 /// The last attempt's failure: [`NetError::Io`] dialing, [`NetError::Wire`]
-/// on the handshake frames, [`NetError::Protocol`] when the master answers
+/// on the handshake frames or when the master stays silent past the
+/// handshake timeout (5 s), [`NetError::Protocol`] when the master answers
 /// for another job or with anything but `Assign`.
 pub fn connect(
     addr: std::net::SocketAddr,
@@ -350,24 +353,48 @@ pub fn connect(
     options: &WorkerOptions,
 ) -> Result<(TcpStream, Assignment), NetError> {
     let salt = preferred.unwrap_or(u64::MAX);
-    options.retry.run(salt, || {
-        let mut stream = TcpStream::connect(addr)?;
-        let _ = stream.set_nodelay(true);
-        write_message_for_job(&mut stream, options.job, &Message::Hello { preferred })?;
-        let (frame_job, message, _) = read_message_tagged(&mut stream)?;
-        if frame_job != options.job {
-            return Err(NetError::Protocol(format!(
-                "master answered for job {frame_job}, expected {}",
-                options.job
-            )));
-        }
-        match Assignment::from_message(message) {
-            Ok(assignment) => Ok((stream, assignment)),
-            Err(other) => Err(NetError::Protocol(format!(
-                "expected Assign after Hello, got {other:?}"
-            ))),
-        }
-    })
+    options
+        .retry
+        .run(salt, || finish(dial(addr, preferred, options)?, options))
+}
+
+/// The first half of one handshake attempt: connects to the master and
+/// sends `Hello { preferred }`, without waiting for the answer.
+pub(crate) fn dial(
+    addr: std::net::SocketAddr,
+    preferred: Option<u64>,
+    options: &WorkerOptions,
+) -> Result<TcpStream, NetError> {
+    let mut stream = TcpStream::connect(addr)?;
+    let _ = stream.set_nodelay(true);
+    write_message_for_job(&mut stream, options.job, &Message::Hello { preferred })?;
+    Ok(stream)
+}
+
+/// The second half of one handshake attempt: reads the master's `Assign`
+/// on a [`dial`]ed stream and checks its job tag. The read waits no longer
+/// than the master gives a silent pending connection; the bound is cleared
+/// again before the stream is handed on (the session loop makes it
+/// nonblocking).
+pub(crate) fn finish(
+    mut stream: TcpStream,
+    options: &WorkerOptions,
+) -> Result<(TcpStream, Assignment), NetError> {
+    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
+    let (frame_job, message, _) = read_message_tagged(&mut stream)?;
+    stream.set_read_timeout(None)?;
+    if frame_job != options.job {
+        return Err(NetError::Protocol(format!(
+            "master answered for job {frame_job}, expected {}",
+            options.job
+        )));
+    }
+    match Assignment::from_message(message) {
+        Ok(assignment) => Ok((stream, assignment)),
+        Err(other) => Err(NetError::Protocol(format!(
+            "expected Assign after Hello, got {other:?}"
+        ))),
+    }
 }
 
 #[cfg(test)]
@@ -399,6 +426,35 @@ mod tests {
         };
         let addr: std::net::SocketAddr = format!("127.0.0.1:{port}").parse().unwrap();
         assert!(connect(addr, None, &options).is_err());
+    }
+
+    #[test]
+    fn connect_gives_up_on_a_master_that_accepts_and_stays_silent() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Accepts, swallows the Hello, and never answers; ends when the
+        // worker hangs up.
+        let silent = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let _ = std::io::copy(&mut stream, &mut std::io::sink());
+        });
+        let options = WorkerOptions {
+            retry: RetryPolicy {
+                max_attempts: 1,
+                ..RetryPolicy::default()
+            },
+            ..WorkerOptions::default()
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send(connect(addr, None, &options).map(|_| ()));
+        });
+        let outcome = rx
+            .recv_timeout(HANDSHAKE_TIMEOUT * 4)
+            .expect("connect hung on a silent master");
+        assert!(matches!(outcome, Err(NetError::Wire(_))), "{outcome:?}");
+        worker.join().unwrap();
+        silent.join().unwrap();
     }
 
     #[test]

@@ -10,6 +10,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use isgc_core::Placement;
+use isgc_engine::SessionStatus;
 use isgc_ml::dataset::Dataset;
 use isgc_ml::model::LinearRegression;
 use isgc_net::wire::{read_message, write_message, Message};
@@ -196,4 +197,54 @@ fn a_straggler_does_not_silence_its_swarm() {
     let summary = swarm.join().expect("swarm thread").expect("swarm run");
     assert_eq!(summary.workers, 8);
     assert_eq!(summary.clean_shutdowns + summary.lost, 8);
+}
+
+/// One swarm of 200 members: more connections than the listen backlog of
+/// 128 that `TcpListener::bind` asks for, and several handshake windows.
+/// Every member registers without waiting out a SYN retransmit (1 s), and
+/// the swarm answers in slot order, so every step's arrivals ascend.
+#[test]
+fn a_swarm_past_the_listen_backlog_registers_and_answers_in_slot_order() {
+    const N: usize = 200;
+    const STEPS: usize = 3;
+    let data = || {
+        let dataset = Dataset::synthetic_regression(4 * N, FEATURES, 0.05, 11);
+        (LinearRegression::new(FEATURES), dataset)
+    };
+    let placement = Placement::fractional(N, 2).expect("valid FR placement");
+    let mut config = NetConfig::new(placement, WaitPolicy::FirstW(N));
+    config.batch_size = 2;
+    config.loss_threshold = 0.0;
+    config.max_steps = STEPS;
+
+    let master = Master::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = master.local_addr().expect("local addr");
+    let swarm = thread::spawn(move || run_swarm(addr, &SwarmOptions::new(N), |_| data()));
+
+    let (model, dataset) = data();
+    let started = Instant::now();
+    let mut session = master
+        .into_session(model, dataset, &config)
+        .expect("every member registers");
+    let registration = started.elapsed();
+    while session.step().expect("a step") == SessionStatus::Running {}
+    let report = session.finish();
+
+    assert!(
+        registration < Duration::from_millis(700),
+        "{N} members took {registration:?} to register: a connect waited out a SYN retransmit"
+    );
+    assert_eq!(report.step_count(), STEPS);
+    for step in &report.steps {
+        assert_eq!(step.arrivals.len(), N, "step {}", step.step);
+        assert!(
+            step.arrivals.windows(2).all(|pair| pair[0] < pair[1]),
+            "step {}: arrivals out of slot order: {:?}",
+            step.step,
+            step.arrivals
+        );
+    }
+    let summary = swarm.join().expect("swarm thread").expect("swarm run");
+    assert_eq!(summary.workers, N);
+    assert_eq!((summary.clean_shutdowns, summary.lost), (N, 0));
 }

@@ -92,6 +92,21 @@ if [ "$(grep -c . <<<"$answers")" != 1 ]; then
   exit 1
 fi
 
+echo "== one worker handshake (structural guard)"
+# A worker's Hello is sent once, by worker::dial (connect, and each window of
+# the swarm's registration, reuse it), and a sub-master's SubHello once, by
+# submaster::dial_root. Outside wire.rs, which defines write_message_for_job
+# and its job-0 wrapper, non-test source under crates/net/src/ calls it in
+# exactly those two places; a third caller is a second handshake.
+hellos=$(non_test $net | grep -e 'write_message_for_job(' | grep -v -e '^crates/net/src/wire\.rs:' || true)
+if [ "$(grep -c . <<<"$hellos")" != 2 ] ||
+  [ "$(grep -c -e '^crates/net/src/worker\.rs:' <<<"$hellos")" != 1 ] ||
+  [ "$(grep -c -e '^crates/net/src/submaster\.rs:' <<<"$hellos")" != 1 ]; then
+  echo "FAIL: want one write_message_for_job caller in worker.rs (Hello) and one in submaster.rs (SubHello), found:" >&2
+  echo "$hellos" >&2
+  exit 1
+fi
+
 echo "== one invariant checker, one hash (structural guard)"
 # The report invariants are written once, in crates/chaos/src/invariants.rs,
 # and the chaos harness, the tree harness and the model checker all call it;
@@ -280,4 +295,4 @@ if ! diff -r -x README.md results target/results; then
   exit 1
 fi
 
-echo "ok: fmt, structural guards (incl. non-test source ends at mod tests, no thread in isgc-net, one session loop, one invariant checker and one hash, only options someone sets, one f64 codec and no per-element ingest, one broadcast and one gather, no public item without a caller), clippy, docs, tests, release kernel properties, engine parity, snapshots, chaos, blackout, multi-tenant, reactor scale, straggling swarm, benchmark smoke, mc mutation loop, and paper reproduction all clean"
+echo "ok: fmt, structural guards (incl. non-test source ends at mod tests, no thread in isgc-net, one session loop, one worker handshake, one invariant checker and one hash, only options someone sets, one f64 codec and no per-element ingest, one broadcast and one gather, no public item without a caller), clippy, docs, tests, release kernel properties, engine parity, snapshots, chaos, blackout, multi-tenant, reactor scale, straggling swarm, benchmark smoke, mc mutation loop, and paper reproduction all clean"

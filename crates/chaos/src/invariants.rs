@@ -6,9 +6,8 @@
 //! faults keeping their workers out, coherent degradation-ladder arithmetic,
 //! stale frames discarded and counted — are asserted once, by
 //! [`check_reports`], against any run: the loopback harness
-//! ([`crate::run_chaos`]), the tree harness ([`crate::run_tree_chaos`]) and
-//! the model checker (`isgc-mc`) all call it and add only the checks that
-//! are theirs alone.
+//! ([`crate::run_chaos`]) and the model checker (`isgc-mc`) both call it
+//! and add only the checks that are theirs alone.
 //!
 //! The violation strings are **stable**: [`crate::failure_fingerprint`]
 //! hashes them, and a model-checker counterexample replayed through `isgc

@@ -12,7 +12,7 @@
 //! bounds, that decode results match an independent oracle, and that the
 //! run's observable behavior is a pure function of `(plan, seed)`. The
 //! step-by-step checks are [`invariants::check_reports`], the one report
-//! checker the tree harness and the model checker (`isgc-mc`) call too.
+//! checker the model checker (`isgc-mc`) calls too.
 //!
 //! Determinism is engineered, not hoped for:
 //!
@@ -40,14 +40,12 @@ pub mod metrics;
 pub mod plan;
 pub mod rng;
 pub mod trace;
-pub mod tree;
 pub mod worker;
 
 pub use harness::{run_chaos, ChaosConfig, ChaosOutcome};
 pub use plan::{Action, Fault, FaultKind, FaultPlan, Mangle, PLAN_NAMES};
 pub use rng::ChaosRng;
 pub use trace::{failure_fingerprint, Trace};
-pub use tree::{run_tree_chaos, TreeChaosConfig, TreeChaosOutcome};
 pub use worker::{run_chaos_worker, ChaosWorkerSummary};
 
 use std::fmt;

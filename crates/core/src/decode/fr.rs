@@ -71,10 +71,9 @@ impl Decoder for FrDecoder {
         let (n, c) = (self.placement.n(), self.placement.c());
         // One RNG draw per decode, then a per-group hash: group `g`'s
         // representative depends only on `(base, g)` and the group's own
-        // survivors, never on the other groups. A sub-master decoding just
-        // its shard of groups (with the same seed-derived RNG) therefore
-        // picks exactly the representatives the flat decoder would — the
-        // decomposability that 2-level hierarchical aggregation relies on.
+        // survivors, never on the other groups, so decoding any
+        // group-aligned slice of the workers (with the same seed-derived
+        // RNG) picks exactly the representatives the whole decode would.
         // A streamed `choose(rng)` per group would break this: the RNG
         // position at group `g` would depend on how many earlier groups
         // survived.
@@ -181,8 +180,8 @@ mod tests {
 
     #[test]
     fn decode_decomposes_over_group_aligned_shards() {
-        // Sub-masters decode only their shard's groups; with the same RNG
-        // seed, the union of shard decodes must equal the flat decode.
+        // Decoding group-aligned slices with the same RNG seed, the union
+        // of the slice decodes must equal the whole decode.
         let (n, c) = (16usize, 2usize);
         let p = Placement::fractional(n, c).unwrap();
         let d = FrDecoder::new(&p).unwrap();

@@ -67,7 +67,6 @@ mod repair;
 mod report;
 pub mod worker;
 
-pub use merge::{decode_shard, pairwise_sum, shard_ranges, ShardDecode, ShardedDecode};
 pub use metrics::MetricsObserver;
 pub use report::{RepairEvent, StepOutcome, StepReport, TrainReport};
 pub use worker::WorkerStep;
@@ -332,13 +331,6 @@ pub struct Collected {
     /// Duration to attribute to this step, in seconds (simulated time for
     /// the simulator, wall-clock for real transports).
     pub duration: f64,
-    /// Set when the step was collected through sub-masters: the shard-local
-    /// decode results and partial codeword sums. The engine then skips its
-    /// own decode, merges the partials with [`merge::pairwise_sum`], and
-    /// bound-checks the merged recovery against the arrival count. When set,
-    /// `codewords` may be all-`None` (the raw codewords never left the
-    /// shards).
-    pub sharded: Option<ShardedDecode>,
 }
 
 /// The transport half of a training step: broadcast the parameters, gather
@@ -806,22 +798,7 @@ impl StepEngine {
         })?;
         let decode_started = std::time::Instant::now();
         let available = WorkerSet::from_indices(n, collected.arrivals.iter().copied());
-        let decoded = match &collected.sharded {
-            // Sub-masters already decoded their conflict-graph slices; the
-            // root only takes the union. Sort so reports and fingerprints
-            // match the flat decoder's canonical order.
-            Some(sharded) => {
-                let mut selected = sharded.selected.clone();
-                selected.sort_unstable();
-                Decoded {
-                    selected,
-                    recovered: sharded.recovered,
-                    coefficients: None,
-                    failed: false,
-                }
-            }
-            None => self.decode(&available, step),
-        };
+        let decoded = self.decode(&available, step);
         let decode_ms = decode_started.elapsed().as_secs_f64() * 1e3;
 
         let bound_check = (self.bounds_checked && !self.repair.repaired).then(|| {
@@ -904,47 +881,41 @@ impl StepEngine {
 
         if decoded.recovered > 0 && outcome != StepOutcome::Skipped {
             // Aggregate through the canonical balanced pairwise reduction
-            // (`merge`), so flat masters and 2-level trees add the same
-            // numbers in the same order — the bitwise-equality contract.
-            let summed = match &collected.sharded {
-                Some(sharded) => merge::pairwise_sum(&sharded.partials),
-                None => {
-                    // Classic codecs scale each codeword by its decoding
-                    // coefficient; those copies live here so the slot
-                    // vector below can borrow uniformly. The IS-GC path
-                    // (no coefficients) borrows the collected codewords in
-                    // place — no per-slot clone.
-                    let scaled_store: Vec<Vector> = match decoded.coefficients.as_ref() {
-                        Some(coeffs) => decoded
-                            .selected
-                            .iter()
-                            .zip(coeffs)
-                            .map(|(&w, &c)| {
-                                collected.codewords[w]
-                                    .as_ref()
-                                    .expect("decoder selects only arrived workers")
-                                    .scaled(c)
-                            })
-                            .collect(),
-                        None => Vec::new(),
-                    };
-                    let mut slots: Vec<Option<&Vector>> = vec![None; n];
-                    if decoded.coefficients.is_some() {
-                        for (i, &w) in decoded.selected.iter().enumerate() {
-                            slots[w] = Some(&scaled_store[i]);
-                        }
-                    } else {
-                        for &w in &decoded.selected {
-                            slots[w] = Some(
-                                collected.codewords[w]
-                                    .as_ref()
-                                    .expect("decoder selects only arrived workers"),
-                            );
-                        }
-                    }
-                    merge::pairwise_sum_of(&slots)
-                }
+            // (`merge`), so every backend adds the same numbers in the same
+            // order — the bitwise determinism contract. Classic codecs
+            // scale each codeword by its decoding coefficient; those copies
+            // live here so the slot vector below can borrow uniformly. The
+            // IS-GC path (no coefficients) borrows the collected codewords
+            // in place — no per-slot clone.
+            let scaled_store: Vec<Vector> = match decoded.coefficients.as_ref() {
+                Some(coeffs) => decoded
+                    .selected
+                    .iter()
+                    .zip(coeffs)
+                    .map(|(&w, &c)| {
+                        collected.codewords[w]
+                            .as_ref()
+                            .expect("decoder selects only arrived workers")
+                            .scaled(c)
+                    })
+                    .collect(),
+                None => Vec::new(),
             };
+            let mut slots: Vec<Option<&Vector>> = vec![None; n];
+            if decoded.coefficients.is_some() {
+                for (i, &w) in decoded.selected.iter().enumerate() {
+                    slots[w] = Some(&scaled_store[i]);
+                }
+            } else {
+                for &w in &decoded.selected {
+                    slots[w] = Some(
+                        collected.codewords[w]
+                            .as_ref()
+                            .expect("decoder selects only arrived workers"),
+                    );
+                }
+            }
+            let summed = merge::pairwise_sum_of(&slots);
             if let Some(g) = summed {
                 // `g` holds summed per-sample gradients over every recovered
                 // partition's batch (Theorem 12's η·|D_d| factor).
@@ -1201,7 +1172,6 @@ mod tests {
                 stale: 0,
                 waited_ms: 0.0,
                 duration: 0.01,
-                sharded: None,
             })
         }
     }

@@ -18,8 +18,8 @@
 //!   associative, so a blocked reduction is a *different* (faster, usually
 //!   more accurate) result than the sequential fold. Each reduction pins
 //!   **one canonical order**, documented on the function, which is the
-//!   repo-wide reduction order: every call site — flat master, sub-master,
-//!   tree root, simulator, model code — reduces in exactly this order, so
+//!   repo-wide reduction order: every call site — TCP master, simulator,
+//!   model code — reduces in exactly this order, so
 //!   cross-backend runs stay bitwise comparable. One exception: when a
 //!   reduction adds two NaNs, Rust does not specify which payload the sum
 //!   carries, and optimised code may commute the add. A NaN result is
@@ -45,10 +45,10 @@
 //! [`sum_into`] adds `k` equal-length sources in the **balanced pairwise
 //! bracketing**: split the source list at `k / 2` (floor), recurse into
 //! both halves, add the two partial results elementwise. This is precisely
-//! the bracketing `isgc_engine::pairwise_sum` commits to for codeword
-//! aggregation — [`sum_into`] is its single-pass dense realization, so a
-//! master that aggregates 16 codewords reads each source exactly once
-//! instead of materializing log₂ 16 intermediate vectors.
+//! the bracketing `isgc_engine::merge::pairwise_sum_of` commits to for
+//! codeword aggregation — [`sum_into`] is its single-pass dense
+//! realization, so a master that aggregates 16 codewords reads each source
+//! exactly once instead of materializing log₂ 16 intermediate vectors.
 
 /// Number of independent accumulator lanes in the blocked reductions.
 ///
@@ -159,9 +159,9 @@ pub fn sum(a: &[f64]) -> f64 {
 /// Single-pass n-ary slot accumulation: overwrites `out` with the sum of
 /// the `srcs` slices in the **canonical balanced pairwise bracketing**
 /// (split the source list at `len / 2`, recurse, add the halves). This is
-/// the same bracketing `isgc_engine::pairwise_sum` uses, so a dense run of
-/// present codeword slots can be folded in one pass over memory with a
-/// bitwise-identical result.
+/// the same bracketing `isgc_engine::merge::pairwise_sum_of` uses, so a
+/// dense run of present codeword slots can be folded in one pass over
+/// memory with a bitwise-identical result.
 ///
 /// Each source is read exactly once; intermediate partials live in a small
 /// stack block, never on the heap.

@@ -13,11 +13,10 @@ use isgc_core::Placement;
 use isgc_engine::{EngineConfig, EngineError, RecordingObserver, StepEngine, StepReport};
 use isgc_ml::{Dataset, LinearRegression};
 use isgc_net::master::MasterLoop;
-use isgc_net::submaster::{ShardGeometry, ShardLoop, TreeRootLoop};
-use isgc_net::{NetConfig, SubmasterOptions};
+use isgc_net::NetConfig;
 
 use crate::sched::{Ctx, Poison};
-use crate::world::{Role, VirtualTransport, World};
+use crate::world::{VirtualTransport, World};
 
 /// The cluster geometry a checking run drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,26 +28,19 @@ pub enum Shape {
         /// Copies per partition (must divide `n`).
         c: usize,
     },
-    /// The two-level tree: a root over 2 sub-masters, each owning 2 of 4
-    /// workers (FR placement with c = 2).
-    Tree2x2,
 }
 
 impl Shape {
     /// `(n, c)` of the modeled cluster.
     pub fn cluster(self) -> (usize, usize) {
-        match self {
-            Shape::Flat { n, c } => (n, c),
-            Shape::Tree2x2 => (4, 2),
-        }
+        let Shape::Flat { n, c } = self;
+        (n, c)
     }
 
     /// Short name used in trace names and the CLI report.
     pub fn name(self) -> String {
-        match self {
-            Shape::Flat { n, .. } => format!("flat{n}"),
-            Shape::Tree2x2 => "tree2x2".to_string(),
-        }
+        let Shape::Flat { n, .. } = self;
+        format!("flat{n}")
     }
 }
 
@@ -94,11 +86,6 @@ impl McConfig {
     /// The flat 4-worker cluster with replication: n = 4, c = 2.
     pub fn flat4() -> McConfig {
         McConfig::preset(Shape::Flat { n: 4, c: 2 })
-    }
-
-    /// The two-level tree: 2 sub-masters over 4 workers.
-    pub fn tree2x2() -> McConfig {
-        McConfig::preset(Shape::Tree2x2)
     }
 }
 
@@ -280,12 +267,11 @@ pub fn counterexample_trace(cfg: &McConfig, violation: &Violation) -> Trace {
 }
 
 fn explore_inner(cfg: &McConfig, forced: Option<Vec<Fault>>) -> Exploration {
-    let prune = matches!(cfg.shape, Shape::Flat { .. });
     let ctx = Rc::new(RefCell::new(Ctx::new(
         cfg.depth,
         cfg.max_faults,
         cfg.steps,
-        prune,
+        true,
     )));
     ctx.borrow_mut().forced = forced;
 
@@ -311,10 +297,8 @@ fn explore_inner(cfg: &McConfig, forced: Option<Vec<Fault>>) -> Exploration {
 
     loop {
         ctx.borrow_mut().reset_run();
-        let run = match cfg.shape {
-            Shape::Flat { n, c } => run_flat_once(cfg, &ctx, n, c),
-            Shape::Tree2x2 => run_tree_once(cfg, &ctx),
-        };
+        let Shape::Flat { n, c } = cfg.shape;
+        let run = run_flat_once(cfg, &ctx, n, c);
         out.runs += 1;
         let faults = ctx.borrow().faults.clone();
         match run.terminal {
@@ -410,7 +394,6 @@ fn run_flat_once(cfg: &McConfig, ctx: &Rc<RefCell<Ctx>>, n: usize, c: usize) -> 
     let (net, engine_cfg) = configs(&chaos, &placement);
     let world = World::new(
         Rc::clone(ctx),
-        Role::Flat,
         n,
         chaos.batch_size,
         cfg.seed,
@@ -436,92 +419,6 @@ fn run_flat_once(cfg: &McConfig, ctx: &Rc<RefCell<Ctx>>, n: usize, c: usize) -> 
         master.close_peers(false);
         out
     })();
-    finish(
-        ctx,
-        result.map(|t| t.recovery_fingerprint()),
-        observer.steps,
-    )
-}
-
-fn run_tree_once(cfg: &McConfig, ctx: &Rc<RefCell<Ctx>>) -> RunResult {
-    let (n, c) = Shape::Tree2x2.cluster();
-    let submasters = 2;
-    let per = n / submasters;
-    let placement = Placement::fractional(n, c).expect("tree shape is a valid placement");
-    let chaos = chaos_config(cfg);
-    let (net, engine_cfg) = configs(&chaos, &placement);
-
-    let model = LinearRegression::new(chaos.features);
-    let dataset = Dataset::synthetic_regression(chaos.samples, chaos.features, 0.05, cfg.seed);
-    let mut observer = RecordingObserver::default();
-    let mut shards: Vec<Rc<RefCell<ShardLoop>>> = Vec::new();
-    let result = (|| {
-        for k in 0..submasters {
-            let world = World::new(
-                Rc::clone(ctx),
-                Role::ShardWorkers,
-                n,
-                chaos.batch_size,
-                cfg.seed,
-                chaos.features,
-                chaos.samples,
-            );
-            {
-                let mut w = world.borrow_mut();
-                for worker in k * per..(k + 1) * per {
-                    w.spawn_worker(worker);
-                }
-            }
-            let geometry = ShardGeometry {
-                shard: k,
-                lo: k * per,
-                hi: (k + 1) * per,
-                n,
-                c,
-                batch_size: chaos.batch_size,
-                seed: cfg.seed,
-            };
-            let shard = ShardLoop::new(
-                geometry,
-                SubmasterOptions::default(),
-                Box::new(VirtualTransport::new(world)),
-            )
-            .map_err(|e| EngineError::Backend(Box::new(e)))?;
-            let shard = Rc::new(RefCell::new(shard));
-            shard
-                .borrow_mut()
-                .await_worker_registration()
-                .map_err(|e| EngineError::Backend(Box::new(e)))?;
-            shards.push(shard);
-        }
-        let root_world = World::new(
-            Rc::clone(ctx),
-            Role::TreeRoot(shards.clone()),
-            n,
-            chaos.batch_size,
-            cfg.seed,
-            chaos.features,
-            chaos.samples,
-        );
-        {
-            let mut w = root_world.borrow_mut();
-            for k in 0..submasters {
-                w.spawn_submaster(k);
-            }
-        }
-        let mut root =
-            TreeRootLoop::new(net, Box::new(VirtualTransport::new(root_world)), submasters)
-                .map_err(|e| EngineError::Backend(Box::new(e)))?;
-        root.await_registration()
-            .map_err(|e| EngineError::Backend(Box::new(e)))?;
-        let mut engine = StepEngine::new(engine_cfg)?;
-        let out = engine.run(&model, &dataset, None, &mut root, &mut observer);
-        root.close_peers(false);
-        out
-    })();
-    for shard in &shards {
-        shard.borrow_mut().close_workers(false);
-    }
     finish(
         ctx,
         result.map(|t| t.recovery_fingerprint()),

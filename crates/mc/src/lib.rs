@@ -1,15 +1,12 @@
-//! # isgc-mc — exhaustive protocol model checker for the IS-GC collectors
+//! # isgc-mc — exhaustive protocol model checker for the IS-GC collector
 //!
 //! The chaos harness (`isgc-chaos`) samples fault schedules on a real
 //! loopback cluster; this crate *enumerates* them. It drives the **real**
-//! collector state machines — `isgc-net`'s
-//! [`MasterLoop`](isgc_net::master::MasterLoop),
-//! [`TreeRootLoop`](isgc_net::submaster::TreeRootLoop) and
-//! [`ShardLoop`](isgc_net::submaster::ShardLoop), three instances of one
-//! peer table and collection loop — over a deterministic virtual network
-//! whose every delivery order and worker misbehavior (decline, stale
-//! codeword, duplicate, connection drop, death) is a choice point in a
-//! depth-first search. Because the code under test is the production
+//! collector state machine — `isgc-net`'s
+//! [`MasterLoop`](isgc_net::master::MasterLoop) — over a deterministic
+//! virtual network whose every delivery order and worker misbehavior
+//! (decline, stale codeword, duplicate, connection drop, death) is a choice
+//! point in a depth-first search. Because the code under test is the production
 //! collector behind the [`isgc_net::seam::Transport`] seam, a property
 //! proved here is a property of the shipped protocol, not of a model of it.
 //!

@@ -116,15 +116,14 @@ impl Schedule {
     }
 }
 
-/// Exploration state shared by every virtual transport of one run (the
-/// flat master's, or the root's plus each shard's in tree mode), and — for
-/// the schedule, visited set and counters — across runs.
+/// Exploration state of one run's virtual transport, and — for the
+/// schedule, visited set and counters — across runs.
 #[derive(Debug)]
 pub(crate) struct Ctx {
     pub schedule: Schedule,
     visited: HashSet<u64>,
-    /// Canonical-state pruning only runs where the canonicalization
-    /// argument holds (single-world flat mode).
+    /// Canonical-state pruning; the search always prunes, and unit tests
+    /// switch it off to enumerate the raw decision tree.
     pub prune: bool,
     /// Total non-`Compute` actions a free exploration may script per run.
     pub max_faults: usize,

@@ -2,11 +2,10 @@
 //! [`Transport`] implementation that turns every nondeterministic delivery
 //! or fault decision into a schedule choice point.
 //!
-//! One [`World`] models the peer side of one collector: the flat master's
-//! workers, the tree root's sub-masters, or one shard's workers. All worlds
-//! of a run share a [`Ctx`], so their choice points interleave into a
-//! single decision vector. Tokens are creation indices — connection `k` is
-//! always token `k`, which keeps runs replayable.
+//! A [`World`] models the peer side of the master: its workers. The world
+//! records its choice points in the run's [`Ctx`], one decision vector per
+//! run. Tokens are creation indices — connection `k` is always token `k`,
+//! which keeps runs replayable.
 //!
 //! A modeled worker is the shipped one: an `isgc_net` [`WorkerCore`] answers
 //! every `Params`, and a fault is [`FaultKind::script`] — the table the
@@ -27,33 +26,18 @@ use isgc_engine::WorkerStep;
 use isgc_linalg::Vector;
 use isgc_ml::{Dataset, LinearRegression};
 use isgc_net::seam::{NetEvent, Token, Transport};
-use isgc_net::submaster::ShardLoop;
 use isgc_net::wire::Message;
 use isgc_net::{Assignment, NetError, WorkerCore};
 
 use crate::sched::{fnv_u64, Ctx, Poison, PRUNE, STUCK};
 
-/// Which collector this world faces.
-pub(crate) enum Role {
-    /// The flat master: peers are modeled workers with the full fault menu.
-    Flat,
-    /// The tree root: peers are sub-masters, each backed by a real
-    /// [`ShardLoop`] state machine served synchronously at broadcast.
-    TreeRoot(Vec<Rc<RefCell<ShardLoop>>>),
-    /// A shard's worker pool: modeled workers with the tree-mode fault menu
-    /// (compute or die — a `ShardUpload` has no field to report declines or
-    /// stale frames upstream, so those are only checked by directed plans).
-    ShardWorkers,
-}
-
 /// A modeled peer process bound to one connection.
 #[derive(Debug, Clone)]
 pub(crate) struct Sim {
-    /// Global worker id (or shard index under [`Role::TreeRoot`]).
+    /// Global worker id.
     pub worker: usize,
     /// The worker's protocol state, from its first adopted `Assign` on; it
-    /// moves to the fresh connection when the worker flaps. Sub-master
-    /// links have none.
+    /// moves to the fresh connection when the worker flaps.
     pub core: Option<WorkerCore>,
     /// Whether the collector adopted the connection.
     pub registered: bool,
@@ -89,11 +73,10 @@ pub(crate) struct Conn {
     sim: Option<Sim>,
 }
 
-/// The peer side of one collector: connections, modeled workers, and the
+/// The peer side of the master: connections, modeled workers, and the
 /// shared training recipe used to compute honest codewords.
 pub(crate) struct World {
     pub(crate) ctx: Rc<RefCell<Ctx>>,
-    role: Role,
     conns: Vec<Conn>,
     /// `Some(step)` once the collector broadcast that step's `Params`;
     /// delivery order only branches inside a collection window
@@ -107,7 +90,6 @@ pub(crate) struct World {
 impl World {
     pub(crate) fn new(
         ctx: Rc<RefCell<Ctx>>,
-        role: Role,
         n: usize,
         batch_size: usize,
         seed: u64,
@@ -119,7 +101,6 @@ impl World {
         let work = WorkerStep::new(&model, &dataset, n, batch_size, seed);
         Rc::new(RefCell::new(World {
             ctx,
-            role,
             conns: Vec::new(),
             collecting: None,
             model,
@@ -151,18 +132,6 @@ impl World {
         );
     }
 
-    /// Creates a modeled sub-master link and queues its `SubHello`.
-    pub(crate) fn spawn_submaster(&mut self, shard: usize) {
-        let token = self.push_conn(Some(Sim::unregistered(shard)));
-        self.enqueue(
-            token,
-            NetEvent::SubHello {
-                token,
-                shard: shard as u64,
-            },
-        );
-    }
-
     fn enqueue(&mut self, token: Token, event: NetEvent) {
         let hash = event_hash(&event);
         let conn = &mut self.conns[token as usize];
@@ -174,7 +143,7 @@ impl World {
     /// Queues `message` as the event the reactor would deliver for its
     /// frame: codewords take the `CodewordView` path, everything else is a
     /// `Msg`.
-    pub(crate) fn enqueue_msg(&mut self, token: Token, message: Message) {
+    fn enqueue_msg(&mut self, token: Token, message: Message) {
         let bytes = message.encode().len();
         let event = match message {
             Message::Codeword { step, values, .. } => NetEvent::Codeword {
@@ -265,22 +234,16 @@ impl World {
         }
         let mut kinds: Vec<FaultKind> = Vec::new();
         if ctx.faults.len() < ctx.max_faults {
-            match self.role {
-                Role::Flat => {
-                    kinds.push(FaultKind::Decline);
-                    if step >= 1 {
-                        kinds.push(FaultKind::Stale);
-                    }
-                    if step + 1 < ctx.steps {
-                        // A duplicate at the final step is unobservable:
-                        // the second copy would never be delivered.
-                        kinds.push(FaultKind::Duplicate);
-                    }
-                    kinds.push(FaultKind::Drop);
-                }
-                Role::ShardWorkers => kinds.push(FaultKind::Die),
-                Role::TreeRoot(_) => {}
+            kinds.push(FaultKind::Decline);
+            if step >= 1 {
+                kinds.push(FaultKind::Stale);
             }
+            if step + 1 < ctx.steps {
+                // A duplicate at the final step is unobservable: the second
+                // copy would never be delivered.
+                kinds.push(FaultKind::Duplicate);
+            }
+            kinds.push(FaultKind::Drop);
         }
         let state = self.state_hash(&ctx);
         let choice = ctx.choose(1 + kinds.len(), state)?;
@@ -347,21 +310,10 @@ impl World {
         let Ok((_, message, _)) = Message::decode_tagged(first) else {
             return true;
         };
-        match message {
-            Message::Assign { worker, .. } => {
-                if let Some(sim) = conn.sim.as_mut() {
-                    debug_assert_eq!(sim.worker as u64, worker, "adopted into a foreign slot");
-                    sim.assign(message);
-                    sim.registered = true;
-                }
-            }
-            Message::ShardAssign { shard, .. } => {
-                if let Some(sim) = conn.sim.as_mut() {
-                    debug_assert_eq!(sim.worker as u64, shard, "adopted into a foreign shard");
-                    sim.registered = true;
-                }
-            }
-            _ => {}
+        if let (Message::Assign { worker, .. }, Some(sim)) = (&message, conn.sim.as_mut()) {
+            debug_assert_eq!(sim.worker as u64, *worker, "adopted into a foreign slot");
+            sim.assign(message);
+            sim.registered = true;
         }
         true
     }
@@ -396,7 +348,7 @@ impl World {
     }
 
     /// Canonical hash of this world plus the fault schedule so far. Sound
-    /// as a pruning key in flat mode: the master's state is a function of
+    /// as a pruning key: the master's state is a function of
     /// each connection's delivered *sequence* (captured by the rolling
     /// hashes), the pending queues, and the modeled-worker states.
     fn state_hash(&self, ctx: &Ctx) -> u64 {
@@ -436,10 +388,6 @@ fn event_hash(event: &NetEvent) -> u64 {
         NetEvent::Hello { preferred, .. } => {
             h = fnv_u64(h, 1);
             h = fnv_u64(h, preferred.map_or(u64::MAX, |p| p));
-        }
-        NetEvent::SubHello { shard, .. } => {
-            h = fnv_u64(h, 2);
-            h = fnv_u64(h, *shard);
         }
         NetEvent::Msg { message, .. } => {
             h = fnv_u64(h, 3);
@@ -505,51 +453,14 @@ impl Transport for VirtualTransport {
         // A `Params` broadcast opens a collection window: deliveries start
         // branching and the modeled peers react per target, in target order
         // (the real reactor writes frames in exactly this order too).
-        let shards = {
-            let mut world = self.world.borrow_mut();
-            world.collecting = Some(step);
-            match &world.role {
-                Role::TreeRoot(shards) => Some(
-                    targets
-                        .iter()
-                        .filter_map(|&t| {
-                            world
-                                .conns
-                                .get(t as usize)
-                                .and_then(|c| c.sim.as_ref())
-                                .map(|s| (t, Rc::clone(&shards[s.worker])))
-                        })
-                        .collect::<Vec<_>>(),
-                ),
-                _ => None,
-            }
-        };
-        match shards {
-            Some(list) => {
-                for (token, shard) in list {
-                    // The shard loop runs synchronously — its own transport
-                    // records choice points into the same schedule.
-                    // A poisoned run fails here and uploads nothing; the
-                    // root's next poll then fails the same way.
-                    if let Ok(upload) = shard.borrow_mut().serve_step(step, &values) {
-                        self.world.borrow_mut().enqueue_msg(token, upload);
-                    }
-                }
-            }
-            None => {
-                let mut world = self.world.borrow_mut();
-                for &t in targets {
-                    world.worker_params(t, step, &values);
-                }
-            }
+        let mut world = self.world.borrow_mut();
+        world.collecting = Some(step);
+        for &t in targets {
+            world.worker_params(t, step, &values);
         }
     }
 
     fn flush_all(&mut self, _limit: Duration) {}
-
-    fn flush_conn(&mut self, _token: Token, _limit: Duration) -> bool {
-        true
-    }
 
     fn hard_close_all(&mut self) {
         self.world.borrow_mut().hard_close_all();
@@ -598,7 +509,7 @@ mod tests {
                 step: STEP,
                 kind,
             }]);
-            let world = World::new(ctx, Role::Flat, 4, batch, SEED, features, samples);
+            let world = World::new(ctx, 4, batch, SEED, features, samples);
             let mut world = world.borrow_mut();
             world.spawn_worker(WORKER);
             assert!(world.adopt(0, &assign.encode()));

@@ -33,7 +33,6 @@ pub(crate) mod reactor;
 pub mod report;
 pub mod retry;
 pub mod seam;
-pub mod submaster;
 pub mod swarm;
 pub(crate) mod tier;
 pub mod wire;
@@ -43,7 +42,6 @@ pub use checkpoint::MasterCheckpoint;
 pub use master::{Master, MasterSession, NetConfig, StepControl};
 pub use report::{NetReport, NetTrainReport, RepairEvent};
 pub use retry::RetryPolicy;
-pub use submaster::{Submaster, SubmasterOptions, SubmasterSummary};
 pub use swarm::{run_swarm, SwarmOptions, SwarmSummary};
 pub use worker::{
     run_worker, Assignment, Request, ShutdownCause, WorkerCore, WorkerOptions, WorkerSummary,

@@ -14,9 +14,9 @@
 //! Step semantics — decode, repair, bounds, normalization, the SGD update —
 //! live in [`isgc_engine::StepEngine`]; this module is the TCP
 //! [`Collector`]. Registration, liveness, broadcast and collection are the
-//! shared worker tier's (`crate::tier`); what is written here is the flat
-//! master's alone: the assignment table and its `Assign` frames, placement
-//! repair, checkpoint persistence, rejoin grace. All I/O rides the
+//! worker tier's (`crate::tier`); what is written here is the master's
+//! alone: the assignment table and its `Assign` frames, placement repair,
+//! checkpoint persistence, rejoin grace. All I/O rides the
 //! nonblocking `crate::reactor`: the master process runs the accept path,
 //! every connection, and the step state machine on **one** thread,
 //! regardless of `n`.
@@ -40,9 +40,8 @@ use crate::checkpoint::MasterCheckpoint;
 use crate::reactor::{NetEvent, Reactor};
 use crate::report::{NetReport, NetTrainReport};
 use crate::seam::Transport;
-use crate::submaster::TreeRootLoop;
-use crate::tier::{worker_reply, Frame, Host, Peers, Reply, Tier};
-use crate::wire::{max_vector_len, Message, MAX_PAYLOAD};
+use crate::tier::{Host, Tier};
+use crate::wire::{max_codeword_len, Message, MAX_PAYLOAD};
 use crate::{NetError, WaitPolicy};
 
 pub use isgc_engine::StepControl;
@@ -305,16 +304,10 @@ impl Master {
         config.validate()?;
         let reactor = Reactor::new(Some(self.listener), config.job, config.metrics.clone())?;
         let (mut collector, mut engine, mut session) =
-            build_session_state(model, dataset, config, reactor, None)?;
+            build_session_state(model, dataset, config, reactor)?;
         let mut observer = metered(config, FnObserver(|report: &StepReport| observer(report)));
         let outcome = loop {
-            let status = engine.step(
-                &mut session,
-                model,
-                dataset,
-                collector.as_collector(),
-                &mut *observer,
-            );
+            let status = engine.step(&mut session, model, dataset, &mut collector, &mut *observer);
             match status {
                 Ok(SessionStatus::Running) => {}
                 Ok(SessionStatus::Done) => break Ok(engine.finish(session)),
@@ -332,8 +325,8 @@ impl Master {
     }
 
     /// Turns the bound master into a step-at-a-time [`MasterSession`]:
-    /// registration and (flat-mode) checkpoint resume happen here, then the
-    /// caller drives one training step per [`MasterSession::step`] call.
+    /// registration and checkpoint resume happen here, then the caller
+    /// drives one training step per [`MasterSession::step`] call.
     /// This is the networked job driver a multi-tenant scheduler
     /// round-robins — `isgc-sched` steps several of these in one process.
     ///
@@ -347,43 +340,12 @@ impl Master {
         dataset: Dataset,
         config: &NetConfig,
     ) -> Result<MasterSession<M>, NetError> {
-        self.into_session_inner(model, dataset, config, None)
-    }
-
-    /// Like [`Master::into_session`], but collecting through a 2-level
-    /// aggregation tree: `submasters` sub-masters register (via `SubHello`),
-    /// each owning a group-aligned worker shard, and every step the root
-    /// merges their partial codeword sums with the canonical pairwise
-    /// reduction — bitwise identical to flat aggregation.
-    ///
-    /// # Errors
-    ///
-    /// As [`Master::into_session`], plus [`NetError::InvalidConfig`] when
-    /// the placement is not FR or a shard boundary cuts through an FR group.
-    pub fn into_tree_session<M: Model>(
-        self,
-        model: M,
-        dataset: Dataset,
-        config: &NetConfig,
-        submasters: usize,
-    ) -> Result<MasterSession<M>, NetError> {
-        self.into_session_inner(model, dataset, config, Some(submasters))
-    }
-
-    fn into_session_inner<M: Model>(
-        self,
-        model: M,
-        dataset: Dataset,
-        config: &NetConfig,
-        submasters: Option<usize>,
-    ) -> Result<MasterSession<M>, NetError> {
         config.validate()?;
         let reactor = Reactor::new(Some(self.listener), config.job, config.metrics.clone())?;
 
         // Errors need no explicit transport teardown: dropping the reactor
         // closes the listener and every accepted socket.
-        let (collector, engine, session) =
-            build_session_state(&model, &dataset, config, reactor, submasters)?;
+        let (collector, engine, session) = build_session_state(&model, &dataset, config, reactor)?;
         Ok(MasterSession {
             model,
             dataset,
@@ -411,91 +373,35 @@ fn metered<'a>(config: &NetConfig, inner: impl Observer + 'a) -> Box<dyn Observe
 }
 
 /// Builds the collector, engine, and open session of a run: registration
-/// and (flat-mode) checkpoint resume happen here, after a model whose
-/// uploads would not fit in one frame is refused.
+/// and checkpoint resume happen here, after a model whose uploads would not
+/// fit in one frame is refused.
 fn build_session_state<M: Model>(
     model: &M,
     dataset: &Dataset,
     config: &NetConfig,
     reactor: Reactor,
-    submasters: Option<usize>,
-) -> Result<(SessionCollector, StepEngine, isgc_engine::Session), NetError> {
-    let upload = match submasters {
-        None => Message::Codeword {
-            worker: 0,
-            step: 0,
-            values: Vec::new(),
-        },
-        // A sub-master uploads its shard's worker ids beside the partial sum.
-        Some(shards) => {
-            let ids = vec![0; config.placement.n().div_ceil(shards.max(1))];
-            Message::ShardUpload {
-                shard: 0,
-                step: 0,
-                arrivals: ids.clone(),
-                selected: ids,
-                recovered: 0,
-                partial: Vec::new(),
-            }
-        }
-    };
-    let (dim, max) = (model.param_dim(), max_vector_len(&upload));
+) -> Result<(MasterLoop, StepEngine, isgc_engine::Session), NetError> {
+    let (dim, max) = (model.param_dim(), max_codeword_len());
     if dim > max {
         return Err(NetError::InvalidConfig(format!(
             "model dimension {dim} does not fit in one frame of at most {MAX_PAYLOAD} \
              payload bytes; the largest that fits is {max}"
         )));
     }
-    match submasters {
-        None => {
-            let mut loop_state = MasterLoop::new(config.clone(), Box::new(reactor));
-            let mut engine = StepEngine::new(config.engine_config()).map_err(engine_to_net)?;
-            // Parameter initialization is a pure function of the seed, so a
-            // resumed master overwrites it from the checkpoint and a fresh
-            // one matches any backend given the same seed.
-            let mut params = engine.initial_params(model);
-            let (start_step, ladder) = loop_state.host.try_resume(&mut params)?;
-            engine
-                .resume_from(start_step, loop_state.host.assignments.clone())
-                .map_err(engine_to_net)?;
-            engine.resume_ladder(ladder);
-            loop_state.await_registration()?;
-            let session = engine.begin(model, dataset, Some(params));
-            Ok((SessionCollector::Flat(loop_state), engine, session))
-        }
-        Some(submasters) => {
-            let mut root = TreeRootLoop::new(config.clone(), Box::new(reactor), submasters)?;
-            let engine = StepEngine::new(config.engine_config()).map_err(engine_to_net)?;
-            let params = engine.initial_params(model);
-            root.await_registration()?;
-            let session = engine.begin(model, dataset, Some(params));
-            Ok((SessionCollector::Tree(root), engine, session))
-        }
-    }
-}
-
-/// The transport behind one [`MasterSession`].
-enum SessionCollector {
-    /// Every worker reports straight to this master.
-    Flat(MasterLoop),
-    /// Sub-masters report shard partials; see [`crate::submaster`].
-    Tree(TreeRootLoop),
-}
-
-impl SessionCollector {
-    fn as_collector(&mut self) -> &mut dyn Collector {
-        match self {
-            SessionCollector::Flat(loop_state) => loop_state,
-            SessionCollector::Tree(root) => root,
-        }
-    }
-
-    fn close_peers(&mut self, crashed: bool) {
-        match self {
-            SessionCollector::Flat(loop_state) => loop_state.close_peers(crashed),
-            SessionCollector::Tree(root) => root.close_peers(crashed),
-        }
-    }
+    let mut loop_state = MasterLoop::new(config.clone(), Box::new(reactor));
+    let mut engine = StepEngine::new(config.engine_config()).map_err(engine_to_net)?;
+    // Parameter initialization is a pure function of the seed, so a resumed
+    // master overwrites it from the checkpoint and a fresh one matches any
+    // backend given the same seed.
+    let mut params = engine.initial_params(model);
+    let (start_step, ladder) = loop_state.host.try_resume(&mut params)?;
+    engine
+        .resume_from(start_step, loop_state.host.assignments.clone())
+        .map_err(engine_to_net)?;
+    engine.resume_ladder(ladder);
+    loop_state.await_registration()?;
+    let session = engine.begin(model, dataset, Some(params));
+    Ok((loop_state, engine, session))
 }
 
 /// A registered, resumed, step-at-a-time networked training session — the
@@ -508,7 +414,7 @@ pub struct MasterSession<M: Model> {
     dataset: Dataset,
     engine: StepEngine,
     session: isgc_engine::Session,
-    collector: SessionCollector,
+    collector: MasterLoop,
     observer: Box<dyn Observer>,
 }
 
@@ -526,7 +432,7 @@ impl<M: Model> MasterSession<M> {
                 &mut self.session,
                 &self.model,
                 &self.dataset,
-                self.collector.as_collector(),
+                &mut self.collector,
                 &mut *self.observer,
             )
             .map_err(engine_to_net)
@@ -544,21 +450,21 @@ impl<M: Model> MasterSession<M> {
     }
 }
 
-/// The flat master's single-threaded state machine over connection events
-/// — the engine's TCP [`Collector`]: one worker `Tier` over `[0, n)` plus
-/// what is the flat master's alone. Owns its [`Transport`] (the `Reactor`
+/// The master's single-threaded state machine over connection events — the
+/// engine's TCP [`Collector`]: one worker `Tier` over `[0, n)` plus what is
+/// the master's alone. Owns its [`Transport`] (the `Reactor`
 /// in production, a virtual network under the model checker) and polls it
 /// inline: there is no I/O thread anywhere in the master process.
 pub struct MasterLoop {
     tier: Tier,
-    host: FlatHost,
+    host: MasterHost,
     /// Answers swallowed while the last broadcast waited out the rejoin
     /// grace; reported as stale by that step's gather.
     rejoin_stale: usize,
 }
 
-/// What the flat master supplies to its worker tier, and keeps beside it.
-struct FlatHost {
+/// What the master supplies to its worker tier, and keeps beside it.
+struct MasterHost {
     config: NetConfig,
     /// Current per-worker partition lists, mirroring the engine's table;
     /// starts as the placement's and diverges when the engine runs placement
@@ -568,9 +474,7 @@ struct FlatHost {
     assignments: Vec<Vec<usize>>,
 }
 
-impl Host for FlatHost {
-    type Answer = Vector;
-
+impl Host for MasterHost {
     /// Counts every inbound frame, when a metrics registry is attached.
     fn next_event(
         &mut self,
@@ -608,10 +512,6 @@ impl Host for FlatHost {
         }
         .encode_for_job(self.config.job)
         .into()
-    }
-
-    fn read(&mut self, id: usize, frame: Frame) -> Reply<Vector> {
-        worker_reply(id, frame)
     }
 
     /// Workers already declared dead by placement repair are never waited
@@ -672,7 +572,6 @@ impl Collector for MasterLoop {
             stale: collected.stale + pre_stale,
             waited_ms: collected.waited.as_secs_f64() * 1e3,
             duration: collected.waited.as_secs_f64(),
-            sharded: None,
         })
     }
 
@@ -689,18 +588,12 @@ impl Collector for MasterLoop {
 }
 
 impl MasterLoop {
-    /// Builds the (not yet registered) flat master loop over `transport`.
+    /// Builds the (not yet registered) master loop over `transport`.
     pub fn new(config: NetConfig, transport: Box<dyn Transport>) -> MasterLoop {
         let n = config.placement.n();
         MasterLoop {
-            tier: Tier::new(
-                Peers::Workers,
-                0,
-                n,
-                Some(config.heartbeat_timeout),
-                transport,
-            ),
-            host: FlatHost {
+            tier: Tier::new(n, Some(config.heartbeat_timeout), transport),
+            host: MasterHost {
                 assignments: (0..n)
                     .map(|w| config.placement.partitions_of(w).to_vec())
                     .collect(),
@@ -718,8 +611,7 @@ impl MasterLoop {
     /// [`NetError::Protocol`] on registration timeout.
     pub fn await_registration(&mut self) -> Result<(), NetError> {
         let timeout = self.host.config.register_timeout;
-        self.tier
-            .await_registered(&mut self.host, timeout, "registration")
+        self.tier.await_registered(&mut self.host, timeout)
     }
 
     /// Notifies workers the run is over — a `Shutdown` broadcast (flushed
@@ -734,7 +626,7 @@ impl MasterLoop {
     }
 }
 
-impl FlatHost {
+impl MasterHost {
     /// Restores checkpointed state if a checkpoint exists; returns the step
     /// to resume at and the degradation-ladder counter entering it, and
     /// overwrites the parameters to resume with. The restored assignment
@@ -848,15 +740,6 @@ mod tests {
                 assert!(why.contains("8388606") && why.contains("8388605"), "{why}");
             }
             other => panic!("expected InvalidConfig, got {other:?}"),
-        }
-        // A sub-master's upload also carries `recovered` and two lists of
-        // its workers' ids: 48 more bytes for shards of 2 workers.
-        config.placement = Placement::fractional(4, 2).expect("valid FR");
-        let master = Master::bind("127.0.0.1:0").unwrap();
-        match master.into_tree_session(model, dataset, &config, 2) {
-            Err(NetError::InvalidConfig(why)) => assert!(why.contains("8388599"), "{why}"),
-            Err(other) => panic!("expected InvalidConfig, got {other}"),
-            Ok(_) => panic!("expected InvalidConfig, got a session"),
         }
     }
 

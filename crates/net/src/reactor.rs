@@ -2,16 +2,14 @@
 //! over every master-side socket.
 //!
 //! The previous transport spawned two threads per connection (a handshake
-//! thread plus a long-lived reader), capping a master — and every
-//! sub-master of the PR-5 aggregation tree — at tens of workers before
-//! context-switch and stack overhead dominate. This module replaces all of
+//! thread plus a long-lived reader), capping a master at tens of workers
+//! before context-switch and stack overhead dominate. This module replaces all of
 //! it with a single event loop in the style of DSLab's event-driven
 //! executor: sockets are switched to nonblocking mode, `poll(2)` reports
 //! readiness, and the reactor owns
 //!
 //! - **registration**: the listener is just another pollable; fresh
-//!   connections sit in a `Pending` phase until their `Hello`/`SubHello`
-//!   arrives (job-tag-checked at the door), then the owning state machine
+//!   connections sit in a `Pending` phase until their `Hello` arrives (job-tag-checked at the door), then the owning state machine
 //!   adopts or rejects them;
 //! - **read interest + reassembly**: each connection keeps a
 //!   [`FrameAssembler`] so a frame split across arbitrarily many readiness
@@ -29,9 +27,8 @@
 //!   read only moves the connection's deadline, and its single wheel entry
 //!   is re-filed when it comes due early;
 //! - **a drained event queue**: readiness is translated into [`NetEvent`]s
-//!   consumed one at a time by the unchanged single-threaded master state
-//!   machine ([`crate::master::MasterLoop`](crate::master) and the tree
-//!   loops in [`crate::submaster`]).
+//!   consumed one at a time by the single-threaded master state machine
+//!   ([`crate::master::MasterLoop`](crate::master)).
 //!
 //! Liveness decisions, slot assignment, and step semantics stay in the
 //! owning loop; the reactor only moves bytes and fires deadlines. All
@@ -68,8 +65,7 @@ const WHEEL_SLOTS: usize = 512;
 
 /// How long a pending connection may sit without completing its handshake
 /// before the reactor drops it (the old handshake threads' read timeout),
-/// and how long a dialing worker or sub-master waits for the answer to its
-/// introduction.
+/// and how long a dialing worker waits for the answer to its introduction.
 pub(crate) const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// What the transport tells the owning state machine. Public because the
@@ -83,13 +79,6 @@ pub enum NetEvent {
         token: Token,
         /// The worker slot the peer claims, if it has one.
         preferred: Option<u64>,
-    },
-    /// A pending connection introduced itself as a sub-master.
-    SubHello {
-        /// The introducing connection.
-        token: Token,
-        /// The shard the sub-master claims.
-        shard: u64,
     },
     /// An adopted connection produced a message of `bytes` wire bytes.
     Msg {
@@ -133,7 +122,6 @@ impl NetEvent {
     pub fn token(&self) -> Token {
         match self {
             NetEvent::Hello { token, .. }
-            | NetEvent::SubHello { token, .. }
             | NetEvent::Msg { token, .. }
             | NetEvent::Codeword { token, .. }
             | NetEvent::HeartbeatTimeout { token }
@@ -161,7 +149,7 @@ struct Conn {
     /// into the front frame.
     out: VecDeque<(Arc<[u8]>, usize)>,
     /// Idle timeout re-armed on every inbound byte; `None` disables
-    /// silence detection (e.g. a sub-master's root link).
+    /// silence detection (a swarm member's link).
     idle: Option<Duration>,
     /// The handshake or idle deadline and its one wheel entry.
     deadline: Deadline,
@@ -392,9 +380,9 @@ fn raw_fd<T>(_stream: &T) -> i32 {
     -1
 }
 
-/// The master-side event loop. One instance per listening state machine
-/// (flat master, tree root, or sub-master shard); the worker session loop
-/// (`crate::swarm`) reuses it listener-less for its outbound connections.
+/// The master-side event loop. One instance per master; the worker session
+/// loop (`crate::swarm`) reuses it listener-less for its outbound
+/// connections.
 pub(crate) struct Reactor {
     listener: Option<TcpListener>,
     conns: BTreeMap<Token, Conn>,
@@ -428,6 +416,24 @@ impl Reactor {
             metrics,
         })
     }
+
+    /// Registers an already-handshaked outbound stream as an adopted
+    /// connection: a swarm member.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the switch to nonblocking mode.
+    pub(crate) fn register_adopted(
+        &mut self,
+        stream: TcpStream,
+        idle: Option<Duration>,
+    ) -> Result<Token, NetError> {
+        let _ = stream.set_nodelay(true);
+        stream.set_nonblocking(true)?;
+        let token = self.insert(stream, Phase::Adopted, idle);
+        self.arm_idle(token);
+        Ok(token)
+    }
 }
 
 /// The production [`Transport`]: real nonblocking sockets.
@@ -459,23 +465,6 @@ impl Transport for Reactor {
         }
         self.parse_conn(token);
         self.conns.contains_key(&token)
-    }
-
-    /// A sub-master's root link, or a swarm member.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the switch to nonblocking mode.
-    fn register_adopted(
-        &mut self,
-        stream: TcpStream,
-        idle: Option<Duration>,
-    ) -> Result<Token, NetError> {
-        let _ = stream.set_nodelay(true);
-        stream.set_nonblocking(true)?;
-        let token = self.insert(stream, Phase::Adopted, idle);
-        self.arm_idle(token);
-        Ok(token)
     }
 
     fn reject(&mut self, token: Token) {
@@ -511,25 +500,6 @@ impl Transport for Reactor {
             };
             if self.pump(remaining.min(TICK)).is_err() {
                 return;
-            }
-        }
-    }
-
-    /// The sub-master's synchronous upload-delivery guarantee. Events
-    /// gathered while flushing stay queued for the next `next_event`.
-    fn flush_conn(&mut self, token: Token, limit: Duration) -> bool {
-        let deadline = Instant::now() + limit;
-        loop {
-            match self.conns.get(&token) {
-                None => return false,
-                Some(conn) if conn.out.is_empty() => return true,
-                Some(_) => {}
-            }
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                return false;
-            };
-            if self.pump(remaining.min(TICK)).is_err() {
-                return false;
             }
         }
     }
@@ -871,10 +841,6 @@ fn parse_frames(
                     Ok(Message::Hello { preferred }) => {
                         conn.introduced = true;
                         events.push_back(NetEvent::Hello { token, preferred });
-                    }
-                    Ok(Message::SubHello { shard }) => {
-                        conn.introduced = true;
-                        events.push_back(NetEvent::SubHello { token, shard });
                     }
                     _ => return Parsed::Fatal,
                 }

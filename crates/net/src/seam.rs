@@ -1,20 +1,17 @@
 //! The transport seam: the abstract network surface the collector state
 //! machines actually require.
 //!
-//! The flat master loop ([`MasterLoop`](crate::master::MasterLoop)), the
-//! tree root loop ([`TreeRootLoop`](crate::submaster::TreeRootLoop)), and
-//! the sub-master shard loop ([`ShardLoop`](crate::submaster::ShardLoop))
-//! never touch sockets directly — they consume [`NetEvent`]s and emit
-//! encoded frames through the [`Transport`] trait. In production the
+//! The master loop ([`MasterLoop`](crate::master::MasterLoop)) never
+//! touches sockets directly — it consumes [`NetEvent`]s and emits encoded
+//! frames through the [`Transport`] trait. In production the
 //! implementation is the nonblocking reactor; under `isgc-mc` it is a
 //! deterministic virtual network that enumerates message interleavings.
 //! Because both sides run the *same* state-machine code, a property the
 //! model checker proves over the virtual transport is a property of the
-//! production collector, not of a parallel re-implementation. The loops
-//! are public for exactly that: construction over any transport,
-//! registration, step collection, and teardown — nothing else.
+//! production collector, not of a parallel re-implementation. The loop is
+//! public for exactly that: construction over any transport, registration,
+//! step collection, and teardown — nothing else.
 
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -39,24 +36,6 @@ pub trait Transport {
     /// false when the connection died in the process.
     fn adopt(&mut self, token: Token, first: Arc<[u8]>, idle: Option<Duration>) -> bool;
 
-    /// Registers an already-handshaked outbound stream as an adopted
-    /// connection — the sub-master's root link. Only socket-backed
-    /// transports can do this; the default refuses.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Protocol`] for transports without real sockets.
-    fn register_adopted(
-        &mut self,
-        stream: TcpStream,
-        idle: Option<Duration>,
-    ) -> Result<Token, NetError> {
-        let _ = (stream, idle);
-        Err(NetError::Protocol(
-            "this transport cannot adopt raw TCP streams".into(),
-        ))
-    }
-
     /// Drops a pending connection the state machine refused.
     fn reject(&mut self, token: Token);
 
@@ -70,10 +49,6 @@ pub trait Transport {
 
     /// Pumps until every write queue drained or `limit` passed.
     fn flush_all(&mut self, limit: Duration);
-
-    /// Pumps until `token`'s write queue drained (true) or the connection
-    /// died / `limit` passed (false).
-    fn flush_conn(&mut self, token: Token, limit: Duration) -> bool;
 
     /// Emulates a killed process: hard-closes every connection.
     fn hard_close_all(&mut self);

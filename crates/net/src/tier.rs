@@ -1,15 +1,13 @@
-//! The peer table and collection loop every master-side tier shares.
+//! The master's peer table and collection loop.
 //!
-//! A *tier* is one listening side of the protocol: a table of peer slots,
+//! A *tier* is the listening side of the protocol: a table of worker slots,
 //! the connections that currently own them, and the loop that — after a
 //! step's broadcast — stops on an arbitrary arrival set and ignores the
-//! rest. The flat master seats `n` workers; a sub-master seats its shard's
-//! workers `[lo, hi)`; the tree root seats sub-masters. They differ only in
-//! what a [`Host`] supplies — the registration reply, where events come
-//! from, what a peer's answer carries. Everything else is written once,
-//! here: which slot a newcomer gets, what `Gone`, heartbeat silence and a
-//! late frame do to a slot, who is still awaited, and how a step's answers
-//! are told apart from stale ones and declines.
+//! rest. What the master supplies — the registration reply, where events
+//! come from, whose rejoin to wait for — is its [`Host`]. Everything else
+//! is written once, here: which slot a newcomer gets, what `Gone`,
+//! heartbeat silence and a late frame do to a slot, who is still awaited,
+//! and how a step's answers are told apart from stale ones and declines.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -99,29 +97,11 @@ struct Outstanding {
     awaited: Awaited,
 }
 
-/// Which peers a tier seats, hence which introduction it accepts.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Peers {
-    /// Workers, introduced by `Hello`.
-    Workers,
-    /// Sub-masters, introduced by `SubHello`.
-    Submasters,
-}
-
-/// A frame from a slot's current connection.
-pub(crate) enum Frame {
-    /// A codeword `(step, values)` — already decoded in place by the
-    /// reactor, no intermediate copy.
-    Codeword(u64, Vector),
-    /// Any other message.
-    Msg(Message),
-}
-
-/// What a frame says about a step, as its tier's [`Host`] reads it.
-pub(crate) enum Reply<T> {
-    /// `(slot, step, answer)`: the slot's answer to the step it is tagged
+/// What a frame says about a step.
+enum Reply {
+    /// `(slot, step, codeword)`: the slot's answer to the step it is tagged
     /// for.
-    Answer(usize, u64, T),
+    Answer(usize, u64, Vector),
     /// `(slot, step)`: a fast-fail straggler signal — the slot will not
     /// answer that step.
     Decline(usize, u64),
@@ -129,26 +109,9 @@ pub(crate) enum Reply<T> {
     Nothing,
 }
 
-/// How a worker tier reads its peers' frames: codewords answer, `Decline`
-/// declines, and anything else (heartbeats; a confused peer must not kill
-/// the run) only proved its sender alive.
-pub(crate) fn worker_reply(slot: usize, frame: Frame) -> Reply<Vector> {
-    match frame {
-        Frame::Codeword(step, values) => Reply::Answer(slot, step, values),
-        Frame::Msg(Message::Decline { step, .. }) => Reply::Decline(slot, step),
-        Frame::Msg(_) => Reply::Nothing,
-    }
-}
-
 /// What a tier cannot know about its owner.
 pub(crate) trait Host {
-    /// What a peer's answer to a step carries: a worker's codeword, a
-    /// sub-master's shard report.
-    type Answer;
-
-    /// Pulls the next event. A host overrides this to count frames, to
-    /// replay events it set aside between steps, or to keep the ones that
-    /// belong to another link (returning `Ok(None)` for those).
+    /// Pulls the next event. A host overrides this to count frames.
     fn next_event(
         &mut self,
         transport: &mut dyn Transport,
@@ -160,10 +123,6 @@ pub(crate) trait Host {
     /// The registration reply for the peer taking `slot`.
     fn welcome(&self, slot: usize) -> Arc<[u8]>;
 
-    /// Reads what a frame from `slot`'s current connection says about a
-    /// step.
-    fn read(&mut self, slot: usize, frame: Frame) -> Reply<Self::Answer>;
-
     /// Whether a step start should wait out the rejoin grace for `slot`'s
     /// disconnected peer.
     fn awaits_rejoin(&self, _slot: usize) -> bool {
@@ -172,11 +131,11 @@ pub(crate) trait Host {
 }
 
 /// What one step's collection phase produced, indexed by slot.
-pub(crate) struct CollectedStep<T> {
+pub(crate) struct CollectedStep {
     /// Slots that answered, in arrival order.
     pub(crate) arrivals: Vec<usize>,
-    /// Each slot's answer, if it gave one.
-    pub(crate) answers: Vec<Option<T>>,
+    /// Each slot's codeword, if it gave one.
+    pub(crate) answers: Vec<Option<Vector>>,
     /// How long the collection waited.
     pub(crate) waited: Duration,
     /// Answers discarded by step tag (late, or duplicates).
@@ -185,14 +144,10 @@ pub(crate) struct CollectedStep<T> {
     pub(crate) declined: Vec<usize>,
 }
 
-/// One tier's peer table over its transport (the
+/// The peer table over its transport (the
 /// [`Reactor`](crate::reactor::Reactor) in production, a virtual network
 /// under the model checker). Polled inline: no tier spends a thread on I/O.
 pub(crate) struct Tier {
-    peers: Peers,
-    /// Global id of slot 0: peers claim slots by global id, and a shard's
-    /// tier seats `[base, base + len)`.
-    base: usize,
     slots: Vec<Slot>,
     /// Which slot each adopted connection feeds. A token missing here (or
     /// disagreeing with `Slot::conn`) belongs to a replaced connection and
@@ -206,18 +161,9 @@ pub(crate) struct Tier {
 }
 
 impl Tier {
-    /// A tier of `len` unregistered slots for global ids
-    /// `[base, base + len)`.
-    pub(crate) fn new(
-        peers: Peers,
-        base: usize,
-        len: usize,
-        idle: Option<Duration>,
-        transport: Box<dyn Transport>,
-    ) -> Tier {
+    /// A tier of `len` unregistered slots.
+    pub(crate) fn new(len: usize, idle: Option<Duration>, transport: Box<dyn Transport>) -> Tier {
         Tier {
-            peers,
-            base,
             slots: (0..len).map(|_| Slot::default()).collect(),
             owner: HashMap::new(),
             transport,
@@ -236,12 +182,6 @@ impl Tier {
         self.slots.iter().map(|s| s.alive)
     }
 
-    /// The transport, for the links a tier's owner runs beside the table
-    /// (a sub-master's upstream root link).
-    pub(crate) fn transport(&mut self) -> &mut dyn Transport {
-        &mut *self.transport
-    }
-
     /// The slot an adopted connection currently owns, or `None` when the
     /// event came from a replaced (or never-registered) connection.
     fn slot_of(&self, token: Token) -> Option<usize> {
@@ -249,15 +189,13 @@ impl Tier {
         (self.slots[slot].conn == Some(token)).then_some(slot)
     }
 
-    /// The slot a newcomer gets: the one it claims by global id when that
-    /// is this tier's; for an id-less one the first never-registered slot,
-    /// else — the tier is full, so this is a peer that lost its id and
-    /// reconnected fresh — the first dead one.
+    /// The slot a newcomer gets: the one it claims by id when that is in
+    /// range; for an id-less one the first never-registered slot, else —
+    /// the tier is full, so this is a peer that lost its id and reconnected
+    /// fresh — the first dead one.
     fn claim(&self, preferred: Option<u64>) -> Option<usize> {
         match preferred {
-            Some(id) => (id as usize)
-                .checked_sub(self.base)
-                .filter(|&slot| slot < self.slots.len()),
+            Some(id) => Some(id as usize).filter(|&slot| slot < self.slots.len()),
             None => self
                 .slots
                 .iter()
@@ -293,24 +231,16 @@ impl Tier {
 
     /// Folds one event into the table — the only place that maps a
     /// connection to its slot and decides what departure, silence and a
-    /// late frame mean — and has the host read what a frame says.
-    fn note<H: Host>(&mut self, host: &mut H, event: NetEvent) -> Reply<H::Answer> {
-        let (token, frame) = match event {
-            NetEvent::Hello { token, preferred } if self.peers == Peers::Workers => {
+    /// late frame mean — and reads what a frame says about a step:
+    /// codewords answer, `Decline` declines, and anything else (heartbeats;
+    /// a confused peer must not kill the run) only proves its sender alive.
+    fn note<H: Host>(&mut self, host: &mut H, event: NetEvent) -> Reply {
+        let token = match &event {
+            &NetEvent::Hello { token, preferred } => {
                 self.seat(host, token, preferred);
                 return Reply::Nothing;
             }
-            NetEvent::SubHello { token, shard } if self.peers == Peers::Submasters => {
-                self.seat(host, token, Some(shard));
-                return Reply::Nothing;
-            }
-            // An introduction meant for another tier (a sub-master dialing
-            // a worker tier, a worker dialing the tree root): drop it.
-            NetEvent::Hello { token, .. } | NetEvent::SubHello { token, .. } => {
-                self.transport.reject(token);
-                return Reply::Nothing;
-            }
-            NetEvent::Gone { token } => {
+            &NetEvent::Gone { token } => {
                 if let Some(slot) = self.slot_of(token) {
                     self.slots[slot].alive = false;
                     self.slots[slot].conn = None;
@@ -318,7 +248,7 @@ impl Tier {
                 self.owner.remove(&token);
                 return Reply::Nothing;
             }
-            NetEvent::HeartbeatTimeout { token } => {
+            &NetEvent::HeartbeatTimeout { token } => {
                 // The transport's timer wheel says this connection has been
                 // silent past its idle deadline: presumed dead. The socket
                 // stays open — a late frame revives the slot.
@@ -327,28 +257,29 @@ impl Tier {
                 }
                 return Reply::Nothing;
             }
-            NetEvent::Codeword {
-                token,
-                step,
-                values,
-                ..
-            } => (token, Frame::Codeword(step, values)),
-            NetEvent::Msg { token, message, .. } => (token, Frame::Msg(message)),
+            NetEvent::Codeword { token, .. } | NetEvent::Msg { token, .. } => *token,
         };
         let Some(slot) = self.slot_of(token) else {
             return Reply::Nothing; // from a replaced connection
         };
         self.slots[slot].alive = true;
-        host.read(slot, frame)
+        match event {
+            NetEvent::Codeword { step, values, .. } => Reply::Answer(slot, step, values),
+            NetEvent::Msg {
+                message: Message::Decline { step, .. },
+                ..
+            } => Reply::Decline(slot, step),
+            _ => Reply::Nothing,
+        }
     }
 
     /// Pulls one event through the host and the table; `None` when the
-    /// timeout passed quietly or the host kept the event.
+    /// timeout passed quietly.
     fn hear<H: Host>(
         &mut self,
         host: &mut H,
         timeout: Duration,
-    ) -> Result<Option<Reply<H::Answer>>, NetError> {
+    ) -> Result<Option<Reply>, NetError> {
         let event = host.next_event(&mut *self.transport, timeout)?;
         Ok(event.map(|event| self.note(host, event)))
     }
@@ -376,8 +307,7 @@ impl Tier {
         self.transport.broadcast(frame, &targets);
     }
 
-    /// Blocks until every slot registered (or `timeout` passes); `what`
-    /// names the registration in the timeout error.
+    /// Blocks until every slot registered (or `timeout` passes).
     ///
     /// # Errors
     ///
@@ -386,7 +316,6 @@ impl Tier {
         &mut self,
         host: &mut H,
         timeout: Duration,
-        what: &str,
     ) -> Result<(), NetError> {
         let deadline = Instant::now() + timeout;
         loop {
@@ -395,12 +324,8 @@ impl Tier {
                 return Ok(());
             }
             let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                let peers = match self.peers {
-                    Peers::Workers => "workers",
-                    Peers::Submasters => "sub-masters",
-                };
                 return Err(NetError::Protocol(format!(
-                    "{what} timed out with {registered} of {} {peers}",
+                    "registration timed out with {registered} of {} workers",
                     self.len()
                 )));
             };
@@ -475,7 +400,7 @@ impl Tier {
         &mut self,
         host: &mut H,
         wait: WaitPolicy,
-    ) -> Result<CollectedStep<H::Answer>, NetError> {
+    ) -> Result<CollectedStep, NetError> {
         let outstanding = self.outstanding.take().ok_or_else(|| {
             NetError::Protocol("collecting a step that was never broadcast".into())
         })?;
@@ -489,7 +414,7 @@ impl Tier {
         outstanding: Outstanding,
         wait: WaitPolicy,
         limit: Option<Instant>,
-    ) -> Result<CollectedStep<H::Answer>, NetError> {
+    ) -> Result<CollectedStep, NetError> {
         let Outstanding {
             step,
             at,
@@ -501,7 +426,7 @@ impl Tier {
             WaitPolicy::Deadline(d) => Some(at + d),
         };
         let n = self.len();
-        let mut answers: Vec<Option<H::Answer>> = (0..n).map(|_| None).collect();
+        let mut answers: Vec<Option<Vector>> = (0..n).map(|_| None).collect();
         // Sized once: the list is kept in the step's report for the whole
         // run, and growing it by doubling would retain up to 2n slots.
         let mut arrivals: Vec<usize> = Vec::with_capacity(n);
@@ -675,41 +600,28 @@ mod tests {
         fn send(&mut self, _: Token, _: Arc<[u8]>) {}
         fn broadcast(&mut self, _: &Arc<[u8]>, _: &[Token]) {}
         fn flush_all(&mut self, _: Duration) {}
-        fn flush_conn(&mut self, _: Token, _: Duration) -> bool {
-            true
-        }
         fn hard_close_all(&mut self) {}
     }
 
     struct Workers;
 
     impl Host for Workers {
-        type Answer = Vector;
         fn welcome(&self, _: usize) -> Arc<[u8]> {
             Arc::from(Vec::new())
-        }
-        fn read(&mut self, slot: usize, frame: Frame) -> Reply<Vector> {
-            worker_reply(slot, frame)
         }
     }
 
     /// A tier with workers 0 and 1 seated on tokens 10 and 11.
     fn seated_pair() -> (Tier, Queue) {
         let queue = Queue::default();
-        let mut tier = Tier::new(
-            Peers::Workers,
-            0,
-            2,
-            None,
-            Box::new(Scripted(queue.clone())),
-        );
+        let mut tier = Tier::new(2, None, Box::new(Scripted(queue.clone())));
         for (token, worker) in [(10, 0), (11, 1)] {
             let preferred = Some(worker);
             queue
                 .borrow_mut()
                 .push_back(NetEvent::Hello { token, preferred });
         }
-        tier.await_registered(&mut Workers, Duration::from_secs(1), "test")
+        tier.await_registered(&mut Workers, Duration::from_secs(1))
             .unwrap();
         (tier, queue)
     }

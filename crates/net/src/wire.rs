@@ -30,7 +30,8 @@ use isgc_core::hash::{mix64, GOLDEN_GAMMA};
 pub const MAGIC: [u8; 4] = *b"ISGC";
 
 /// Protocol version; bumped on any incompatible change (2 added the job id
-/// header field and the sub-master messages).
+/// header field). Tags 8–10 carried the retired aggregation-tree messages
+/// and now decode as [`WireError::UnknownTag`].
 pub const VERSION: u8 = 2;
 
 /// Length of the fixed frame header: magic + version + job id + payload len.
@@ -155,49 +156,6 @@ pub enum Message {
         /// The step being sat out.
         step: u64,
     },
-    /// Sub-master → root: first message on a fresh connection, claiming a
-    /// worker shard of a 2-level aggregation tree.
-    SubHello {
-        /// The shard index this sub-master owns (or wants back after a
-        /// reconnect).
-        shard: u64,
-    },
-    /// Root → sub-master: registration reply carrying the shard geometry.
-    ShardAssign {
-        /// The shard this connection now owns.
-        shard: u64,
-        /// First worker id of the shard (inclusive).
-        lo: u64,
-        /// One past the last worker id of the shard.
-        hi: u64,
-        /// Total number of workers in the job's cluster.
-        n: u64,
-        /// Partitions stored per worker.
-        c: u64,
-        /// Mini-batch size per partition per step.
-        batch_size: u64,
-        /// Seed shared by the whole job.
-        seed: u64,
-    },
-    /// Sub-master → root: one shard's decoded step — the shard-local
-    /// arrival set, the shard's slice of the independent set, and the
-    /// partial codeword sum (empty when the shard recovered nothing). The
-    /// raw codewords never leave the shard.
-    ShardUpload {
-        /// Sender's shard.
-        shard: u64,
-        /// Step this upload was computed for.
-        step: u64,
-        /// Shard workers whose codeword arrived in time.
-        arrivals: Vec<u64>,
-        /// Shard workers the shard-local decode selected.
-        selected: Vec<u64>,
-        /// Partitions recovered by this shard.
-        recovered: u64,
-        /// Pairwise partial sum over the shard's worker range; empty when
-        /// `recovered` is zero.
-        partial: Vec<f64>,
-    },
 }
 
 const TAG_HELLO: u8 = 1;
@@ -207,9 +165,6 @@ const TAG_CODEWORD: u8 = 4;
 const TAG_HEARTBEAT: u8 = 5;
 const TAG_SHUTDOWN: u8 = 6;
 const TAG_DECLINE: u8 = 7;
-const TAG_SUB_HELLO: u8 = 8;
-const TAG_SHARD_ASSIGN: u8 = 9;
-const TAG_SHARD_UPLOAD: u8 = 10;
 
 impl Message {
     /// Serializes the message as one complete frame for job 0 — the
@@ -261,40 +216,6 @@ impl Message {
                 buf.push(TAG_DECLINE);
                 put_u64(buf, *worker);
                 put_u64(buf, *step);
-            }
-            Message::SubHello { shard } => {
-                buf.push(TAG_SUB_HELLO);
-                put_u64(buf, *shard);
-            }
-            Message::ShardAssign {
-                shard,
-                lo,
-                hi,
-                n,
-                c,
-                batch_size,
-                seed,
-            } => {
-                buf.push(TAG_SHARD_ASSIGN);
-                for x in [shard, lo, hi, n, c, batch_size, seed] {
-                    put_u64(buf, *x);
-                }
-            }
-            Message::ShardUpload {
-                shard,
-                step,
-                arrivals,
-                selected,
-                recovered,
-                partial,
-            } => {
-                buf.push(TAG_SHARD_UPLOAD);
-                put_u64(buf, *shard);
-                put_u64(buf, *step);
-                put_u64_vec(buf, arrivals);
-                put_u64_vec(buf, selected);
-                put_u64(buf, *recovered);
-                put_f64_vec(buf, partial);
             }
         })
     }
@@ -371,26 +292,6 @@ impl Message {
             TAG_DECLINE => Message::Decline {
                 worker: cursor.u64()?,
                 step: cursor.u64()?,
-            },
-            TAG_SUB_HELLO => Message::SubHello {
-                shard: cursor.u64()?,
-            },
-            TAG_SHARD_ASSIGN => Message::ShardAssign {
-                shard: cursor.u64()?,
-                lo: cursor.u64()?,
-                hi: cursor.u64()?,
-                n: cursor.u64()?,
-                c: cursor.u64()?,
-                batch_size: cursor.u64()?,
-                seed: cursor.u64()?,
-            },
-            TAG_SHARD_UPLOAD => Message::ShardUpload {
-                shard: cursor.u64()?,
-                step: cursor.u64()?,
-                arrivals: cursor.u64_vec()?,
-                selected: cursor.u64_vec()?,
-                recovered: cursor.u64()?,
-                partial: cursor.f64_vec()?,
             },
             other => return Err(WireError::UnknownTag(other)),
         };
@@ -544,11 +445,15 @@ fn put_params(buf: &mut Vec<u8>, step: u64, values: &[f64]) {
     put_f64_vec(buf, values);
 }
 
-/// The longest vector one frame can carry beside `message`'s other fields
-/// (`message` is the frame with that vector empty): what [`MAX_PAYLOAD`]
-/// leaves after the bytes the encoder writes for everything else.
-pub(crate) fn max_vector_len(message: &Message) -> usize {
-    (MAX_PAYLOAD as usize + HEADER_LEN - message.encode().len()) / 8
+/// The longest codeword one frame can carry: what [`MAX_PAYLOAD`] leaves
+/// after the bytes the encoder writes for a codeword's other fields.
+pub(crate) fn max_codeword_len() -> usize {
+    let empty = Message::Codeword {
+        worker: 0,
+        step: 0,
+        values: Vec::new(),
+    };
+    (MAX_PAYLOAD as usize + HEADER_LEN - empty.encode().len()) / 8
 }
 
 /// One complete frame yielded by [`FrameAssembler::next_frame`], borrowing
@@ -934,7 +839,7 @@ impl<'a> Cursor<'a> {
 /// The same seed always yields byte-identical messages: field values come
 /// from a splitmix64 stream, floats are raw bit patterns (NaN payloads,
 /// infinities and subnormals included), and every variant appears at least
-/// `len / 10` times because the variant index cycles rather than being
+/// `len / 7` times because the variant index cycles rather than being
 /// sampled.
 #[must_use]
 pub fn corpus_messages(seed: u64) -> Vec<Message> {
@@ -951,7 +856,7 @@ pub fn corpus_messages(seed: u64) -> Vec<Message> {
             let b = next();
             let ints: Vec<u64> = (0..next() % 16).map(|_| next() % 1024).collect();
             let floats: Vec<f64> = (0..next() % 48).map(|_| f64::from_bits(next())).collect();
-            match i % 10 {
+            match i % 7 {
                 0 => Message::Hello {
                     preferred: (a % 2 == 0).then_some(b),
                 },
@@ -974,24 +879,6 @@ pub fn corpus_messages(seed: u64) -> Vec<Message> {
                 },
                 4 => Message::Heartbeat { worker: a },
                 5 => Message::Decline { worker: a, step: b },
-                6 => Message::SubHello { shard: a },
-                7 => Message::ShardAssign {
-                    shard: a,
-                    lo: b,
-                    hi: a.wrapping_add(b),
-                    n: a.wrapping_mul(7),
-                    c: b.wrapping_mul(5),
-                    batch_size: a ^ b,
-                    seed: b.rotate_left(17),
-                },
-                8 => Message::ShardUpload {
-                    shard: a,
-                    step: b,
-                    arrivals: ints.clone(),
-                    selected: ints,
-                    recovered: a.wrapping_add(3),
-                    partial: floats,
-                },
                 _ => Message::Shutdown,
             }
         })
@@ -1094,6 +981,29 @@ mod tests {
                 Message::decode(&frame[..cut]).is_err(),
                 "prefix of {cut} bytes decoded"
             );
+        }
+    }
+
+    #[test]
+    fn retired_tree_tags_decode_as_unknown_tags() {
+        // Tags 8, 9 and 10 carried the aggregation tree's SubHello,
+        // ShardAssign and ShardUpload. A frame still carrying one, with any
+        // body, is an unknown tag on every decode path, never a panic.
+        for tag in [8u8, 9, 10] {
+            for body in [&[][..], &[0; 8][..], &[0xFF; 64][..]] {
+                let frame = framed(0, |buf| {
+                    buf.push(tag);
+                    buf.extend_from_slice(body);
+                });
+                assert!(matches!(
+                    Message::decode(&frame),
+                    Err(WireError::UnknownTag(t)) if t == tag
+                ));
+                assert!(matches!(
+                    read_message_sized(&mut io::Cursor::new(&frame)),
+                    Err(WireError::UnknownTag(t)) if t == tag
+                ));
+            }
         }
     }
 

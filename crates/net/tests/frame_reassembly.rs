@@ -7,7 +7,7 @@
 use isgc_net::wire::{CodewordView, FrameAssembler, Message};
 use proptest::prelude::*;
 
-/// Deterministically builds one of the ten message variants from a flat
+/// Deterministically builds one of the seven message variants from a flat
 /// tuple of generated fields (avoids needing boxed/unioned strategies).
 fn build_message(
     variant: u8,
@@ -40,31 +40,13 @@ fn build_message(
         },
         4 => Message::Heartbeat { worker: a },
         5 => Message::Decline { worker: a, step: b },
-        6 => Message::SubHello { shard: a },
-        7 => Message::ShardAssign {
-            shard: a,
-            lo: b,
-            hi: a.wrapping_add(b),
-            n: a.wrapping_mul(7),
-            c: b.wrapping_mul(5),
-            batch_size: a ^ b,
-            seed: b.rotate_left(17),
-        },
-        8 => Message::ShardUpload {
-            shard: a,
-            step: b,
-            arrivals: ints.clone(),
-            selected: ints,
-            recovered: a.wrapping_add(3),
-            partial: floats,
-        },
         _ => Message::Shutdown,
     }
 }
 
 fn message_strategy() -> impl Strategy<Value = Message> {
     (
-        0u8..10,
+        0u8..7,
         proptest::bool::ANY,
         0u64..u64::MAX,
         0u64..u64::MAX,

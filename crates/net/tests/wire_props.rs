@@ -9,7 +9,7 @@ use isgc_net::wire::{
 };
 use proptest::prelude::*;
 
-/// Deterministically builds one of the ten message variants from a flat
+/// Deterministically builds one of the seven message variants from a flat
 /// tuple of generated fields (avoids needing boxed/unioned strategies).
 fn build_message(
     variant: u8,
@@ -42,31 +42,13 @@ fn build_message(
         },
         4 => Message::Heartbeat { worker: a },
         5 => Message::Decline { worker: a, step: b },
-        6 => Message::SubHello { shard: a },
-        7 => Message::ShardAssign {
-            shard: a,
-            lo: b,
-            hi: a.wrapping_add(b),
-            n: a.wrapping_mul(7),
-            c: b.wrapping_mul(5),
-            batch_size: a ^ b,
-            seed: b.rotate_left(17),
-        },
-        8 => Message::ShardUpload {
-            shard: a,
-            step: b,
-            arrivals: ints.clone(),
-            selected: ints,
-            recovered: a.wrapping_add(3),
-            partial: floats,
-        },
         _ => Message::Shutdown,
     }
 }
 
 fn message_strategy() -> impl Strategy<Value = Message> {
     (
-        0u8..10,
+        0u8..7,
         proptest::bool::ANY,
         0u64..u64::MAX,
         0u64..u64::MAX,
@@ -179,25 +161,21 @@ proptest! {
     }
 
     #[test]
-    fn truncated_shard_upload_partial_sums_reject_cleanly(
-        arrivals in proptest::collection::vec(0u64..64, 0..5),
-        partial in proptest::collection::vec(-1e9f64..1e9, 1..24),
+    fn truncated_codeword_values_reject_cleanly(
+        values in proptest::collection::vec(-1e9f64..1e9, 1..24),
         cut_seed in 0usize..4096,
     ) {
-        // A sub-master dying mid-write leaves a ShardUpload whose partial
-        // gradient vector stops short. Every cut inside the float region
-        // must yield `Truncated` — never a panic, never a short vector
-        // silently accepted.
-        let message = Message::ShardUpload {
-            shard: 1,
+        // A worker dying mid-write leaves a Codeword whose gradient vector
+        // stops short. Every cut inside the float region must yield
+        // `Truncated` — never a panic, never a short vector silently
+        // accepted.
+        let message = Message::Codeword {
+            worker: 1,
             step: 3,
-            arrivals: arrivals.clone(),
-            selected: arrivals,
-            recovered: 2,
-            partial: partial.clone(),
+            values: values.clone(),
         };
         let bytes = message.encode();
-        let floats_len = partial.len() * 8;
+        let floats_len = values.len() * 8;
         let float_region_start = bytes.len() - floats_len;
         let cut = float_region_start + cut_seed % floats_len;
         let err = Message::decode(&bytes[..cut]).expect_err("partial floats must not decode");
@@ -208,7 +186,7 @@ proptest! {
         let count_pos = float_region_start - 4;
         let mut overstated = bytes.clone();
         overstated[count_pos..count_pos + 4]
-            .copy_from_slice(&(partial.len() as u32 + 1).to_le_bytes());
+            .copy_from_slice(&(values.len() as u32 + 1).to_le_bytes());
         prop_assert!(matches!(
             Message::decode(&overstated),
             Err(WireError::Truncated)
@@ -290,9 +268,9 @@ proptest! {
 }
 
 /// Builds an arbitrary message from the chaos engine's pinned RNG, covering
-/// all ten variants with raw-bit floats (NaN payloads included).
+/// all seven variants with raw-bit floats (NaN payloads included).
 fn chaos_message(rng: &mut ChaosRng) -> Message {
-    let variant = rng.next_below(10) as u8;
+    let variant = rng.next_below(7) as u8;
     let has_preferred = rng.next_bool(0.5);
     let a = rng.next_u64();
     let b = rng.next_u64();
@@ -387,7 +365,7 @@ fn seed_corpus_covers_every_variant_and_roundtrips() {
     for m in &corpus {
         variants.insert(std::mem::discriminant(m));
     }
-    assert_eq!(variants.len(), 10, "corpus exercises all ten variants");
+    assert_eq!(variants.len(), 7, "corpus exercises all seven variants");
 }
 
 #[test]
@@ -415,7 +393,7 @@ fn frame_layout_is_stable() {
 /// The per-element codec the shipped bulk codec replaced, kept as the
 /// reference its bytes must equal: every value is written and read 8 bytes
 /// at a time, and a payload is built in its own buffer, then copied behind
-/// the header. It covers the four variants that carry vectors.
+/// the header. It covers the three variants that carry vectors.
 mod reference {
     use isgc_net::wire::{Message, HEADER_LEN, MAGIC, VERSION};
 
@@ -469,22 +447,6 @@ mod reference {
                 put_u64(&mut payload, *step);
                 put_f64_vec(&mut payload, values);
             }
-            Message::ShardUpload {
-                shard,
-                step,
-                arrivals,
-                selected,
-                recovered,
-                partial,
-            } => {
-                payload.push(10);
-                put_u64(&mut payload, *shard);
-                put_u64(&mut payload, *step);
-                put_u64_vec(&mut payload, arrivals);
-                put_u64_vec(&mut payload, selected);
-                put_u64(&mut payload, *recovered);
-                put_f64_vec(&mut payload, partial);
-            }
             other => panic!("no reference encoder for {other:?}"),
         }
         let mut frame = Vec::new();
@@ -527,7 +489,7 @@ mod reference {
         }
     }
 
-    /// Decodes a well-formed frame of one of the four variants into
+    /// Decodes a well-formed frame of one of the three variants into
     /// `(job, message)`, panicking on anything else.
     pub fn decode(frame: &[u8]) -> (u64, Message) {
         let mut r = Reader {
@@ -556,14 +518,6 @@ mod reference {
                 step: r.u64(),
                 values: r.f64s(),
             },
-            10 => Message::ShardUpload {
-                shard: r.u64(),
-                step: r.u64(),
-                arrivals: r.u64s(),
-                selected: r.u64s(),
-                recovered: r.u64(),
-                partial: r.f64s(),
-            },
             tag => panic!("no reference decoder for tag {tag}"),
         };
         assert_eq!(r.pos, frame.len(), "reference decode left bytes");
@@ -587,8 +541,8 @@ const SPECIAL_BITS: [u64; 10] = [
     0xFFF0_0000_0000_0000,
 ];
 
-/// The four vector-carrying variants around one float vector.
-fn vector_messages(a: u64, ints: &[u64], values: &[f64]) -> [Message; 4] {
+/// The three vector-carrying variants around one float vector.
+fn vector_messages(a: u64, ints: &[u64], values: &[f64]) -> [Message; 3] {
     [
         Message::Params {
             step: a,
@@ -607,14 +561,6 @@ fn vector_messages(a: u64, ints: &[u64], values: &[f64]) -> [Message; 4] {
             seed: !a,
             partitions: ints.to_vec(),
         },
-        Message::ShardUpload {
-            shard: 1,
-            step: a,
-            arrivals: ints.to_vec(),
-            selected: ints.iter().rev().copied().collect(),
-            recovered: ints.len() as u64,
-            partial: values.to_vec(),
-        },
     ]
 }
 
@@ -623,11 +569,7 @@ fn vector_messages(a: u64, ints: &[u64], values: &[f64]) -> [Message; 4] {
 fn split_floats(message: &Message) -> (Message, Vec<u64>) {
     let mut message = message.clone();
     let floats = match &mut message {
-        Message::Params { values, .. }
-        | Message::Codeword { values, .. }
-        | Message::ShardUpload {
-            partial: values, ..
-        } => std::mem::take(values),
+        Message::Params { values, .. } | Message::Codeword { values, .. } => std::mem::take(values),
         _ => Vec::new(),
     };
     (message, floats.iter().map(|x| x.to_bits()).collect())

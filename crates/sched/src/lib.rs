@@ -14,16 +14,12 @@
 //!   a step behind the trait schedules identically — the in-process
 //!   [`LocalJob`] here, or a TCP master session from `isgc-net`.
 //!
-//! On top, [`TreeCollector`] adds two-level hierarchical aggregation for
-//! large `n`: sub-masters own a worker shard (cut at
-//! [`isgc_engine::shard_ranges`] so each shard is a subtree of the canonical
-//! pairwise reduction), run shard-local collection and partial
-//! conflict-graph decoding, and forward partial codeword sums; the root
-//! merges them with [`isgc_engine::pairwise_sum`], bound-checks, normalizes,
-//! and applies SGD. Because the FR decoder decomposes over group-aligned
-//! shards and the merge order is fixed, a job's recovery fingerprint and
-//! loss curve are **bitwise identical** whether it runs solo, co-tenant
-//! with `J−1` other jobs, or under a 2-level tree vs flat aggregation.
+//! A job's steps are a pure function of its spec: its arrival sets come
+//! from [`arrivals_for`] (seed and step, never the clock), its decode RNG
+//! from `(seed, step)`, and its aggregate from the engine's fixed pairwise
+//! reduction order. So its recovery fingerprint and loss curve are
+//! **bitwise identical** whether it runs solo or co-tenant with `J−1`
+//! other jobs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,9 +28,9 @@ mod local;
 mod scheduler;
 mod spec;
 
-pub use local::{arrivals_for, LocalCollector, LocalJob, TreeCollector};
+pub use local::{arrivals_for, LocalCollector, LocalJob};
 pub use scheduler::{JobId, JobOutcome, RoundReport, Scheduler, SchedulerConfig};
-pub use spec::{JobRecipe, JobSpec, ModelKind, Topology};
+pub use spec::{JobRecipe, JobSpec, ModelKind};
 
 use std::fmt;
 
@@ -77,8 +73,8 @@ pub enum SchedError {
         /// Wait-queue capacity.
         queue_capacity: usize,
     },
-    /// The job specification is inconsistent (e.g. a tree topology whose
-    /// shard boundaries cut through an FR group).
+    /// The job specification is inconsistent (e.g. so many stragglers that
+    /// no worker would arrive).
     InvalidSpec(String),
     /// A job's driver could not be built at admission time.
     Build {

@@ -341,7 +341,7 @@ mod tests {
     fn invalid_specs_are_rejected_at_submission() {
         let mut sched = Scheduler::new(SchedulerConfig::new(2, 2));
         let mut bad = spec("bad", 1, 4);
-        bad.topology = crate::Topology::Tree { submasters: 3 };
+        bad.stragglers = bad.placement.n();
         assert!(matches!(sched.submit(bad), Err(SchedError::InvalidSpec(_))));
         assert!(sched.is_idle());
     }

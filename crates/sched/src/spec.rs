@@ -1,27 +1,13 @@
 //! Job specifications: everything needed to build a training session
-//! deterministically — placement, seed, model/dataset recipe, topology.
+//! deterministically — placement, seed, model/dataset recipe.
 
-use isgc_core::{Placement, Scheme};
-use isgc_engine::{shard_ranges, DegradePolicy, EngineConfig};
+use isgc_core::Placement;
+use isgc_engine::{DegradePolicy, EngineConfig};
 use isgc_linalg::Vector;
 use isgc_ml::{Dataset, LinearRegression, Model, SoftmaxRegression};
 use rand::RngCore;
 
 use crate::SchedError;
-
-/// How a job's codewords are aggregated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Topology {
-    /// The master collects every worker's codeword directly.
-    Flat,
-    /// Two-level hierarchical aggregation: `submasters` sub-masters each
-    /// own a worker shard (cut at [`shard_ranges`]), decode it locally,
-    /// and forward a partial codeword sum to the root.
-    Tree {
-        /// Number of sub-masters; must be a power of two.
-        submasters: usize,
-    },
-}
 
 /// A deterministic model + dataset build: jobs are heterogeneous (different
 /// models, sizes, placements), but a recipe plus a seed always reproduces
@@ -147,8 +133,6 @@ pub struct JobSpec {
     /// Workers deterministically straggling (absent) each step, chosen by
     /// a seed-derived schedule — see [`crate::arrivals_for`].
     pub stragglers: usize,
-    /// Flat or two-level aggregation.
-    pub topology: Topology,
     /// What the job's engine does when a step decodes below the
     /// recoverable floor. Part of the spec (not the scheduler) so a
     /// resumed job replays the same ladder decisions.
@@ -159,7 +143,7 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// A spec with neutral defaults: fixed-length 12-step run, no
-    /// stragglers, flat aggregation, linear regression on 192×5 data.
+    /// stragglers, linear regression on 192×5 data.
     pub fn new(name: impl Into<String>, placement: Placement, seed: u64) -> Self {
         let features = 5;
         JobSpec {
@@ -171,7 +155,6 @@ impl JobSpec {
             loss_threshold: -1.0,
             max_steps: 12,
             stragglers: 0,
-            topology: Topology::Flat,
             degrade: DegradePolicy::Skip,
             recipe: JobRecipe::Regression {
                 features,
@@ -193,9 +176,7 @@ impl JobSpec {
         config
     }
 
-    /// Validates the spec, in particular the tree topology: sub-master
-    /// shards must be group-aligned FR shards for the hierarchical decode
-    /// to equal the flat decode.
+    /// Validates the spec.
     ///
     /// # Errors
     ///
@@ -227,36 +208,6 @@ impl JobSpec {
                 )));
             }
         }
-        if let Topology::Tree { submasters } = self.topology {
-            if submasters == 0 || !submasters.is_power_of_two() {
-                return Err(SchedError::InvalidSpec(format!(
-                    "sub-master count must be a positive power of two, got {submasters}"
-                )));
-            }
-            if self.placement.scheme() != Scheme::Fractional {
-                return Err(SchedError::InvalidSpec(format!(
-                    "tree aggregation requires an FR placement (shard-local decode \
-                     decomposes over FR groups), got {}",
-                    self.placement.scheme()
-                )));
-            }
-            let n = self.placement.n();
-            let c = self.placement.c();
-            if submasters > n {
-                return Err(SchedError::InvalidSpec(format!(
-                    "cannot cut n={n} workers into {submasters} shards"
-                )));
-            }
-            for (lo, hi) in shard_ranges(n, submasters) {
-                if lo % c != 0 || hi % c != 0 {
-                    return Err(SchedError::InvalidSpec(format!(
-                        "shard boundary [{lo}, {hi}) cuts through an FR group \
-                         (c={c}); pick n and sub-master counts so every shard is \
-                         a whole number of groups"
-                    )));
-                }
-            }
-        }
         Ok(())
     }
 }
@@ -278,33 +229,5 @@ mod tests {
         assert_eq!(a.features_of(0), b.features_of(0));
         let (_, c) = recipe.build(10);
         assert_ne!(a.features_of(0), c.features_of(0));
-    }
-
-    #[test]
-    fn tree_spec_requires_group_aligned_fr_shards() {
-        let mut spec = JobSpec::new("a", Placement::fractional(16, 2).unwrap(), 1);
-        spec.topology = Topology::Tree { submasters: 2 };
-        assert!(spec.validate().is_ok());
-
-        spec.topology = Topology::Tree { submasters: 3 };
-        assert!(matches!(
-            spec.validate(),
-            Err(SchedError::InvalidSpec(why)) if why.contains("power of two")
-        ));
-
-        // n=6, c=2, 2 shards → boundary at 3, mid-group.
-        let mut spec = JobSpec::new("b", Placement::fractional(6, 2).unwrap(), 1);
-        spec.topology = Topology::Tree { submasters: 2 };
-        assert!(matches!(
-            spec.validate(),
-            Err(SchedError::InvalidSpec(why)) if why.contains("cuts through")
-        ));
-
-        let mut spec = JobSpec::new("c", Placement::cyclic(8, 2).unwrap(), 1);
-        spec.topology = Topology::Tree { submasters: 2 };
-        assert!(matches!(
-            spec.validate(),
-            Err(SchedError::InvalidSpec(why)) if why.contains("FR placement")
-        ));
     }
 }

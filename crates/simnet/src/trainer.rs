@@ -413,7 +413,6 @@ impl<M: Model, S: ArrivalSampler, P: FnMut(usize, Option<f64>) -> WaitPolicy> Co
             stale: 0,
             waited_ms: outcome.duration * 1e3,
             duration: outcome.duration,
-            sharded: None,
         })
     }
 }

@@ -94,22 +94,21 @@ fi
 
 echo "== one worker handshake (structural guard)"
 # A worker's Hello is sent once, by worker::dial (connect, and each window of
-# the swarm's registration, reuse it), and a sub-master's SubHello once, by
-# submaster::dial_root. Outside wire.rs, which defines write_message_for_job
-# and its job-0 wrapper, non-test source under crates/net/src/ calls it in
-# exactly those two places; a third caller is a second handshake.
+# the swarm's registration, reuse it). Outside wire.rs, which defines
+# write_message_for_job and its job-0 wrapper, non-test source under
+# crates/net/src/ calls it exactly once, in worker.rs; a second caller is a
+# second handshake.
 hellos=$(non_test $net | grep -e 'write_message_for_job(' | grep -v -e '^crates/net/src/wire\.rs:' || true)
-if [ "$(grep -c . <<<"$hellos")" != 2 ] ||
-  [ "$(grep -c -e '^crates/net/src/worker\.rs:' <<<"$hellos")" != 1 ] ||
-  [ "$(grep -c -e '^crates/net/src/submaster\.rs:' <<<"$hellos")" != 1 ]; then
-  echo "FAIL: want one write_message_for_job caller in worker.rs (Hello) and one in submaster.rs (SubHello), found:" >&2
+if [ "$(grep -c . <<<"$hellos")" != 1 ] ||
+  [ "$(grep -c -e '^crates/net/src/worker\.rs:' <<<"$hellos")" != 1 ]; then
+  echo "FAIL: want exactly one write_message_for_job caller, in worker.rs (Hello), found:" >&2
   echo "$hellos" >&2
   exit 1
 fi
 
 echo "== one invariant checker, one hash (structural guard)"
 # The report invariants are written once, in crates/chaos/src/invariants.rs,
-# and the chaos harness, the tree harness and the model checker all call it;
+# and the chaos harness and the model checker both call it;
 # FNV-1a and the SplitMix64 finalizer are written once, in
 # crates/core/src/hash.rs. In non-test source under crates/*/src and src/
 # each marker below occurs exactly once, and no chaos module grows its own
@@ -128,17 +127,20 @@ if grep -rn 'fn check_invariants' crates/chaos/src >&2; then
   exit 1
 fi
 
-echo "== only options someone sets (structural guard)"
+echo "== only options someone sets, no aggregation tree (structural guard)"
 # The optimizer is plain SGD, every scheme decode is bound-checked, a master
 # checkpoints after every step, and the ML crate keeps only what a figure, a
 # backend or a command calls: no non-test caller ever set these options to
-# anything but their defaults, or called these items. None of them may come
-# back into non-test source under crates/*/src and src/.
+# anything but their defaults, or called these items. The 2-level
+# aggregation tree is deleted (DESIGN §7: it ignored no straggler and was
+# slower than flat). None of them may come back into non-test source under
+# crates/*/src and src/.
 for marker in LrSchedule with_momentum with_weight_decay check_bounds \
-  CheckpointConfig LogisticRegression; do
+  CheckpointConfig LogisticRegression Submaster ShardUpload into_tree_session \
+  TreeCollector run_tree_chaos; do
   hits=$(non_test $src | grep -F -e "$marker" || true)
   if [ -n "$hits" ]; then
-    echo "FAIL: '$marker' is back in non-test source (an option one value reaches is a constant):" >&2
+    echo "FAIL: '$marker' is back in non-test source (an option one value reaches is a constant; the tree is deleted):" >&2
     echo "$hits" >&2
     exit 1
   fi
@@ -234,14 +236,21 @@ cargo test -q --test obs_snapshot
 echo "== chaos smoke (seeded, deterministic)"
 cargo run --release --quiet -- chaos --plan smoke --seed 42
 
-echo "== sub-master crash smoke (2-level tree, seeded, deterministic)"
-cargo run --release --quiet -- chaos --plan submaster-crash --seed 42
-
 echo "== blackout smoke (graceful degradation ladder, seeded, deterministic)"
 cargo run --release --quiet -- chaos --plan blackout --seed 42
 
-echo "== multi-tenant smoke (2 jobs x 2-level tree on loopback)"
-cargo run --release --quiet -- launch fr 8 2 --jobs 2 --tree 2 --steps 4
+echo "== multi-tenant smoke (2 co-tenant jobs on loopback, pinned fingerprints)"
+# Each job's fingerprint is a pure function of its config and seed, so a
+# co-tenant run prints exactly these two values.
+jobs_out=$(cargo run --release --quiet -- launch fr 8 2 --jobs 2 --steps 4)
+echo "$jobs_out" | grep fingerprint
+for fp in 2ce0f5e738eb6ce5 4bbcf0e7fa136205; do
+  if ! grep -q "fingerprint $fp\$" <<<"$jobs_out"; then
+    echo "FAIL: launch fr 8 2 --jobs 2 --steps 4 did not print fingerprint $fp:" >&2
+    echo "$jobs_out" >&2
+    exit 1
+  fi
+done
 
 echo "== reactor scale smoke (64 workers from one swarm process)"
 # The master must stay an event loop: its process may use at most the
@@ -295,4 +304,4 @@ if ! diff -r -x README.md results target/results; then
   exit 1
 fi
 
-echo "ok: fmt, structural guards (incl. non-test source ends at mod tests, no thread in isgc-net, one session loop, one worker handshake, one invariant checker and one hash, only options someone sets, one f64 codec and no per-element ingest, one broadcast and one gather, no public item without a caller), clippy, docs, tests, release kernel properties, engine parity, snapshots, chaos, blackout, multi-tenant, reactor scale, straggling swarm, benchmark smoke, mc mutation loop, and paper reproduction all clean"
+echo "ok: fmt, structural guards (incl. non-test source ends at mod tests, no thread in isgc-net, one session loop, one worker handshake, one invariant checker and one hash, only options someone sets and no aggregation tree, one f64 codec and no per-element ingest, one broadcast and one gather, no public item without a caller), clippy, docs, tests, release kernel properties, engine parity, snapshots, chaos, blackout, multi-tenant fingerprints, reactor scale, straggling swarm, benchmark smoke, mc mutation loop, and paper reproduction all clean"

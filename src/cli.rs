@@ -5,19 +5,15 @@
 //! Command logic lives here as pure functions returning the rendered output,
 //! so everything is unit-testable; `main` only does I/O.
 
-use isgc_chaos::{
-    failure_fingerprint, run_chaos, run_tree_chaos, ChaosConfig, FaultPlan, Trace, TreeChaosConfig,
-    PLAN_NAMES,
-};
+use isgc_chaos::{failure_fingerprint, run_chaos, ChaosConfig, FaultPlan, Trace, PLAN_NAMES};
 use isgc_core::decode::{decoder_for, ExactDecoder, OracleTimeout};
 use isgc_core::{bounds, ConflictGraph, HrParams, Placement, Scheme, WorkerSet};
-use isgc_engine::{shard_ranges, DegradePolicy, MetricsObserver, StepOutcome};
+use isgc_engine::{DegradePolicy, MetricsObserver, StepOutcome};
 use isgc_mc::{counterexample_trace, explore, explore_plan, minimize, McConfig};
 use isgc_ml::dataset::Dataset;
 use isgc_ml::model::{Model, SoftmaxRegression};
 use isgc_net::{
-    Master, MasterSession, NetConfig, Submaster, SubmasterOptions, SwarmOptions,
-    WaitPolicy as NetWaitPolicy, WorkerOptions,
+    Master, MasterSession, NetConfig, SwarmOptions, WaitPolicy as NetWaitPolicy, WorkerOptions,
 };
 use isgc_obs::{Registry, Snapshot};
 use isgc_sched::{DriverError, JobDriver, Scheduler, SchedulerConfig, SessionStatus};
@@ -86,11 +82,9 @@ USAGE:
               --heartbeat-interval-ms <d>  forwarded to every spawned worker
               --slow <k> --delay-ms <d>    make k workers straggle by d ms (default 0/100)
               --jobs <J>                   run J co-tenant jobs (round-robin, J*n workers)
-              --tree <S>                   aggregate through S sub-masters (2-level
-                                           tree; FR only, S a power of two)
               --swarm <P>                  supply the n workers from P swarm
                                            processes instead of n single-worker
-                                           processes (flat single-job only; 0 = off)
+                                           processes (single-job only; 0 = off)
   isgc chaos --plan <name> [flags]         run a loopback cluster under a seeded
                                            fault plan; assert Theorem 10/11 bounds,
                                            checkpoint resume, and exact replay
@@ -101,10 +95,7 @@ USAGE:
                                            --max-consecutive / --min-coverage
               --metrics-out <path>         as for sim (adds chaos fault counters)
        plans: smoke, worker-flap, worker-crash, master-restart, frame-corrupt,
-              delay, duplicate-stale, random, blackout, slow-bleed,
-              submaster-crash
-       submaster-crash flags: --submasters <S> --crash-shard <i> --crash-step <t>
-              (2-level tree; kills sub-master i at step t, default 2 1 2)
+              delay, duplicate-stale, random, blackout, slow-bleed
        --plan may also name a counterexample trace file written by `isgc mc`
               (path ending in .json): the scripted schedule replays on a real
               cluster and the failure fingerprint must match the trace's
@@ -113,7 +104,7 @@ USAGE:
                                            order and fault schedule for a small
                                            cluster, asserting the chaos invariants
                                            at every reachable state
-       flags: --shape flat3|flat4|tree2x2  cluster under test (default flat3)
+       flags: --shape flat3|flat4          cluster under test (default flat3)
               --steps <k> --seed <s>       run length and data seed (default 2 7)
               --max-faults <k>             faults budget per schedule (default 2)
               --depth <k>                  branching decisions per run (default 64)
@@ -1008,7 +999,6 @@ const LAUNCH_FLAGS: &[&str] = &[
     "delay-ms",
     "metrics-out",
     "jobs",
-    "tree",
     "swarm",
 ];
 
@@ -1038,41 +1028,23 @@ fn cmd_launch(args: &[String]) -> Result<String, String> {
     if jobs == 0 {
         return Err("--jobs must be positive".to_string());
     }
-    let tree: usize = match flags.get("tree") {
-        Some(s) => parse(s, "tree")?,
-        None => 0,
-    };
-    if tree > 0 {
-        // `shard_ranges` (used to place workers before any session exists)
-        // asserts the same geometry `TreeRootLoop::new` validates — check it
-        // here so a bad --tree is an error, not a panic.
-        if !tree.is_power_of_two() {
-            return Err(format!(
-                "--tree must be a power of two sub-masters, got {tree}"
-            ));
-        }
-        if tree > n {
-            return Err(format!("--tree {tree} exceeds the {n} workers"));
-        }
-    }
     let swarm: usize = match flags.get("swarm") {
         Some(s) => parse(s, "swarm")?,
         None => 0,
     };
     if swarm > 0 {
-        if jobs > 1 || tree > 0 {
-            return Err("--swarm applies to the flat single-job launch only".to_string());
+        if jobs > 1 {
+            return Err("--swarm applies to the single-job launch only".to_string());
         }
         if swarm > n {
             return Err(format!("--swarm {swarm} exceeds the {n} workers"));
         }
     }
-    if jobs > 1 || tree > 0 {
+    if jobs > 1 {
         return launch_multi(
             &config,
             metrics.as_ref(),
             jobs,
-            tree,
             slow,
             delay_ms,
             heartbeat_interval_ms,
@@ -1082,9 +1054,8 @@ fn cmd_launch(args: &[String]) -> Result<String, String> {
     let master = Master::bind("127.0.0.1:0").map_err(|e| e.to_string())?;
     let addr = master.local_addr().map_err(|e| e.to_string())?;
     let exe = std::env::current_exe().map_err(|e| e.to_string())?;
-    let mut children = Vec::with_capacity(n.min(swarm.max(1)));
-    if swarm > 0 {
-        for p in 0..swarm {
+    let children = if swarm > 0 {
+        let children = spawn_children(swarm, |p| {
             // Spread n as evenly as possible; each swarm straggles by
             // master-assigned worker index, so every process gets the same
             // global --slow threshold.
@@ -1101,31 +1072,22 @@ fn cmd_launch(args: &[String]) -> Result<String, String> {
             if let Some(ms) = heartbeat_interval_ms {
                 cmd.arg("--heartbeat-interval-ms").arg(ms.to_string());
             }
-            cmd.stdout(std::process::Stdio::null())
-                .stderr(std::process::Stdio::null());
-            children.push(cmd.spawn().map_err(|e| format!("spawning swarm: {e}"))?);
-        }
+            quiet(cmd).spawn()
+        })?;
         println!(
             "launched {n} workers from {swarm} swarm process(es) against {addr} ({slow} straggling by {delay_ms} ms)"
         );
+        children
     } else {
-        for i in 0..n {
-            let mut cmd = std::process::Command::new(&exe);
-            cmd.arg("worker").arg(addr.to_string());
-            if i < slow {
-                cmd.arg("--delay-ms").arg(delay_ms.to_string());
-            }
-            if let Some(ms) = heartbeat_interval_ms {
-                cmd.arg("--heartbeat-interval-ms").arg(ms.to_string());
-            }
-            cmd.stdout(std::process::Stdio::null())
-                .stderr(std::process::Stdio::null());
-            children.push(cmd.spawn().map_err(|e| format!("spawning worker: {e}"))?);
-        }
+        let children = spawn_children(n, |i| {
+            let delay = (i < slow).then_some(delay_ms);
+            quiet(worker_command(&exe, addr, 0, delay, heartbeat_interval_ms)).spawn()
+        })?;
         println!(
             "launched {n} worker processes against {addr} ({slow} straggling by {delay_ms} ms)"
         );
-    }
+        children
+    };
 
     // Per-step oracle: replay each surviving worker set through the exact
     // decoder and flag any step where the runtime recovered less. The
@@ -1156,9 +1118,7 @@ fn cmd_launch(args: &[String]) -> Result<String, String> {
     let report = match outcome {
         Ok(report) => report,
         Err(e) => {
-            for mut child in children {
-                let _ = child.kill();
-            }
+            kill_children(children);
             return Err(e.to_string());
         }
     };
@@ -1185,103 +1145,34 @@ fn cmd_launch(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-/// The `--jobs`/`--tree` arm of `launch`: J co-tenant jobs in one scheduler,
-/// each its own TCP master (optionally aggregating through `tree`
-/// sub-master threads), with J×n loopback worker processes.
-#[allow(clippy::too_many_arguments)]
+/// The `--jobs` arm of `launch`: J co-tenant jobs in one scheduler, each
+/// its own TCP master, with J×n loopback worker processes.
 fn launch_multi(
     base: &NetConfig,
     metrics: Option<&(String, Registry)>,
     jobs: u64,
-    tree: usize,
     slow: usize,
     delay_ms: u64,
     heartbeat_interval_ms: Option<u64>,
 ) -> Result<String, String> {
     let n = base.placement.n();
     let exe = std::env::current_exe().map_err(|e| e.to_string())?;
-    let mut children: Vec<std::process::Child> = Vec::new();
-    let mut sub_threads = Vec::new();
     let mut masters = Vec::new();
-
-    let spawn_child = |addr: std::net::SocketAddr, job: u64, slow_one: bool| {
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.arg("worker")
-            .arg(addr.to_string())
-            .arg("--job")
-            .arg(job.to_string());
-        if slow_one {
-            cmd.arg("--delay-ms").arg(delay_ms.to_string());
-        }
-        if let Some(ms) = heartbeat_interval_ms {
-            cmd.arg("--heartbeat-interval-ms").arg(ms.to_string());
-        }
-        cmd.stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null());
-        cmd.spawn().map_err(|e| format!("spawning worker: {e}"))
-    };
-    let kill_all = |children: &mut Vec<std::process::Child>| {
-        for child in children.iter_mut() {
-            let _ = child.kill();
-        }
-    };
-
-    for j in 0..jobs {
+    let mut addrs = Vec::new();
+    for _ in 0..jobs {
         let master = Master::bind("127.0.0.1:0").map_err(|e| e.to_string())?;
-        let root_addr = master.local_addr().map_err(|e| e.to_string())?;
-        if tree > 0 {
-            for (shard, &(lo, hi)) in shard_ranges(n, tree).iter().enumerate() {
-                let sub = match Submaster::bind("127.0.0.1:0") {
-                    Ok(sub) => sub,
-                    Err(e) => {
-                        kill_all(&mut children);
-                        return Err(e.to_string());
-                    }
-                };
-                let sub_addr = match sub.local_addr() {
-                    Ok(addr) => addr,
-                    Err(e) => {
-                        kill_all(&mut children);
-                        return Err(e.to_string());
-                    }
-                };
-                let options = SubmasterOptions {
-                    job: j,
-                    ..SubmasterOptions::default()
-                };
-                sub_threads.push(std::thread::spawn(move || {
-                    sub.run(root_addr, shard, &options)
-                }));
-                for w in lo..hi {
-                    match spawn_child(sub_addr, j, w < slow) {
-                        Ok(child) => children.push(child),
-                        Err(e) => {
-                            kill_all(&mut children);
-                            return Err(e);
-                        }
-                    }
-                }
-            }
-        } else {
-            for w in 0..n {
-                match spawn_child(root_addr, j, w < slow) {
-                    Ok(child) => children.push(child),
-                    Err(e) => {
-                        kill_all(&mut children);
-                        return Err(e);
-                    }
-                }
-            }
-        }
+        addrs.push(master.local_addr().map_err(|e| e.to_string())?);
         masters.push(master);
     }
-    let topology = if tree > 0 {
-        format!("2-level tree, {tree} sub-masters per job")
-    } else {
-        "flat".to_string()
-    };
+    // Worker i serves job i / n as its worker i % n.
+    let children = spawn_children(jobs as usize * n, |i| {
+        let (job, w) = (i / n, i % n);
+        let delay = (w < slow).then_some(delay_ms);
+        let cmd = worker_command(&exe, addrs[job], job as u64, delay, heartbeat_interval_ms);
+        quiet(cmd).spawn()
+    })?;
     println!(
-        "launched {jobs} jobs x {n} worker processes ({topology}; {slow} straggling by {delay_ms} ms per job)"
+        "launched {jobs} jobs x {n} worker processes ({slow} straggling by {delay_ms} ms per job)"
     );
 
     let mut sched = Scheduler::new(SchedulerConfig::new(jobs as usize, 0));
@@ -1292,28 +1183,18 @@ fn launch_multi(
             name,
             Box::new(move || {
                 let (model, dataset) = net_model_and_data(n);
-                let session = if tree > 0 {
-                    master.into_tree_session(model, dataset, &config, tree)
-                } else {
-                    master.into_session(model, dataset, &config)
-                };
-                session
+                master
+                    .into_session(model, dataset, &config)
                     .map(|session| Box::new(NetJob(session)) as Box<dyn JobDriver>)
                     .map_err(|e| Box::new(e) as DriverError)
             }),
         );
         if let Err(e) = submitted {
-            kill_all(&mut children);
+            kill_children(children);
             return Err(e.to_string());
         }
     }
     let outcomes = sched.run_to_completion();
-
-    for handle in sub_threads {
-        // A sub-master error after its job already failed adds no signal;
-        // surface per-job failures through the outcomes below.
-        let _ = handle.join().map_err(|_| "sub-master thread panicked")?;
-    }
     for mut child in children {
         let _ = child.wait();
     }
@@ -1329,6 +1210,65 @@ fn launch_multi(
         return Err(out);
     }
     Ok(out)
+}
+
+/// `isgc worker <addr> --job j [--delay-ms d] [--heartbeat-interval-ms h]`
+/// as a child-process command.
+fn worker_command(
+    exe: &std::path::Path,
+    addr: std::net::SocketAddr,
+    job: u64,
+    delay_ms: Option<u64>,
+    heartbeat_interval_ms: Option<u64>,
+) -> std::process::Command {
+    let mut cmd = std::process::Command::new(exe);
+    cmd.arg("worker")
+        .arg(addr.to_string())
+        .arg("--job")
+        .arg(job.to_string());
+    if let Some(ms) = delay_ms {
+        cmd.arg("--delay-ms").arg(ms.to_string());
+    }
+    if let Some(ms) = heartbeat_interval_ms {
+        cmd.arg("--heartbeat-interval-ms").arg(ms.to_string());
+    }
+    cmd
+}
+
+/// `cmd` with its output discarded: a launched worker's progress is the
+/// master's to report.
+fn quiet(mut cmd: std::process::Command) -> std::process::Command {
+    cmd.stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null());
+    cmd
+}
+
+/// Starts `count` child processes, the `i`th by `spawn(i)`. When one fails
+/// to start, the ones already running are killed and reaped before the
+/// error returns, so a failed launch leaves no orphan behind.
+fn spawn_children(
+    count: usize,
+    mut spawn: impl FnMut(usize) -> std::io::Result<std::process::Child>,
+) -> Result<Vec<std::process::Child>, String> {
+    let mut children = Vec::with_capacity(count);
+    for i in 0..count {
+        match spawn(i) {
+            Ok(child) => children.push(child),
+            Err(e) => {
+                kill_children(children);
+                return Err(format!("spawning child process {i}: {e}"));
+            }
+        }
+    }
+    Ok(children)
+}
+
+/// Kills and reaps every child.
+fn kill_children(children: Vec<std::process::Child>) {
+    for mut child in children {
+        let _ = child.kill();
+        let _ = child.wait();
+    }
 }
 
 /// `isgc chaos --plan <name> [--seed s] [--n k --c k --steps k]`: run a
@@ -1427,12 +1367,7 @@ fn cmd_mc(args: &[String]) -> Result<String, String> {
     let mut cfg = match shape {
         "flat3" => McConfig::flat3(),
         "flat4" => McConfig::flat4(),
-        "tree2x2" => McConfig::tree2x2(),
-        other => {
-            return Err(format!(
-                "unknown shape '{other}'; available: flat3, flat4, tree2x2"
-            ))
-        }
+        other => return Err(format!("unknown shape '{other}'; available: flat3, flat4")),
     };
     if let Some(s) = flags.get("steps") {
         cfg.steps = parse(s, "steps")?;
@@ -1557,9 +1492,6 @@ fn cmd_chaos(args: &[String]) -> Result<String, String> {
             "max-consecutive",
             "min-coverage",
             "metrics-out",
-            "submasters",
-            "crash-shard",
-            "crash-step",
         ],
     )?;
     let name = flags.get("plan").map_or("smoke", String::as_str);
@@ -1570,23 +1502,6 @@ fn cmd_chaos(args: &[String]) -> Result<String, String> {
         Some(s) => parse(s, "seed")?,
         None => 42,
     };
-    if name == "submaster-crash" {
-        for flag in ["degrade", "max-consecutive", "min-coverage"] {
-            if flags.contains_key(flag) {
-                return Err(format!(
-                    "--{flag} is not supported with --plan submaster-crash"
-                ));
-            }
-        }
-        return cmd_chaos_tree(&flags, seed);
-    }
-    for tree_flag in ["submasters", "crash-shard", "crash-step"] {
-        if flags.contains_key(tree_flag) {
-            return Err(format!(
-                "--{tree_flag} only applies to --plan submaster-crash"
-            ));
-        }
-    }
     let mut config = ChaosConfig::new(seed);
     let metrics = metrics_from(&flags);
     config.metrics = metrics.as_ref().map(|(_, r)| r.clone());
@@ -1601,7 +1516,7 @@ fn cmd_chaos(args: &[String]) -> Result<String, String> {
     }
     let plan = FaultPlan::named(name, seed, config.n, config.steps as u64).ok_or_else(|| {
         format!(
-            "unknown plan '{name}'; available: {}, submaster-crash",
+            "unknown plan '{name}'; available: {}",
             PLAN_NAMES.join(", ")
         )
     })?;
@@ -1643,65 +1558,6 @@ fn cmd_chaos(args: &[String]) -> Result<String, String> {
         let _ = writeln!(
             out,
             "invariants:         all steps within Theorem 10/11 bounds; ladder arithmetic consistent; decode matches oracle"
-        );
-        Ok(out)
-    } else {
-        for v in &outcome.violations {
-            let _ = writeln!(out, "VIOLATION: {v}");
-        }
-        Err(out)
-    }
-}
-
-/// The `submaster-crash` arm of `chaos`: a 2-level aggregation tree whose
-/// scripted sub-master dies mid-step, restarts, and must leave exactly one
-/// deterministically degraded step behind.
-fn cmd_chaos_tree(flags: &HashMap<String, String>, seed: u64) -> Result<String, String> {
-    if flags.contains_key("metrics-out") {
-        return Err("--metrics-out is not supported with --plan submaster-crash".to_string());
-    }
-    let mut config = TreeChaosConfig::new(seed);
-    if let Some(s) = flags.get("n") {
-        config.n = parse(s, "n")?;
-    }
-    if let Some(s) = flags.get("c") {
-        config.c = parse(s, "c")?;
-    }
-    if let Some(s) = flags.get("steps") {
-        config.steps = parse(s, "steps")?;
-    }
-    if let Some(s) = flags.get("submasters") {
-        config.submasters = parse(s, "submasters")?;
-    }
-    if let Some(s) = flags.get("crash-shard") {
-        config.crash_shard = parse(s, "crash-shard")?;
-    }
-    if let Some(s) = flags.get("crash-step") {
-        config.crash_at_step = parse(s, "crash-step")?;
-    }
-    let outcome = run_tree_chaos(&config).map_err(|e| e.to_string())?;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "chaos plan 'submaster-crash' on FR({}, {}), {} sub-masters, {} steps, seed {seed}",
-        config.n, config.c, config.submasters, config.steps
-    );
-    let _ = writeln!(
-        out,
-        "sub-master {} killed on receiving step {}'s broadcast",
-        config.crash_shard, config.crash_at_step
-    );
-    for r in &outcome.reports {
-        let _ = writeln!(out, "{}", render_step(r, config.n, None));
-    }
-    let _ = writeln!(out, "sub-master restarts: {}", outcome.submaster_restarts);
-    let _ = writeln!(out, "degraded steps:      {:?}", outcome.degraded_steps);
-    let _ = writeln!(out, "final loss:          {:.4}", outcome.final_loss);
-    let _ = writeln!(out, "fingerprint:         {:016x}", outcome.fingerprint);
-    if outcome.passed() {
-        let _ = writeln!(
-            out,
-            "invariants:          exactly one degraded step; recovery within bounds; decode matches oracle"
         );
         Ok(out)
     } else {
@@ -2037,17 +1893,52 @@ mod tests {
         // validator rejects it up front with a clean error.
         let err = run(&args("chaos --plan blackout --degrade fail")).unwrap_err();
         assert!(err.contains("skip or approx"), "{err}");
-        // Tree chaos has no ladder: the flag is rejected, not ignored.
-        assert!(run(&args("chaos --plan submaster-crash --degrade skip")).is_err());
     }
 
     #[test]
-    fn mc_command_exhausts_tree2x2() {
-        let out = run(&args("mc --shape tree2x2")).unwrap();
-        assert!(out.contains("runs:               1344 ("), "{out}");
-        assert!(out.contains("states:             2687 ("), "{out}");
+    fn mc_command_exhausts_flat3() {
+        // The counts crates/mc/tests/explore.rs pins for flat3.
+        let out = run(&args("mc --shape flat3")).unwrap();
+        assert!(out.contains("runs:               3044 ("), "{out}");
+        assert!(out.contains("states:             5107 ("), "{out}");
         assert!(out.contains("exhausted the bounded state space"), "{out}");
         assert!(out.contains("all hold"), "{out}");
+    }
+
+    #[test]
+    fn the_retired_tree_surface_is_unknown() {
+        let err = run(&args("launch fr 8 2 --jobs 2 --tree 2 --steps 4")).unwrap_err();
+        assert!(err.contains("unknown flag --tree"), "{err}");
+        let err = run(&args("chaos --plan submaster-crash --seed 42")).unwrap_err();
+        assert!(err.contains("unknown plan 'submaster-crash'"), "{err}");
+        let err = run(&args("chaos --plan smoke --submasters 2")).unwrap_err();
+        assert!(err.contains("unknown flag --submasters"), "{err}");
+        let err = run(&args("mc --shape tree2x2")).unwrap_err();
+        assert!(err.contains("unknown shape 'tree2x2'"), "{err}");
+    }
+
+    #[test]
+    fn a_failed_spawn_kills_the_children_already_started() {
+        let mut pids = Vec::new();
+        let err = spawn_children(5, |i| {
+            if i == 2 {
+                return Err(std::io::Error::other("the third spawn fails"));
+            }
+            let child = std::process::Command::new("sleep").arg("30").spawn()?;
+            pids.push(child.id());
+            Ok(child)
+        })
+        .unwrap_err();
+        assert!(err.contains("the third spawn fails"), "{err}");
+        assert_eq!(pids.len(), 2);
+        for pid in pids {
+            // Killed and reaped: not even a zombie's /proc entry is left.
+            let proc_entry = std::path::PathBuf::from(format!("/proc/{pid}"));
+            assert!(
+                !proc_entry.exists(),
+                "child {pid} outlived the failed launch"
+            );
+        }
     }
 
     #[test]
@@ -2058,9 +1949,9 @@ mod tests {
 
     #[test]
     fn mc_command_fails_a_truncated_search() {
-        // Ten clean runs out of 1344 prove nothing about the rest: the
+        // Ten clean runs out of 3044 prove nothing about the rest: the
         // report comes back as the error, as a violation's does.
-        let err = run(&args("mc --shape tree2x2 --max-runs 10")).unwrap_err();
+        let err = run(&args("mc --shape flat3 --max-runs 10")).unwrap_err();
         assert!(err.contains("TRUNCATED by --max-runs"), "{err}");
         let verdict = err.lines().last().unwrap();
         assert!(verdict.contains("held on the 10 runs explored"), "{err}");

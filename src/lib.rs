@@ -8,7 +8,7 @@
 //! - [`simnet`] — discrete-event cluster simulation;
 //! - [`engine`] — the transport-agnostic training step engine and the shared
 //!   worker step;
-//! - [`net`] — the TCP master/worker runtime (flat and 2-level tree);
+//! - [`net`] — the TCP master/worker runtime;
 //! - [`sched`] — the multi-tenant job scheduler;
 //! - [`chaos`] — deterministic fault injection for the TCP runtime;
 //! - [`obs`] — metrics registry and trace spans with deterministic snapshots.

@@ -7,9 +7,7 @@
 //! plan-specific expectations about *which* steps degrade and how the run
 //! recovers.
 
-use isgc_chaos::{
-    run_chaos, run_tree_chaos, ChaosConfig, ChaosError, FaultKind, FaultPlan, TreeChaosConfig,
-};
+use isgc_chaos::{run_chaos, ChaosConfig, ChaosError, FaultKind, FaultPlan};
 use isgc_engine::{DegradePolicy, StepOutcome};
 
 fn cfg(seed: u64) -> ChaosConfig {
@@ -149,33 +147,6 @@ fn random_plan_replays_from_its_seed() {
     assert!(a.passed(), "violations: {:?}", a.violations);
     let b = run_chaos(&p, &config).expect("rerun");
     assert_eq!(a.fingerprint, b.fingerprint, "random plan must replay");
-}
-
-#[test]
-fn submaster_crash_degrades_one_step_and_replays_byte_for_byte() {
-    let config = TreeChaosConfig::new(2023);
-    let a = run_tree_chaos(&config).expect("tree run");
-    assert!(a.passed(), "violations: {:?}", a.violations);
-
-    // The run never hung: every step is present, and the harness restarted
-    // the crashed sub-master exactly once.
-    assert_eq!(a.reports.len(), config.steps);
-    assert_eq!(a.submaster_restarts, 1);
-
-    // Exactly the scripted step degrades — the crashed shard's workers are
-    // absent, everyone else arrives — and the very next step is whole again
-    // (the root's rejoin grace makes the restarted shard's membership
-    // deterministic, not a race).
-    assert_eq!(a.degraded_steps, vec![config.crash_at_step]);
-
-    // Seeded replay is byte-for-byte: same arrivals, same selections, same
-    // final parameter bits.
-    let b = run_tree_chaos(&config).expect("tree rerun");
-    assert!(b.passed(), "violations: {:?}", b.violations);
-    assert_eq!(
-        a.fingerprint, b.fingerprint,
-        "tree chaos must replay exactly"
-    );
 }
 
 #[test]

@@ -475,7 +475,7 @@ proptest! {
 
 // --- Multi-tenant scheduling properties (isgc-sched) ---
 
-use isgc::sched::{JobOutcome, JobSpec, SchedError, Scheduler, SchedulerConfig, Topology};
+use isgc::sched::{JobOutcome, JobSpec, SchedError, Scheduler, SchedulerConfig};
 
 /// A job's deterministic observables: recovery fingerprint plus the exact
 /// bits of its loss curve and final parameters.
@@ -506,13 +506,11 @@ proptest! {
 
     /// Tenant isolation: a job's fingerprint, loss curve, and final
     /// parameters are bitwise independent of who it shares the scheduler
-    /// with AND of its aggregation topology — co-tenant tree runs must
-    /// equal solo flat runs exactly.
+    /// with — co-tenant runs must equal solo runs exactly.
     #[test]
-    fn job_observables_are_independent_of_cotenants_and_topology(
+    fn job_observables_are_independent_of_cotenants(
         seeds in prop::collection::vec(0u64..10_000, 1..=4),
         stragglers in 0usize..3,
-        tree in prop::bool::ANY,
     ) {
         let placement = Placement::fractional(8, 2).expect("FR(8,2)");
         let specs: Vec<JobSpec> = seeds
@@ -522,25 +520,11 @@ proptest! {
                 let mut spec = JobSpec::new(format!("tenant-{i}"), placement.clone(), seed);
                 spec.max_steps = 5;
                 spec.stragglers = stragglers;
-                spec.topology = if tree {
-                    Topology::Tree { submasters: 2 }
-                } else {
-                    Topology::Flat
-                };
                 spec
             })
             .collect();
 
-        // Baselines are always solo AND flat, so one equality covers both
-        // co-tenancy transparency and tree-vs-flat transparency.
-        let baselines: Vec<_> = specs
-            .iter()
-            .map(|spec| {
-                let mut flat = spec.clone();
-                flat.topology = Topology::Flat;
-                solo_signature(&flat)
-            })
-            .collect();
+        let baselines: Vec<_> = specs.iter().map(solo_signature).collect();
 
         let mut sched = Scheduler::new(SchedulerConfig::new(specs.len(), 0));
         for spec in &specs {

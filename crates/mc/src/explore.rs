@@ -7,15 +7,16 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use isgc_chaos::invariants::check_reports;
-use isgc_chaos::{failure_fingerprint, ChaosConfig, Fault, FaultKind, Trace};
 use isgc_core::Placement;
-use isgc_engine::{EngineConfig, EngineError, RecordingObserver, StepEngine, StepReport};
-use isgc_ml::{Dataset, LinearRegression};
+use isgc_engine::{EngineError, RecordingObserver, StepEngine, StepReport};
 use isgc_net::master::MasterLoop;
-use isgc_net::NetConfig;
+use isgc_net::NetError;
 
+use crate::harness::ChaosConfig;
+use crate::invariants::check_reports;
+use crate::plan::{Fault, FaultKind};
 use crate::sched::{Ctx, Poison};
+use crate::trace::{failure_fingerprint, Trace};
 use crate::world::{VirtualTransport, World};
 
 /// The cluster geometry a checking run drives.
@@ -61,8 +62,6 @@ pub struct McConfig {
     /// Hard cap on executed runs (a backstop, not a target; exhaustion
     /// normally ends the search first).
     pub max_runs: u64,
-    /// Stop at the first invariant violation instead of cataloguing all.
-    pub stop_on_violation: bool,
 }
 
 impl McConfig {
@@ -74,7 +73,6 @@ impl McConfig {
             max_faults: 2,
             depth: 64,
             max_runs: 200_000,
-            stop_on_violation: true,
         }
     }
 
@@ -124,7 +122,7 @@ pub struct Exploration {
     pub distinct_fingerprints: usize,
     /// True when `max_runs` ended the search before exhaustion.
     pub truncated: bool,
-    /// Violations found (deduplicated by fault schedule + fingerprint).
+    /// The first violation found, if any: the search stops at it.
     pub violations: Vec<Violation>,
     /// Wall-clock time of the whole exploration.
     pub elapsed: Duration,
@@ -166,7 +164,8 @@ struct RunResult {
 }
 
 /// Exhaustively explores the bounded state space of `cfg` and checks every
-/// terminal run against the protocol invariants.
+/// terminal run against the protocol invariants, stopping at the first
+/// violation.
 pub fn explore(cfg: &McConfig) -> Exploration {
     explore_inner(cfg, None)
 }
@@ -213,9 +212,7 @@ pub fn explore_plan(cfg: &McConfig, faults: &[Fault]) -> Option<Violation> {
             "a stale codeword needs a previous step"
         );
     }
-    let mut directed = cfg.clone();
-    directed.stop_on_violation = true;
-    explore_inner(&directed, Some(faults.to_vec()))
+    explore_inner(cfg, Some(faults.to_vec()))
         .violations
         .into_iter()
         .next()
@@ -274,6 +271,9 @@ fn explore_inner(cfg: &McConfig, forced: Option<Vec<Fault>>) -> Exploration {
         true,
     )));
     ctx.borrow_mut().forced = forced;
+    let chaos = chaos_config(cfg);
+    let placement =
+        Placement::fractional(chaos.n, chaos.c).expect("checker shapes are valid placements");
 
     let start = Instant::now();
     let mut out = Exploration {
@@ -297,8 +297,7 @@ fn explore_inner(cfg: &McConfig, forced: Option<Vec<Fault>>) -> Exploration {
 
     loop {
         ctx.borrow_mut().reset_run();
-        let Shape::Flat { n, c } = cfg.shape;
-        let run = run_flat_once(cfg, &ctx, n, c);
+        let run = run_once(&chaos, &placement, &ctx);
         out.runs += 1;
         let faults = ctx.borrow().faults.clone();
         match run.terminal {
@@ -310,7 +309,7 @@ fn explore_inner(cfg: &McConfig, forced: Option<Vec<Fault>>) -> Exploration {
             Terminal::Unexpected => {}
         }
         if run.terminal != Terminal::Pruned {
-            let mut messages = check_run(cfg, &run, &faults);
+            let mut messages = check_run(&placement, cfg.steps, &run, &faults);
             if run.terminal == Terminal::Completed {
                 let fp = run.recovery_fp.expect("completed runs carry a fingerprint");
                 distinct.insert(fp);
@@ -327,22 +326,12 @@ fn explore_inner(cfg: &McConfig, forced: Option<Vec<Fault>>) -> Exploration {
                 }
             }
             if !messages.is_empty() {
-                let fingerprint = failure_fingerprint(&messages);
-                let violation = Violation {
-                    faults: faults.clone(),
+                out.violations.push(Violation {
+                    fingerprint: failure_fingerprint(&messages),
+                    faults,
                     messages,
-                    fingerprint,
-                };
-                if !out
-                    .violations
-                    .iter()
-                    .any(|v| v.fingerprint == fingerprint && v.faults == violation.faults)
-                {
-                    out.violations.push(violation);
-                }
-                if cfg.stop_on_violation {
-                    break;
-                }
+                });
+                break;
             }
         }
         if out.runs >= cfg.max_runs {
@@ -374,40 +363,19 @@ fn chaos_config(cfg: &McConfig) -> ChaosConfig {
     chaos
 }
 
-/// Builds the master/engine configs the checker drives — the chaos
-/// harness's own training setup, minus everything wall-clock.
-fn configs(chaos: &ChaosConfig, placement: &Placement) -> (NetConfig, EngineConfig) {
+fn run_once(chaos: &ChaosConfig, placement: &Placement, ctx: &Rc<RefCell<Ctx>>) -> RunResult {
+    // The chaos harness's own training setup, and the engine config the
+    // shipped master derives from it.
     let net = chaos.net_config(placement.clone());
-    let mut engine = EngineConfig::new(placement.clone());
-    engine.batch_size = net.batch_size;
-    engine.learning_rate = net.learning_rate;
-    engine.loss_threshold = net.loss_threshold;
-    engine.max_steps = net.max_steps as u64;
-    engine.seed = net.seed;
-    engine.degrade = net.degrade.clone();
-    (net, engine)
-}
-
-fn run_flat_once(cfg: &McConfig, ctx: &Rc<RefCell<Ctx>>, n: usize, c: usize) -> RunResult {
-    let placement = Placement::fractional(n, c).expect("checker shapes are valid placements");
-    let chaos = chaos_config(cfg);
-    let (net, engine_cfg) = configs(&chaos, &placement);
-    let world = World::new(
-        Rc::clone(ctx),
-        n,
-        chaos.batch_size,
-        cfg.seed,
-        chaos.features,
-        chaos.samples,
-    );
+    let engine_cfg = net.engine_config();
+    let world = World::new(Rc::clone(ctx), chaos);
     {
         let mut w = world.borrow_mut();
-        for worker in 0..n {
+        for worker in 0..chaos.n {
             w.spawn_worker(worker);
         }
     }
-    let model = LinearRegression::new(chaos.features);
-    let dataset = Dataset::synthetic_regression(chaos.samples, chaos.features, 0.05, cfg.seed);
+    let (model, dataset) = chaos.task();
     let mut observer = RecordingObserver::default();
     let result = (|| {
         let mut master = MasterLoop::new(net, Box::new(VirtualTransport::new(world)));
@@ -432,47 +400,23 @@ fn finish(
     reports: Vec<StepReport>,
 ) -> RunResult {
     let poison = ctx.borrow().poison;
-    match poison {
-        Some(Poison::Prune) => RunResult {
-            terminal: Terminal::Pruned,
-            reports,
-            recovery_fp: None,
-            error: None,
-        },
-        Some(Poison::Stuck) => RunResult {
-            terminal: Terminal::Stuck,
-            reports,
-            recovery_fp: None,
-            error: None,
-        },
-        None => match result {
-            Ok(fp) => RunResult {
-                terminal: Terminal::Completed,
-                reports,
-                recovery_fp: Some(fp),
-                error: None,
-            },
-            Err(EngineError::Degraded { .. }) => RunResult {
-                terminal: Terminal::Degraded,
-                reports,
-                recovery_fp: None,
-                error: None,
-            },
-            Err(e) => {
-                let message = e.to_string();
-                let terminal = if message.contains("every worker") {
-                    Terminal::AllLost
-                } else {
-                    Terminal::Unexpected
-                };
-                RunResult {
-                    terminal,
-                    reports,
-                    recovery_fp: None,
-                    error: (terminal == Terminal::Unexpected).then_some(message),
-                }
-            }
-        },
+    let (terminal, recovery_fp, error) = match (poison, result) {
+        (Some(Poison::Prune), _) => (Terminal::Pruned, None, None),
+        (Some(Poison::Stuck), _) => (Terminal::Stuck, None, None),
+        (None, Ok(fp)) => (Terminal::Completed, Some(fp), None),
+        (None, Err(EngineError::Degraded { .. })) => (Terminal::Degraded, None, None),
+        (None, Err(EngineError::Backend(e)))
+            if matches!(e.downcast_ref::<NetError>(), Some(NetError::AllWorkersLost)) =>
+        {
+            (Terminal::AllLost, None, None)
+        }
+        (None, Err(e)) => (Terminal::Unexpected, None, Some(e.to_string())),
+    };
+    RunResult {
+        terminal,
+        reports,
+        recovery_fp,
+        error,
     }
 }
 
@@ -480,11 +424,9 @@ fn finish(
 /// ([`check_reports`], so [`failure_fingerprint`] values are comparable
 /// across the model and a loopback replay), plus the terminals only a
 /// model checker can reach.
-fn check_run(cfg: &McConfig, run: &RunResult, faults: &[Fault]) -> Vec<String> {
-    let (n, c) = cfg.shape.cluster();
-    let placement = Placement::fractional(n, c).expect("checker shapes are valid placements");
-    let completed = (run.terminal == Terminal::Completed).then_some(cfg.steps as usize);
-    let mut violations = check_reports(&placement, &run.reports, faults, completed);
+fn check_run(placement: &Placement, steps: u64, run: &RunResult, faults: &[Fault]) -> Vec<String> {
+    let completed = (run.terminal == Terminal::Completed).then_some(steps as usize);
+    let mut violations = check_reports(placement, &run.reports, faults, completed);
 
     // Model-checker-only terminals.
     if run.terminal == Terminal::Stuck {
@@ -496,4 +438,28 @@ fn check_run(cfg: &McConfig, run: &RunResult, faults: &[Fault]) -> Vec<String> {
         violations.push(format!("unexpected collector failure: {error}"));
     }
     violations
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn terminal_of(error: EngineError) -> (Terminal, Option<String>) {
+        let ctx = Rc::new(RefCell::new(Ctx::new(8, 0, 2, false)));
+        let run = finish(&ctx, Err(error), Vec::new());
+        (run.terminal, run.error)
+    }
+
+    #[test]
+    fn only_the_typed_all_lost_error_ends_a_run_all_lost() {
+        let lost = EngineError::Backend(Box::new(NetError::AllWorkersLost));
+        assert_eq!(terminal_of(lost), (Terminal::AllLost, None));
+        // A different failure that merely mentions the words is unexpected.
+        let mimic = EngineError::Backend(Box::new(NetError::Protocol(
+            "every worker is dead or unreachable".into(),
+        )));
+        let (terminal, error) = terminal_of(mimic);
+        assert_eq!(terminal, Terminal::Unexpected);
+        assert!(error.is_some_and(|e| e.contains("every worker")));
+    }
 }

@@ -21,7 +21,7 @@
 
 use std::collections::HashSet;
 
-use isgc_chaos::Fault;
+use crate::plan::Fault;
 use isgc_core::hash::{fnv1a, FNV_BASIS};
 
 /// Sentinel carried through [`isgc_net::NetError::Protocol`] when a run is

@@ -20,7 +20,6 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use isgc_chaos::{Action, Fault, FaultKind};
 use isgc_core::hash::{fnv1a, FNV_BASIS};
 use isgc_engine::WorkerStep;
 use isgc_linalg::Vector;
@@ -29,6 +28,8 @@ use isgc_net::seam::{NetEvent, Token, Transport};
 use isgc_net::wire::Message;
 use isgc_net::{Assignment, NetError, WorkerCore};
 
+use crate::harness::ChaosConfig;
+use crate::plan::{Action, Fault, FaultKind};
 use crate::sched::{fnv_u64, Ctx, Poison, PRUNE, STUCK};
 
 /// A modeled peer process bound to one connection.
@@ -88,17 +89,11 @@ pub(crate) struct World {
 }
 
 impl World {
-    pub(crate) fn new(
-        ctx: Rc<RefCell<Ctx>>,
-        n: usize,
-        batch_size: usize,
-        seed: u64,
-        features: usize,
-        samples: usize,
-    ) -> Rc<RefCell<World>> {
-        let dataset = Dataset::synthetic_regression(samples, features, 0.05, seed);
-        let model = LinearRegression::new(features);
-        let work = WorkerStep::new(&model, &dataset, n, batch_size, seed);
+    /// A world whose workers train `chaos`'s task, as the chaos harness's
+    /// workers do.
+    pub(crate) fn new(ctx: Rc<RefCell<Ctx>>, chaos: &ChaosConfig) -> Rc<RefCell<World>> {
+        let (model, dataset) = chaos.task();
+        let work = WorkerStep::new(&model, &dataset, chaos.n, chaos.batch_size, chaos.seed);
         Rc::new(RefCell::new(World {
             ctx,
             conns: Vec::new(),
@@ -470,8 +465,7 @@ impl Transport for VirtualTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use isgc_chaos::worker::{perform, Flow};
-    use isgc_chaos::ChaosConfig;
+    use crate::worker::{perform, Flow};
 
     const WORKER: usize = 2;
     const STEP: u64 = 1;
@@ -483,8 +477,9 @@ mod tests {
     /// cluster.
     #[test]
     fn modeled_faults_queue_what_the_chaos_client_writes() {
-        let chaos = ChaosConfig::new(SEED);
-        let (batch, features, samples) = (chaos.batch_size, chaos.features, chaos.samples);
+        let mut chaos = ChaosConfig::new(SEED);
+        chaos.n = 4;
+        let (batch, features) = (chaos.batch_size, chaos.features);
         let assign = Message::Assign {
             worker: WORKER as u64,
             n: 4,
@@ -509,7 +504,7 @@ mod tests {
                 step: STEP,
                 kind,
             }]);
-            let world = World::new(ctx, 4, batch, SEED, features, samples);
+            let world = World::new(ctx, &chaos);
             let mut world = world.borrow_mut();
             world.spawn_worker(WORKER);
             assert!(world.adopt(0, &assign.encode()));
@@ -545,8 +540,7 @@ mod tests {
             }
 
             // The chaos client's side: same assignment, same recipe.
-            let model = LinearRegression::new(features);
-            let dataset = Dataset::synthetic_regression(samples, features, 0.05, SEED);
+            let (model, dataset) = chaos.task();
             let mut core = WorkerCore::new(Assignment::from_message(assign.clone()).unwrap());
             let mut work = core.assignment().work(&model, &dataset);
             let mut written = Vec::new();

@@ -2,8 +2,10 @@
 //! interleaving of every bounded fault schedule must satisfy every chaos
 //! invariant, on both shapes the checker models.
 
-use isgc_chaos::{Fault, FaultKind};
-use isgc_mc::{counterexample_trace, explore, explore_plan, minimize, McConfig, Shape, Violation};
+use isgc_mc::{
+    counterexample_trace, explore, explore_plan, minimize, Fault, FaultKind, McConfig, Shape,
+    Trace, Violation,
+};
 
 /// What the search enumerates is the sequence of `Transport` calls the
 /// shipped loops and the shipped `WorkerCore` make, so a change to what a
@@ -17,7 +19,12 @@ fn flat3_exhausts_green() {
     assert!(result.passed(), "violations: {:?}", result.violations);
     assert!(!result.truncated, "flat3 must exhaust its bounded space");
     assert_eq!((result.runs, result.states()), (3044, 5107), "{REPIN}");
-    assert!(result.completed > 0 && result.pruned > 0);
+    assert_eq!(
+        (result.completed, result.degraded, result.lost),
+        (2037, 0, 0),
+        "{REPIN}"
+    );
+    assert!(result.pruned > 0);
     assert_eq!(result.stuck, 0, "no reachable deadlock");
     assert!(
         result.distinct_fingerprints > 1,
@@ -31,6 +38,11 @@ fn flat4_exhausts_green() {
     assert!(result.passed(), "violations: {:?}", result.violations);
     assert!(!result.truncated, "flat4 must exhaust its bounded space");
     assert_eq!((result.runs, result.states()), (17057, 26869), "{REPIN}");
+    assert_eq!(
+        (result.completed, result.degraded, result.lost),
+        (7324, 0, 0),
+        "{REPIN}"
+    );
     assert_eq!(result.stuck, 0);
 }
 
@@ -106,7 +118,7 @@ fn counterexample_traces_round_trip_as_chaos_plans() {
     assert_eq!(trace.name, "mc-flat4");
     assert_eq!((trace.n, trace.c, trace.steps), (4, 2, 2));
     assert_eq!(trace.fingerprint, Some(0xDEAD_BEEF));
-    let back = isgc_chaos::Trace::from_json(&trace.to_json()).expect("round-trips");
+    let back = Trace::from_json(&trace.to_json()).expect("round-trips");
     assert_eq!(back.plan().faults, faults);
     assert_eq!(back.fingerprint, Some(0xDEAD_BEEF));
 }

@@ -10,8 +10,10 @@
 
 #![cfg(feature = "mc-mutation")]
 
-use isgc_chaos::{failure_fingerprint, run_chaos, ChaosConfig, Fault, FaultKind};
-use isgc_mc::{counterexample_trace, explore, explore_plan, minimize, McConfig};
+use isgc_mc::{
+    counterexample_trace, explore, explore_plan, failure_fingerprint, minimize, run_chaos,
+    ChaosConfig, Fault, FaultKind, McConfig, Trace,
+};
 
 /// A schedule with one genuine trigger buried among benign declines.
 fn noisy_plan() -> Vec<Fault> {
@@ -87,7 +89,7 @@ fn minimized_trace_replays_on_a_real_cluster_to_the_same_fingerprint() {
     let trace = counterexample_trace(&cfg, &violation);
 
     // Round-trip through the on-disk format `isgc chaos --plan` consumes.
-    let trace = isgc_chaos::Trace::from_json(&trace.to_json()).expect("trace round-trips");
+    let trace = Trace::from_json(&trace.to_json()).expect("trace round-trips");
     assert_eq!(trace.n, 3);
     assert_eq!(trace.steps, 2);
     let expected = trace

@@ -172,8 +172,10 @@ impl NetConfig {
         Ok(())
     }
 
-    /// The engine configuration this network config corresponds to.
-    pub(crate) fn engine_config(&self) -> EngineConfig {
+    /// The engine configuration this network config corresponds to: the
+    /// one the master's step engine runs, and the one the model checker
+    /// drives the collector under.
+    pub fn engine_config(&self) -> EngineConfig {
         let mut config = EngineConfig::new(self.placement.clone());
         config.batch_size = self.batch_size;
         config.learning_rate = self.learning_rate;

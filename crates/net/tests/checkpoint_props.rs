@@ -7,7 +7,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use isgc_chaos::{run_chaos, ChaosConfig, FaultPlan};
+use isgc_mc::{run_chaos, ChaosConfig, FaultPlan};
 use isgc_net::checkpoint::MasterCheckpoint;
 use isgc_net::NetTrainReport;
 use isgc_obs::{Registry, Snapshot};
@@ -111,7 +111,7 @@ proptest! {
 
 /// Builds the engine-shaped report over a chaos run's stitched steps so
 /// `recovery_fingerprint()` applies to it.
-fn train_report(n: usize, outcome: &isgc_chaos::ChaosOutcome) -> NetTrainReport {
+fn train_report(n: usize, outcome: &isgc_mc::ChaosOutcome) -> NetTrainReport {
     NetTrainReport {
         n,
         steps: outcome.reports.clone(),
@@ -180,7 +180,7 @@ fn crash_resume_is_metric_and_fingerprint_transparent() {
     // The restart itself *is* visible — in the chaos counters, not the
     // engine series.
     assert_eq!(
-        crashed_registry.counter(isgc_chaos::metrics::MASTER_RESTARTS_TOTAL, &[]),
+        crashed_registry.counter(isgc_mc::MASTER_RESTARTS_TOTAL, &[]),
         Some(1)
     );
 }

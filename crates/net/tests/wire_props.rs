@@ -2,7 +2,7 @@
 //! bit-exactly, and no mangling of a valid frame — truncation, bit flips,
 //! bad magic, future versions, unknown tags — ever panics the decoder.
 
-use isgc_chaos::ChaosRng;
+use isgc_mc::ChaosRng;
 use isgc_net::wire::{
     corpus_messages, encode_params_frame, CodewordView, FrameAssembler, Message, WireError,
     HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION,

@@ -5,11 +5,13 @@
 //! Command logic lives here as pure functions returning the rendered output,
 //! so everything is unit-testable; `main` only does I/O.
 
-use isgc_chaos::{failure_fingerprint, run_chaos, ChaosConfig, FaultPlan, Trace, PLAN_NAMES};
 use isgc_core::decode::{decoder_for, ExactDecoder, OracleTimeout};
 use isgc_core::{bounds, ConflictGraph, HrParams, Placement, Scheme, WorkerSet};
 use isgc_engine::{DegradePolicy, MetricsObserver, StepOutcome};
-use isgc_mc::{counterexample_trace, explore, explore_plan, minimize, McConfig};
+use isgc_mc::{
+    counterexample_trace, explore, explore_plan, failure_fingerprint, minimize, run_chaos,
+    ChaosConfig, FaultPlan, McConfig, Trace, PLAN_NAMES,
+};
 use isgc_ml::dataset::Dataset;
 use isgc_ml::model::{Model, SoftmaxRegression};
 use isgc_net::{

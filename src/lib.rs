@@ -10,13 +10,14 @@
 //!   worker step;
 //! - [`net`] — the TCP master/worker runtime;
 //! - [`sched`] — the multi-tenant job scheduler;
-//! - [`chaos`] — deterministic fault injection for the TCP runtime;
+//! - [`mc`] — fault injection on the TCP runtime and exhaustive model
+//!   checking of its collector;
 //! - [`obs`] — metrics registry and trace spans with deterministic snapshots.
 //!
 //! See the repository README for a guided tour and the `examples/` directory
 //! for runnable entry points. The crate also ships the `isgc` CLI
 //! (`placement | decode | bounds | recommend | plan | trace | sim | serve |
-//! serve-jobs | worker | launch | chaos`).
+//! serve-jobs | worker | launch | chaos | mc`).
 //!
 //! # Quickstart: decode a straggler pattern
 //!
@@ -68,10 +69,10 @@
 
 pub mod cli;
 
-pub use isgc_chaos as chaos;
 pub use isgc_core as core;
 pub use isgc_engine as engine;
 pub use isgc_linalg as linalg;
+pub use isgc_mc as mc;
 pub use isgc_ml as ml;
 pub use isgc_net as net;
 pub use isgc_obs as obs;

@@ -7,8 +7,8 @@
 //! plan-specific expectations about *which* steps degrade and how the run
 //! recovers.
 
-use isgc_chaos::{run_chaos, ChaosConfig, ChaosError, FaultKind, FaultPlan};
 use isgc_engine::{DegradePolicy, StepOutcome};
+use isgc_mc::{run_chaos, ChaosConfig, ChaosError, FaultKind, FaultPlan};
 
 fn cfg(seed: u64) -> ChaosConfig {
     let mut c = ChaosConfig::new(seed);

@@ -8,9 +8,9 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
-use isgc_chaos::{run_chaos_worker, Fault, FaultKind, FaultPlan};
 use isgc_core::decode::{Decoder, ExactDecoder};
 use isgc_core::{Placement, WorkerSet};
+use isgc_mc::{run_chaos_worker, Fault, FaultKind, FaultPlan};
 use isgc_ml::dataset::Dataset;
 use isgc_ml::model::{LinearRegression, Model, SoftmaxRegression};
 use isgc_net::{

@@ -15,9 +15,14 @@
 //!   [`FrameAssembler`] so a frame split across arbitrarily many readiness
 //!   events decodes byte-identically; a read costs the bytes that arrived
 //!   (the assembler's tail is zero-filled when it grows, not per call, and
-//!   an idle connection holds 4 KiB of it); a `Codeword` payload is parsed
-//!   in that buffer and its values decoded in one bulk pass into the
-//!   [`isgc_linalg::Vector`] the engine sums — no `Message` is built for it;
+//!   an idle connection holds 4 KiB of it, never more than 64 KiB); a frame
+//!   larger than that is read into a frame-size buffer the reactor lends
+//!   and takes back once the frame is read, so reassembly memory follows
+//!   the frames in flight, not the connections; a connection that has not
+//!   introduced itself is clamped to a `Hello`'s size; a `Codeword` payload
+//!   is parsed in the buffer and its values decoded in one bulk pass into
+//!   the [`isgc_linalg::Vector`] the engine sums — no `Message` is built
+//!   for it;
 //! - **write interest + pooled broadcast**: outbound frames are
 //!   reference-counted `Arc<[u8]>` slices shared across per-connection
 //!   write queues, with partial writes resumed on the next `POLLOUT`;
@@ -45,7 +50,7 @@ use isgc_linalg::Vector;
 use isgc_obs::Registry;
 
 use crate::seam::Transport;
-use crate::wire::{CodewordView, FrameAssembler, Message};
+use crate::wire::{max_hello_len, CodewordView, FrameAssembler, Message, Spares, MAX_PAYLOAD};
 use crate::NetError;
 
 /// Identity of one connection for its whole life. Tokens are never reused,
@@ -392,6 +397,12 @@ pub(crate) struct Reactor {
     base: Instant,
     job: u64,
     metrics: Option<Registry>,
+    /// Frame-size buffers lent to connections reading a large frame.
+    spares: Spares,
+    /// The poll set and its tokens, rebuilt on every wakeup into the same
+    /// two allocations.
+    poll_fds: Vec<sys::PollFd>,
+    poll_tokens: Vec<Token>,
 }
 
 impl Reactor {
@@ -414,6 +425,9 @@ impl Reactor {
             base: Instant::now(),
             job,
             metrics,
+            spares: Spares::default(),
+            poll_fds: Vec::new(),
+            poll_tokens: Vec::new(),
         })
     }
 
@@ -457,6 +471,7 @@ impl Transport for Reactor {
             conn.phase = Phase::Adopted;
             conn.idle = idle;
             conn.introduced = true;
+            conn.assembler.set_max_frame(MAX_PAYLOAD);
         }
         self.arm_idle(token);
         self.send(token, first);
@@ -527,8 +542,10 @@ impl Reactor {
     /// then drain every ready descriptor into the event queue.
     fn pump(&mut self, timeout: Duration) -> Result<(), NetError> {
         let has_listener = self.listener.is_some();
-        let mut fds = Vec::with_capacity(self.conns.len() + 1);
-        let mut tokens = Vec::with_capacity(self.conns.len());
+        let mut fds = std::mem::take(&mut self.poll_fds);
+        let mut tokens = std::mem::take(&mut self.poll_tokens);
+        fds.clear();
+        tokens.clear();
         if let Some(listener) = &self.listener {
             fds.push(sys::PollFd {
                 fd: raw_fd(listener),
@@ -562,8 +579,8 @@ impl Reactor {
             if has_listener && fds[0].revents != 0 {
                 self.accept_ready();
             }
-            for (i, token) in tokens.into_iter().enumerate() {
-                let revents = fds[base + i].revents;
+            for (&token, fd) in tokens.iter().zip(&fds[base..]) {
+                let revents = fd.revents;
                 if revents == 0 {
                     continue;
                 }
@@ -575,6 +592,8 @@ impl Reactor {
                 }
             }
         }
+        self.poll_fds = fds;
+        self.poll_tokens = tokens;
         self.fire_timers();
         Ok(())
     }
@@ -618,7 +637,10 @@ impl Reactor {
             if conn.phase == Phase::Pending && conn.introduced {
                 return;
             }
-            match conn.assembler.fill_from(&mut conn.stream) {
+            match conn
+                .assembler
+                .fill_lending(&mut conn.stream, &mut self.spares)
+            {
                 Ok(0) => {
                     eof = true;
                     break;
@@ -643,13 +665,14 @@ impl Reactor {
         }
     }
 
-    /// Parses whatever complete frames `token`'s assembler holds.
+    /// Parses whatever complete frames `token`'s assembler holds, and takes
+    /// back a lent buffer once they leave nothing buffered.
     fn parse_conn(&mut self, token: Token) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
         match parse_frames(token, conn, &mut self.events, self.job) {
-            Parsed::Keep => {}
+            Parsed::Keep => conn.assembler.repay(&mut self.spares),
             Parsed::Fatal => self.drop_conn(token),
         }
     }
@@ -722,12 +745,18 @@ impl Reactor {
     fn insert(&mut self, stream: TcpStream, phase: Phase, idle: Option<Duration>) -> Token {
         let token = self.next_token;
         self.next_token += 1;
+        // Until it introduces itself, a peer may send a `Hello` and nothing
+        // larger: its header cannot reserve more than that.
+        let max_frame = match phase {
+            Phase::Pending => max_hello_len(),
+            Phase::Adopted => MAX_PAYLOAD,
+        };
         self.conns.insert(
             token,
             Conn {
                 stream,
                 phase,
-                assembler: FrameAssembler::new(),
+                assembler: FrameAssembler::with_max_frame(max_frame),
                 out: VecDeque::new(),
                 idle,
                 deadline: Deadline::default(),
@@ -744,13 +773,16 @@ impl Reactor {
             if conn.phase == Phase::Adopted {
                 self.events.push_back(NetEvent::Gone { token });
             }
+            conn.assembler.release(&mut self.spares);
             self.gauge_conns();
         }
     }
 
     /// Silently deregisters (replaced connections, rejections).
     fn remove(&mut self, token: Token) {
-        self.conns.remove(&token);
+        if let Some(conn) = self.conns.remove(&token) {
+            conn.assembler.release(&mut self.spares);
+        }
         self.gauge_conns();
     }
 
@@ -1046,6 +1078,199 @@ mod tests {
             wait_event(&mut reactor),
             NetEvent::Gone { token: t } if t == token
         ));
+    }
+
+    #[test]
+    fn a_pending_peer_cannot_reserve_more_than_a_hello() {
+        // A peer that connects and sends only a header claiming the largest
+        // legal payload, then waits: it is dropped off that header, long
+        // before the handshake timeout, and its buffer never grows past the
+        // 4 KiB a first read takes.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let mut reactor = Reactor::new(Some(listener), 3, None).expect("reactor");
+        let mut header = Message::Hello { preferred: None }.encode_for_job(3);
+        header.truncate(crate::wire::HEADER_LEN);
+        header[13..17].copy_from_slice(&MAX_PAYLOAD.to_le_bytes());
+        let mut peer = TcpStream::connect(addr).expect("connect");
+        peer.write_all(&header).expect("header");
+
+        let give_up = Instant::now() + Duration::from_secs(2);
+        let mut accepted = false;
+        loop {
+            assert!(reactor.next_event(TICK).expect("poll").is_none());
+            for conn in reactor.conns.values() {
+                assert!(
+                    conn.assembler.capacity() <= 4 * 1024,
+                    "a pending peer reserved {} bytes",
+                    conn.assembler.capacity()
+                );
+            }
+            accepted |= !reactor.conns.is_empty();
+            if accepted && reactor.conns.is_empty() {
+                break;
+            }
+            assert!(Instant::now() < give_up, "the pending peer was not dropped");
+        }
+        drop(peer);
+    }
+
+    /// A codeword whose frame (≈ 524 KB) is far larger than `READ_MAX`.
+    fn large_codeword(worker: u64) -> Message {
+        Message::Codeword {
+            worker,
+            step: 1,
+            values: (0..65_552).map(|i| f64::from(i) + worker as f64).collect(),
+        }
+    }
+
+    /// Serves `bytes` at most `max` at a time, then reports EOF.
+    struct Pieces<'a> {
+        bytes: &'a [u8],
+        max: usize,
+    }
+
+    impl io::Read for Pieces<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let k = out.len().min(self.max).min(self.bytes.len());
+            out[..k].copy_from_slice(&self.bytes[..k]);
+            self.bytes = &self.bytes[k..];
+            Ok(k)
+        }
+    }
+
+    /// Reads `stream` as the reactor does — fill, parse, repay — returning
+    /// every frame as `(job, payload bytes)`.
+    fn read_lending(
+        asm: &mut FrameAssembler,
+        spares: &mut Spares,
+        stream: &[u8],
+        max: usize,
+    ) -> Vec<(u64, Vec<u8>)> {
+        let mut source = Pieces { bytes: stream, max };
+        let mut frames = Vec::new();
+        while asm
+            .fill_lending(&mut source, spares)
+            .expect("in-memory read")
+            > 0
+        {
+            while let Some(frame) = asm.next_frame().expect("well-formed") {
+                frames.push((frame.job, frame.payload.to_vec()));
+            }
+            asm.repay(spares);
+        }
+        frames
+    }
+
+    #[test]
+    fn large_frames_decode_as_push_does_and_the_loan_comes_back() {
+        // Two large frames back to back in one stream, delivered whole and
+        // in 64 KiB pieces, and each frame alone in 64 KiB pieces.
+        let (a, b) = (large_codeword(1), large_codeword(2));
+        let mut stream = a.encode_for_job(4);
+        stream.extend_from_slice(&b.encode_for_job(4));
+        let mut pushed = FrameAssembler::new();
+        pushed.push(&stream);
+        let mut expected = Vec::new();
+        while let Some(frame) = pushed.next_frame().expect("well-formed") {
+            expected.push((frame.job, frame.payload.to_vec()));
+        }
+        assert_eq!(expected.len(), 2);
+
+        let half = a.encode_for_job(4).len();
+        for (bytes, want) in [
+            (&stream[..], &expected[..]),
+            (&stream[..half], &expected[..1]),
+        ] {
+            for max in [usize::MAX, 64 * 1024] {
+                let (mut asm, mut spares) = (FrameAssembler::new(), Spares::default());
+                assert_eq!(read_lending(&mut asm, &mut spares, bytes, max), want);
+                assert!(asm.capacity() <= 64 * 1024, "kept {}", asm.capacity());
+                assert_eq!(spares.held().len(), 1, "the one loan is back");
+            }
+        }
+    }
+
+    #[test]
+    fn a_second_large_frame_borrows_the_first_ones_buffer() {
+        let (mut asm, mut spares) = (FrameAssembler::new(), Spares::default());
+        let first = large_codeword(1).encode();
+        assert_eq!(
+            read_lending(&mut asm, &mut spares, &first, 64 * 1024).len(),
+            1
+        );
+        assert_eq!(spares.held().len(), 1);
+        let (loan, len) = (spares.held()[0].as_ptr(), spares.held()[0].len());
+        let second = large_codeword(2).encode();
+        assert_eq!(
+            read_lending(&mut asm, &mut spares, &second, 64 * 1024).len(),
+            1
+        );
+        assert_eq!(spares.held().len(), 1);
+        assert_eq!(
+            (spares.held()[0].as_ptr(), spares.held()[0].len()),
+            (loan, len)
+        );
+    }
+
+    /// A reactor's end of a loopback connection, registered as a swarm
+    /// member's, and the peer's end.
+    fn adopted_pair(reactor: &mut Reactor, listener: &TcpListener) -> (Token, TcpStream) {
+        let ours = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (peer, _) = listener.accept().expect("accept");
+        (
+            reactor.register_adopted(ours, None).expect("register"),
+            peer,
+        )
+    }
+
+    #[test]
+    fn sixteen_connections_reading_in_turn_share_one_loan() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut reactor = Reactor::new(None, 0, None).expect("reactor");
+        let pairs: Vec<_> = (0..16)
+            .map(|_| adopted_pair(&mut reactor, &listener))
+            .collect();
+        for (i, (token, peer)) in pairs.iter().enumerate() {
+            let message = large_codeword(i as u64);
+            let mut peer = peer.try_clone().expect("clone");
+            let frame = message.encode();
+            std::thread::scope(|s| {
+                s.spawn(move || peer.write_all(&frame).expect("write"));
+                let NetEvent::Codeword {
+                    token: t, values, ..
+                } = wait_event(&mut reactor)
+                else {
+                    panic!("expected a codeword");
+                };
+                let Message::Codeword { values: sent, .. } = &message else {
+                    unreachable!()
+                };
+                assert_eq!((t, values.as_slice()), (*token, &sent[..]));
+            });
+            assert!(reactor.spares.held().len() <= 1);
+            for conn in reactor.conns.values() {
+                assert!(conn.assembler.capacity() <= 64 * 1024);
+            }
+        }
+        assert_eq!(reactor.spares.held().len(), 1);
+    }
+
+    #[test]
+    fn a_connection_dropped_mid_frame_returns_its_loan() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut reactor = Reactor::new(None, 0, None).expect("reactor");
+        let (token, mut peer) = adopted_pair(&mut reactor, &listener);
+        let frame = large_codeword(0).encode();
+        peer.write_all(&frame[..frame.len() / 4]).expect("write");
+        drop(peer);
+        assert!(matches!(
+            wait_event(&mut reactor),
+            NetEvent::Gone { token: t } if t == token
+        ));
+        assert!(reactor.conns.is_empty());
+        assert_eq!(reactor.spares.held().len(), 1, "the loan is back");
+        assert!(reactor.spares.held()[0].len() >= frame.len());
     }
 
     #[test]

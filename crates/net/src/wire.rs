@@ -491,17 +491,22 @@ impl Frame<'_> {
 /// `Vec` whose live bytes are `start..end`; the tail beyond `end` was
 /// zero-filled once, when the buffer grew, and is simply offered again on
 /// the next read. It starts at 4 KiB on first use (what an idle connection
-/// pins), doubles up to 64 KiB when a read leaves no tail, and jumps
-/// straight to a frame's exact size when a buffered header announces one
-/// that does not fit. Consumed bytes are reclaimed lazily: both cursors
-/// reset when the buffer drains, and a partial frame left behind the
-/// consumed ones is moved to the front — once — by the next fill.
+/// pins) and doubles up to 64 KiB when a read leaves no tail. When a
+/// buffered header announces a frame that does not fit, a standalone
+/// assembler grows to exactly the frame's size and keeps that buffer; a
+/// reactor's connection instead borrows a frame-size buffer from its
+/// reactor's spares and gives it back once the frame is read and
+/// nothing is left buffered, so its own buffer never outgrows 64 KiB.
+/// Consumed bytes are reclaimed lazily: both cursors reset when the buffer
+/// drains, and a partial frame left behind the consumed ones is moved to
+/// the front — once — by the next fill.
 ///
 /// Every assembler clamps the length prefix *before* any allocation
 /// happens: the protocol-wide [`MAX_PAYLOAD`] always applies, and
 /// [`FrameAssembler::with_max_frame`] tightens it per connection — a peer
 /// claiming a larger frame gets a typed [`WireError::FrameTooLarge`]
-/// instead of a buffer sized by its header.
+/// instead of a buffer sized by its header. A reactor clamps a connection
+/// that has not introduced itself to the `Hello` payload.
 #[derive(Debug)]
 pub struct FrameAssembler {
     /// Initialised storage; `buf.len()` is what reads may fill up to.
@@ -511,6 +516,8 @@ pub struct FrameAssembler {
     end: usize,
     /// Largest payload this connection accepts (≤ [`MAX_PAYLOAD`]).
     max_frame: u32,
+    /// The connection's own buffer while `buf` is a frame-size loan.
+    parked: Option<Vec<u8>>,
 }
 
 impl Default for FrameAssembler {
@@ -520,6 +527,7 @@ impl Default for FrameAssembler {
             start: 0,
             end: 0,
             max_frame: MAX_PAYLOAD,
+            parked: None,
         }
     }
 }
@@ -529,8 +537,38 @@ impl Default for FrameAssembler {
 const INITIAL_TAIL: usize = 4 * 1024;
 
 /// Where doubling on full reads stops; only a frame larger than this grows
-/// the buffer further (to exactly its size).
+/// the buffer further (to exactly its size), or borrows a [`Spares`] buffer.
 const READ_MAX: usize = 64 * 1024;
+
+/// The payload of the largest `Hello`: all a connection that has not
+/// introduced itself may send.
+pub(crate) fn max_hello_len() -> u32 {
+    let hello = Message::Hello { preferred: Some(0) };
+    (hello.encode().len() - HEADER_LEN) as u32
+}
+
+/// The frame-size buffers a reactor lends its connections. A frame larger
+/// than [`READ_MAX`] is reassembled in one, and the connection gives it
+/// back once that frame is read, so the reactor holds at most as many as
+/// large frames were ever in flight at once.
+#[derive(Debug, Default)]
+pub(crate) struct Spares(Vec<Vec<u8>>);
+
+impl Spares {
+    /// A fully initialised buffer of at least `len` bytes: a spare that
+    /// fits, else a spare grown to fit, else a new one.
+    fn lend(&mut self, len: usize) -> Vec<u8> {
+        let mut buf = match self.0.iter().position(|b| b.len() >= len) {
+            Some(i) => self.0.swap_remove(i),
+            None => self.0.pop().unwrap_or_default(),
+        };
+        if buf.len() < len {
+            buf.reserve_exact(len - buf.len());
+            buf.resize(len, 0);
+        }
+        buf
+    }
+}
 
 impl FrameAssembler {
     /// An empty assembler accepting payloads up to [`MAX_PAYLOAD`].
@@ -553,15 +591,23 @@ impl FrameAssembler {
         self.end - self.start
     }
 
-    /// Bytes of memory the reassembly buffer holds (tests pin its growth).
+    /// Bytes of memory the reassembly buffers hold, a borrowed one included
+    /// (tests pin their growth).
     #[doc(hidden)]
     pub fn capacity(&self) -> usize {
-        self.buf.capacity()
+        self.buf.capacity() + self.parked.as_ref().map_or(0, Vec::capacity)
+    }
+
+    /// Moves the payload clamp (a reactor lifts it when it adopts a
+    /// connection); like [`FrameAssembler::with_max_frame`], never past
+    /// [`MAX_PAYLOAD`].
+    pub(crate) fn set_max_frame(&mut self, max_frame: u32) {
+        self.max_frame = max_frame.min(MAX_PAYLOAD);
     }
 
     /// Appends raw bytes (a test vector, or a chunk already read elsewhere).
     pub fn push(&mut self, bytes: &[u8]) {
-        self.make_room(bytes.len());
+        self.make_room(bytes.len(), None);
         self.buf[self.end..self.end + bytes.len()].copy_from_slice(bytes);
         self.end += bytes.len();
     }
@@ -574,17 +620,52 @@ impl FrameAssembler {
     ///
     /// Propagates the underlying `read` error.
     pub fn fill_from(&mut self, r: &mut impl io::Read) -> io::Result<usize> {
-        self.make_room(1);
+        self.fill(r, None)
+    }
+
+    /// [`FrameAssembler::fill_from`] for a reactor's connection: a frame
+    /// larger than [`READ_MAX`] is read into a buffer borrowed from
+    /// `spares`, which [`FrameAssembler::repay`] gives back.
+    pub(crate) fn fill_lending(
+        &mut self,
+        r: &mut impl io::Read,
+        spares: &mut Spares,
+    ) -> io::Result<usize> {
+        self.fill(r, Some(spares))
+    }
+
+    fn fill(&mut self, r: &mut impl io::Read, spares: Option<&mut Spares>) -> io::Result<usize> {
+        self.make_room(1, spares);
         let k = r.read(&mut self.buf[self.end..])?;
         self.end += k;
         Ok(k)
     }
 
+    /// Gives a borrowed buffer back to `spares` once nothing is buffered
+    /// (both cursors are then 0, as `next_frame` leaves them on a drain);
+    /// the next read goes to the connection's own buffer again.
+    pub(crate) fn repay(&mut self, spares: &mut Spares) {
+        if self.pending() == 0 {
+            if let Some(own) = self.parked.take() {
+                spares.0.push(std::mem::replace(&mut self.buf, own));
+            }
+        }
+    }
+
+    /// Gives a borrowed buffer back to `spares` whatever it holds: the
+    /// connection is closing.
+    pub(crate) fn release(self, spares: &mut Spares) {
+        if self.parked.is_some() {
+            spares.0.push(self.buf);
+        }
+    }
+
     /// Leaves at least `need` free bytes after `end`: moves a partial frame
     /// to the front, then grows the buffer if it must (or if the last read
-    /// filled it, which says more bytes are waiting). Growth is the only
-    /// place new bytes are zero-filled.
-    fn make_room(&mut self, need: usize) {
+    /// filled it, which says more bytes are waiting). With `spares`, a
+    /// buffer larger than [`READ_MAX`] is borrowed instead of grown. Growth
+    /// is the only place new bytes are zero-filled.
+    fn make_room(&mut self, need: usize, spares: Option<&mut Spares>) {
         let was_full = self.end == self.buf.len();
         if self.start > 0 {
             self.buf.copy_within(self.start..self.end, 0);
@@ -608,9 +689,19 @@ impl FrameAssembler {
         } else {
             len
         };
-        if target > len {
-            self.buf.reserve_exact(target - len);
-            self.buf.resize(target, 0);
+        if target <= len {
+            return;
+        }
+        match spares {
+            Some(spares) if target > READ_MAX && self.parked.is_none() => {
+                let mut loan = spares.lend(target);
+                loan[..self.end].copy_from_slice(&self.buf[..self.end]);
+                self.parked = Some(std::mem::replace(&mut self.buf, loan));
+            }
+            _ => {
+                self.buf.reserve_exact(target - len);
+                self.buf.resize(target, 0);
+            }
         }
     }
 
@@ -888,6 +979,13 @@ pub fn corpus_messages(seed: u64) -> Vec<Message> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Spares {
+        /// The buffers on hand (the reactor's tests count them).
+        pub(crate) fn held(&self) -> &[Vec<u8>] {
+            &self.0
+        }
+    }
 
     fn roundtrip(message: Message) {
         let frame = message.encode();

@@ -167,6 +167,18 @@ if [ -n "$per_element" ]; then
   exit 1
 fi
 
+echo "== pending connections are clamped (structural guard)"
+# A connection that has not introduced itself may send a Hello and nothing
+# larger, so its header cannot make the master reserve MAX_PAYLOAD. The
+# reactor therefore builds every assembler with an explicit clamp: no
+# unclamped FrameAssembler::new( in non-test crates/net/src/reactor.rs.
+unclamped=$(non_test crates/net/src/reactor.rs | grep -F -e 'FrameAssembler::new(' || true)
+if [ -n "$unclamped" ]; then
+  echo "FAIL: the reactor builds an unclamped assembler (use FrameAssembler::with_max_frame):" >&2
+  echo "$unclamped" >&2
+  exit 1
+fi
+
 echo "== one broadcast, one gather (structural guard)"
 # A step's transport is Collector::broadcast, then Collector::gather, so the
 # engine can send step t+1 before it evaluates step t's loss. A collector
@@ -306,4 +318,4 @@ if ! diff -r -x README.md results target/results; then
   exit 1
 fi
 
-echo "ok: fmt, structural guards (incl. non-test source ends at mod tests, no thread in isgc-net, one session loop, one worker handshake, one invariant checker and one hash, only options someone sets and no aggregation tree, one f64 codec and no per-element ingest, one broadcast and one gather, no public item without a caller), clippy, docs, tests, release kernel properties, engine parity, snapshots, chaos, blackout, multi-tenant fingerprints, reactor scale, straggling swarm, benchmark smoke, mc mutation loop, and paper reproduction all clean"
+echo "ok: fmt, structural guards (incl. non-test source ends at mod tests, no thread in isgc-net, one session loop, one worker handshake, one invariant checker and one hash, only options someone sets and no aggregation tree, one f64 codec and no per-element ingest, pending connections are clamped, one broadcast and one gather, no public item without a caller), clippy, docs, tests, release kernel properties, engine parity, snapshots, chaos, blackout, multi-tenant fingerprints, reactor scale, straggling swarm, benchmark smoke, mc mutation loop, and paper reproduction all clean"

@@ -421,6 +421,12 @@ impl VirtualTransport {
 }
 
 impl Transport for VirtualTransport {
+    /// Time does not pass in the virtual network: a deadline the collector
+    /// sets never comes due, so every run is an ordering of untimed events.
+    fn now(&self) -> Duration {
+        Duration::ZERO
+    }
+
     fn next_event(&mut self, _timeout: Duration) -> Result<Option<NetEvent>, NetError> {
         self.world.borrow_mut().pop_next()
     }

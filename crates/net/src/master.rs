@@ -66,8 +66,9 @@ pub struct NetConfig {
     pub seed: u64,
     /// A worker silent for longer than this is presumed dead and stops
     /// counting toward wait targets until it reconnects or speaks again.
-    /// Enforced by the reactor's logical timer wheel, so the decision is a
-    /// deterministic deadline, not a race between wall-clock thread sleeps.
+    /// Enforced by the reactor's deadline queue, exactly: the decision is a
+    /// comparison on the transport's clock at last read + this, not a race
+    /// between wall-clock thread sleeps.
     pub heartbeat_timeout: Duration,
     /// How long `run` waits for all `n` workers to register.
     pub register_timeout: Duration,

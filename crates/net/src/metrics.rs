@@ -39,6 +39,6 @@ pub const REACTOR_CONNECTIONS: &str = "net.reactor.connections.registered";
 /// resumption on the next write-readiness event.
 pub const REACTOR_PARTIAL_WRITES_TOTAL: &str = "net.reactor.partial.writes.total";
 
-/// Deadlines fired by the reactor's logical timer wheel (handshake and
+/// Deadlines fired by the reactor's deadline queue (handshake and
 /// heartbeat timeouts).
 pub const REACTOR_TIMER_FIRES_TOTAL: &str = "net.reactor.timer.fires.total";

@@ -1,10 +1,5 @@
 //! A hand-rolled nonblocking reactor: one thread multiplexing readiness
-//! over every master-side socket.
-//!
-//! The previous transport spawned two threads per connection (a handshake
-//! thread plus a long-lived reader), capping a master at tens of workers
-//! before context-switch and stack overhead dominate. This module replaces all of
-//! it with a single event loop in the style of DSLab's event-driven
+//! over every master-side socket, in the style of DSLab's event-driven
 //! executor: sockets are switched to nonblocking mode, `poll(2)` reports
 //! readiness, and the reactor owns
 //!
@@ -26,11 +21,13 @@
 //! - **write interest + pooled broadcast**: outbound frames are
 //!   reference-counted `Arc<[u8]>` slices shared across per-connection
 //!   write queues, with partial writes resumed on the next `POLLOUT`;
-//! - **timers**: a bucketed tick-based [`TimerWheel`] drives per-connection
-//!   heartbeat deadlines and handshake timeouts, so liveness is a logical
-//!   clock decision instead of a race between wall-clock thread sleeps; a
-//!   read only moves the connection's deadline, and its single wheel entry
-//!   is re-filed when it comes due early;
+//! - **the clock and its deadlines**: [`Transport::now`] is the time since
+//!   the reactor was built, and one time-ordered set holds every
+//!   connection's heartbeat or handshake deadline, exactly, at most one
+//!   entry per connection: a read only moves the connection's deadline, and
+//!   its entry is re-filed when it comes due early. A poll never blocks past
+//!   the earliest entry, so a caller may wait without a timeout of its own
+//!   and still see silence and handshake expiry on time;
 //! - **a drained event queue**: readiness is translated into [`NetEvent`]s
 //!   consumed one at a time by the single-threaded master state machine
 //!   ([`crate::master::MasterLoop`](crate::master)).
@@ -40,7 +37,7 @@
 //! `net.reactor.*` metric series are [`isgc_obs::Class::Timing`], so golden
 //! logical snapshots are untouched by the transport swap.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -58,15 +55,6 @@ use crate::NetError;
 /// current one (the role epochs played under the thread-per-connection
 /// transport).
 pub type Token = u64;
-
-/// Logical timer granularity. Deadlines are quantized to ticks of this
-/// size; anything finer would be noise next to the masters' 20 ms poll
-/// cadence.
-const TICK: Duration = Duration::from_millis(5);
-
-/// Slots in the timer wheel; deadlines further out than one rotation just
-/// survive extra sweeps (hashed-wheel style).
-const WHEEL_SLOTS: usize = 512;
 
 /// How long a pending connection may sit without completing its handshake
 /// before the reactor drops it (the old handshake threads' read timeout),
@@ -107,9 +95,9 @@ pub enum NetEvent {
         /// Wire bytes consumed by the frame (for byte counters).
         bytes: usize,
     },
-    /// An adopted connection passed its idle deadline on the logical timer
-    /// wheel without producing a byte. The connection stays open — the
-    /// owner decides what silence means — and the deadline re-arms.
+    /// An adopted connection passed its idle deadline without producing a
+    /// byte. The connection stays open — the owner decides what silence
+    /// means — and the deadline re-arms.
     HeartbeatTimeout {
         /// The silent connection.
         token: Token,
@@ -156,7 +144,7 @@ struct Conn {
     /// Idle timeout re-armed on every inbound byte; `None` disables
     /// silence detection (a swarm member's link).
     idle: Option<Duration>,
-    /// The handshake or idle deadline and its one wheel entry.
+    /// The handshake or idle deadline and its one queue entry.
     deadline: Deadline,
     /// A pending connection that already emitted its introduction stops
     /// parsing until adopted.
@@ -171,119 +159,66 @@ enum Parsed {
     Fatal,
 }
 
-/// A bucketed logical-time wheel: `schedule` files `(token, deadline)`
-/// entries under `deadline % slots`, `advance_to` sweeps the ticks since
-/// the last advance and yields every entry now due. Entries are never
-/// removed early; a connection's [`Deadline`] decides what a fired entry
-/// means, and keeps the wheel to one live entry per connection. Pure tick
-/// arithmetic, no clocks: unit tests drive it deterministically (see
-/// below), production maps wall time to ticks once per poll.
-pub(crate) struct TimerWheel {
-    slots: Vec<Vec<(Token, u64)>>,
-    now: u64,
-}
-
-impl TimerWheel {
-    pub(crate) fn new(slots: usize) -> TimerWheel {
-        TimerWheel {
-            slots: (0..slots.max(1)).map(|_| Vec::new()).collect(),
-            now: 0,
-        }
-    }
-
-    /// The last tick `advance_to` reached.
-    pub(crate) fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// Files an entry due at `deadline` (clamped to the future: entries at
-    /// or before the current tick fire on the next advance).
-    pub(crate) fn schedule(&mut self, token: Token, deadline: u64) {
-        let deadline = deadline.max(self.now + 1);
-        let slot = (deadline % self.slots.len() as u64) as usize;
-        self.slots[slot].push((token, deadline));
-    }
-
-    /// Advances logical time to `tick`, returning every `(token, deadline)`
-    /// entry that came due. A jump of a full rotation or more sweeps each
-    /// bucket exactly once.
-    pub(crate) fn advance_to(&mut self, tick: u64) -> Vec<(Token, u64)> {
-        let mut due = Vec::new();
-        if tick <= self.now {
-            return due;
-        }
-        let len = self.slots.len() as u64;
-        if tick - self.now >= len {
-            for bucket in &mut self.slots {
-                bucket.retain(|&(token, deadline)| {
-                    if deadline <= tick {
-                        due.push((token, deadline));
-                        false
-                    } else {
-                        true
-                    }
-                });
-            }
-        } else {
-            for t in self.now + 1..=tick {
-                let slot = (t % len) as usize;
-                self.slots[slot].retain(|&(token, deadline)| {
-                    if deadline <= tick {
-                        due.push((token, deadline));
-                        false
-                    } else {
-                        true
-                    }
-                });
-            }
-        }
-        self.now = tick;
-        due
-    }
-}
+/// Every connection's filed deadline, in time order: `(at, token)`.
+type Deadlines = BTreeSet<(Duration, Token)>;
 
 /// One connection's deadline, re-armed lazily: activity only moves `at`,
-/// and the wheel holds a single entry per connection (at `filed`) that is
-/// re-filed at `at` if it comes due early. Re-arming on every read would
-/// instead leave one dead entry per frame in the wheel until its tick —
-/// at 300 workers and 370 steps/s, 220 k of them inside a 2 s timeout.
+/// and the queue holds a single entry per connection (at `filed`) that is
+/// re-filed at `at` if it comes due early. Re-filing on every read would
+/// instead cost two tree updates per frame — at 300 workers and 370
+/// steps/s, 220 k of them a second — for an entry that almost never fires.
 #[derive(Debug, Default)]
 struct Deadline {
-    /// The tick the connection times out at.
-    at: u64,
-    /// The tick of the live wheel entry, if one is filed.
-    filed: Option<u64>,
+    /// When the connection times out.
+    at: Duration,
+    /// When its queue entry comes due, if one is filed.
+    filed: Option<Duration>,
 }
 
 impl Deadline {
-    /// Moves the deadline to `at`, filing a wheel entry only when none is
-    /// live or the live one would fire too late (adopting a connection
-    /// whose handshake deadline lies beyond its first idle deadline).
-    fn arm(&mut self, wheel: &mut TimerWheel, token: Token, at: u64) {
+    /// Moves the deadline to `at`, filing an entry only when none is filed
+    /// or the filed one would come due too late (adopting a connection whose
+    /// handshake deadline lies beyond its first idle deadline); the later
+    /// entry it replaces leaves the queue.
+    fn arm(&mut self, queue: &mut Deadlines, token: Token, at: Duration) {
         self.at = at;
         if self.filed.is_none_or(|filed| at < filed) {
-            wheel.schedule(token, at);
+            self.cancel(queue, token);
+            queue.insert((at, token));
             self.filed = Some(at);
         }
     }
 
-    /// Whether the entry `fired` (as `advance_to(now)` returned it) means
-    /// the deadline has passed. It does not when an earlier entry replaced
-    /// it, or when activity moved the deadline past `now` — then the entry
-    /// is re-filed there. After `true` nothing is filed until the next
-    /// [`Deadline::arm`].
-    fn expired(&mut self, wheel: &mut TimerWheel, token: Token, fired: u64, now: u64) -> bool {
-        if self.filed != Some(fired) {
-            return false;
-        }
-        if self.at > now {
-            wheel.schedule(token, self.at);
-            self.filed = Some(self.at);
-            return false;
-        }
+    /// Whether the deadline has passed at `now`, once its entry came due and
+    /// left the queue. It has not when activity moved it past `now`; the
+    /// entry is then re-filed there. After `true` nothing is filed until the
+    /// next [`Deadline::arm`].
+    fn expired(&mut self, queue: &mut Deadlines, token: Token, now: Duration) -> bool {
         self.filed = None;
+        if self.at > now {
+            self.arm(queue, token, self.at);
+            return false;
+        }
         true
     }
+
+    /// Takes the connection's entry, if any, out of the queue.
+    fn cancel(&mut self, queue: &mut Deadlines, token: Token) {
+        if let Some(filed) = self.filed.take() {
+            queue.remove(&(filed, token));
+        }
+    }
+}
+
+/// Removes every entry due at `now` from the queue, returning their
+/// connections in deadline order.
+fn take_due(queue: &mut Deadlines, now: Duration) -> Vec<Token> {
+    let mut due = Vec::new();
+    while let Some(&(_, token)) = queue.first().filter(|&&(at, _)| at <= now) {
+        queue.pop_first();
+        due.push(token);
+    }
+    due
 }
 
 /// The readiness syscall, gated per platform. On Linux this is a direct
@@ -319,12 +254,15 @@ mod sys {
 
     /// Blocks until a descriptor is ready or `timeout` passes; returns how
     /// many descriptors have nonzero `revents`. `EINTR` reads as a timeout.
+    /// The timeout is rounded *up* to the milliseconds `poll(2)` takes, so
+    /// a sub-millisecond remainder blocks once instead of spinning on a zero
+    /// timeout until it has passed.
     pub fn wait(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
         if fds.is_empty() {
             std::thread::sleep(timeout);
             return Ok(0);
         }
-        let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
+        let ms = timeout.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32;
         // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]`
         // pollfd structs and `nfds` is exactly its length; the kernel
         // writes only the `revents` fields within the slice.
@@ -393,7 +331,8 @@ pub(crate) struct Reactor {
     conns: BTreeMap<Token, Conn>,
     next_token: Token,
     events: VecDeque<NetEvent>,
-    wheel: TimerWheel,
+    deadlines: Deadlines,
+    /// When the reactor was built: [`Transport::now`] counts from here.
     base: Instant,
     job: u64,
     metrics: Option<Registry>,
@@ -421,7 +360,7 @@ impl Reactor {
             conns: BTreeMap::new(),
             next_token: 1,
             events: VecDeque::new(),
-            wheel: TimerWheel::new(WHEEL_SLOTS),
+            deadlines: Deadlines::new(),
             base: Instant::now(),
             job,
             metrics,
@@ -452,7 +391,12 @@ impl Reactor {
 
 /// The production [`Transport`]: real nonblocking sockets.
 impl Transport for Reactor {
-    /// Pumps the poll loop for up to `timeout` when the queue is empty.
+    fn now(&self) -> Duration {
+        self.base.elapsed()
+    }
+
+    /// Pumps the poll loop for up to `timeout` when the queue is empty, and
+    /// never past the earliest connection deadline.
     fn next_event(&mut self, timeout: Duration) -> Result<Option<NetEvent>, NetError> {
         if let Some(event) = self.events.pop_front() {
             return Ok(Some(event));
@@ -508,12 +452,10 @@ impl Transport for Reactor {
 
     /// The graceful-teardown flush behind a `Shutdown` broadcast.
     fn flush_all(&mut self, limit: Duration) {
-        let deadline = Instant::now() + limit;
+        let deadline = self.now().saturating_add(limit);
         while self.conns.values().any(|c| !c.out.is_empty()) {
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                return;
-            };
-            if self.pump(remaining.min(TICK)).is_err() {
+            let remaining = deadline.saturating_sub(self.now());
+            if remaining.is_zero() || self.pump(remaining).is_err() {
                 return;
             }
         }
@@ -526,6 +468,7 @@ impl Transport for Reactor {
             let _ = conn.stream.shutdown(std::net::Shutdown::Both);
         }
         self.conns.clear();
+        self.deadlines.clear();
         self.listener = None;
         self.gauge_conns();
     }
@@ -538,9 +481,14 @@ impl Reactor {
         self.events.pop_front()
     }
 
-    /// One poll cycle: wait for readiness (or `timeout`), fire due timers,
-    /// then drain every ready descriptor into the event queue.
+    /// One poll cycle: wait for readiness (or `timeout`, or the earliest
+    /// deadline), drain every ready descriptor into the event queue, then
+    /// fire the deadlines that came due.
     fn pump(&mut self, timeout: Duration) -> Result<(), NetError> {
+        let timeout = match self.deadlines.first() {
+            Some(&(at, _)) => timeout.min(at.saturating_sub(self.now())),
+            None => timeout,
+        };
         let has_listener = self.listener.is_some();
         let mut fds = std::mem::take(&mut self.poll_fds);
         let mut tokens = std::mem::take(&mut self.poll_tokens);
@@ -567,7 +515,7 @@ impl Reactor {
         }
         let ready = sys::wait(&mut fds, timeout)?;
         self.count(crate::metrics::REACTOR_WAKEUPS_TOTAL, 1);
-        // Readiness is handled *before* timers fire: a read re-arms the
+        // Readiness is handled *before* deadlines fire: a read re-arms the
         // connection's idle deadline, so a peer whose heartbeats sat in
         // the kernel buffer while the owning loop was busy elsewhere is
         // not "silent" — exactly the judgment the per-connection reader
@@ -612,9 +560,9 @@ impl Reactor {
                         continue;
                     }
                     let token = self.insert(stream, Phase::Pending, None);
-                    let at = self.wheel.now() + ticks(HANDSHAKE_TIMEOUT);
+                    let at = self.now() + HANDSHAKE_TIMEOUT;
                     if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.deadline.arm(&mut self.wheel, token, at);
+                        conn.deadline.arm(&mut self.deadlines, token, at);
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -687,21 +635,20 @@ impl Reactor {
         }
     }
 
-    /// Advances the wheel to the current logical tick and translates due
-    /// entries: pending connections past their handshake deadline are
-    /// dropped, silent adopted ones get a [`NetEvent::HeartbeatTimeout`]
-    /// and a re-armed deadline; an entry that activity overtook is re-filed
-    /// at the connection's current deadline.
+    /// Takes the due entries off the deadline queue and translates them:
+    /// pending connections past their handshake deadline are dropped,
+    /// silent adopted ones get a [`NetEvent::HeartbeatTimeout`] and a
+    /// re-armed deadline; an entry that activity overtook is re-filed at the
+    /// connection's current deadline.
     fn fire_timers(&mut self) {
-        let now = self.tick_now();
-        let due = self.wheel.advance_to(now);
+        let now = self.now();
         let mut fired = 0u64;
         let mut handshake_expired: Vec<Token> = Vec::new();
-        for (token, deadline) in due {
+        for token in take_due(&mut self.deadlines, now) {
             let Some(conn) = self.conns.get_mut(&token) else {
                 continue;
             };
-            if !conn.deadline.expired(&mut self.wheel, token, deadline, now) {
+            if !conn.deadline.expired(&mut self.deadlines, token, now) {
                 continue;
             }
             fired += 1;
@@ -710,7 +657,8 @@ impl Reactor {
                 Phase::Pending => handshake_expired.push(token),
                 Phase::Adopted => {
                     if let Some(idle) = conn.idle {
-                        conn.deadline.arm(&mut self.wheel, token, now + ticks(idle));
+                        let at = now.saturating_add(idle);
+                        conn.deadline.arm(&mut self.deadlines, token, at);
                         self.events.push_back(NetEvent::HeartbeatTimeout { token });
                     }
                 }
@@ -724,22 +672,20 @@ impl Reactor {
         }
     }
 
-    /// Moves `token`'s idle deadline off the logical clock (called after
-    /// every readiness event that delivered bytes).
+    /// Moves `token`'s idle deadline to `idle` from now (called after every
+    /// readiness event that delivered bytes); a connection without an idle
+    /// deadline keeps no entry.
     fn arm_idle(&mut self, token: Token) {
-        let now = self.wheel.now();
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let Some(idle) = conn.idle else {
-            return;
-        };
-        conn.deadline.arm(&mut self.wheel, token, now + ticks(idle));
-    }
-
-    /// The current logical tick (wall clock quantized once per poll).
-    fn tick_now(&self) -> u64 {
-        (self.base.elapsed().as_millis() / TICK.as_millis()) as u64
+        match conn.idle {
+            Some(idle) => {
+                let at = self.base.elapsed().saturating_add(idle);
+                conn.deadline.arm(&mut self.deadlines, token, at);
+            }
+            None => conn.deadline.cancel(&mut self.deadlines, token),
+        }
     }
 
     fn insert(&mut self, stream: TcpStream, phase: Phase, idle: Option<Duration>) -> Token {
@@ -769,7 +715,8 @@ impl Reactor {
 
     /// Deregisters a connection, emitting `Gone` when the owner had it.
     fn drop_conn(&mut self, token: Token) {
-        if let Some(conn) = self.conns.remove(&token) {
+        if let Some(mut conn) = self.conns.remove(&token) {
+            conn.deadline.cancel(&mut self.deadlines, token);
             if conn.phase == Phase::Adopted {
                 self.events.push_back(NetEvent::Gone { token });
             }
@@ -780,7 +727,8 @@ impl Reactor {
 
     /// Silently deregisters (replaced connections, rejections).
     fn remove(&mut self, token: Token) {
-        if let Some(conn) = self.conns.remove(&token) {
+        if let Some(mut conn) = self.conns.remove(&token) {
+            conn.deadline.cancel(&mut self.deadlines, token);
             conn.assembler.release(&mut self.spares);
         }
         self.gauge_conns();
@@ -802,11 +750,6 @@ impl Reactor {
             );
         }
     }
-}
-
-/// Duration → whole ticks, at least one.
-fn ticks(d: Duration) -> u64 {
-    (d.as_millis().div_ceil(TICK.as_millis())).max(1) as u64
 }
 
 /// Writes as much of `conn`'s queue as the socket accepts. `Err` means the
@@ -911,126 +854,129 @@ fn parse_frames(
 mod tests {
     use super::*;
 
-    impl TimerWheel {
-        /// Entries filed and not yet due.
-        fn len(&self) -> usize {
-            self.slots.iter().map(Vec::len).sum()
-        }
+    fn ms(ms: u64) -> Duration {
+        Duration::from_millis(ms)
+    }
+
+    fn entries(queue: &Deadlines) -> Vec<(Duration, Token)> {
+        queue.iter().copied().collect()
     }
 
     #[test]
-    fn wheel_fires_exactly_at_the_deadline_tick() {
-        let mut wheel = TimerWheel::new(8);
-        wheel.schedule(1, 5);
-        assert!(wheel.advance_to(4).is_empty());
-        assert_eq!(wheel.advance_to(5), vec![(1, 5)]);
-        assert!(wheel.advance_to(100).is_empty());
-    }
-
-    #[test]
-    fn wheel_survives_rotation_wraparound() {
-        // Deadline more than one rotation out must not fire early when its
-        // bucket is swept on an earlier pass.
-        let mut wheel = TimerWheel::new(4);
-        wheel.schedule(7, 9); // bucket 1, more than two rotations of 4
-        assert!(wheel.advance_to(5).is_empty()); // sweeps bucket 1 at t=5
-        assert_eq!(wheel.advance_to(9), vec![(7, 9)]);
-    }
-
-    #[test]
-    fn wheel_handles_large_jumps_and_reentry() {
-        let mut wheel = TimerWheel::new(4);
-        wheel.schedule(1, 2);
-        wheel.schedule(2, 1000);
-        // A jump far past both deadlines (≥ one rotation) fires both.
-        let mut due = wheel.advance_to(5000);
-        due.sort_unstable();
-        assert_eq!(due, vec![(1, 2), (2, 1000)]);
-        // Re-arming after the jump still works.
-        wheel.schedule(3, 5002);
-        assert_eq!(wheel.advance_to(5002), vec![(3, 5002)]);
-        assert_eq!(wheel.now(), 5002);
-    }
-
-    #[test]
-    fn wheel_lazy_cancellation_is_the_callers_contract() {
-        // Two entries for one token: the reactor keeps only the newest
-        // deadline and ignores the stale firing — both entries surface.
-        let mut wheel = TimerWheel::new(16);
-        wheel.schedule(1, 3);
-        wheel.schedule(1, 6); // re-armed
-        assert_eq!(wheel.advance_to(3), vec![(1, 3)]); // stale, caller skips
-        assert_eq!(wheel.advance_to(6), vec![(1, 6)]);
-    }
-
-    #[test]
-    fn rearming_keeps_one_wheel_entry_and_times_out_on_the_same_tick() {
-        // A peer that sends 10,000 frames over ticks 0..100 and then goes
-        // silent, 400-tick idle timeout: one entry in the wheel throughout,
-        // and the timeout lands on last read + 400, where an entry filed by
-        // that last read would have fired.
-        let (token, idle) = (7, 400);
-        let mut wheel = TimerWheel::new(WHEEL_SLOTS);
+    fn rearming_keeps_one_entry_and_times_out_exactly_at_last_read_plus_idle() {
+        // A peer that sends 10,000 frames over 0..100 ms and then goes
+        // silent, 2 s idle timeout: one entry in the queue throughout, and
+        // waking at each entry as it comes due, the timeout lands exactly on
+        // last read + idle.
+        let (token, idle) = (7, ms(2000));
+        let mut queue = Deadlines::new();
         let mut deadline = Deadline::default();
         for read in 0..10_000u64 {
-            let now = read / 100;
-            assert!(wheel.advance_to(now).is_empty());
-            deadline.arm(&mut wheel, token, now + idle);
-            assert_eq!(wheel.len(), 1, "after read {read}");
+            let now = ms(read / 100);
+            assert!(take_due(&mut queue, now).is_empty());
+            deadline.arm(&mut queue, token, now + idle);
+            assert_eq!(queue.len(), 1, "after read {read}");
         }
-        let expected = 99 + idle;
         let mut timed_out_at = Vec::new();
-        for now in 100..=expected + 5 {
-            for (t, fired) in wheel.advance_to(now) {
-                if deadline.expired(&mut wheel, t, fired, now) {
+        let mut wakeups = 0;
+        while let Some(&(now, _)) = queue.first() {
+            wakeups += 1;
+            for t in take_due(&mut queue, now) {
+                if deadline.expired(&mut queue, t, now) {
                     timed_out_at.push(now);
                 } else {
-                    assert_eq!(wheel.len(), 1, "the early entry is re-filed");
+                    assert_eq!(queue.len(), 1, "the early entry is re-filed");
                 }
             }
         }
-        assert_eq!(timed_out_at, vec![expected]);
-        assert_eq!(wheel.len(), 0);
+        assert_eq!(timed_out_at, vec![ms(99) + idle]);
+        assert_eq!(wakeups, 2, "the first entry is re-filed once");
     }
 
     #[test]
     fn adoption_moves_the_deadline_either_side_of_the_handshake_entry() {
-        // Idle deadline before the handshake entry: a second entry is filed
-        // so the timeout is not late, and the handshake entry goes stale.
-        let mut wheel = TimerWheel::new(WHEEL_SLOTS);
+        // Idle deadline before the handshake entry: it replaces that entry,
+        // so the timeout is not late and nothing stale is left.
+        let mut queue = Deadlines::new();
         let mut deadline = Deadline::default();
-        deadline.arm(&mut wheel, 1, 1000);
-        deadline.arm(&mut wheel, 1, 410);
-        assert_eq!(wheel.len(), 2);
-        assert_eq!(wheel.advance_to(410), vec![(1, 410)]);
-        assert!(deadline.expired(&mut wheel, 1, 410, 410));
-        deadline.arm(&mut wheel, 1, 810);
-        assert_eq!(wheel.advance_to(1000), vec![(1, 810), (1, 1000)]);
-        assert!(deadline.expired(&mut wheel, 1, 810, 1000));
-        assert!(!deadline.expired(&mut wheel, 1, 1000, 1000));
-        assert_eq!(wheel.len(), 0, "a stale entry is not re-filed");
+        deadline.arm(&mut queue, 1, ms(5000));
+        deadline.arm(&mut queue, 1, ms(2050));
+        assert_eq!(entries(&queue), vec![(ms(2050), 1)]);
+        assert_eq!(take_due(&mut queue, ms(2050)), vec![1]);
+        assert!(deadline.expired(&mut queue, 1, ms(2050)));
+        assert!(queue.is_empty());
 
-        // Idle deadline after it: the handshake entry is reused.
-        let mut wheel = TimerWheel::new(WHEEL_SLOTS);
+        // Idle deadline after it: the handshake entry is kept, and re-filed
+        // at the idle deadline when it comes due.
+        let mut queue = Deadlines::new();
         let mut deadline = Deadline::default();
-        deadline.arm(&mut wheel, 2, 1000);
-        deadline.arm(&mut wheel, 2, 2010);
-        assert_eq!(wheel.len(), 1);
-        assert_eq!(wheel.advance_to(1000), vec![(2, 1000)]);
-        assert!(!deadline.expired(&mut wheel, 2, 1000, 1000));
-        assert_eq!(wheel.advance_to(2010), vec![(2, 2010)]);
-        assert!(deadline.expired(&mut wheel, 2, 2010, 2010));
+        deadline.arm(&mut queue, 2, ms(5000));
+        deadline.arm(&mut queue, 2, ms(6010));
+        assert_eq!(entries(&queue), vec![(ms(5000), 2)]);
+        assert_eq!(take_due(&mut queue, ms(5000)), vec![2]);
+        assert!(!deadline.expired(&mut queue, 2, ms(5000)));
+        assert_eq!(entries(&queue), vec![(ms(6010), 2)]);
+        assert!(take_due(&mut queue, ms(6009)).is_empty());
+        assert_eq!(take_due(&mut queue, ms(6010)), vec![2]);
+        assert!(deadline.expired(&mut queue, 2, ms(6010)));
+        assert!(queue.is_empty());
     }
 
     /// Pumps `reactor` until an event arrives (or two seconds pass).
     fn wait_event(reactor: &mut Reactor) -> NetEvent {
         let give_up = Instant::now() + Duration::from_secs(2);
         loop {
-            if let Some(event) = reactor.next_event(TICK).expect("poll") {
+            let left = give_up.saturating_duration_since(Instant::now());
+            if let Some(event) = reactor.next_event(left).expect("poll") {
                 return event;
             }
-            assert!(Instant::now() < give_up, "no event within 2 s");
+            assert!(!left.is_zero(), "no event within 2 s");
         }
+    }
+
+    #[test]
+    fn one_long_wait_sees_a_silent_peer_time_out_on_its_deadline() {
+        // The caller waits up to 10 s; the peer's 100 ms idle deadline
+        // bounds the poll, so the timeout is not late by the caller's wait.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut reactor = Reactor::new(None, 0, None).expect("reactor");
+        let start = Instant::now();
+        let (token, peer) = adopted_pair(&mut reactor, &listener, Some(ms(100)));
+        let event = reactor.next_event(Duration::from_secs(10)).expect("poll");
+        let took = start.elapsed();
+        assert!(
+            matches!(event, Some(NetEvent::HeartbeatTimeout { token: t }) if t == token),
+            "{event:?}"
+        );
+        assert!(took >= ms(100), "{took:?}");
+        assert!(took < Duration::from_secs(1), "{took:?}");
+        drop(peer);
+    }
+
+    #[test]
+    fn a_sub_millisecond_wait_blocks_instead_of_returning_at_once() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut reactor = Reactor::new(Some(listener), 0, None).expect("reactor");
+        let start = Instant::now();
+        let event = reactor
+            .next_event(Duration::from_micros(500))
+            .expect("poll");
+        assert!(event.is_none());
+        assert!(start.elapsed() >= Duration::from_micros(500));
+    }
+
+    #[test]
+    fn a_dropped_connection_leaves_no_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut reactor = Reactor::new(None, 0, None).expect("reactor");
+        let (token, peer) = adopted_pair(&mut reactor, &listener, Some(ms(2000)));
+        assert_eq!(reactor.deadlines.len(), 1);
+        drop(peer);
+        assert!(matches!(
+            wait_event(&mut reactor),
+            NetEvent::Gone { token: t } if t == token
+        ));
+        assert!(reactor.deadlines.is_empty());
     }
 
     #[test]
@@ -1098,7 +1044,7 @@ mod tests {
         let give_up = Instant::now() + Duration::from_secs(2);
         let mut accepted = false;
         loop {
-            assert!(reactor.next_event(TICK).expect("poll").is_none());
+            assert!(reactor.next_event(ms(5)).expect("poll").is_none());
             for conn in reactor.conns.values() {
                 assert!(
                     conn.assembler.capacity() <= 4 * 1024,
@@ -1112,6 +1058,10 @@ mod tests {
             }
             assert!(Instant::now() < give_up, "the pending peer was not dropped");
         }
+        assert!(
+            reactor.deadlines.is_empty(),
+            "its handshake deadline is left"
+        );
         drop(peer);
     }
 
@@ -1213,13 +1163,18 @@ mod tests {
         );
     }
 
-    /// A reactor's end of a loopback connection, registered as a swarm
-    /// member's, and the peer's end.
-    fn adopted_pair(reactor: &mut Reactor, listener: &TcpListener) -> (Token, TcpStream) {
+    /// A reactor's end of a loopback connection, registered as an adopted
+    /// one with deadline `idle` (`None`: a swarm member's), and the peer's
+    /// end.
+    fn adopted_pair(
+        reactor: &mut Reactor,
+        listener: &TcpListener,
+        idle: Option<Duration>,
+    ) -> (Token, TcpStream) {
         let ours = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
         let (peer, _) = listener.accept().expect("accept");
         (
-            reactor.register_adopted(ours, None).expect("register"),
+            reactor.register_adopted(ours, idle).expect("register"),
             peer,
         )
     }
@@ -1229,7 +1184,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let mut reactor = Reactor::new(None, 0, None).expect("reactor");
         let pairs: Vec<_> = (0..16)
-            .map(|_| adopted_pair(&mut reactor, &listener))
+            .map(|_| adopted_pair(&mut reactor, &listener, None))
             .collect();
         for (i, (token, peer)) in pairs.iter().enumerate() {
             let message = large_codeword(i as u64);
@@ -1260,7 +1215,7 @@ mod tests {
     fn a_connection_dropped_mid_frame_returns_its_loan() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let mut reactor = Reactor::new(None, 0, None).expect("reactor");
-        let (token, mut peer) = adopted_pair(&mut reactor, &listener);
+        let (token, mut peer) = adopted_pair(&mut reactor, &listener, None);
         let frame = large_codeword(0).encode();
         peer.write_all(&frame[..frame.len() / 4]).expect("write");
         drop(peer);
@@ -1271,22 +1226,5 @@ mod tests {
         assert!(reactor.conns.is_empty());
         assert_eq!(reactor.spares.held().len(), 1, "the loan is back");
         assert!(reactor.spares.held()[0].len() >= frame.len());
-    }
-
-    #[test]
-    fn wheel_clamps_past_deadlines_to_the_next_tick() {
-        let mut wheel = TimerWheel::new(8);
-        wheel.advance_to(10);
-        wheel.schedule(1, 4); // already past: fires on the next advance
-        assert_eq!(wheel.advance_to(11), vec![(1, 11)]);
-    }
-
-    #[test]
-    fn ticks_rounds_up_and_never_returns_zero() {
-        assert_eq!(ticks(Duration::from_millis(1)), 1);
-        assert_eq!(ticks(TICK), 1);
-        assert_eq!(ticks(Duration::from_millis(6)), 2);
-        assert_eq!(ticks(Duration::ZERO), 1);
-        assert_eq!(ticks(Duration::from_secs(2)), 400);
     }
 }

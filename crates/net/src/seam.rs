@@ -18,13 +18,20 @@ use std::time::Duration;
 pub use crate::reactor::{NetEvent, Token};
 use crate::NetError;
 
-/// The network surface a collector state machine consumes: an event queue
-/// to drain and per-connection byte sinks. The reactor implements it over
-/// real nonblocking sockets; the model checker implements it over an
-/// in-memory virtual network with scheduled delivery.
+/// The network surface a collector state machine consumes: a clock, an
+/// event queue to drain and per-connection byte sinks. The reactor
+/// implements it over real nonblocking sockets; the model checker
+/// implements it over an in-memory virtual network with scheduled delivery.
 pub trait Transport {
-    /// Pops the next event, waiting up to `timeout` when none is queued.
-    /// `Ok(None)` means the timeout passed quietly.
+    /// Time since the transport was built: the one clock every deadline of
+    /// the state machine on top is read off.
+    fn now(&self) -> Duration;
+
+    /// Pops the next event, waiting up to `timeout` when none is queued
+    /// (`Duration::MAX`: until one is). `Ok(None)` means the wait ended
+    /// with nothing to report — the timeout passed, or a transport deadline
+    /// came due and needed no event — so a caller re-reads [`Transport::now`]
+    /// before it concludes its own deadline passed.
     ///
     /// # Errors
     ///

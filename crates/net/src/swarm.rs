@@ -33,7 +33,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use isgc_engine::WorkerStep;
 use isgc_linalg::Vector;
@@ -200,22 +200,19 @@ pub(crate) fn serve<M: Model>(
         session.insert(token, member);
     }
     let (mut steps_served, mut lost) = (0, Vec::new());
-    // Held replies by release time. An entry outlives a member that left
-    // meanwhile; releasing it then finds nobody and sends nothing.
-    let mut held: BTreeMap<(Instant, Token), Arc<[u8]>> = BTreeMap::new();
+    // Held replies by release time on the reactor's clock. An entry outlives
+    // a member that left meanwhile; releasing it then finds nobody and sends
+    // nothing.
+    let mut held: BTreeMap<(Duration, Token), Arc<[u8]>> = BTreeMap::new();
     // Members with an unanswered `Params` and nothing held, in arrival order.
     let mut ready: Vec<Token> = Vec::new();
-    let mut next_heartbeat = Instant::now() + options.heartbeat_interval;
+    let mut next_heartbeat = reactor.now() + options.heartbeat_interval;
 
     while !session.is_empty() {
         let wake = held
             .first_key_value()
             .map_or(next_heartbeat, |(&(at, _), _)| at.min(next_heartbeat));
-        // Rounded up to the millisecond `poll(2)` takes, so a sub-millisecond
-        // remainder blocks once instead of spinning on a zero timeout.
-        let wait = wake.saturating_duration_since(Instant::now()).as_nanos();
-        let wait = Duration::from_millis(wait.div_ceil(1_000_000) as u64);
-        let mut next = reactor.next_event(wait)?;
+        let mut next = reactor.next_event(wake.saturating_sub(reactor.now()))?;
         while let Some(event) = next {
             // Only what that one poll queued: no second poll before answering.
             next = reactor.queued_event();
@@ -245,7 +242,7 @@ pub(crate) fn serve<M: Model>(
             }
         }
 
-        let now = Instant::now();
+        let now = reactor.now();
         if now >= next_heartbeat {
             next_heartbeat = now + options.heartbeat_interval;
             for (&token, member) in &session {
@@ -280,7 +277,7 @@ pub(crate) fn serve<M: Model>(
                 steps_served += 1;
             } else {
                 member.holding = true;
-                held.insert((Instant::now() + pause, token), frame);
+                held.insert((reactor.now() + pause, token), frame);
             }
         }
     }

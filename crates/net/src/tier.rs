@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use isgc_linalg::Vector;
 
@@ -19,10 +19,6 @@ use crate::reactor::{NetEvent, Token};
 use crate::seam::Transport;
 use crate::wire::{encode_params_frame, Message};
 use crate::{NetError, WaitPolicy};
-
-/// Poll granularity of every master-side loop: how often liveness and
-/// deadlines are re-checked while waiting on peers.
-pub(crate) const POLL: Duration = Duration::from_millis(20);
 
 /// One peer slot as its tier sees it; unregistered and unconnected to
 /// begin with.
@@ -90,9 +86,9 @@ impl Awaited {
 /// A step whose `Params` went out and whose answers are not collected yet.
 struct Outstanding {
     step: u64,
-    /// When the broadcast went out: a deadline counts from here, however
-    /// late the collection starts.
-    at: Instant,
+    /// When the broadcast went out, on the transport's clock: a deadline
+    /// counts from here, however late the collection starts.
+    at: Duration,
     /// Who is to answer, as of the broadcast.
     awaited: Awaited,
 }
@@ -249,9 +245,9 @@ impl Tier {
                 return Reply::Nothing;
             }
             &NetEvent::HeartbeatTimeout { token } => {
-                // The transport's timer wheel says this connection has been
-                // silent past its idle deadline: presumed dead. The socket
-                // stays open — a late frame revives the slot.
+                // The transport says this connection has been silent past
+                // its idle deadline: presumed dead. The socket stays open —
+                // a late frame revives the slot.
                 if let Some(slot) = self.slot_of(token) {
                     self.slots[slot].alive = false;
                 }
@@ -273,8 +269,8 @@ impl Tier {
         }
     }
 
-    /// Pulls one event through the host and the table; `None` when the
-    /// timeout passed quietly.
+    /// Pulls one event through the host and the table, waiting up to
+    /// `timeout`; `None` when the wait ended without one.
     fn hear<H: Host>(
         &mut self,
         host: &mut H,
@@ -317,19 +313,20 @@ impl Tier {
         host: &mut H,
         timeout: Duration,
     ) -> Result<(), NetError> {
-        let deadline = Instant::now() + timeout;
+        let deadline = self.transport.now().saturating_add(timeout);
         loop {
             let registered = self.slots.iter().filter(|s| s.registered).count();
             if registered == self.len() {
                 return Ok(());
             }
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
+            let now = self.transport.now();
+            if now >= deadline {
                 return Err(NetError::Protocol(format!(
                     "registration timed out with {registered} of {} workers",
                     self.len()
                 )));
-            };
-            self.hear(host, remaining.min(POLL))?;
+            }
+            self.hear(host, deadline - now)?;
         }
     }
 
@@ -344,15 +341,16 @@ impl Tier {
         if grace.is_zero() {
             return stale;
         }
-        let deadline = Instant::now() + grace;
+        let deadline = self.transport.now().saturating_add(grace);
         while (0..self.len()).any(|w| {
             let slot = &self.slots[w];
             slot.registered && !slot.alive && host.awaits_rejoin(w)
         }) {
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
+            let now = self.transport.now();
+            if now >= deadline {
                 break;
-            };
-            match self.hear(host, remaining.min(POLL)) {
+            }
+            match self.hear(host, deadline - now) {
                 Ok(Some(Reply::Answer(..))) => stale += 1,
                 Ok(_) => {}
                 Err(_) => break,
@@ -380,7 +378,7 @@ impl Tier {
         self.broadcast_alive(&frame);
         self.outstanding = Some(Outstanding {
             step,
-            at: Instant::now(),
+            at: self.transport.now(),
             awaited: Awaited::at_broadcast(&self.slots),
         });
         stale
@@ -408,22 +406,24 @@ impl Tier {
     }
 
     /// [`Tier::collect`] for `outstanding`, which also stops at `limit`.
+    /// Each wait runs until the next event, the cutoff if it is still ahead,
+    /// or `limit`, whichever comes first.
     fn collect_until<H: Host>(
         &mut self,
         host: &mut H,
         outstanding: Outstanding,
         wait: WaitPolicy,
-        limit: Option<Instant>,
+        limit: Option<Duration>,
     ) -> Result<CollectedStep, NetError> {
         let Outstanding {
             step,
             at,
             mut awaited,
         } = outstanding;
-        let gather_start = Instant::now();
+        let gather_start = self.transport.now();
         let cutoff = match wait {
             WaitPolicy::FirstW(_) => None,
-            WaitPolicy::Deadline(d) => Some(at + d),
+            WaitPolicy::Deadline(d) => Some(at.saturating_add(d)),
         };
         let n = self.len();
         let mut answers: Vec<Option<Vector>> = (0..n).map(|_| None).collect();
@@ -435,27 +435,31 @@ impl Tier {
 
         loop {
             // Heartbeat silence arrives as HeartbeatTimeout events off the
-            // transport's timer wheel (noted below); no wall-clock sweep.
+            // transport's deadlines (noted below); no wall-clock sweep.
+            let now = self.transport.now();
             let alive_pending = awaited.count();
             let done = match wait {
                 WaitPolicy::FirstW(w) => arrivals.len() >= w || alive_pending == 0,
                 WaitPolicy::Deadline(_) => {
-                    let expired = cutoff.is_some_and(|c| Instant::now() >= c);
+                    let expired = cutoff.is_some_and(|c| now >= c);
                     (expired && !arrivals.is_empty()) || alive_pending == 0
                 }
-            } || limit.is_some_and(|l| Instant::now() >= l);
+            } || limit.is_some_and(|l| now >= l);
             if done {
                 return Ok(CollectedStep {
                     arrivals,
                     answers,
-                    waited: gather_start.elapsed(),
+                    waited: now - gather_start,
                     stale,
                     declined: (0..n).filter(|&w| declined[w]).collect(),
                 });
             }
 
-            let timeout = limit.map_or(POLL, |l| l.saturating_duration_since(Instant::now()));
-            let Some(reply) = self.hear(host, timeout.min(POLL))? else {
+            // A cutoff already passed with nothing arrived waits for the
+            // first codeword, however long it takes.
+            let until = cutoff.filter(|&c| c > now).into_iter().chain(limit).min();
+            let timeout = until.map_or(Duration::MAX, |u| u - now);
+            let Some(reply) = self.hear(host, timeout)? else {
                 continue;
             };
             // An answer or decline touches its sender's slot only; every
@@ -522,7 +526,7 @@ impl Tier {
             self.transport.hard_close_all();
         } else {
             if let Some(outstanding) = self.outstanding.take() {
-                let limit = Instant::now() + flush_limit;
+                let limit = self.transport.now().saturating_add(flush_limit);
                 let everyone = WaitPolicy::FirstW(self.len());
                 // A transport failure ends the drain; the peers are being
                 // let go either way.
@@ -578,18 +582,37 @@ mod tests {
         assert_eq!(awaited.count(), 0);
     }
 
-    /// Events a test queues for the tier; each `next_event` pops one, or
-    /// sleeps out its timeout when none is queued.
-    type Queue = std::rc::Rc<std::cell::RefCell<std::collections::VecDeque<NetEvent>>>;
+    /// What a test scripts for the tier: the events to play back, a virtual
+    /// clock, and the timeout of every `next_event` call that found nothing
+    /// queued.
+    #[derive(Default)]
+    struct Script {
+        events: std::collections::VecDeque<NetEvent>,
+        now: Duration,
+        quiet: Vec<Duration>,
+    }
 
-    /// A transport that plays back a test's queue and sends nowhere.
-    struct Scripted(Queue);
+    type Shared = std::rc::Rc<std::cell::RefCell<Script>>;
+
+    /// A transport that plays back a test's script and sends nowhere. A
+    /// `next_event` with nothing queued waits out its whole timeout on the
+    /// virtual clock, at once; one without a timeout fails, since nothing
+    /// would ever end it.
+    struct Scripted(Shared);
 
     impl Transport for Scripted {
+        fn now(&self) -> Duration {
+            self.0.borrow().now
+        }
         fn next_event(&mut self, timeout: Duration) -> Result<Option<NetEvent>, NetError> {
-            let event = self.0.borrow_mut().pop_front();
+            let mut script = self.0.borrow_mut();
+            let event = script.events.pop_front();
             if event.is_none() {
-                std::thread::sleep(timeout);
+                if timeout == Duration::MAX {
+                    return Err(NetError::Protocol("waits forever".into()));
+                }
+                script.now += timeout;
+                script.quiet.push(timeout);
             }
             Ok(event)
         }
@@ -612,18 +635,20 @@ mod tests {
     }
 
     /// A tier with workers 0 and 1 seated on tokens 10 and 11.
-    fn seated_pair() -> (Tier, Queue) {
-        let queue = Queue::default();
-        let mut tier = Tier::new(2, None, Box::new(Scripted(queue.clone())));
+    fn seated_pair() -> (Tier, Shared) {
+        let script = Shared::default();
+        let mut tier = Tier::new(2, None, Box::new(Scripted(script.clone())));
         for (token, worker) in [(10, 0), (11, 1)] {
             let preferred = Some(worker);
-            queue
+            script
                 .borrow_mut()
+                .events
                 .push_back(NetEvent::Hello { token, preferred });
         }
         tier.await_registered(&mut Workers, Duration::from_secs(1))
             .unwrap();
-        (tier, queue)
+        assert!(script.borrow().quiet.is_empty());
+        (tier, script)
     }
 
     fn codeword(token: Token, step: u64) -> NetEvent {
@@ -638,39 +663,63 @@ mod tests {
 
     #[test]
     fn a_deadline_counts_from_the_broadcast_however_late_the_gather_starts() {
-        let (mut tier, queue) = seated_pair();
+        let (mut tier, script) = seated_pair();
         let (d, late) = (Duration::from_millis(200), Duration::from_millis(120));
-        let before = Instant::now();
+        let broadcast = Duration::from_millis(7);
+        script.borrow_mut().now = broadcast;
         tier.broadcast_step(&mut Workers, Duration::ZERO, 0, 0, &[0.5]);
         // Worker 0 answers; worker 1 never does, so only the deadline ends
         // the step. The gather starts `late`, as after a loss evaluation.
-        queue.borrow_mut().push_back(codeword(10, 0));
-        std::thread::sleep(late);
-        let gather = Instant::now();
+        script.borrow_mut().events.push_back(codeword(10, 0));
+        script.borrow_mut().now += late;
         let collected = tier.collect(&mut Workers, WaitPolicy::Deadline(d)).unwrap();
-        let closed = Instant::now();
         assert_eq!(collected.arrivals, vec![0]);
-        assert!(closed >= before + d, "closed before broadcast + d");
-        assert!(
-            closed < gather + d,
-            "closed {:?} after the gather started: the deadline moved",
-            closed - gather
-        );
-        // The wait is what the gather blocked, not the time since broadcast.
-        assert!(collected.waited <= closed - gather);
-        assert!(collected.waited < d);
+        // It closes exactly at broadcast + d, after one quiet wait that ran
+        // to the cutoff. The wait is what the gather blocked, not the time
+        // since the broadcast.
+        assert_eq!(script.borrow().now, broadcast + d);
+        assert_eq!(script.borrow().quiet, vec![d - late]);
+        assert_eq!(collected.waited, d - late);
         // A second gather has nothing broadcast to collect.
         assert!(tier.collect(&mut Workers, WaitPolicy::Deadline(d)).is_err());
     }
 
     #[test]
+    fn a_deadline_past_with_nothing_arrived_waits_for_the_first_codeword() {
+        let (mut tier, script) = seated_pair();
+        let d = Duration::from_millis(30);
+        // The cutoff passes before anything arrives: the step stays open
+        // through a heartbeat and closes on the first codeword.
+        tier.broadcast_step(&mut Workers, Duration::ZERO, 0, 3, &[0.5]);
+        script.borrow_mut().now += 2 * d;
+        let heartbeat = NetEvent::Msg {
+            token: 10,
+            message: Message::Heartbeat { worker: 0 },
+            bytes: 0,
+        };
+        script
+            .borrow_mut()
+            .events
+            .extend([heartbeat, codeword(11, 3)]);
+        let collected = tier.collect(&mut Workers, WaitPolicy::Deadline(d)).unwrap();
+        assert_eq!(collected.arrivals, vec![1]);
+        // With nothing to come, the wait has no timeout at all: it neither
+        // closes an empty step nor spins on a zero timeout.
+        tier.broadcast_step(&mut Workers, Duration::ZERO, 0, 4, &[0.5]);
+        script.borrow_mut().now += 2 * d;
+        let err = tier.collect(&mut Workers, WaitPolicy::Deadline(d));
+        assert!(matches!(err, Err(NetError::Protocol(why)) if why == "waits forever"));
+        assert!(script.borrow().quiet.is_empty());
+    }
+
+    #[test]
     fn close_drains_the_outstanding_step_within_the_limit() {
         // Everyone that saw the broadcast answers or declines: the drain
-        // reads both and stops without waiting out the limit.
-        let (mut tier, queue) = seated_pair();
+        // reads both and stops without waiting at all.
+        let (mut tier, script) = seated_pair();
         tier.broadcast_step(&mut Workers, Duration::ZERO, 0, 4, &[0.5]);
         let decline = Message::Decline { worker: 1, step: 4 };
-        queue.borrow_mut().extend([
+        script.borrow_mut().events.extend([
             codeword(10, 3), // stale: read, not counted as an answer
             codeword(10, 4),
             NetEvent::Msg {
@@ -679,25 +728,27 @@ mod tests {
                 bytes: 0,
             },
         ]);
-        let start = Instant::now();
         tier.close(&mut Workers, false, 0, Duration::from_secs(5));
-        assert!(start.elapsed() < Duration::from_secs(1));
-        assert!(queue.borrow().is_empty(), "the drain left answers unread");
+        let drained = script.borrow();
+        assert!(drained.events.is_empty(), "the drain left answers unread");
+        assert!(drained.quiet.is_empty());
+        assert_eq!(drained.now, Duration::ZERO);
+        drop(drained);
 
-        // Worker 1 never answers: the drain gives up at the limit.
-        let (mut tier, queue) = seated_pair();
+        // Worker 1 never answers: the drain gives up exactly at the limit,
+        // after one quiet wait that ran to it.
+        let (mut tier, script) = seated_pair();
         tier.broadcast_step(&mut Workers, Duration::ZERO, 0, 0, &[0.5]);
-        queue.borrow_mut().push_back(codeword(10, 0));
-        let start = Instant::now();
-        tier.close(&mut Workers, false, 0, Duration::from_millis(100));
-        let took = start.elapsed();
-        assert!(took >= Duration::from_millis(100), "{took:?}");
-        assert!(took < Duration::from_secs(1), "{took:?}");
+        script.borrow_mut().events.push_back(codeword(10, 0));
+        let limit = Duration::from_millis(100);
+        tier.close(&mut Workers, false, 0, limit);
+        assert_eq!(script.borrow().now, limit);
+        assert_eq!(script.borrow().quiet, vec![limit]);
 
         // With nothing outstanding, close reads nothing.
-        let (mut tier, queue) = seated_pair();
-        queue.borrow_mut().push_back(codeword(10, 0));
+        let (mut tier, script) = seated_pair();
+        script.borrow_mut().events.push_back(codeword(10, 0));
         tier.close(&mut Workers, false, 0, Duration::from_secs(5));
-        assert_eq!(queue.borrow().len(), 1);
+        assert_eq!(script.borrow().events.len(), 1);
     }
 }

@@ -75,6 +75,19 @@ if [ -n "$silence" ]; then
   exit 1
 fi
 
+echo "== one clock in isgc-net (structural guard)"
+# Every deadline in crates/net/src/ is read off Transport::now, which the
+# reactor alone takes from the wall clock, and the reactor files them in one
+# time-ordered set: no Instant in non-test source outside reactor.rs, and no
+# timer wheel, tick or poll slice.
+clocks=$(non_test $net | grep -e 'Instant' | grep -v -e '^crates/net/src/reactor\.rs:' || true)
+slices=$(non_test $net | grep -E 'TimerWheel|const TICK\b|const POLL\b' || true)
+if [ -n "$clocks$slices" ]; then
+  echo "FAIL: a second clock, a timer wheel or a poll slice in isgc-net (read Transport::now, wait to the deadline):" >&2
+  echo "$clocks$slices" >&2
+  exit 1
+fi
+
 echo "== isgc-net spawns no thread; one session loop (structural guard)"
 # A worker connection's session — heartbeats, handle, answer, held replies —
 # is written once, in crates/net/src/swarm.rs, and runs on the caller's
@@ -318,4 +331,4 @@ if ! diff -r -x README.md results target/results; then
   exit 1
 fi
 
-echo "ok: fmt, structural guards (incl. non-test source ends at mod tests, no thread in isgc-net, one session loop, one worker handshake, one invariant checker and one hash, only options someone sets and no aggregation tree, one f64 codec and no per-element ingest, pending connections are clamped, one broadcast and one gather, no public item without a caller), clippy, docs, tests, release kernel properties, engine parity, snapshots, chaos, blackout, multi-tenant fingerprints, reactor scale, straggling swarm, benchmark smoke, mc mutation loop, and paper reproduction all clean"
+echo "ok: fmt, structural guards (incl. non-test source ends at mod tests, one clock in isgc-net, no thread in isgc-net, one session loop, one worker handshake, one invariant checker and one hash, only options someone sets and no aggregation tree, one f64 codec and no per-element ingest, pending connections are clamped, one broadcast and one gather, no public item without a caller), clippy, docs, tests, release kernel properties, engine parity, snapshots, chaos, blackout, multi-tenant fingerprints, reactor scale, straggling swarm, benchmark smoke, mc mutation loop, and paper reproduction all clean"

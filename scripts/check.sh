@@ -121,6 +121,18 @@ if [ "$(grep -c . <<<"$hellos")" != 1 ] ||
   exit 1
 fi
 
+echo "== one worker launcher (structural guard)"
+# `launch` starts every worker as an `isgc swarm` process, which straggles
+# by its master-assigned slot. A launched `isgc worker` would straggle by
+# spawn order, so which slots straggle would race registration. Non-test
+# src/cli.rs spawns no `worker` and spawns `swarm` in one place.
+launchers=$(non_test src/cli.rs | grep -F -e '.arg("worker")' -e '.arg("swarm")' || true)
+if [ "$(grep -c . <<<"$launchers")" != 1 ] || ! grep -q -F '.arg("swarm")' <<<"$launchers"; then
+  echo "FAIL: want exactly one spawn of isgc swarm and none of isgc worker in src/cli.rs, found:" >&2
+  echo "$launchers" >&2
+  exit 1
+fi
+
 echo "== one invariant checker, one hash (structural guard)"
 # The report invariants are written once, in crates/mc/src/invariants.rs,
 # and the chaos harness and the model checker beside it both call it;
@@ -243,8 +255,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "== cargo test"
-cargo test --workspace -q
+echo "== cargo test (tier-1)"
+# The root manifest's default-members are the whole workspace, so tier-1's
+# bare `cargo test -q` runs every crate's tests; this is that run.
+cargo test -q
 
 echo "== kernel properties under optimised codegen"
 # The kernels' bitwise claims are about the code that ships, and release
@@ -331,4 +345,4 @@ if ! diff -r -x README.md results target/results; then
   exit 1
 fi
 
-echo "ok: fmt, structural guards (incl. non-test source ends at mod tests, one clock in isgc-net, no thread in isgc-net, one session loop, one worker handshake, one invariant checker and one hash, only options someone sets and no aggregation tree, one f64 codec and no per-element ingest, pending connections are clamped, one broadcast and one gather, no public item without a caller), clippy, docs, tests, release kernel properties, engine parity, snapshots, chaos, blackout, multi-tenant fingerprints, reactor scale, straggling swarm, benchmark smoke, mc mutation loop, and paper reproduction all clean"
+echo "ok: fmt, structural guards (incl. non-test source ends at mod tests, one clock in isgc-net, no thread in isgc-net, one session loop, one worker handshake, one worker launcher, one invariant checker and one hash, only options someone sets and no aggregation tree, one f64 codec and no per-element ingest, pending connections are clamped, one broadcast and one gather, no public item without a caller), clippy, docs, tests, release kernel properties, engine parity, snapshots, chaos, blackout, multi-tenant fingerprints, reactor scale, straggling swarm, benchmark smoke, mc mutation loop, and paper reproduction all clean"

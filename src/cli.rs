@@ -76,17 +76,19 @@ USAGE:
        [--slow <k>] [--delay-ms <d>]       on one thread (the reactor-backed scale
        [--job <id>]                        client; workers with index < k straggle
        [--heartbeat-interval-ms <d>]       by d ms)
-  isgc launch <fr|cr> <n> <c> [flags]      spawn master + n worker processes on
-                                           loopback and train to completion
+  isgc launch <fr|cr> <n> <c> [flags]      spawn a master and its n workers as swarm
+                                           processes on loopback and train to
+                                           completion
        flags: --w, --deadline-ms, --steps, --batch, --lr, --seed, --degrade,
               --max-consecutive, --min-coverage, --heartbeat-timeout-ms,
               --metrics-out as for serve
-              --heartbeat-interval-ms <d>  forwarded to every spawned worker
-              --slow <k> --delay-ms <d>    make k workers straggle by d ms (default 0/100)
+              --heartbeat-interval-ms <d>  forwarded to every spawned swarm
+              --slow <k> --delay-ms <d>    the workers in master-assigned slots
+                                           below k straggle by d ms (default 0/100)
               --jobs <J>                   run J co-tenant jobs (round-robin, J*n workers)
-              --swarm <P>                  supply the n workers from P swarm
-                                           processes instead of n single-worker
-                                           processes (single-job only; 0 = off)
+              --swarm <P>                  supply each job's n workers from P
+                                           swarm processes, 1 <= P <= n
+                                           (default n: one process per worker)
   isgc chaos --plan <name> [flags]         run a loopback cluster under a seeded
                                            fault plan; assert Theorem 10/11 bounds,
                                            checkpoint resume, and exact replay
@@ -118,7 +120,7 @@ USAGE:
 Two-terminal quickstart (an 8-worker FR(8,2) cluster, ignore the 2 slowest):
   terminal 1:  isgc serve fr 8 2 --w 6 --steps 20
   terminal 2:  for i in $(seq 8); do isgc worker 127.0.0.1:7070 & done; wait
-Or in one shot:  isgc launch fr 8 2 --w 6 --steps 20 --slow 2
+Or in one shot (slots 0 and 1 straggle):  isgc launch fr 8 2 --w 6 --steps 20 --slow 2
 ";
 
 /// Dispatches a full argument list (without the program name).
@@ -847,32 +849,50 @@ fn cmd_serve_jobs(args: &[String]) -> Result<String, String> {
         masters.push(master);
     }
     println!("waiting for {n} workers per job (jobs register in submission order)");
+    run_jobs(masters, &base, metrics.as_ref(), Vec::new())
+}
 
-    let mut sched = Scheduler::new(SchedulerConfig::new(jobs as usize, 0));
+/// Runs one job per master in one round-robin scheduler, job `j` with
+/// [`job_config`]`(base, j)`, then reaps `children` (the workers a launch
+/// started; killed instead if a job cannot be submitted) and renders each
+/// job's outcome. Any failed job fails the whole run.
+fn run_jobs(
+    masters: Vec<Master>,
+    base: &NetConfig,
+    metrics: Option<&(String, Registry)>,
+    children: Vec<std::process::Child>,
+) -> Result<String, String> {
+    let n = base.placement.n();
+    let mut sched = Scheduler::new(SchedulerConfig::new(masters.len(), 0));
     for (j, master) in masters.into_iter().enumerate() {
-        let config = job_config(&base, j as u64);
+        let config = job_config(base, j as u64);
         let name = config.job_name.clone().unwrap_or_default();
-        sched
-            .submit_driver(
-                name,
-                Box::new(move || {
-                    let (model, dataset) = net_model_and_data(n);
-                    master
-                        .into_session(model, dataset, &config)
-                        .map(|session| Box::new(NetJob(session)) as Box<dyn JobDriver>)
-                        .map_err(|e| Box::new(e) as DriverError)
-                }),
-            )
-            .map_err(|e| e.to_string())?;
+        let submitted = sched.submit_driver(
+            name,
+            Box::new(move || {
+                let (model, dataset) = net_model_and_data(n);
+                master
+                    .into_session(model, dataset, &config)
+                    .map(|session| Box::new(NetJob(session)) as Box<dyn JobDriver>)
+                    .map_err(|e| Box::new(e) as DriverError)
+            }),
+        );
+        if let Err(e) = submitted {
+            kill_children(children);
+            return Err(e.to_string());
+        }
     }
     let outcomes = sched.run_to_completion();
+    for mut child in children {
+        let _ = child.wait();
+    }
     let mut out = String::new();
     let mut failed = false;
     for outcome in &outcomes {
         failed |= outcome.result.is_err();
         out.push_str(&render_job_outcome(outcome));
     }
-    finish_metrics(&mut out, metrics.as_ref())?;
+    finish_metrics(&mut out, metrics)?;
     if failed {
         return Err(out);
     }
@@ -1032,64 +1052,53 @@ fn cmd_launch(args: &[String]) -> Result<String, String> {
     }
     let swarm: usize = match flags.get("swarm") {
         Some(s) => parse(s, "swarm")?,
-        None => 0,
+        None => n,
     };
-    if swarm > 0 {
-        if jobs > 1 {
-            return Err("--swarm applies to the single-job launch only".to_string());
-        }
-        if swarm > n {
-            return Err(format!("--swarm {swarm} exceeds the {n} workers"));
-        }
-    }
-    if jobs > 1 {
-        return launch_multi(
-            &config,
-            metrics.as_ref(),
-            jobs,
-            slow,
-            delay_ms,
-            heartbeat_interval_ms,
-        );
+    if !(1..=n).contains(&swarm) {
+        return Err(format!("--swarm {swarm} must lie in 1..={n}"));
     }
 
-    let master = Master::bind("127.0.0.1:0").map_err(|e| e.to_string())?;
-    let addr = master.local_addr().map_err(|e| e.to_string())?;
+    let mut masters = Vec::new();
+    let mut addrs = Vec::new();
+    for _ in 0..jobs {
+        let master = Master::bind("127.0.0.1:0").map_err(|e| e.to_string())?;
+        addrs.push(master.local_addr().map_err(|e| e.to_string())?);
+        masters.push(master);
+    }
     let exe = std::env::current_exe().map_err(|e| e.to_string())?;
-    let children = if swarm > 0 {
-        let children = spawn_children(swarm, |p| {
-            // Spread n as evenly as possible; each swarm straggles by
-            // master-assigned worker index, so every process gets the same
-            // global --slow threshold.
-            let members = n / swarm + usize::from(p < n % swarm);
-            let mut cmd = std::process::Command::new(&exe);
-            cmd.arg("swarm")
-                .arg(addr.to_string())
-                .arg("--workers")
-                .arg(members.to_string())
-                .arg("--slow")
-                .arg(slow.to_string())
-                .arg("--delay-ms")
-                .arg(delay_ms.to_string());
-            if let Some(ms) = heartbeat_interval_ms {
-                cmd.arg("--heartbeat-interval-ms").arg(ms.to_string());
-            }
-            quiet(cmd).spawn()
-        })?;
-        println!(
-            "launched {n} workers from {swarm} swarm process(es) against {addr} ({slow} straggling by {delay_ms} ms)"
-        );
-        children
-    } else {
-        let children = spawn_children(n, |i| {
-            let delay = (i < slow).then_some(delay_ms);
-            quiet(worker_command(&exe, addr, 0, delay, heartbeat_interval_ms)).spawn()
-        })?;
-        println!(
-            "launched {n} worker processes against {addr} ({slow} straggling by {delay_ms} ms)"
-        );
-        children
-    };
+    // Process i is swarm i % swarm of job i / swarm. Each job's n workers
+    // are spread as evenly as possible over its swarms, and every member
+    // straggles by its master-assigned slot, so all get the same --slow.
+    let children = spawn_children(jobs as usize * swarm, |i| {
+        let (job, s) = (i / swarm, i % swarm);
+        let members = n / swarm + usize::from(s < n % swarm);
+        let mut cmd = std::process::Command::new(&exe);
+        cmd.arg("swarm")
+            .arg(addrs[job].to_string())
+            .arg("--workers")
+            .arg(members.to_string())
+            .arg("--job")
+            .arg(job.to_string())
+            .arg("--slow")
+            .arg(slow.to_string())
+            .arg("--delay-ms")
+            .arg(delay_ms.to_string())
+            // A launched worker's progress is the master's to report.
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null());
+        if let Some(ms) = heartbeat_interval_ms {
+            cmd.arg("--heartbeat-interval-ms").arg(ms.to_string());
+        }
+        cmd.spawn()
+    })?;
+    println!(
+        "launched {jobs} job(s) of {n} workers from {swarm} swarm process(es) each \
+         (slots below {slow} straggle by {delay_ms} ms)"
+    );
+    if jobs > 1 {
+        return run_jobs(masters, &config, metrics.as_ref(), children);
+    }
+    let master = masters.remove(0);
 
     // Per-step oracle: replay each surviving worker set through the exact
     // decoder and flag any step where the runtime recovered less. The
@@ -1145,104 +1154,6 @@ fn cmd_launch(args: &[String]) -> Result<String, String> {
     }
     finish_metrics(&mut out, metrics.as_ref())?;
     Ok(out)
-}
-
-/// The `--jobs` arm of `launch`: J co-tenant jobs in one scheduler, each
-/// its own TCP master, with J×n loopback worker processes.
-fn launch_multi(
-    base: &NetConfig,
-    metrics: Option<&(String, Registry)>,
-    jobs: u64,
-    slow: usize,
-    delay_ms: u64,
-    heartbeat_interval_ms: Option<u64>,
-) -> Result<String, String> {
-    let n = base.placement.n();
-    let exe = std::env::current_exe().map_err(|e| e.to_string())?;
-    let mut masters = Vec::new();
-    let mut addrs = Vec::new();
-    for _ in 0..jobs {
-        let master = Master::bind("127.0.0.1:0").map_err(|e| e.to_string())?;
-        addrs.push(master.local_addr().map_err(|e| e.to_string())?);
-        masters.push(master);
-    }
-    // Worker i serves job i / n as its worker i % n.
-    let children = spawn_children(jobs as usize * n, |i| {
-        let (job, w) = (i / n, i % n);
-        let delay = (w < slow).then_some(delay_ms);
-        let cmd = worker_command(&exe, addrs[job], job as u64, delay, heartbeat_interval_ms);
-        quiet(cmd).spawn()
-    })?;
-    println!(
-        "launched {jobs} jobs x {n} worker processes ({slow} straggling by {delay_ms} ms per job)"
-    );
-
-    let mut sched = Scheduler::new(SchedulerConfig::new(jobs as usize, 0));
-    for (j, master) in masters.into_iter().enumerate() {
-        let config = job_config(base, j as u64);
-        let name = config.job_name.clone().unwrap_or_default();
-        let submitted = sched.submit_driver(
-            name,
-            Box::new(move || {
-                let (model, dataset) = net_model_and_data(n);
-                master
-                    .into_session(model, dataset, &config)
-                    .map(|session| Box::new(NetJob(session)) as Box<dyn JobDriver>)
-                    .map_err(|e| Box::new(e) as DriverError)
-            }),
-        );
-        if let Err(e) = submitted {
-            kill_children(children);
-            return Err(e.to_string());
-        }
-    }
-    let outcomes = sched.run_to_completion();
-    for mut child in children {
-        let _ = child.wait();
-    }
-
-    let mut out = String::new();
-    let mut failed = false;
-    for outcome in &outcomes {
-        failed |= outcome.result.is_err();
-        out.push_str(&render_job_outcome(outcome));
-    }
-    finish_metrics(&mut out, metrics)?;
-    if failed {
-        return Err(out);
-    }
-    Ok(out)
-}
-
-/// `isgc worker <addr> --job j [--delay-ms d] [--heartbeat-interval-ms h]`
-/// as a child-process command.
-fn worker_command(
-    exe: &std::path::Path,
-    addr: std::net::SocketAddr,
-    job: u64,
-    delay_ms: Option<u64>,
-    heartbeat_interval_ms: Option<u64>,
-) -> std::process::Command {
-    let mut cmd = std::process::Command::new(exe);
-    cmd.arg("worker")
-        .arg(addr.to_string())
-        .arg("--job")
-        .arg(job.to_string());
-    if let Some(ms) = delay_ms {
-        cmd.arg("--delay-ms").arg(ms.to_string());
-    }
-    if let Some(ms) = heartbeat_interval_ms {
-        cmd.arg("--heartbeat-interval-ms").arg(ms.to_string());
-    }
-    cmd
-}
-
-/// `cmd` with its output discarded: a launched worker's progress is the
-/// master's to report.
-fn quiet(mut cmd: std::process::Command) -> std::process::Command {
-    cmd.stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null());
-    cmd
 }
 
 /// Starts `count` child processes, the `i`th by `spawn(i)`. When one fails
@@ -1778,6 +1689,10 @@ mod tests {
         assert!(run(&args("worker")).is_err());
         assert!(run(&args("worker 127.0.0.1:7070 --delay-ms x")).is_err());
         assert!(run(&args("launch fr 8 2 --slow 9")).is_err()); // slow > n
+        for swarm in [0, 9] {
+            let err = run(&args(&format!("launch fr 8 2 --swarm {swarm}"))).unwrap_err();
+            assert!(err.contains("must lie in 1..=8"), "{err}");
+        }
         assert!(run(&args("launch fr 8 2 --w 0")).is_err());
     }
 

@@ -55,3 +55,49 @@ fn bad_parameters_fail_cleanly() {
     assert!(!ok);
     assert!(stderr.contains("FR requires c | n"));
 }
+
+/// The `recovered (mean)` and `final loss` lines of a launch's summary.
+fn recovery_and_loss(args: &[&str]) -> String {
+    let (ok, stdout, stderr) = isgc(args);
+    assert!(ok, "{stdout}{stderr}");
+    stdout
+        .lines()
+        .filter(|l| l.starts_with("recovered (mean):") || l.starts_with("final loss:"))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// The fingerprint each job of a `launch --jobs` run prints, in job order.
+fn job_fingerprints(args: &[&str]) -> Vec<String> {
+    let (ok, stdout, stderr) = isgc(args);
+    assert!(ok, "{stdout}{stderr}");
+    stdout
+        .lines()
+        .filter_map(|l| l.split_once("fingerprint ").map(|(_, fp)| fp.to_string()))
+        .collect()
+}
+
+#[test]
+fn launch_straggles_by_assigned_slot_not_by_registration_order() {
+    // Slots 0 and 1 form one FR(8, 2) group: when both straggle, every step
+    // loses that group's partitions, whichever processes registered first.
+    // Held replies are dropped at Shutdown, so the long delay costs no wall
+    // time.
+    let cmd = "launch fr 8 2 --w 6 --slow 2 --delay-ms 1000 --steps 10";
+    let cmd: Vec<&str> = cmd.split(' ').collect();
+    let one_swarm = recovery_and_loss(&[&cmd[..], &["--swarm", "1"]].concat());
+    assert!(
+        one_swarm.contains("recovered (mean):   75.0%"),
+        "{one_swarm}"
+    );
+    for _ in 0..5 {
+        assert_eq!(recovery_and_loss(&cmd), one_swarm);
+    }
+
+    let jobs = [&cmd[..], &["--jobs", "2"]].concat();
+    let first = job_fingerprints(&jobs);
+    assert_eq!(first.len(), 2, "{first:?}");
+    for _ in 0..4 {
+        assert_eq!(job_fingerprints(&jobs), first);
+    }
+}

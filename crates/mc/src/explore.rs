@@ -256,10 +256,8 @@ pub fn counterexample_trace(cfg: &McConfig, violation: &Violation) -> Trace {
         c,
         steps: cfg.steps as usize,
         seed: cfg.seed,
-        failure: violation.messages.first().cloned(),
         fingerprint: Some(violation.fingerprint),
         faults: violation.faults.clone(),
-        master_crashes: Vec::new(),
     }
 }
 

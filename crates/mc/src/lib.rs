@@ -58,9 +58,10 @@
 //!
 //! The two halves close a loop. When the search finds a violation,
 //! [`minimize`] shrinks the fault schedule to a 1-minimal core and
-//! [`counterexample_trace`] serializes it as a [`Trace`]: `isgc chaos
-//! --plan <trace.json>` replays the schedule on a genuine TCP cluster and
-//! must reproduce the same [`failure_fingerprint`]. The `mc-mutation`
+//! [`counterexample_trace`] serializes it as a [`Trace`], a plain-text
+//! file of `key value` lines: `isgc chaos --plan <file>` replays the
+//! schedule on a genuine TCP cluster and must reproduce the same
+//! [`failure_fingerprint`]. The `mc-mutation`
 //! feature (forwarded to `isgc-net`) seeds a deliberate stale-acceptance
 //! bug into the real master so this loop — explore, shrink, emit, replay —
 //! is exercised end to end in CI.

@@ -1,36 +1,38 @@
 //! Replayable counterexample traces.
 //!
 //! The model checker ([`crate::explore`]) explores an abstract cluster;
-//! when it finds an invariant violation it serializes the offending fault
-//! schedule as a **trace**: a small JSON document naming the cluster shape,
-//! the seed, the faults, and the failure it expects. `isgc chaos --plan
-//! <trace.json>` parses the trace back into a [`FaultPlan`] and replays it
-//! on a genuine loopback TCP cluster, closing the loop between the model
-//! and the real protocol.
+//! when it finds an invariant violation it writes the offending fault
+//! schedule as a **trace**: a small text file naming the cluster shape,
+//! the seed, the faults, and the failure fingerprint it expects. `isgc
+//! chaos --plan <file>` reads the trace back into a [`FaultPlan`] and
+//! replays it on a genuine loopback TCP cluster, closing the loop between
+//! the model and the real protocol.
 //!
-//! The format is deliberately tiny and hand-parsed (this workspace has no
-//! serde): one flat object, no nesting beyond the fault list.
+//! One `key value` fact per line; a line starting with `#` is a comment,
+//! and blank lines are skipped. A fault is `fault <worker> <step> <kind>`,
+//! and a `delay` adds its milliseconds. Every integer is a decimal `u64`
+//! except the fingerprint, which is 16 hex digits and may be absent.
 //!
-//! ```json
-//! {
-//!   "name": "mc-flat3",
-//!   "n": 3, "c": 1, "steps": 2, "seed": 42,
-//!   "failure": "plan scripted 1 stale/duplicate frames but the master counted only 0",
-//!   "fingerprint": "00a1b2c3d4e5f607",
-//!   "faults": [{"worker": 0, "step": 1, "kind": "stale"}],
-//!   "master_crashes": []
-//! }
+//! ```text
+//! name mc-flat3
+//! n 3
+//! c 1
+//! steps 2
+//! seed 7
+//! fingerprint 6b6f190132f41daa
+//! fault 2 1 stale
+//! fault 0 0 delay 25
 //! ```
 
-use std::collections::BTreeMap;
+use std::fmt::Display;
+use std::str::FromStr;
 
 use isgc_core::hash::{fnv1a, FNV_BASIS};
-use isgc_obs::json_str;
 
 use crate::plan::{Fault, FaultKind, FaultPlan};
 
 /// A serialized counterexample: cluster shape + fault schedule + the
-/// failure the producer observed (if any).
+/// failure fingerprint the producer observed (if any).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     /// Trace name; becomes the replayed plan's name.
@@ -43,17 +45,12 @@ pub struct Trace {
     pub steps: usize,
     /// Training + fault seed.
     pub seed: u64,
-    /// The first violation the producer observed, if the trace records a
-    /// failing run.
-    pub failure: Option<String>,
     /// The producer's failure fingerprint (FNV-1a over its violation
     /// strings), if the trace records a failing run. A replay reproduces
     /// the bug exactly when its own failure fingerprint matches.
     pub fingerprint: Option<u64>,
     /// The fault schedule.
     pub faults: Vec<Fault>,
-    /// Steps after which the master crashes cold.
-    pub master_crashes: Vec<u64>,
 }
 
 impl Trace {
@@ -62,120 +59,75 @@ impl Trace {
         FaultPlan {
             name: self.name.clone(),
             faults: self.faults.clone(),
-            master_crashes: self.master_crashes.clone(),
+            master_crashes: Vec::new(),
         }
     }
 
-    /// Renders the trace as its canonical JSON document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"name\": {},\n", json_str(&self.name)));
-        out.push_str(&format!("  \"n\": {},\n", self.n));
-        out.push_str(&format!("  \"c\": {},\n", self.c));
-        out.push_str(&format!("  \"steps\": {},\n", self.steps));
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        if let Some(failure) = &self.failure {
-            out.push_str(&format!("  \"failure\": {},\n", json_str(failure)));
-        }
+    /// Renders the trace in its line format. The name is written as is, so
+    /// it must be one line to read back.
+    pub fn to_text(&self) -> String {
+        let mut out = format!(
+            "name {}\nn {}\nc {}\nsteps {}\nseed {}\n",
+            self.name, self.n, self.c, self.steps, self.seed
+        );
         if let Some(fp) = self.fingerprint {
-            out.push_str(&format!("  \"fingerprint\": \"{fp:016x}\",\n"));
+            out.push_str(&format!("fingerprint {fp:016x}\n"));
         }
-        out.push_str("  \"faults\": [");
-        for (i, f) in self.faults.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        for f in &self.faults {
+            out.push_str(&format!("fault {} {} {}", f.worker, f.step, f.kind.label()));
+            if let FaultKind::Delay(ms) = f.kind {
+                out.push_str(&format!(" {ms}"));
             }
-            out.push_str("\n    ");
-            match f.kind {
-                FaultKind::Delay(ms) => out.push_str(&format!(
-                    "{{\"worker\": {}, \"step\": {}, \"kind\": \"delay\", \"ms\": {ms}}}",
-                    f.worker, f.step
-                )),
-                kind => out.push_str(&format!(
-                    "{{\"worker\": {}, \"step\": {}, \"kind\": \"{}\"}}",
-                    f.worker,
-                    f.step,
-                    kind.label()
-                )),
-            }
+            out.push('\n');
         }
-        if !self.faults.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"master_crashes\": [");
-        for (i, s) in self.master_crashes.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&s.to_string());
-        }
-        out.push_str("]\n}\n");
         out
     }
 
-    /// Parses a trace from its JSON document.
+    /// Reads a trace from its line format.
     ///
     /// # Errors
     ///
-    /// A human-readable message when the document is not valid JSON, is
-    /// missing a required field, or names an unknown fault kind.
-    pub fn from_json(text: &str) -> Result<Trace, String> {
-        let value = Json::parse(text)?;
-        let obj = value.as_object("trace")?;
-        let faults_value = obj
-            .get("faults")
-            .ok_or_else(|| "trace is missing \"faults\"".to_string())?;
+    /// A message naming the offending line for an unknown or repeated key,
+    /// a bad number, or a fault of the wrong shape; a message naming the
+    /// key when `name`, `n`, `c`, `steps` or `seed` is missing.
+    pub fn from_text(text: &str) -> Result<Trace, String> {
+        let (mut name, mut n, mut c, mut steps, mut seed) = (None, None, None, None, None);
+        let mut fingerprint = None;
         let mut faults = Vec::new();
-        for (i, f) in faults_value.as_array("faults")?.iter().enumerate() {
-            let f = f.as_object(&format!("faults[{i}]"))?;
-            let kind_name = get(f, "kind", i)?.as_str("kind")?;
-            let kind = match kind_name {
-                "drop" => FaultKind::Drop,
-                "corrupt" => FaultKind::Corrupt,
-                "truncate" => FaultKind::Truncate,
-                "delay" => FaultKind::Delay(get(f, "ms", i)?.as_u64("ms")?),
-                "duplicate" => FaultKind::Duplicate,
-                "stale" => FaultKind::Stale,
-                "decline" => FaultKind::Decline,
-                "die" => FaultKind::Die,
-                other => return Err(format!("faults[{i}]: unknown fault kind \"{other}\"")),
-            };
-            faults.push(Fault {
-                worker: get(f, "worker", i)?.as_u64("worker")? as usize,
-                step: get(f, "step", i)?.as_u64("step")?,
-                kind,
-            });
-        }
-        let mut master_crashes = Vec::new();
-        if let Some(crashes) = obj.get("master_crashes") {
-            for s in crashes.as_array("master_crashes")? {
-                master_crashes.push(s.as_u64("master_crashes entry")?);
+        for (i, line) in text.lines().enumerate() {
+            let line = line.trim();
+            if line.is_empty() || line.starts_with('#') {
+                continue;
             }
+            let (key, value) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
+            let value = value.trim();
+            match key {
+                "name" if value.is_empty() => Err("name has no value".to_string()),
+                "name" => set(&mut name, key, Ok(value.to_string())),
+                "n" => set(&mut n, key, number(value)),
+                "c" => set(&mut c, key, number(value)),
+                "steps" => set(&mut steps, key, number(value)),
+                "seed" => set(&mut seed, key, number(value)),
+                "fingerprint" => set(
+                    &mut fingerprint,
+                    key,
+                    u64::from_str_radix(value, 16)
+                        .map_err(|e| format!("bad fingerprint \"{value}\": {e}")),
+                ),
+                "fault" => fault(value).map(|f| faults.push(f)),
+                other => Err(format!("unknown key \"{other}\"")),
+            }
+            .map_err(|e| format!("line {}: {e}", i + 1))?;
         }
-        let fingerprint = match obj.get("fingerprint") {
-            None => None,
-            Some(v) => Some(
-                u64::from_str_radix(v.as_str("fingerprint")?, 16)
-                    .map_err(|e| format!("bad fingerprint: {e}"))?,
-            ),
-        };
-        let field = |name: &str| {
-            obj.get(name)
-                .ok_or_else(|| format!("trace is missing \"{name}\""))
-        };
+        let missing = |key: &str| format!("trace is missing \"{key}\"");
         Ok(Trace {
-            name: field("name")?.as_str("name")?.to_string(),
-            n: field("n")?.as_u64("n")? as usize,
-            c: field("c")?.as_u64("c")? as usize,
-            steps: field("steps")?.as_u64("steps")? as usize,
-            seed: field("seed")?.as_u64("seed")?,
-            failure: match obj.get("failure") {
-                None => None,
-                Some(v) => Some(v.as_str("failure")?.to_string()),
-            },
+            name: name.ok_or_else(|| missing("name"))?,
+            n: n.ok_or_else(|| missing("n"))?,
+            c: c.ok_or_else(|| missing("c"))?,
+            steps: steps.ok_or_else(|| missing("steps"))?,
+            seed: seed.ok_or_else(|| missing("seed"))?,
             fingerprint,
             faults,
-            master_crashes,
         })
     }
 }
@@ -196,244 +148,49 @@ pub fn failure_fingerprint(violations: &[String]) -> u64 {
     })
 }
 
-fn get<'a>(obj: &'a BTreeMap<String, Json>, key: &str, index: usize) -> Result<&'a Json, String> {
-    obj.get(key)
-        .ok_or_else(|| format!("faults[{index}] is missing \"{key}\""))
+/// Stores a key's value, refusing a second occurrence of the key.
+fn set<T>(slot: &mut Option<T>, key: &str, value: Result<T, String>) -> Result<(), String> {
+    if slot.is_some() {
+        return Err(format!("repeated key \"{key}\""));
+    }
+    *slot = Some(value?);
+    Ok(())
 }
 
-/// The minimal JSON value model the trace format needs.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Json>),
-    Object(BTreeMap<String, Json>),
+fn number<T: FromStr>(word: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    word.parse()
+        .map_err(|e| format!("bad number \"{word}\": {e}"))
 }
 
-impl Json {
-    fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing content at byte {}", p.pos));
-        }
-        Ok(value)
-    }
-
-    fn as_object(&self, what: &str) -> Result<&BTreeMap<String, Json>, String> {
-        match self {
-            Json::Object(map) => Ok(map),
-            other => Err(format!("{what} must be an object, got {other:?}")),
-        }
-    }
-
-    fn as_array(&self, what: &str) -> Result<&[Json], String> {
-        match self {
-            Json::Array(items) => Ok(items),
-            other => Err(format!("{what} must be an array, got {other:?}")),
-        }
-    }
-
-    fn as_str(&self, what: &str) -> Result<&str, String> {
-        match self {
-            Json::String(s) => Ok(s),
-            other => Err(format!("{what} must be a string, got {other:?}")),
-        }
-    }
-
-    fn as_u64(&self, what: &str) -> Result<u64, String> {
-        match self {
-            Json::Number(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53) => {
-                Ok(*x as u64)
-            }
-            other => Err(format!(
-                "{what} must be a non-negative integer, got {other:?}"
-            )),
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if b.is_ascii_whitespace() {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|b| b as char)
-            ))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::String(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(map));
-                }
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                other => return Err(format!("expected ',' or ']', found {other:?}")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| format!("bad \\u escape: {e}"))?;
-                            out.push(char::from_u32(code).ok_or("\\u escape outside the BMP")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unchanged; the input is a &str so it's valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let ch = s.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| e.to_string())?
-            .parse::<f64>()
-            .map(Json::Number)
-            .map_err(|e| format!("bad number at byte {start}: {e}"))
-    }
+/// Reads `<worker> <step> <kind>`, plus the milliseconds of a `delay`.
+fn fault(value: &str) -> Result<Fault, String> {
+    let words: Vec<&str> = value.split_whitespace().collect();
+    let [worker, step, kind, extra @ ..] = words.as_slice() else {
+        return Err(format!(
+            "a fault is \"fault <worker> <step> <kind>\", got \"fault {value}\""
+        ));
+    };
+    let kind = match (*kind, extra) {
+        ("delay", [ms]) => FaultKind::Delay(number(ms)?),
+        ("delay", _) => return Err("a delay fault takes one number, its milliseconds".into()),
+        (kind, [_, ..]) => return Err(format!("a {kind} fault takes no extra number")),
+        ("drop", []) => FaultKind::Drop,
+        ("corrupt", []) => FaultKind::Corrupt,
+        ("truncate", []) => FaultKind::Truncate,
+        ("duplicate", []) => FaultKind::Duplicate,
+        ("stale", []) => FaultKind::Stale,
+        ("decline", []) => FaultKind::Decline,
+        ("die", []) => FaultKind::Die,
+        (other, []) => return Err(format!("unknown fault kind \"{other}\"")),
+    };
+    Ok(Fault {
+        worker: number(worker)?,
+        step: number(step)?,
+        kind,
+    })
 }
 
 #[cfg(test)]
@@ -446,99 +203,99 @@ mod tests {
             n: 3,
             c: 1,
             steps: 2,
-            seed: 42,
-            failure: Some(
-                "plan scripted 1 stale/duplicate frames but the master counted only 0".to_string(),
-            ),
-            fingerprint: Some(0x00a1_b2c3_d4e5_f607),
+            seed: 7,
+            fingerprint: Some(0x6b6f_1901_32f4_1daa),
             faults: vec![
                 Fault {
-                    worker: 0,
+                    worker: 2,
                     step: 1,
                     kind: FaultKind::Stale,
                 },
                 Fault {
-                    worker: 2,
+                    worker: 0,
                     step: 0,
                     kind: FaultKind::Delay(25),
                 },
             ],
-            master_crashes: vec![1],
         }
     }
 
     #[test]
-    fn round_trips_through_json() {
-        let t = sample();
-        let parsed = Trace::from_json(&t.to_json()).unwrap();
+    fn round_trips_through_text() {
+        let mut t = sample();
+        t.seed = u64::MAX;
+        let parsed = Trace::from_text(&t.to_text()).unwrap();
         assert_eq!(parsed, t);
         // And the rendered plan carries the faults verbatim.
         assert_eq!(parsed.plan().faults, t.faults);
-        assert_eq!(parsed.plan().master_crashes, vec![1]);
+        assert!(parsed.plan().master_crashes.is_empty());
         assert_eq!(parsed.plan().name, "mc-flat3");
+        // Comments, blank lines and surrounding blanks are skipped.
+        let commented = format!("# a violation\n\n{}  # indented\n", t.to_text());
+        assert_eq!(Trace::from_text(&commented).unwrap(), t);
     }
 
     #[test]
-    fn optional_fields_can_be_absent() {
-        let text = r#"{"name": "bare", "n": 4, "c": 2, "steps": 3, "seed": 7, "faults": []}"#;
-        let t = Trace::from_json(text).unwrap();
-        assert_eq!(t.failure, None);
+    fn the_rendered_text_is_pinned() {
+        // Byte for byte: the trace format is a file format, so the same
+        // trace renders the same text in every build.
+        assert_eq!(
+            sample().to_text(),
+            "name mc-flat3\nn 3\nc 1\nsteps 2\nseed 7\nfingerprint 6b6f190132f41daa\n\
+             fault 2 1 stale\nfault 0 0 delay 25\n"
+        );
+    }
+
+    #[test]
+    fn a_trace_without_fingerprint_or_faults_reads_back() {
+        let t = Trace::from_text("name bare\nn 4\nc 2\nsteps 3\nseed 7\n").unwrap();
         assert_eq!(t.fingerprint, None);
         assert!(t.faults.is_empty());
-        assert!(t.master_crashes.is_empty());
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        assert!(Trace::from_json("").is_err());
-        assert!(Trace::from_json("[]").unwrap_err().contains("object"));
-        assert!(Trace::from_json(r#"{"name": "x"}"#)
-            .unwrap_err()
-            .contains("faults"));
-        let bad_kind = r#"{"name":"x","n":3,"c":1,"steps":2,"seed":0,"faults":[{"worker":0,"step":0,"kind":"melt"}]}"#;
-        assert!(Trace::from_json(bad_kind)
-            .unwrap_err()
-            .contains("unknown fault kind"));
-        let no_ms = r#"{"name":"x","n":3,"c":1,"steps":2,"seed":0,"faults":[{"worker":0,"step":0,"kind":"delay"}]}"#;
-        assert!(Trace::from_json(no_ms).unwrap_err().contains("ms"));
-        assert!(Trace::from_json(r#"{"name":"x"} trailing"#)
-            .unwrap_err()
-            .contains("trailing"));
-    }
-
-    #[test]
-    fn escapes_survive_the_round_trip() {
-        let mut t = sample();
-        t.failure = Some("line one\nquote \" and backslash \\".to_string());
-        let parsed = Trace::from_json(&t.to_json()).unwrap();
-        assert_eq!(parsed.failure, t.failure);
-    }
-
-    #[test]
-    fn the_rendered_document_is_pinned() {
-        // Byte for byte, escapes included: the trace format is a file
-        // format, so the same trace renders the same document in every build.
-        let mut t = sample();
-        t.name = "mc-\"flat3\"".to_string();
-        t.failure = Some("a\tb\rc\u{1}d\"e\\f\ng".to_string());
         assert_eq!(
-            t.to_json(),
-            r#"{
-  "name": "mc-\"flat3\"",
-  "n": 3,
-  "c": 1,
-  "steps": 2,
-  "seed": 42,
-  "failure": "a\tb\rc\u0001d\"e\\f\ng",
-  "fingerprint": "00a1b2c3d4e5f607",
-  "faults": [
-    {"worker": 0, "step": 1, "kind": "stale"},
-    {"worker": 2, "step": 0, "kind": "delay", "ms": 25}
-  ],
-  "master_crashes": [1]
-}
-"#
+            (t.name.as_str(), t.n, t.c, t.steps, t.seed),
+            ("bare", 4, 2, 3, 7)
         );
+    }
+
+    #[test]
+    fn rejects_malformed_traces_naming_the_line() {
+        let base = "name x\nn 3\nc 1\nsteps 2\nseed 0\n";
+        let err = |extra: &str| Trace::from_text(&format!("{base}{extra}")).unwrap_err();
+        assert!(err("melt 1\n").contains("line 6: unknown key \"melt\""));
+        assert!(err("seed 1\n").contains("line 6: repeated key \"seed\""));
+        assert!(err("fingerprint 1\nfingerprint 2\n").contains("line 7: repeated key"));
+        assert!(err("fingerprint xyz\n").contains("line 6: bad fingerprint"));
+        assert!(err("fault 0 x stale\n").contains("line 6: bad number \"x\""));
+        assert!(err("fault 0 1\n").contains("line 6: a fault is"));
+        assert!(err("fault 0 1 melt\n").contains("line 6: unknown fault kind \"melt\""));
+        assert!(err("fault 0 1 delay\n").contains("line 6: a delay fault takes one number"));
+        assert!(err("fault 0 1 delay 5 6\n").contains("line 6: a delay fault"));
+        assert!(err("fault 0 1 stale 5\n").contains("line 6: a stale fault takes no extra"));
+        // One past u64::MAX, a negative and a fractional number are bad.
+        for bad in ["18446744073709551616", "-1", "1.5", ""] {
+            let text = base.replace("seed 0", &format!("seed {bad}"));
+            assert!(
+                Trace::from_text(&text)
+                    .unwrap_err()
+                    .contains("line 5: bad number"),
+                "{bad}"
+            );
+        }
+        assert!(Trace::from_text(&base.replace("name x", "name"))
+            .unwrap_err()
+            .contains("line 1: name has no value"));
+        for key in ["name", "n", "c", "steps", "seed"] {
+            let text: String = base
+                .lines()
+                .filter(|l| l.split_whitespace().next() != Some(key))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            assert_eq!(
+                Trace::from_text(&text).unwrap_err(),
+                format!("trace is missing \"{key}\"")
+            );
+        }
+        assert!(Trace::from_text("").is_err());
     }
 
     #[test]

@@ -103,7 +103,6 @@ fn minimize_returns_passing_plans_unchanged() {
 fn counterexample_traces_round_trip_as_chaos_plans() {
     // Build a violation by hand — the unmutated collector has none — and
     // check the serialization path the CLI uses.
-    let cfg = McConfig::flat4();
     let faults = vec![Fault {
         worker: 3,
         step: 1,
@@ -114,13 +113,21 @@ fn counterexample_traces_round_trip_as_chaos_plans() {
         messages: vec!["synthetic".into()],
         fingerprint: 0xDEAD_BEEF,
     };
-    let trace = counterexample_trace(&cfg, &violation);
-    assert_eq!(trace.name, "mc-flat4");
-    assert_eq!((trace.n, trace.c, trace.steps), (4, 2, 2));
-    assert_eq!(trace.fingerprint, Some(0xDEAD_BEEF));
-    let back = Trace::from_json(&trace.to_json()).expect("round-trips");
-    assert_eq!(back.plan().faults, faults);
-    assert_eq!(back.fingerprint, Some(0xDEAD_BEEF));
+    // Any u64 seed survives, including those past f64's 2^53 integers.
+    for seed in [McConfig::flat4().seed, (1 << 53) + 1, u64::MAX] {
+        let cfg = McConfig {
+            seed,
+            ..McConfig::flat4()
+        };
+        let trace = counterexample_trace(&cfg, &violation);
+        assert_eq!(trace.name, "mc-flat4");
+        assert_eq!((trace.n, trace.c, trace.steps), (4, 2, 2));
+        assert_eq!(trace.fingerprint, Some(0xDEAD_BEEF));
+        let back = Trace::from_text(&trace.to_text()).expect("round-trips");
+        assert_eq!(back.plan().faults, faults);
+        assert_eq!(back.fingerprint, Some(0xDEAD_BEEF));
+        assert_eq!(back.seed, seed);
+    }
 }
 
 #[test]

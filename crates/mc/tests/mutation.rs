@@ -89,7 +89,7 @@ fn minimized_trace_replays_on_a_real_cluster_to_the_same_fingerprint() {
     let trace = counterexample_trace(&cfg, &violation);
 
     // Round-trip through the on-disk format `isgc chaos --plan` consumes.
-    let trace = Trace::from_json(&trace.to_json()).expect("trace round-trips");
+    let trace = Trace::from_text(&trace.to_text()).expect("trace round-trips");
     assert_eq!(trace.n, 3);
     assert_eq!(trace.steps, 2);
     let expected = trace

@@ -67,8 +67,11 @@ pub enum WaitPolicy {
     /// Accept the first `w` codewords of the step (the paper's
     /// `ray.wait(w)`), shrinking `w` automatically when workers die.
     FirstW(usize),
-    /// Accept whatever arrives before the deadline. If nothing arrived by
-    /// then, keep waiting for the first codeword so every step progresses.
+    /// Accept whatever arrives before the deadline, counted from the step's
+    /// broadcast. A gather that reaches the deadline still reads every
+    /// answer already delivered (a co-tenant job may have held the thread
+    /// past it) before it closes. If nothing arrived by then, keep waiting
+    /// for the first codeword so every step progresses.
     Deadline(Duration),
 }
 

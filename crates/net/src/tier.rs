@@ -432,17 +432,19 @@ impl Tier {
         let mut arrivals: Vec<usize> = Vec::with_capacity(n);
         let mut declined: Vec<bool> = vec![false; n];
         let mut stale = 0usize;
+        // Whether the last wait found nothing queued.
+        let mut quiet = false;
 
         loop {
             // Heartbeat silence arrives as HeartbeatTimeout events off the
             // transport's deadlines (noted below); no wall-clock sweep.
             let now = self.transport.now();
             let alive_pending = awaited.count();
+            let expired = cutoff.is_some_and(|c| now >= c);
             let done = match wait {
                 WaitPolicy::FirstW(w) => arrivals.len() >= w || alive_pending == 0,
                 WaitPolicy::Deadline(_) => {
-                    let expired = cutoff.is_some_and(|c| now >= c);
-                    (expired && !arrivals.is_empty()) || alive_pending == 0
+                    (expired && quiet && !arrivals.is_empty()) || alive_pending == 0
                 }
             } || limit.is_some_and(|l| now >= l);
             if done {
@@ -455,13 +457,21 @@ impl Tier {
                 });
             }
 
-            // A cutoff already passed with nothing arrived waits for the
-            // first codeword, however long it takes.
-            let until = cutoff.filter(|&c| c > now).into_iter().chain(limit).min();
+            // A passed cutoff still reads what has already arrived, without
+            // waiting; with nothing arrived it waits for the first codeword,
+            // however long it takes.
+            let until = match (expired, arrivals.is_empty()) {
+                (false, _) => cutoff,
+                (true, false) => Some(now),
+                (true, true) => None,
+            };
+            let until = until.into_iter().chain(limit).min();
             let timeout = until.map_or(Duration::MAX, |u| u - now);
             let Some(reply) = self.hear(host, timeout)? else {
+                quiet = true;
                 continue;
             };
+            quiet = false;
             // An answer or decline touches its sender's slot only; every
             // other event may have changed liveness anywhere.
             let touched = match reply {
@@ -709,7 +719,27 @@ mod tests {
         script.borrow_mut().now += 2 * d;
         let err = tier.collect(&mut Workers, WaitPolicy::Deadline(d));
         assert!(matches!(err, Err(NetError::Protocol(why)) if why == "waits forever"));
-        assert!(script.borrow().quiet.is_empty());
+        // The first step read its queue dry once, without waiting.
+        assert_eq!(script.borrow().quiet, vec![Duration::ZERO]);
+    }
+
+    #[test]
+    fn a_deadline_past_reads_every_codeword_already_arrived() {
+        // The gather starts after its cutoff (a co-tenant job held the
+        // thread) with both workers' codewords queued: the step counts both,
+        // leaving none to be discarded as stale at the next step.
+        let (mut tier, script) = seated_pair();
+        let d = Duration::from_millis(30);
+        tier.broadcast_step(&mut Workers, Duration::ZERO, 0, 0, &[0.5]);
+        script.borrow_mut().now += 2 * d;
+        script
+            .borrow_mut()
+            .events
+            .extend([codeword(10, 0), codeword(11, 0)]);
+        let collected = tier.collect(&mut Workers, WaitPolicy::Deadline(d)).unwrap();
+        assert_eq!(collected.arrivals, vec![0, 1]);
+        assert_eq!(collected.stale, 0);
+        assert_eq!(script.borrow().now, 2 * d);
     }
 
     #[test]

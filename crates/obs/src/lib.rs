@@ -59,7 +59,7 @@ mod snapshot;
 mod span;
 
 pub use registry::{Class, HistogramSnapshot, Registry};
-pub use snapshot::{json_str, Snapshot};
+pub use snapshot::Snapshot;
 pub use span::{SpanField, SpanRecord};
 
 /// Ready-made histogram bucket ladders.

@@ -55,7 +55,7 @@ fn json_num(v: f64) -> String {
 
 /// `s` as a JSON string token: quoted, with `"`, `\` and control
 /// characters escaped.
-pub fn json_str(s: &str) -> String {
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for ch in s.chars() {

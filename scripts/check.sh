@@ -333,6 +333,25 @@ echo "== model-checker mutation loop (seeded bug: find -> shrink -> replay)"
 # 1-minimal core, and reproduce the exact failure fingerprint on a real
 # loopback cluster.
 cargo test --release -q -p isgc-mc --features mc-mutation --test mutation
+# The same loop through the CLI: `mc` writes the trace file and fails, and
+# `chaos --plan <file>` reads it back and reproduces its fingerprint.
+rm -f target/mc_trace.txt
+if cargo run --release --quiet --features mc-mutation -- mc --shape flat3 \
+  --trace-out target/mc_trace.txt > /dev/null 2>&1; then
+  echo "FAIL: mc found no violation in the mc-mutation build" >&2
+  exit 1
+fi
+if [ ! -s target/mc_trace.txt ]; then
+  echo "FAIL: mc did not write target/mc_trace.txt" >&2
+  exit 1
+fi
+replay_out=$(cargo run --release --quiet --features mc-mutation -- chaos --plan target/mc_trace.txt)
+if ! grep -q 'matches the trace' <<<"$replay_out"; then
+  echo "FAIL: the CLI replay of target/mc_trace.txt did not match its fingerprint:" >&2
+  echo "$replay_out" >&2
+  exit 1
+fi
+grep 'matches the trace' <<<"$replay_out"
 
 echo "== paper reproduction matches results/ (./run_all_experiments.sh to regenerate)"
 # The ten figure binaries are bit-deterministic. Runs un-blessed, like the
@@ -345,4 +364,4 @@ if ! diff -r -x README.md results target/results; then
   exit 1
 fi
 
-echo "ok: fmt, structural guards (incl. non-test source ends at mod tests, one clock in isgc-net, no thread in isgc-net, one session loop, one worker handshake, one worker launcher, one invariant checker and one hash, only options someone sets and no aggregation tree, one f64 codec and no per-element ingest, pending connections are clamped, one broadcast and one gather, no public item without a caller), clippy, docs, tests, release kernel properties, engine parity, snapshots, chaos, blackout, multi-tenant fingerprints, reactor scale, straggling swarm, benchmark smoke, mc mutation loop, and paper reproduction all clean"
+echo "ok: fmt, structural guards (incl. non-test source ends at mod tests, one clock in isgc-net, no thread in isgc-net, one session loop, one worker handshake, one worker launcher, one invariant checker and one hash, only options someone sets and no aggregation tree, one f64 codec and no per-element ingest, pending connections are clamped, one broadcast and one gather, no public item without a caller), clippy, docs, tests, release kernel properties, engine parity, snapshots, chaos, blackout, multi-tenant fingerprints, reactor scale, straggling swarm, benchmark smoke, mc mutation loop and its CLI trace replay, and paper reproduction all clean"

@@ -101,8 +101,9 @@ USAGE:
        plans: smoke, worker-flap, worker-crash, master-restart, frame-corrupt,
               delay, duplicate-stale, random, blackout, slow-bleed
        --plan may also name a counterexample trace file written by `isgc mc`
-              (path ending in .json): the scripted schedule replays on a real
-              cluster and the failure fingerprint must match the trace's
+              (any existing file): it sets the cluster shape and seed, the
+              scripted schedule replays on a real cluster, and the failure
+              fingerprint must match the trace's
   isgc mc [flags]                          exhaustively model-check the collector
                                            protocol: enumerate every delivery
                                            order and fault schedule for a small
@@ -115,7 +116,7 @@ USAGE:
               --max-runs <k>               search cutoff (default 200000); a search
                                            it cuts short fails the command
               --trace-out <path>           where to write the minimized
-                                           counterexample (default mc_trace.json)
+                                           counterexample (default mc_trace.txt)
 
 Two-terminal quickstart (an 8-worker FR(8,2) cluster, ignore the 2 slowest):
   terminal 1:  isgc serve fr 8 2 --w 6 --steps 20
@@ -1184,81 +1185,6 @@ fn kill_children(children: Vec<std::process::Child>) {
     }
 }
 
-/// `isgc chaos --plan <name> [--seed s] [--n k --c k --steps k]`: run a
-/// loopback cluster under a named fault plan and report the per-step record,
-/// the determinism fingerprint, and any invariant violations.
-/// The `chaos --plan <trace.json>` arm: replays a model-checker
-/// counterexample (or any saved trace) on a real loopback cluster and holds
-/// the run to the trace's recorded failure fingerprint.
-fn cmd_chaos_replay(path: &str, flags: &HashMap<String, String>) -> Result<String, String> {
-    for flag in ["n", "c", "steps", "seed"] {
-        if flags.contains_key(flag) {
-            return Err(format!(
-                "--{flag} conflicts with a trace file: the trace records the cluster shape"
-            ));
-        }
-    }
-    let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-    let trace = Trace::from_json(&json).map_err(|e| format!("invalid trace '{path}': {e}"))?;
-    let mut config = ChaosConfig::new(trace.seed);
-    config.n = trace.n;
-    config.c = trace.c;
-    config.steps = trace.steps;
-    let metrics = metrics_from(flags);
-    config.metrics = metrics.as_ref().map(|(_, r)| r.clone());
-    if let Some(policy) = degrade_from(flags)? {
-        config.degrade = policy;
-    }
-    let plan = trace.plan();
-    let outcome = run_chaos(&plan, &config).map_err(|e| e.to_string())?;
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "replaying trace '{}' ({path}) on FR({}, {}), {} steps, seed {}",
-        trace.name, config.n, config.c, config.steps, trace.seed
-    );
-    for r in &outcome.reports {
-        let _ = writeln!(out, "{}", render_step(r, config.n, None));
-    }
-    let _ = writeln!(out, "final loss:         {:.4}", outcome.final_loss);
-    let _ = writeln!(out, "run fingerprint:    {:016x}", outcome.fingerprint);
-    finish_metrics(&mut out, metrics.as_ref())?;
-    for v in &outcome.violations {
-        let _ = writeln!(out, "VIOLATION: {v}");
-    }
-    let observed = failure_fingerprint(&outcome.violations);
-    match trace.fingerprint {
-        Some(expected) if expected == observed => {
-            let _ = writeln!(
-                out,
-                "failure fingerprint {observed:016x} matches the trace: the modeled \
-                 counterexample reproduces on a real cluster"
-            );
-            Ok(out)
-        }
-        Some(expected) => {
-            let _ = writeln!(
-                out,
-                "failure fingerprint mismatch: trace recorded {expected:016x}, replay \
-                 produced {observed:016x}"
-            );
-            Err(out)
-        }
-        None if outcome.passed() => {
-            let _ = writeln!(out, "trace records no failure and the replay is clean");
-            Ok(out)
-        }
-        None => {
-            let _ = writeln!(
-                out,
-                "trace records no failure but the replay violated invariants"
-            );
-            Err(out)
-        }
-    }
-}
-
 /// The `mc` command: exhaustive protocol model checking with counterexample
 /// minimization. A violation writes a replayable trace and fails the command;
 /// so does a search `--max-runs` cut short, which proves nothing about the
@@ -1378,12 +1304,18 @@ fn cmd_mc(args: &[String]) -> Result<String, String> {
         minimized
     );
     let final_violation = explore_plan(&cfg, &minimized).unwrap_or_else(|| violation.clone());
-    let trace = counterexample_trace(&cfg, &final_violation);
+    // The violations ride along as comments for the human reader.
+    let mut text: String = final_violation
+        .messages
+        .iter()
+        .flat_map(|m| m.lines())
+        .map(|line| format!("# {line}\n"))
+        .collect();
+    text.push_str(&counterexample_trace(&cfg, &final_violation).to_text());
     let trace_path = flags
         .get("trace-out")
-        .map_or("mc_trace.json", String::as_str);
-    std::fs::write(trace_path, trace.to_json())
-        .map_err(|e| format!("cannot write '{trace_path}': {e}"))?;
+        .map_or("mc_trace.txt", String::as_str);
+    std::fs::write(trace_path, text).map_err(|e| format!("cannot write '{trace_path}': {e}"))?;
     let _ = writeln!(
         out,
         "counterexample written to {trace_path}; replay it on a real cluster with:\n  \
@@ -1392,6 +1324,10 @@ fn cmd_mc(args: &[String]) -> Result<String, String> {
     Err(out)
 }
 
+/// `isgc chaos --plan <name|file> [flags]`: run a loopback cluster under a
+/// fault plan and report the per-step record, the determinism fingerprint,
+/// and any invariant violations. A run passes iff it has no violations, or,
+/// for a trace that records a failure fingerprint, iff it reproduces it.
 fn cmd_chaos(args: &[String]) -> Result<String, String> {
     let flags = parse_flags(
         args,
@@ -1407,43 +1343,16 @@ fn cmd_chaos(args: &[String]) -> Result<String, String> {
             "metrics-out",
         ],
     )?;
-    let name = flags.get("plan").map_or("smoke", String::as_str);
-    if name.ends_with(".json") || std::path::Path::new(name).is_file() {
-        return cmd_chaos_replay(name, &flags);
-    }
-    let seed: u64 = match flags.get("seed") {
-        Some(s) => parse(s, "seed")?,
-        None => 42,
-    };
-    let mut config = ChaosConfig::new(seed);
+    let (mut config, plan, expected) = chaos_setup(&flags)?;
     let metrics = metrics_from(&flags);
     config.metrics = metrics.as_ref().map(|(_, r)| r.clone());
-    if let Some(s) = flags.get("n") {
-        config.n = parse(s, "n")?;
-    }
-    if let Some(s) = flags.get("c") {
-        config.c = parse(s, "c")?;
-    }
-    if let Some(s) = flags.get("steps") {
-        config.steps = parse(s, "steps")?;
-    }
-    let plan = FaultPlan::named(name, seed, config.n, config.steps as u64).ok_or_else(|| {
-        format!(
-            "unknown plan '{name}'; available: {}",
-            PLAN_NAMES.join(", ")
-        )
-    })?;
-    config.degrade = match degrade_from(&flags)? {
-        Some(policy) => policy,
-        None => plan.recommended_policy(config.n, config.steps as u64),
-    };
 
     let outcome = run_chaos(&plan, &config).map_err(|e| e.to_string())?;
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "chaos plan '{}' on FR({}, {}), {} steps, seed {seed}",
-        outcome.plan, config.n, config.c, config.steps
+        "chaos plan '{}' on FR({}, {}), {} steps, seed {}",
+        outcome.plan, config.n, config.c, config.steps, config.seed
     );
     let _ = writeln!(
         out,
@@ -1472,13 +1381,90 @@ fn cmd_chaos(args: &[String]) -> Result<String, String> {
             out,
             "invariants:         all steps within Theorem 10/11 bounds; ladder arithmetic consistent; decode matches oracle"
         );
+    }
+    for v in &outcome.violations {
+        let _ = writeln!(out, "VIOLATION: {v}");
+    }
+    let passed = match expected {
+        None => outcome.passed(),
+        Some(expected) => {
+            let observed = failure_fingerprint(&outcome.violations);
+            if expected == observed {
+                let _ = writeln!(
+                    out,
+                    "failure fingerprint {observed:016x} matches the trace: the modeled \
+                     counterexample reproduces on a real cluster"
+                );
+            } else {
+                let _ = writeln!(
+                    out,
+                    "failure fingerprint mismatch: trace recorded {expected:016x}, replay \
+                     produced {observed:016x}"
+                );
+            }
+            expected == observed
+        }
+    };
+    if passed {
         Ok(out)
     } else {
-        for v in &outcome.violations {
-            let _ = writeln!(out, "VIOLATION: {v}");
-        }
         Err(out)
     }
+}
+
+/// What `chaos --plan` runs: the cluster config, the fault plan, and the
+/// failure fingerprint the run must reproduce, if any. A `--plan` that names
+/// a file is a trace written by `isgc mc`, which records the cluster shape
+/// and seed; anything else names a plan, run at the flags' shape and seed.
+fn chaos_setup(
+    flags: &HashMap<String, String>,
+) -> Result<(ChaosConfig, FaultPlan, Option<u64>), String> {
+    let name = flags.get("plan").map_or("smoke", String::as_str);
+    if std::path::Path::new(name).is_file() {
+        for flag in ["n", "c", "steps", "seed"] {
+            if flags.contains_key(flag) {
+                return Err(format!(
+                    "--{flag} conflicts with a trace file: the trace records the cluster shape"
+                ));
+            }
+        }
+        let text =
+            std::fs::read_to_string(name).map_err(|e| format!("cannot read '{name}': {e}"))?;
+        let trace = Trace::from_text(&text).map_err(|e| format!("invalid trace '{name}': {e}"))?;
+        let mut config = ChaosConfig::new(trace.seed);
+        config.n = trace.n;
+        config.c = trace.c;
+        config.steps = trace.steps;
+        if let Some(policy) = degrade_from(flags)? {
+            config.degrade = policy;
+        }
+        return Ok((config, trace.plan(), trace.fingerprint));
+    }
+    let seed: u64 = match flags.get("seed") {
+        Some(s) => parse(s, "seed")?,
+        None => 42,
+    };
+    let mut config = ChaosConfig::new(seed);
+    if let Some(s) = flags.get("n") {
+        config.n = parse(s, "n")?;
+    }
+    if let Some(s) = flags.get("c") {
+        config.c = parse(s, "c")?;
+    }
+    if let Some(s) = flags.get("steps") {
+        config.steps = parse(s, "steps")?;
+    }
+    let plan = FaultPlan::named(name, seed, config.n, config.steps as u64).ok_or_else(|| {
+        format!(
+            "unknown plan '{name}'; available: {}",
+            PLAN_NAMES.join(", ")
+        )
+    })?;
+    config.degrade = match degrade_from(flags)? {
+        Some(policy) => policy,
+        None => plan.recommended_policy(config.n, config.steps as u64),
+    };
+    Ok((config, plan, None))
 }
 
 #[cfg(test)]
@@ -1810,6 +1796,46 @@ mod tests {
         // validator rejects it up front with a clean error.
         let err = run(&args("chaos --plan blackout --degrade fail")).unwrap_err();
         assert!(err.contains("skip or approx"), "{err}");
+    }
+
+    #[test]
+    fn chaos_replays_a_trace_file_against_its_fingerprint() {
+        let path = std::env::temp_dir().join(format!("isgc-cli-trace-{}.txt", std::process::id()));
+        let file = path.to_str().unwrap();
+        let chaos = |extra: &str| run(&args(&format!("chaos --plan {file}{extra}")));
+        let clean = "# no faults\nname bare\nn 3\nc 1\nsteps 2\nseed 7\n";
+        std::fs::write(&path, clean).unwrap();
+        let out = chaos("").unwrap();
+        assert!(
+            out.starts_with("chaos plan 'bare' on FR(3, 1), 2 steps, seed 7\n"),
+            "{out}"
+        );
+        assert!(out.contains("invariants:         all steps"), "{out}");
+        // A clean run's failure fingerprint is the FNV basis: a trace that
+        // records it matches, and one that records a failure does not.
+        std::fs::write(&path, format!("{clean}fingerprint cbf29ce484222325\n")).unwrap();
+        let out = chaos("").unwrap();
+        assert!(
+            out.contains("failure fingerprint cbf29ce484222325 matches the trace"),
+            "{out}"
+        );
+        std::fs::write(&path, format!("{clean}fingerprint 6b6f190132f41daa\n")).unwrap();
+        let err = chaos("").unwrap_err();
+        assert!(
+            err.contains(
+                "mismatch: trace recorded 6b6f190132f41daa, replay produced cbf29ce484222325"
+            ),
+            "{err}"
+        );
+        let err = chaos(" --seed 3").unwrap_err();
+        assert!(err.contains("--seed conflicts with a trace file"), "{err}");
+        std::fs::write(&path, "name bare\nn 3\n").unwrap();
+        let err = chaos("").unwrap_err();
+        assert!(
+            err.contains("invalid trace") && err.contains("missing \"c\""),
+            "{err}"
+        );
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

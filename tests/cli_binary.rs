@@ -101,3 +101,29 @@ fn launch_straggles_by_assigned_slot_not_by_registration_order() {
         assert_eq!(job_fingerprints(&jobs), first);
     }
 }
+
+#[test]
+fn a_co_tenant_deadline_job_matches_its_solo_run() {
+    // Job 0's gather starts after job 1 has waited out its own deadline, so
+    // its cutoff has passed: it must still count every codeword already
+    // delivered, as its solo run does, not close on the first one. The
+    // margins (200 ms against 2000 ms) keep the arrival sets exact.
+    let cmd = "launch fr 8 2 --deadline-ms 200 --slow 2 --delay-ms 2000 --steps 10";
+    let cmd: Vec<&str> = cmd.split(' ').collect();
+    let solo = recovery_and_loss(&cmd);
+    let solo_loss = solo
+        .lines()
+        .find_map(|l| l.strip_prefix("final loss:"))
+        .map(str::trim)
+        .expect("a final loss line");
+    let (ok, stdout, stderr) = isgc(&[&cmd[..], &["--jobs", "2"]].concat());
+    assert!(ok, "{stdout}{stderr}");
+    let job0 = stdout
+        .lines()
+        .find(|l| l.starts_with("job  0 "))
+        .expect("a job 0 line");
+    assert!(
+        job0.contains(&format!("final loss {solo_loss},")),
+        "{job0} vs solo {solo}"
+    );
+}
